@@ -9,7 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsv_core::baselines::min_storage_value;
-use dsv_core::heuristics::lmg_all::{lmg_all_incremental_with_stats, lmg_all_scratch_with_stats};
+use dsv_core::heuristics::lmg_all::lmg_all_with_stats;
+use dsv_core::heuristics::oracle::lmg_all_scratch;
 use dsv_vgraph::generators::{erdos_renyi_bidirectional, CostModel};
 use std::hint::black_box;
 
@@ -22,11 +23,11 @@ fn bench_lmg_scaling(c: &mut Criterion) {
         let g = erdos_renyi_bidirectional(n, p, &CostModel::default(), 2024);
         let budget = min_storage_value(&g) * 2;
         group.bench_with_input(BenchmarkId::new("incremental", n), &g, |b, g| {
-            b.iter(|| black_box(lmg_all_incremental_with_stats(g, budget)))
+            b.iter(|| black_box(lmg_all_with_stats(g, budget)))
         });
         if n <= 4_000 {
             group.bench_with_input(BenchmarkId::new("scratch", n), &g, |b, g| {
-                b.iter(|| black_box(lmg_all_scratch_with_stats(g, budget)))
+                b.iter(|| black_box(lmg_all_scratch(g, budget, |_, _| {})))
             });
         }
     }

@@ -479,9 +479,9 @@ pub const LMG_BENCH_ITERS: usize = 3;
 /// because the from-scratch oracle costs `O(moves · (n + m))` there.
 pub fn lmg_bench(opts: &ExperimentOptions) -> LmgBench {
     use dsv_core::baselines::min_storage_value;
-    use dsv_core::heuristics::lmg_all::{
-        lmg_all_incremental_with_stats, lmg_all_scratch_with_stats,
-    };
+    use dsv_core::heuristics::lmg_all::{lmg_all_with_stats, LmgAllStats};
+    use dsv_core::heuristics::oracle::lmg_all_scratch;
+    use dsv_core::plan::StoragePlan;
     use dsv_vgraph::generators::{erdos_renyi_bidirectional, CostModel};
     use serde_json::Value;
     use std::collections::BTreeMap;
@@ -505,10 +505,7 @@ pub fn lmg_bench(opts: &ExperimentOptions) -> LmgBench {
         let g = erdos_renyi_bidirectional(n, p, &CostModel::default(), opts.seed);
         let budget = min_storage_value(&g) * 2;
 
-        let time_best = |f: &dyn Fn() -> Option<(
-            dsv_core::plan::StoragePlan,
-            dsv_core::heuristics::lmg_all::LmgAllStats,
-        )>| {
+        let time_best = |f: &dyn Fn() -> Option<(StoragePlan, LmgAllStats)>| {
             let mut best_ms = f64::INFINITY;
             let mut last = None;
             for _ in 0..LMG_BENCH_ITERS {
@@ -519,9 +516,8 @@ pub fn lmg_bench(opts: &ExperimentOptions) -> LmgBench {
             }
             (best_ms, last.expect("at least one iteration"))
         };
-        let (scratch_ms, scratch) = time_best(&|| lmg_all_scratch_with_stats(&g, budget));
-        let (incremental_ms, incremental) =
-            time_best(&|| lmg_all_incremental_with_stats(&g, budget));
+        let (scratch_ms, scratch) = time_best(&|| lmg_all_scratch(&g, budget, |_, _| {}));
+        let (incremental_ms, incremental) = time_best(&|| lmg_all_with_stats(&g, budget));
         let (scratch, incremental) = (
             scratch.expect("budget 2x smin is feasible"),
             incremental.expect("budget 2x smin is feasible"),

@@ -31,10 +31,11 @@
 //! objective is heuristic: the differential suite and the `shard` bench
 //! gate it against whole-graph LMG-All within [`SHARD_REGRET_BOUND`].
 //!
-//! `DSV_SHARD_MODE=off` disables the path entirely (the solver reports a
-//! deterministic [`SolveError::ResourceLimit`] and the engine falls through
-//! to whole-graph solvers) — the escape hatch if sharding ever misbehaves
-//! in production.
+//! Setting [`ShardConfig::min_graph_nodes`] to `usize::MAX` disables the
+//! path entirely (the solver reports a deterministic
+//! [`SolveError::ResourceLimit`] and the engine falls through to
+//! whole-graph solvers) — the escape hatch if sharding ever misbehaves in
+//! production.
 
 use super::{Solution, SolveError, SolveOptions, Solver, SolverMeta};
 use crate::baselines::min_storage_value;
@@ -66,6 +67,7 @@ pub struct ShardConfig {
     /// [`SolveError::ResourceLimit`] from [`ShardedSolver`] — sharding
     /// overhead only pays off at scale, and the refusal keeps small-graph
     /// engine dispatch (and its parallel-vs-sequential parity) unchanged.
+    /// `usize::MAX` turns sharding off.
     pub min_graph_nodes: usize,
 }
 
@@ -99,14 +101,6 @@ pub struct ShardStats {
     pub storage: Cost,
     /// Exact total retrieval cost of the stitched plan.
     pub total_retrieval: Cost,
-}
-
-/// Whether `DSV_SHARD_MODE=off` disables the sharded path (read once).
-fn shard_mode_off() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("DSV_SHARD_MODE").is_ok_and(|v| v.eq_ignore_ascii_case("off"))
-    })
 }
 
 fn infeasible(detail: String) -> SolveError {
@@ -372,9 +366,9 @@ pub fn sharded_msr(
 /// The sharded hierarchical MSR solver. Registered **first** in
 /// [`Engine::with_default_solvers`](super::Engine::with_default_solvers):
 /// it deterministically refuses small instances (below
-/// [`ShardConfig::min_graph_nodes`], or when `DSV_SHARD_MODE=off`), so
-/// everyday dispatch is unchanged — but at scale the engine prefers the
-/// near-linear sharded path over a monolithic solve.
+/// [`ShardConfig::min_graph_nodes`]), so everyday dispatch is unchanged —
+/// but at scale the engine prefers the near-linear sharded path over a
+/// monolithic solve.
 #[derive(Clone, Debug, Default)]
 pub struct ShardedSolver {
     /// Pipeline tuning; [`ShardConfig::default`] under default registration.
@@ -403,12 +397,6 @@ impl Solver for ShardedSolver {
                 problem: problem.name(),
             });
         };
-        if shard_mode_off() {
-            return Err(SolveError::ResourceLimit {
-                solver: SOLVER,
-                detail: "sharded solving disabled via DSV_SHARD_MODE=off".into(),
-            });
-        }
         if g.n() < self.config.min_graph_nodes {
             return Err(SolveError::ResourceLimit {
                 solver: SOLVER,

@@ -9,7 +9,9 @@
 //!    content-addressed [`Store`] (objects shared between plans are
 //!    deduplicated and reference-counted). The payload hash of *every*
 //!    version — including delta-reconstructed ones — is recorded as the
-//!    ground truth.
+//!    ground truth. Ingest is a [`PlanExecutor::migrate`] from the empty
+//!    stored plan, so the executor has one write loop: validate, put each
+//!    object, and roll back every reference taken if a put fails.
 //! 2. **Execute** ([`PlanExecutor::execute`]): every version is
 //!    reconstructed by walking the plan's retrieval forest — decode the
 //!    materialized roots, then apply stored deltas downward — and each
@@ -114,6 +116,20 @@ pub struct StoredPlan {
     pub ingest_wall: Duration,
 }
 
+impl StoredPlan {
+    /// The stored plan of an empty graph: nothing stored, nothing spent.
+    /// Ingest migrates from it.
+    fn empty() -> Self {
+        StoredPlan {
+            plan: StoragePlan { parent: Vec::new() },
+            objects: Vec::new(),
+            source_hashes: Vec::new(),
+            ingest_bytes: 0,
+            ingest_wall: Duration::ZERO,
+        }
+    }
+}
+
 /// Outcome of one live plan migration ([`PlanExecutor::migrate`]): how
 /// much of the old stored plan survived untouched and how many bytes
 /// actually moved.
@@ -183,65 +199,17 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
     }
 
     /// Write a plan's objects into the store and record every version's
-    /// ground-truth payload hash.
+    /// ground-truth payload hash: a [`migrate`](PlanExecutor::migrate)
+    /// from the empty stored plan, so every node is added and a failed
+    /// write rolls back every reference this call took.
     pub fn ingest(
         &mut self,
         g: &VersionGraph,
         plan: &StoragePlan,
         source: &dyn VersionSource,
     ) -> Result<StoredPlan, ExecError> {
-        let started = Instant::now();
-        if source.version_count() != g.n() {
-            return Err(ExecError::Mismatch {
-                detail: format!(
-                    "source has {} versions, graph has {} nodes",
-                    source.version_count(),
-                    g.n()
-                ),
-            });
-        }
-        if let Err(reason) = plan.validate(g) {
-            return Err(ExecError::Mismatch { detail: reason });
-        }
-        let mut objects = Vec::with_capacity(g.n());
-        let mut source_hashes = Vec::with_capacity(g.n());
-        let mut ingest_bytes = 0u64;
-        for v in 0..g.n() as u32 {
-            let payload_bytes = source.payload_bytes(v);
-            source_hashes.push(hash_object(ObjectKind::Chunk, &payload_bytes));
-            let put = match plan.parent[v as usize] {
-                Parent::Materialized => {
-                    ingest_bytes += payload_bytes.len() as u64;
-                    self.store.put(ObjectKind::Chunk, &payload_bytes)
-                }
-                Parent::Delta(e) => {
-                    let edge = g.edge(e);
-                    let delta = source.delta(edge.src.0, edge.dst.0);
-                    ingest_bytes += delta.len() as u64;
-                    self.store.put(ObjectKind::Delta, &delta)
-                }
-            };
-            match put {
-                Ok(id) => objects.push(id),
-                Err(e) => {
-                    // Roll back the references this half-ingested plan
-                    // already took, or they could never be released and GC
-                    // could never reclaim the bytes (refcounts persist in
-                    // the on-disk backend).
-                    for &id in &objects {
-                        let _ = self.store.release(id);
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(StoredPlan {
-            plan: plan.clone(),
-            objects,
-            source_hashes,
-            ingest_bytes,
-            ingest_wall: started.elapsed(),
-        })
+        self.migrate(g, &StoredPlan::empty(), plan, source)
+            .map(|(stored, _)| stored)
     }
 
     /// Migrate a live stored plan to `new_plan` without re-ingesting the
@@ -300,9 +268,9 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
         let mut objects = Vec::with_capacity(n);
         let mut source_hashes = Vec::with_capacity(n);
         // Phase 1 — write every replacement object. Nothing is released
-        // yet, so a failure can roll back to exactly the old state.
+        // yet, so a failure can roll back to exactly the old state (for
+        // an ingest, to an empty one).
         let mut fresh: Vec<ObjectId> = Vec::new();
-        let mut result = Ok(());
         for v in 0..n {
             if v < old_n && old.plan.parent[v] == new_plan.parent[v] {
                 objects.push(old.objects[v]);
@@ -310,45 +278,45 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
                 stats.reused += 1;
                 continue;
             }
+            // An added node's payload is encoded once: hashed here, and
+            // reused below when the new plan materializes it.
+            let mut payload = None;
             if v < old_n {
                 stats.changed += 1;
                 source_hashes.push(old.source_hashes[v]);
             } else {
                 stats.added += 1;
-                source_hashes.push(hash_object(
-                    ObjectKind::Chunk,
-                    &source.payload_bytes(v as u32),
-                ));
+                let bytes = source.payload_bytes(v as u32);
+                source_hashes.push(hash_object(ObjectKind::Chunk, &bytes));
+                payload = Some(bytes);
             }
-            let put = match new_plan.parent[v] {
-                Parent::Materialized => {
-                    let payload_bytes = source.payload_bytes(v as u32);
-                    stats.bytes_moved += payload_bytes.len() as u64;
-                    self.store.put(ObjectKind::Chunk, &payload_bytes)
-                }
+            let (kind, bytes) = match new_plan.parent[v] {
+                Parent::Materialized => (
+                    ObjectKind::Chunk,
+                    payload.unwrap_or_else(|| source.payload_bytes(v as u32)),
+                ),
                 Parent::Delta(e) => {
                     let edge = g.edge(e);
-                    let delta = source.delta(edge.src.0, edge.dst.0);
-                    stats.bytes_moved += delta.len() as u64;
-                    self.store.put(ObjectKind::Delta, &delta)
+                    (ObjectKind::Delta, source.delta(edge.src.0, edge.dst.0))
                 }
             };
-            match put {
+            stats.bytes_moved += bytes.len() as u64;
+            match self.store.put(kind, &bytes) {
                 Ok(id) => {
                     fresh.push(id);
                     objects.push(id);
                 }
                 Err(e) => {
-                    result = Err(e.into());
-                    break;
+                    // Roll back the references this call already took, or
+                    // they could never be released and GC could never
+                    // reclaim the bytes (refcounts persist in the on-disk
+                    // backend).
+                    for &id in &fresh {
+                        let _ = self.store.release(id);
+                    }
+                    return Err(e.into());
                 }
             }
-        }
-        if let Err(e) = result {
-            for &id in &fresh {
-                let _ = self.store.release(id);
-            }
-            return Err(e);
         }
         // Phase 2 — all replacements are durable; release the superseded
         // objects so GC can reclaim exactly the dead ones.

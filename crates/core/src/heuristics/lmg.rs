@@ -11,18 +11,18 @@
 //! versions below `v` in the stored-delta forest by exactly `R(v)`, so the
 //! reduction `Δ` of Algorithm 1 line 16 equals `R(v) · |subtree(v)|`.
 //!
-//! Like LMG-All, the default inner loop is **incremental**: an
+//! Like LMG-All, the inner loop is **incremental**: an
 //! [`IncrementalPlanView`] absorbs each materialization with
 //! subtree-local updates, and a lazy max-heap re-scores only the
 //! candidates the move dirtied (the moved subtree and its old ancestor
 //! path) — `O(Δ + log n)` amortized per move instead of the from-scratch
 //! `O(n + m)` rebuild-and-rescan, which is kept as the differential oracle
-//! ([`lmg_scratch_with_stats`], `DSV_LMG_MODE=scratch`). Both loops pick
+//! ([`oracle::lmg_scratch`](super::oracle::lmg_scratch)). Both loops pick
 //! byte-identical move sequences; ties break to the **lowest** node id
 //! (the oracle scans ids in order and replaces only on strict
 //! improvement).
 
-use super::{scratch_mode, IncrementalPlanView, LazyCandidateHeap, PlanView, Ratio, Scored};
+use super::{IncrementalPlanView, LazyCandidateHeap, Ratio, Scored};
 use crate::baselines::min_storage_plan;
 use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
@@ -46,112 +46,9 @@ pub fn lmg(g: &VersionGraph, storage_budget: Cost) -> Option<StoragePlan> {
     lmg_with_stats(g, storage_budget).map(|(p, _)| p)
 }
 
-/// [`lmg`] plus run diagnostics. Dispatches to the incremental loop unless
-/// `DSV_LMG_MODE=scratch` selects the from-scratch oracle.
+/// [`lmg`] plus run diagnostics.
 pub fn lmg_with_stats(g: &VersionGraph, storage_budget: Cost) -> Option<(StoragePlan, LmgStats)> {
-    if scratch_mode() {
-        lmg_scratch_with_stats(g, storage_budget)
-    } else {
-        lmg_incremental_with_stats(g, storage_budget)
-    }
-}
-
-/// The incremental loop (default).
-pub fn lmg_incremental_with_stats(
-    g: &VersionGraph,
-    storage_budget: Cost,
-) -> Option<(StoragePlan, LmgStats)> {
     run_incremental(g, storage_budget, |_, _| {})
-}
-
-/// The from-scratch oracle loop.
-pub fn lmg_scratch_with_stats(
-    g: &VersionGraph,
-    storage_budget: Cost,
-) -> Option<(StoragePlan, LmgStats)> {
-    run_scratch(g, storage_budget, |_, _| {})
-}
-
-/// [`lmg_incremental_with_stats`] invoking `observe` with every
-/// materialized node and the plan right after the move.
-pub fn lmg_incremental_traced(
-    g: &VersionGraph,
-    storage_budget: Cost,
-    observe: impl FnMut(u32, &StoragePlan),
-) -> Option<(StoragePlan, LmgStats)> {
-    run_incremental(g, storage_budget, observe)
-}
-
-/// [`lmg_scratch_with_stats`] invoking `observe` with every materialized
-/// node and the plan right after the move.
-pub fn lmg_scratch_traced(
-    g: &VersionGraph,
-    storage_budget: Cost,
-    observe: impl FnMut(u32, &StoragePlan),
-) -> Option<(StoragePlan, LmgStats)> {
-    run_scratch(g, storage_budget, observe)
-}
-
-fn run_scratch(
-    g: &VersionGraph,
-    storage_budget: Cost,
-    mut observe: impl FnMut(u32, &StoragePlan),
-) -> Option<(StoragePlan, LmgStats)> {
-    let mut plan = min_storage_plan(g);
-    if plan.storage_cost(g) > storage_budget {
-        return None;
-    }
-    let mut stats = LmgStats::default();
-    // U of Algorithm 1: versions still eligible for materialization.
-    let mut eligible: Vec<bool> = plan
-        .parent
-        .iter()
-        .map(|p| matches!(p, Parent::Delta(_)))
-        .collect();
-
-    loop {
-        let view = PlanView::new(g, &plan);
-        let mut best: Option<(Ratio, usize)> = None;
-        for (v, &is_eligible) in eligible.iter().enumerate() {
-            if !is_eligible {
-                continue;
-            }
-            let sv = g.node_storage(NodeId::new(v));
-            let paid = view.paid[v];
-            // Storage delta of replacing the stored delta by materialization.
-            let new_storage = view.storage - paid + sv;
-            if new_storage > storage_budget {
-                continue;
-            }
-            let dr = view.r[v] as u128 * view.size[v] as u128;
-            if dr == 0 {
-                continue; // no retrieval benefit; ρ would be 0
-            }
-            let ratio = if sv <= paid {
-                Ratio::Infinite {
-                    dr,
-                    ds: (paid - sv) as u128,
-                }
-            } else {
-                Ratio::Finite {
-                    dr,
-                    ds: (sv - paid) as u128,
-                }
-            };
-            if best.is_none_or(|(b, _)| ratio > b) {
-                best = Some((ratio, v));
-            }
-        }
-        let Some((_, v)) = best else {
-            stats.total_retrieval = view.total_retrieval;
-            stats.storage = view.storage;
-            return Some((plan, stats));
-        };
-        plan.parent[v] = Parent::Materialized;
-        eligible[v] = false;
-        stats.moves += 1;
-        observe(v as u32, &plan);
-    }
 }
 
 /// Score materializing `v` against current state, mirroring the oracle's
@@ -196,7 +93,10 @@ fn score(
     })
 }
 
-fn run_incremental(
+/// The incremental greedy loop behind [`lmg_with_stats`], invoking
+/// `observe` with every materialized node and the plan right after the
+/// move (exposed to tests as [`super::oracle::lmg_traced`]).
+pub(super) fn run_incremental(
     g: &VersionGraph,
     storage_budget: Cost,
     mut observe: impl FnMut(u32, &StoragePlan),
@@ -253,6 +153,7 @@ fn run_incremental(
 mod tests {
     use super::*;
     use crate::baselines::min_storage_value;
+    use crate::heuristics::oracle::{lmg_scratch, lmg_traced};
     use dsv_vgraph::generators::{
         bidirectional_path, erdos_renyi_bidirectional, random_tree, CostModel,
     };
@@ -322,9 +223,9 @@ mod tests {
             let smin = min_storage_value(&g);
             for budget in [smin, smin * 2, smin * 5] {
                 let mut scratch_moves = Vec::new();
-                let scratch = lmg_scratch_traced(&g, budget, |v, _| scratch_moves.push(v));
+                let scratch = lmg_scratch(&g, budget, |v, _| scratch_moves.push(v));
                 let mut inc_moves = Vec::new();
-                let inc = lmg_incremental_traced(&g, budget, |v, _| inc_moves.push(v));
+                let inc = lmg_traced(&g, budget, |v, _| inc_moves.push(v));
                 assert_eq!(scratch_moves, inc_moves, "seed {seed} budget {budget}");
                 assert_eq!(scratch, inc, "seed {seed} budget {budget}");
             }

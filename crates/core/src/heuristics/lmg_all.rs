@@ -7,37 +7,40 @@
 //! do not increase storage get ratio `∞` as in the paper; otherwise the
 //! ratio is retrieval-reduction per storage-increase.
 //!
-//! Two interchangeable inner loops produce **byte-identical move
-//! sequences** (asserted by `tests/lmg_incremental.rs`):
+//! [`lmg_all`] runs the **incremental** loop: an [`IncrementalPlanView`]
+//! maintains retrieval/size/paid state with subtree-local updates, and a
+//! **lazy max-heap** of stale-checked candidates replaces the
+//! per-iteration rescan. After a move only the candidates touched by its
+//! dirty region are re-scored; budget-blocked candidates are *parked*
+//! keyed by the largest total storage at which they fit and revived when
+//! storage drops. Amortized cost per move is `O(Δ·deg + log m)` instead of
+//! `O(n + m)`.
 //!
-//! * [`lmg_all_incremental_with_stats`] — the default: an
-//!   [`IncrementalPlanView`] maintains retrieval/size/paid state with
-//!   subtree-local updates, and a **lazy max-heap** of stale-checked
-//!   candidates replaces the per-iteration rescan. After a move only the
-//!   candidates touched by its dirty region are re-scored; budget-blocked
-//!   candidates are *parked* keyed by the largest total storage at which
-//!   they fit and revived when storage drops. Amortized cost per move is
-//!   `O(Δ·deg + log m)` instead of `O(n + m)`.
-//! * [`lmg_all_scratch_with_stats`] — the from-scratch oracle (rebuild the
-//!   view, rescan all candidates each iteration), kept alive behind
-//!   `DSV_LMG_MODE=scratch` for differential testing. Its candidate scan
-//!   covers edges *and* materializations in one data-parallel pass on
-//!   rayon when the graph is large enough to amortize the fork — this is
-//!   the "parallelizable heuristics" point the paper makes when comparing
-//!   against the inherently sequential LMG.
+//! The from-scratch loop (rebuild the view, rescan all candidates each
+//! iteration) is the differential oracle
+//! [`oracle::lmg_all_scratch`](super::oracle::lmg_all_scratch); both pick
+//! **byte-identical move sequences** (asserted by
+//! `tests/lmg_incremental.rs`). Its candidate scan covers edges *and*
+//! materializations in one data-parallel pass on rayon when the graph is
+//! large enough to amortize the fork — the "parallelizable heuristics"
+//! point the paper makes when comparing against the inherently sequential
+//! LMG.
 //!
 //! Selection tie-breaking (identical in both loops): higher [`Ratio`]
 //! first, then edge replacements beat materializations, then the higher
 //! index wins.
 
-use super::{scratch_mode, IncrementalPlanView, LazyCandidateHeap, PlanView, Ratio, Scored};
+use super::{IncrementalPlanView, LazyCandidateHeap, MoveEffect, Ratio, Scored};
 use crate::baselines::min_storage_plan;
 use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::{Cost, EdgeId, NodeId, VersionGraph};
-use rayon::prelude::*;
 
 /// One greedy move: change `node`'s parent in the stored-delta forest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// The derived order is the tie-break among equal ratios, in both the
+/// oracle scan and the lazy heap: edge moves beat materializations
+/// (variant order), then the higher index wins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Move {
     /// Materialize the node (store it in full).
     Materialize {
@@ -52,28 +55,15 @@ pub enum Move {
 }
 
 impl Move {
-    /// Tie-break key matching the oracle scan: edge moves beat
-    /// materializations at equal ratio, then the higher index wins.
-    #[inline]
-    fn tie_key(self) -> (u8, u32) {
+    /// The node this move re-parents and its new plan entry.
+    pub(crate) fn entry(self, g: &VersionGraph) -> (usize, Parent) {
         match self {
-            Move::Materialize { node } => (0, node),
-            Move::Reparent { edge } => (1, edge),
+            Move::Materialize { node } => (node as usize, Parent::Materialized),
+            Move::Reparent { edge } => (
+                g.edge(EdgeId(edge)).dst.index(),
+                Parent::Delta(EdgeId(edge)),
+            ),
         }
-    }
-}
-
-// The tie-break key is the move's total order (used by the lazy heap to
-// replicate the oracle's selection among equal ratios).
-impl Ord for Move {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.tie_key().cmp(&other.tie_key())
-    }
-}
-
-impl PartialOrd for Move {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -91,198 +81,22 @@ pub struct LmgAllStats {
     pub storage: Cost,
 }
 
-/// Threshold (candidate count, edges + nodes) above which the oracle's
-/// candidate scan uses rayon.
-const PAR_THRESHOLD: usize = 8_192;
-
 /// Run LMG-All under a storage budget. Returns `None` when the
 /// minimum-storage plan already exceeds the budget.
 pub fn lmg_all(g: &VersionGraph, storage_budget: Cost) -> Option<StoragePlan> {
     lmg_all_with_stats(g, storage_budget).map(|(p, _)| p)
 }
 
-/// [`lmg_all`] plus run diagnostics. Dispatches to the incremental loop
-/// unless `DSV_LMG_MODE=scratch` selects the from-scratch oracle.
+/// [`lmg_all`] plus run diagnostics.
 pub fn lmg_all_with_stats(
-    g: &VersionGraph,
-    storage_budget: Cost,
-) -> Option<(StoragePlan, LmgAllStats)> {
-    if scratch_mode() {
-        lmg_all_scratch_with_stats(g, storage_budget)
-    } else {
-        lmg_all_incremental_with_stats(g, storage_budget)
-    }
-}
-
-/// The incremental loop (default).
-pub fn lmg_all_incremental_with_stats(
     g: &VersionGraph,
     storage_budget: Cost,
 ) -> Option<(StoragePlan, LmgAllStats)> {
     run_incremental(g, storage_budget, |_, _| {})
 }
 
-/// The from-scratch oracle loop.
-pub fn lmg_all_scratch_with_stats(
-    g: &VersionGraph,
-    storage_budget: Cost,
-) -> Option<(StoragePlan, LmgAllStats)> {
-    run_scratch(g, storage_budget, |_, _| {})
-}
-
-/// [`lmg_all_incremental_with_stats`] invoking `observe` with every applied
-/// move and the plan state right after it (differential-test hook).
-pub fn lmg_all_incremental_traced(
-    g: &VersionGraph,
-    storage_budget: Cost,
-    observe: impl FnMut(Move, &StoragePlan),
-) -> Option<(StoragePlan, LmgAllStats)> {
-    run_incremental(g, storage_budget, observe)
-}
-
-/// [`lmg_all_scratch_with_stats`] invoking `observe` with every applied
-/// move and the plan state right after it (differential-test hook).
-pub fn lmg_all_scratch_traced(
-    g: &VersionGraph,
-    storage_budget: Cost,
-    observe: impl FnMut(Move, &StoragePlan),
-) -> Option<(StoragePlan, LmgAllStats)> {
-    run_scratch(g, storage_budget, observe)
-}
-
-/// From-scratch greedy: rebuild the [`PlanView`] and rescan all `m + n`
-/// candidates (one parallel pass when large) every iteration.
-fn run_scratch(
-    g: &VersionGraph,
-    storage_budget: Cost,
-    mut observe: impl FnMut(Move, &StoragePlan),
-) -> Option<(StoragePlan, LmgAllStats)> {
-    let mut plan = min_storage_plan(g);
-    if plan.storage_cost(g) > storage_budget {
-        return None;
-    }
-    let mut stats = LmgAllStats::default();
-
-    loop {
-        let view = PlanView::new(g, &plan);
-
-        // Evaluate one edge-replacement candidate.
-        let eval_edge = |ei: usize| -> Option<(Ratio, Move)> {
-            let e = &g.edges()[ei];
-            let (u, v) = (e.src.index(), e.dst.index());
-            if let Parent::Delta(cur) = plan.parent[v] {
-                if cur.index() == ei {
-                    return None; // already stored
-                }
-            }
-            // Cycle guard (Algorithm 7 line 7): u must not be in subtree(v).
-            if view.is_ancestor(v, u) {
-                return None;
-            }
-            let new_r = view.r[u].checked_add(e.retrieval)?;
-            // ΔR over all dependants of v: (new - old) * size(v).
-            let old_r = view.r[v];
-            if new_r > old_r {
-                return None; // Algorithm 7 line 9: retrieval must not grow
-            }
-            let dr = (old_r - new_r) as u128 * view.size[v] as u128;
-            let paid = view.paid[v];
-            if e.storage <= paid {
-                let ds = (paid - e.storage) as u128;
-                if dr == 0 && ds == 0 {
-                    return None; // no progress
-                }
-                Some((
-                    Ratio::Infinite { dr, ds },
-                    Move::Reparent { edge: ei as u32 },
-                ))
-            } else {
-                let ds = e.storage - paid;
-                if view.storage + ds > storage_budget || dr == 0 {
-                    return None;
-                }
-                Some((
-                    Ratio::Finite { dr, ds: ds as u128 },
-                    Move::Reparent { edge: ei as u32 },
-                ))
-            }
-        };
-
-        // Evaluate one materialization candidate (the auxiliary edges of
-        // the extended graph).
-        let eval_mat = |v: usize| -> Option<(Ratio, Move)> {
-            if matches!(plan.parent[v], Parent::Materialized) {
-                return None;
-            }
-            let sv = g.node_storage(NodeId::new(v));
-            let dr = view.r[v] as u128 * view.size[v] as u128;
-            let paid = view.paid[v];
-            if sv <= paid {
-                let ds = (paid - sv) as u128;
-                if dr == 0 && ds == 0 {
-                    return None;
-                }
-                Some((
-                    Ratio::Infinite { dr, ds },
-                    Move::Materialize { node: v as u32 },
-                ))
-            } else {
-                let ds = sv - paid;
-                if view.storage + ds > storage_budget || dr == 0 {
-                    return None;
-                }
-                Some((
-                    Ratio::Finite { dr, ds: ds as u128 },
-                    Move::Materialize { node: v as u32 },
-                ))
-            }
-        };
-
-        // One combined scan over edge + materialization candidates, so a
-        // large graph's O(n) materialization pass parallelizes with the
-        // edge pass instead of serializing after it. The key
-        // (ratio, tie_key) is a total order (indices are unique), so the
-        // maximum is independent of scan order.
-        let total = g.m() + g.n();
-        let eval = |idx: usize| -> Option<(Ratio, Move)> {
-            if idx < g.m() {
-                eval_edge(idx)
-            } else {
-                eval_mat(idx - g.m())
-            }
-        };
-        let key = |c: &(Ratio, Move)| (c.0, c.1.tie_key());
-        let best = if total >= PAR_THRESHOLD {
-            (0..total)
-                .into_par_iter()
-                .filter_map(eval)
-                .max_by(|a, b| key(a).cmp(&key(b)))
-        } else {
-            (0..total).filter_map(eval).max_by_key(key)
-        };
-
-        let Some((_, mv)) = best else {
-            stats.total_retrieval = view.total_retrieval;
-            stats.storage = view.storage;
-            return Some((plan, stats));
-        };
-        match mv {
-            Move::Materialize { node } => {
-                plan.parent[node as usize] = Parent::Materialized;
-                stats.materializations += 1;
-            }
-            Move::Reparent { edge } => {
-                let v = g.edge(EdgeId(edge)).dst;
-                plan.parent[v.index()] = Parent::Delta(EdgeId(edge));
-            }
-        }
-        stats.moves += 1;
-        observe(mv, &plan);
-    }
-}
-
 /// Score one candidate move against the current incremental state.
-/// Mirrors the oracle's `eval_edge`/`eval_mat` exactly, with the budget
+/// Mirrors the oracle's candidate evaluation exactly, with the budget
 /// test split out as [`Scored::Park`]. Shared with the online planner
 /// (`crate::online`), which runs the same greedy loop over a mutating
 /// graph.
@@ -344,9 +158,11 @@ pub(crate) fn score(
     }
 }
 
-/// Incremental greedy: score all candidates once, then per move re-score
-/// only the dirty region and let the lazy heap pick the maximum.
-fn run_incremental(
+/// Incremental greedy behind [`lmg_all_with_stats`]: score all candidates
+/// once, then per move re-score only the dirty region and let the lazy
+/// heap pick the maximum. `observe` sees every applied move and the plan
+/// right after it (exposed to tests as [`super::oracle::lmg_all_traced`]).
+pub(super) fn run_incremental(
     g: &VersionGraph,
     storage_budget: Cost,
     mut observe: impl FnMut(Move, &StoragePlan),
@@ -359,13 +175,7 @@ fn run_incremental(
     let mut view = IncrementalPlanView::new(g, &plan);
     let mut cands: LazyCandidateHeap<Move> = LazyCandidateHeap::with_capacity(g.m() + g.n());
 
-    for edge in 0..g.m() as u32 {
-        let mv = Move::Reparent { edge };
-        let sc = score(g, &plan, &mut view, storage_budget, mv);
-        cands.push_scored(sc, mv);
-    }
-    for node in 0..g.n() as u32 {
-        let mv = Move::Materialize { node };
+    for mv in all_moves(g) {
         let sc = score(g, &plan, &mut view, storage_budget, mv);
         cands.push_scored(sc, mv);
     }
@@ -383,50 +193,46 @@ fn run_incremental(
             return Some((plan, stats));
         };
 
-        let (v, new_parent) = match mv {
-            Move::Materialize { node } => {
-                stats.materializations += 1;
-                (node as usize, Parent::Materialized)
-            }
-            Move::Reparent { edge } => (
-                g.edge(EdgeId(edge)).dst.index(),
-                Parent::Delta(EdgeId(edge)),
-            ),
-        };
+        if matches!(mv, Move::Materialize { .. }) {
+            stats.materializations += 1;
+        }
         stats.moves += 1;
+        let (v, new_parent) = mv.entry(g);
         let effect = view.apply(g, &mut plan, v, new_parent);
         observe(mv, &plan);
+        for_each_dirty(g, &effect, |mv| {
+            let sc = score(g, &plan, &mut view, storage_budget, mv);
+            cands.push_scored(sc, mv);
+        });
+    }
+}
 
-        // Re-score exactly the candidates whose evaluation inputs the move
-        // touched (see the dirty-region invariants in the module docs):
-        // all edges incident to the moved subtree plus its nodes'
-        // materializations, and the in-edges + materializations of the
-        // ancestor-path nodes whose subtree size changed.
-        for &x in &effect.subtree {
-            let mv = Move::Materialize { node: x };
-            let sc = score(g, &plan, &mut view, storage_budget, mv);
-            cands.push_scored(sc, mv);
-            let xv = NodeId(x);
-            for &e in g.in_edges(xv) {
-                let mv = Move::Reparent { edge: e.0 };
-                let sc = score(g, &plan, &mut view, storage_budget, mv);
-                cands.push_scored(sc, mv);
-            }
-            for &e in g.out_edges(xv) {
-                let mv = Move::Reparent { edge: e.0 };
-                let sc = score(g, &plan, &mut view, storage_budget, mv);
-                cands.push_scored(sc, mv);
-            }
+/// Every candidate move of `g`, edges first: the seeding order of the
+/// candidate heap. Shared with the online planner.
+pub(crate) fn all_moves(g: &VersionGraph) -> impl Iterator<Item = Move> {
+    let (m, n) = (g.m() as u32, g.n() as u32);
+    (0..m)
+        .map(|edge| Move::Reparent { edge })
+        .chain((0..n).map(|node| Move::Materialize { node }))
+}
+
+/// Visit exactly the candidates whose evaluation inputs a move touched
+/// (see the dirty-region invariants in the module docs): all edges
+/// incident to the moved subtree plus its nodes' materializations, and the
+/// in-edges + materializations of the ancestor-path nodes whose subtree
+/// size changed. Shared with the online planner.
+pub(crate) fn for_each_dirty(g: &VersionGraph, effect: &MoveEffect, mut visit: impl FnMut(Move)) {
+    for &x in &effect.subtree {
+        visit(Move::Materialize { node: x });
+        let xv = NodeId(x);
+        for &e in g.in_edges(xv).iter().chain(g.out_edges(xv)) {
+            visit(Move::Reparent { edge: e.0 });
         }
-        for &x in &effect.path {
-            let mv = Move::Materialize { node: x };
-            let sc = score(g, &plan, &mut view, storage_budget, mv);
-            cands.push_scored(sc, mv);
-            for &e in g.in_edges(NodeId(x)) {
-                let mv = Move::Reparent { edge: e.0 };
-                let sc = score(g, &plan, &mut view, storage_budget, mv);
-                cands.push_scored(sc, mv);
-            }
+    }
+    for &x in &effect.path {
+        visit(Move::Materialize { node: x });
+        for &e in g.in_edges(NodeId(x)) {
+            visit(Move::Reparent { edge: e.0 });
         }
     }
 }
@@ -436,6 +242,7 @@ mod tests {
     use super::*;
     use crate::baselines::min_storage_value;
     use crate::heuristics::lmg::lmg;
+    use crate::heuristics::oracle::{lmg_all_scratch, lmg_all_traced};
     use dsv_vgraph::generators::{
         bidirectional_path, erdos_renyi_bidirectional, random_tree, CostModel,
     };
@@ -471,9 +278,9 @@ mod tests {
             let smin = min_storage_value(&g);
             for budget in [smin, smin * 2, smin * 5] {
                 let mut scratch_moves = Vec::new();
-                let scratch = lmg_all_scratch_traced(&g, budget, |mv, _| scratch_moves.push(mv));
+                let scratch = lmg_all_scratch(&g, budget, |mv, _| scratch_moves.push(mv));
                 let mut inc_moves = Vec::new();
-                let inc = lmg_all_incremental_traced(&g, budget, |mv, _| inc_moves.push(mv));
+                let inc = lmg_all_traced(&g, budget, |mv, _| inc_moves.push(mv));
                 assert_eq!(scratch_moves, inc_moves, "seed {seed} budget {budget}");
                 assert_eq!(scratch, inc, "seed {seed} budget {budget}");
             }

@@ -6,10 +6,9 @@
 //! best-ratio single move and apply it. The from-scratch formulation pays
 //! `O(n + m)` per move: rebuild [`PlanView`] (Euler tour, post-order,
 //! subtree sizes, full retrieval BFS), then rescan every candidate. The
-//! default implementations instead run on [`IncrementalPlanView`] plus a
-//! lazy candidate heap, with the from-scratch loop kept alive (env
-//! `DSV_LMG_MODE=scratch`, or the `*_scratch_with_stats` functions) as the
-//! differential-testing oracle — both must pick **byte-identical move
+//! public entry points instead always run on [`IncrementalPlanView`] plus a
+//! lazy candidate heap. The from-scratch loops live on in [`oracle`] as
+//! the differential-testing oracle — both must pick **byte-identical move
 //! sequences**.
 //!
 //! ## Dirty-region invariants
@@ -73,6 +72,8 @@
 pub mod lmg;
 pub mod lmg_all;
 pub mod mp;
+#[doc(hidden)]
+pub mod oracle;
 
 pub use lmg::lmg;
 pub use lmg_all::lmg_all;
@@ -82,7 +83,9 @@ use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::{cost_add, Cost, NodeId, VersionGraph, INF};
 
 /// Per-iteration view of a plan: retrieval costs, dependency-subtree sizes,
-/// Euler timestamps (for ancestor tests), and currently-paid storage.
+/// Euler timestamps (for ancestor tests), and currently-paid storage. The
+/// [`oracle`] loops rebuild it every move; tests pin
+/// [`IncrementalPlanView`] against it.
 pub(crate) struct PlanView {
     /// Retrieval cost per node.
     pub r: Vec<Cost>,
@@ -97,8 +100,7 @@ pub(crate) struct PlanView {
     pub tout: Vec<u32>,
     /// Total storage.
     pub storage: Cost,
-    /// Total retrieval — reported through the run stats of [`lmg`] and
-    /// [`lmg_all`] and surfaced as solver metadata by the engine.
+    /// Total retrieval — reported through the oracle loops' run stats.
     pub total_retrieval: Cost,
 }
 
@@ -142,16 +144,6 @@ impl PlanView {
     pub(crate) fn is_ancestor(&self, anc: usize, v: usize) -> bool {
         self.tin[anc] <= self.tin[v] && self.tout[v] <= self.tout[anc]
     }
-}
-
-/// Whether `DSV_LMG_MODE=scratch` forces the from-scratch greedy loops
-/// (the differential-testing oracle) instead of the incremental default.
-/// Read once per process.
-pub(crate) fn scratch_mode() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("DSV_LMG_MODE").is_ok_and(|v| v.eq_ignore_ascii_case("scratch"))
-    })
 }
 
 /// Sentinel for "no parent" (materialized root) in the packed parent array.

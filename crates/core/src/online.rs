@@ -52,14 +52,13 @@
 //! reaches `max(8, n/8)`. Amortized, that is at most one solve per
 //! eighth-of-the-graph churn: vanishing for a large graph absorbing single
 //! commits, and exactly where the regret of pure path-dependence would
-//! otherwise accumulate. Setting `DSV_ONLINE_MODE=scratch` (read once per
-//! process, the same pattern as `DSV_LMG_MODE`) collapses every absorb
-//! into a from-scratch LMG-All re-solve, making the online plan
-//! **byte-identical** to the oracle — the escape hatch differential tests
-//! pin against.
+//! otherwise accumulate. The refresh is the public
+//! [`OnlinePlanner::resolve_scratch`], whose plan is **byte-identical** to
+//! calling LMG-All on the mutated graph — the oracle the differential
+//! tests pin against.
 
 use crate::baselines::min_storage_plan;
-use crate::heuristics::lmg_all::{lmg_all_with_stats, score, Move};
+use crate::heuristics::lmg_all::{all_moves, for_each_dirty, lmg_all_with_stats, score, Move};
 use crate::heuristics::{IncrementalPlanView, LazyCandidateHeap};
 use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::{Cost, EdgeId, NodeId, VersionGraph, INF};
@@ -70,15 +69,6 @@ use dsv_vgraph::{Cost, EdgeId, NodeId, VersionGraph, INF};
 /// Enforced by the differential suite and asserted in-run by the `online`
 /// benchmark.
 pub const ONLINE_REGRET_BOUND: f64 = 1.25;
-
-/// Whether `DSV_ONLINE_MODE=scratch` forces every absorb to re-solve from
-/// scratch (the byte-identical differential oracle). Read once per process.
-pub(crate) fn online_scratch_mode() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("DSV_ONLINE_MODE").is_ok_and(|v| v.eq_ignore_ascii_case("scratch"))
-    })
-}
 
 /// Cumulative diagnostics of an [`OnlinePlanner`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -94,8 +84,8 @@ pub struct OnlineStats {
     /// storage past the budget) — a subset of `moves`.
     pub repairs: usize,
     /// From-scratch re-solves: drift refreshes (once per `max(8, n/8)`
-    /// absorbed mutations) plus every absorb under the
-    /// `DSV_ONLINE_MODE=scratch` escape hatch.
+    /// absorbed mutations) plus every caller-requested
+    /// [`OnlinePlanner::resolve_scratch`].
     pub scratch_solves: usize,
 }
 
@@ -195,20 +185,15 @@ impl OnlinePlanner {
         self.plan.parent.push(Parent::Materialized);
         self.view.push_node(storage);
         self.stats.absorbed += 1;
-        if online_scratch_mode() {
-            self.scratch_resolve();
-        } else {
-            // A bare version creates no candidates (its materialization is
-            // already the plan), and if its storage broke the budget there
-            // is nothing useful to repair yet either: the version itself
-            // cannot be deltified until its deltas arrive, so repairing now
-            // would shuffle unrelated versions only for the commit's
-            // `add_edge`s to undo it. Leave the plan over budget; the next
-            // absorb repairs, and callers gate on `within_budget` after the
-            // full commit batch.
-            self.settle();
-            self.bump_drift();
-        }
+        // A bare version creates no candidates (its materialization is
+        // already the plan), and if its storage broke the budget there is
+        // nothing useful to repair yet either: the version itself cannot
+        // be deltified until its deltas arrive, so repairing now would
+        // shuffle unrelated versions only for the commit's `add_edge`s to
+        // undo it. Leave the plan over budget; the next absorb repairs,
+        // and callers gate on `within_budget` after the full commit batch.
+        self.settle();
+        self.bump_drift();
         v
     }
 
@@ -217,12 +202,8 @@ impl OnlinePlanner {
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, storage: Cost, retrieval: Cost) -> EdgeId {
         let e = self.g.add_edge(src, dst, storage, retrieval);
         self.stats.absorbed += 1;
-        if online_scratch_mode() {
-            self.scratch_resolve();
-        } else {
-            self.push_candidate(Move::Reparent { edge: e.0 });
-            self.settle_and_repair();
-        }
+        self.push_candidate(Move::Reparent { edge: e.0 });
+        self.settle_and_repair();
         e
     }
 
@@ -236,11 +217,6 @@ impl OnlinePlanner {
             return;
         }
         self.stats.absorbed += 1;
-        if online_scratch_mode() {
-            self.g.retire_version(v);
-            self.scratch_resolve();
-            return;
-        }
         let vi = v.index();
         let mut dirty: Vec<u32> = Vec::new();
         // Detach stored children first so no stored edge is incident to
@@ -271,13 +247,26 @@ impl OnlinePlanner {
     }
 
     /// Throw the incremental state away and re-solve the current graph
-    /// from scratch (LMG-All at the planner's budget) — the degradation
-    /// fallback when a caller's gate (feasibility, regret) trips. Returns
-    /// whether the re-solved plan fits the budget; when it does not (the
+    /// from scratch (LMG-All at the planner's budget) — the drift refresh,
+    /// and the degradation fallback when a caller's gate (feasibility,
+    /// regret) trips. The re-solved plan is byte-identical to
+    /// [`lmg_all`](crate::heuristics::lmg_all::lmg_all) on the mutated
+    /// graph. Returns whether it fits the budget; when it does not (the
     /// mutated graph is infeasible), the plan degrades to minimum storage
     /// and [`OnlinePlanner::within_budget`] stays `false`.
     pub fn resolve_scratch(&mut self) -> bool {
-        self.scratch_resolve();
+        self.stats.scratch_solves += 1;
+        self.drift = 0;
+        if let Some((plan, _)) = lmg_all_with_stats(&self.g, self.budget) {
+            self.plan = plan;
+        } else {
+            // Infeasible: keep per-node validity (everything the old plan
+            // had, new nodes materialized) so the caller can still diff,
+            // migrate, or reject.
+            self.plan = min_storage_plan(&self.g);
+        }
+        self.view = IncrementalPlanView::new(&self.g, &self.plan);
+        self.heap = LazyCandidateHeap::with_capacity(64);
         self.within_budget()
     }
 
@@ -290,17 +279,14 @@ impl OnlinePlanner {
 
     /// Seed the full candidate set (adopt-time only).
     fn seed_all(&mut self) {
-        for edge in 0..self.g.m() as u32 {
-            self.push_candidate(Move::Reparent { edge });
-        }
-        for node in 0..self.g.n() as u32 {
-            self.push_candidate(Move::Materialize { node });
+        for mv in all_moves(&self.g) {
+            self.push_candidate(mv);
         }
     }
 
     /// Re-score the candidates whose evaluation inputs depend on node `x`:
     /// its materialization and every incident delta (the superset of the
-    /// subtree/path split in `run_incremental`; duplicates are harmless
+    /// subtree/path split in [`for_each_dirty`]; duplicates are harmless
     /// with a lazy heap).
     fn rescore_around(&mut self, x: u32) {
         self.push_candidate(Move::Materialize { node: x });
@@ -336,27 +322,22 @@ impl OnlinePlanner {
                 self.heap.select(&mut rescore)
             };
             let Some(mv) = chosen else { return };
-            let (v, new_parent) = match mv {
-                Move::Materialize { node } => (node as usize, Parent::Materialized),
-                Move::Reparent { edge } => (
-                    self.g.edge(EdgeId(edge)).dst.index(),
-                    Parent::Delta(EdgeId(edge)),
-                ),
-            };
+            let (v, new_parent) = mv.entry(&self.g);
             self.stats.moves += 1;
-            let effect = self.view.apply(&self.g, &mut self.plan, v, new_parent);
-            for i in 0..effect.subtree.len() {
-                self.rescore_around(effect.subtree[i]);
-            }
-            for i in 0..effect.path.len() {
-                let x = effect.path[i];
-                self.push_candidate(Move::Materialize { node: x });
-                for j in 0..self.g.in_edges(NodeId(x)).len() {
-                    let e = self.g.in_edges(NodeId(x))[j];
-                    self.push_candidate(Move::Reparent { edge: e.0 });
-                }
-            }
+            self.apply_and_rescore(v, new_parent);
         }
+    }
+
+    /// Apply one move to the plan and view, then re-score its dirty
+    /// region ([`for_each_dirty`]).
+    fn apply_and_rescore(&mut self, v: usize, new_parent: Parent) {
+        let effect = self.view.apply(&self.g, &mut self.plan, v, new_parent);
+        let (g, plan, view, budget) = (&self.g, &self.plan, &mut self.view, self.budget);
+        let (heap, rescored) = (&mut self.heap, &mut self.stats.rescored);
+        for_each_dirty(g, &effect, |mv| {
+            *rescored += 1;
+            heap.push_scored(score(g, plan, view, budget, mv), mv);
+        });
     }
 
     /// Settle, then — if the absorbed mutation left storage above the
@@ -382,7 +363,7 @@ impl OnlinePlanner {
     fn bump_drift(&mut self) {
         self.drift += 1;
         if self.drift >= (self.g.n() / 8).max(8) {
-            self.scratch_resolve();
+            self.resolve_scratch();
         }
     }
 
@@ -450,42 +431,8 @@ impl OnlinePlanner {
             let v = self.g.edge(e).dst.index();
             self.stats.moves += 1;
             self.stats.repairs += 1;
-            let effect = self
-                .view
-                .apply(&self.g, &mut self.plan, v, Parent::Delta(e));
-            for i in 0..effect.subtree.len() {
-                self.rescore_around(effect.subtree[i]);
-            }
-            for i in 0..effect.path.len() {
-                let x = effect.path[i];
-                self.push_candidate(Move::Materialize { node: x });
-                for j in 0..self.g.in_edges(NodeId(x)).len() {
-                    let ie = self.g.in_edges(NodeId(x))[j];
-                    self.push_candidate(Move::Reparent { edge: ie.0 });
-                }
-            }
+            self.apply_and_rescore(v, Parent::Delta(e));
         }
-    }
-
-    /// Throw the incremental state away and re-solve from scratch — the
-    /// drift refresh, the caller-facing degradation fallback, and every
-    /// absorb under `DSV_ONLINE_MODE=scratch` (where it makes the plan
-    /// byte-identical to the oracle). Falls back to the minimum-storage
-    /// plan when the mutated graph is infeasible at the budget (callers
-    /// observe it via [`OnlinePlanner::within_budget`]).
-    fn scratch_resolve(&mut self) {
-        self.stats.scratch_solves += 1;
-        self.drift = 0;
-        if let Some((plan, _)) = lmg_all_with_stats(&self.g, self.budget) {
-            self.plan = plan;
-        } else {
-            // Infeasible: keep per-node validity (everything the old plan
-            // had, new nodes materialized) so the caller can still diff,
-            // migrate, or reject.
-            self.plan = min_storage_plan(&self.g);
-        }
-        self.view = IncrementalPlanView::new(&self.g, &self.plan);
-        self.heap = LazyCandidateHeap::with_capacity(64);
     }
 }
 

@@ -247,6 +247,15 @@ pub enum ServiceError {
     /// [`Request::Checkout`] named a plan that was never committed (or
     /// was retired).
     UnknownPlan(PlanId),
+    /// A [`Request::Absorb`] mutation names a version the graph does not
+    /// have at that point in the batch. The whole batch is rejected
+    /// before any of it is applied.
+    InvalidMutation {
+        /// Position of the offending mutation in the batch.
+        index: usize,
+        /// The unknown version id it names.
+        version: u32,
+    },
     /// The service is shutting down; queued requests are drained with
     /// this error rather than silently dropped.
     ShuttingDown,
@@ -265,8 +274,11 @@ impl fmt::Display for ServiceError {
             ),
             ServiceError::Cancelled { stage } => write!(f, "deadline expired ({stage})"),
             ServiceError::Solve(e) => write!(f, "solve failed: {e}"),
-            ServiceError::Exec(e) => write!(f, "execution failed: {e:?}"),
+            ServiceError::Exec(e) => write!(f, "execution failed: {e}"),
             ServiceError::UnknownPlan(id) => write!(f, "unknown {id}"),
+            ServiceError::InvalidMutation { index, version } => {
+                write!(f, "mutation #{index} names unknown version v{version}")
+            }
             ServiceError::ShuttingDown => write!(f, "service shutting down"),
         }
     }
@@ -987,6 +999,29 @@ fn handle_commit<S: Store + Send + Sync + 'static>(
     })
 }
 
+/// Check an absorb batch against a graph of `versions` versions before
+/// any of it is applied: every edge endpoint and retiree must exist by the
+/// time its mutation runs (`AddVersion`s earlier in the batch count).
+/// Applying an out-of-range mutation would panic inside the planner.
+fn validate_mutations(mutations: &[Mutation], mut versions: usize) -> Result<(), ServiceError> {
+    for (index, m) in mutations.iter().enumerate() {
+        let bad = match *m {
+            Mutation::AddVersion { .. } => {
+                versions += 1;
+                None
+            }
+            Mutation::AddEdge { src, dst, .. } => {
+                [src, dst].into_iter().find(|&v| v as usize >= versions)
+            }
+            Mutation::Retire { version } => (version as usize >= versions).then_some(version),
+        };
+        if let Some(version) = bad {
+            return Err(ServiceError::InvalidMutation { index, version });
+        }
+    }
+    Ok(())
+}
+
 fn handle_absorb<S: Store + Send + Sync + 'static>(
     shared: &Shared<S>,
     plan_id: PlanId,
@@ -1020,6 +1055,10 @@ fn handle_absorb<S: Store + Send + Sync + 'static>(
         .get(&plan_id.0)
         .cloned()
         .ok_or(ServiceError::UnknownPlan(plan_id))?;
+    let versions = slot
+        .as_ref()
+        .map_or(committed.graph.n(), |planner| planner.graph().n());
+    validate_mutations(mutations, versions)?;
     let planner = slot.get_or_insert_with(|| {
         OnlinePlanner::adopt(
             (*committed.graph).clone(),

@@ -82,8 +82,9 @@
 //! plan by re-scoring only the dirtied candidates through the incremental
 //! greedy machinery, with a declared regret bound
 //! ([`ONLINE_REGRET_BOUND`](core::online::ONLINE_REGRET_BOUND)) against
-//! the from-scratch solve (`DSV_ONLINE_MODE=scratch` is the
-//! byte-identical oracle). The matching store-side primitive is
+//! the from-scratch solve
+//! ([`resolve_scratch`](core::online::OnlinePlanner::resolve_scratch)
+//! is the byte-identical oracle). The matching store-side primitive is
 //! [`PlanExecutor::migrate`](core::executor::PlanExecutor::migrate):
 //! diff two plans, write only the changed objects, retain-before-release
 //! so no live version is ever unreadable. The service's
@@ -104,7 +105,9 @@
 //! ([`SHARD_REGRET_BOUND`](core::engine::sharded::SHARD_REGRET_BOUND)) of
 //! whole-graph LMG-All by `repro --experiment shard --assert-speedup` in
 //! CI. Small graphs are refused deterministically, so everyday dispatch
-//! is unchanged; `DSV_SHARD_MODE=off` disables the path entirely.
+//! is unchanged; setting
+//! [`ShardConfig::min_graph_nodes`](core::engine::sharded::ShardConfig::min_graph_nodes)
+//! to `usize::MAX` disables the path entirely.
 //!
 //! ## Quickstart
 //!

@@ -5,12 +5,10 @@
 //! every intermediate plan they pass through must validate and stay
 //! within budget.
 
-use dataset_versioning::core::heuristics::lmg::{
-    lmg_incremental_traced, lmg_incremental_with_stats, lmg_scratch_traced, lmg_scratch_with_stats,
-};
-use dataset_versioning::core::heuristics::lmg_all::{
-    lmg_all_incremental_traced, lmg_all_incremental_with_stats, lmg_all_scratch_traced,
-    lmg_all_scratch_with_stats, Move,
+use dataset_versioning::core::heuristics::lmg::lmg_with_stats;
+use dataset_versioning::core::heuristics::lmg_all::{lmg_all_with_stats, Move};
+use dataset_versioning::core::heuristics::oracle::{
+    lmg_all_scratch, lmg_all_traced, lmg_scratch, lmg_traced,
 };
 use dataset_versioning::prelude::*;
 use dataset_versioning::vgraph::generators::{
@@ -60,11 +58,10 @@ fn lmg_all_incremental_matches_oracle() {
     for (name, g) in test_graphs() {
         for budget in budgets(&g) {
             let mut oracle_moves: Vec<Move> = Vec::new();
-            let oracle = lmg_all_scratch_traced(&g, budget, |mv, _| oracle_moves.push(mv))
-                .expect("feasible");
+            let oracle =
+                lmg_all_scratch(&g, budget, |mv, _| oracle_moves.push(mv)).expect("feasible");
             let mut inc_moves: Vec<Move> = Vec::new();
-            let inc = lmg_all_incremental_traced(&g, budget, |mv, _| inc_moves.push(mv))
-                .expect("feasible");
+            let inc = lmg_all_traced(&g, budget, |mv, _| inc_moves.push(mv)).expect("feasible");
             assert_eq!(
                 oracle_moves, inc_moves,
                 "move sequences diverge on {name} at budget {budget}"
@@ -87,11 +84,9 @@ fn lmg_incremental_matches_oracle() {
     for (name, g) in test_graphs() {
         for budget in budgets(&g) {
             let mut oracle_moves: Vec<u32> = Vec::new();
-            let oracle =
-                lmg_scratch_traced(&g, budget, |v, _| oracle_moves.push(v)).expect("feasible");
+            let oracle = lmg_scratch(&g, budget, |v, _| oracle_moves.push(v)).expect("feasible");
             let mut inc_moves: Vec<u32> = Vec::new();
-            let inc =
-                lmg_incremental_traced(&g, budget, |v, _| inc_moves.push(v)).expect("feasible");
+            let inc = lmg_traced(&g, budget, |v, _| inc_moves.push(v)).expect("feasible");
             assert_eq!(
                 oracle_moves, inc_moves,
                 "move sequences diverge on {name} at budget {budget}"
@@ -106,10 +101,10 @@ fn lmg_incremental_matches_oracle() {
 fn infeasible_budgets_agree() {
     let g = random_tree(15, &CostModel::default(), 3);
     let below = min_storage_value(&g) - 1;
-    assert!(lmg_all_scratch_with_stats(&g, below).is_none());
-    assert!(lmg_all_incremental_with_stats(&g, below).is_none());
-    assert!(lmg_scratch_with_stats(&g, below).is_none());
-    assert!(lmg_incremental_with_stats(&g, below).is_none());
+    assert!(lmg_all_scratch(&g, below, |_, _| {}).is_none());
+    assert!(lmg_all_with_stats(&g, below).is_none());
+    assert!(lmg_scratch(&g, below, |_, _| {}).is_none());
+    assert!(lmg_with_stats(&g, below).is_none());
 }
 
 /// Property loop: every intermediate plan of the incremental runs (after
@@ -121,7 +116,7 @@ fn every_intermediate_plan_validates_and_fits_budget() {
         let smin = min_storage_value(&g);
         for budget in [smin, smin * 2, smin * 8] {
             let mut steps = 0usize;
-            let (plan, stats) = lmg_all_incremental_traced(&g, budget, |_, p| {
+            let (plan, stats) = lmg_all_traced(&g, budget, |_, p| {
                 steps += 1;
                 p.validate(&g)
                     .unwrap_or_else(|e| panic!("invalid intermediate plan on {name}: {e}"));
@@ -138,7 +133,7 @@ fn every_intermediate_plan_validates_and_fits_budget() {
             assert!(costs.storage <= budget);
 
             let mut lmg_steps = 0usize;
-            let (lplan, lstats) = lmg_incremental_traced(&g, budget, |_, p| {
+            let (lplan, lstats) = lmg_traced(&g, budget, |_, p| {
                 lmg_steps += 1;
                 p.validate(&g)
                     .unwrap_or_else(|e| panic!("invalid intermediate LMG plan on {name}: {e}"));
@@ -153,17 +148,17 @@ fn every_intermediate_plan_validates_and_fits_budget() {
     }
 }
 
-/// The public entry points (`lmg_all`, `lmg`) dispatch to the incremental
-/// loops by default and must therefore equal the oracle as well — this is
-/// the contract the engine's parity tests build on.
+/// The public entry points (`lmg_all`, `lmg`) run the incremental loops
+/// and must therefore equal the oracle as well — this is the contract the
+/// engine's parity tests build on.
 #[test]
 fn public_entry_points_match_oracle() {
     let g = erdos_renyi_bidirectional(18, 0.3, &CostModel::default(), 7);
     let budget = min_storage_value(&g) * 3;
     let via_default = lmg_all(&g, budget).expect("feasible");
-    let via_oracle = lmg_all_scratch_with_stats(&g, budget).expect("feasible").0;
+    let via_oracle = lmg_all_scratch(&g, budget, |_, _| {}).expect("feasible").0;
     assert_eq!(via_default, via_oracle);
     let via_default = lmg(&g, budget).expect("feasible");
-    let via_oracle = lmg_scratch_with_stats(&g, budget).expect("feasible").0;
+    let via_oracle = lmg_scratch(&g, budget, |_, _| {}).expect("feasible").0;
     assert_eq!(via_default, via_oracle);
 }

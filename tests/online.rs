@@ -8,12 +8,9 @@
 //! byte-identical to a fresh ingest of the new plan — with GC draining
 //! exactly the superseded objects. A multi-threaded service chaos loop
 //! absorbs commits while checkouts are in flight and demands zero wrong
-//! bytes throughout.
-//!
-//! Running this suite with `DSV_ONLINE_MODE=scratch` (the CI
-//! `online-absorb` job does) additionally pins the escape hatch: every
-//! absorb collapses to a from-scratch re-solve whose plan is
-//! byte-identical to calling LMG-All directly on the mutated graph.
+//! bytes throughout. The from-scratch refresh
+//! ([`OnlinePlanner::resolve_scratch`]) is pinned byte-identical to
+//! calling LMG-All directly on the mutated graph.
 
 use dataset_versioning::core::heuristics::lmg_all::lmg_all_with_stats;
 use dataset_versioning::delta::store::codec::{encode_sketch_delta, Payload};
@@ -153,33 +150,36 @@ fn mutation_streams_stay_valid_in_budget_and_bounded_regret() {
     }
 }
 
+/// After every random commit, `resolve_scratch` leaves exactly the plan
+/// LMG-All builds on the mutated graph (or reports the budget unmet when
+/// LMG-All refuses), and the stream keeps absorbing incrementally from
+/// that rebuilt state with the settled invariants holding.
 #[test]
-fn scratch_mode_is_byte_identical_to_the_oracle() {
-    // Meaningful only under DSV_ONLINE_MODE=scratch (the CI online-absorb
-    // job runs the suite that way); a no-op otherwise since the env var
-    // is read once per process.
-    if !std::env::var("DSV_ONLINE_MODE").is_ok_and(|v| v.eq_ignore_ascii_case("scratch")) {
-        return;
-    }
+fn resolve_scratch_is_byte_identical_to_the_oracle() {
     for (name, g) in fixtures() {
         let budget = min_storage_value(&g) * 4;
         let mut p = OnlinePlanner::new(g, budget).expect("feasible fixture");
         let mut rng = Rng(0xFACE ^ name.len() as u64);
         for step in 0..8u64 {
             random_commit(&mut p, &mut rng, step);
-            let Some((oracle, _)) = lmg_all_with_stats(p.graph(), budget) else {
+            assert_settled(&name, step, &p);
+            let fits = p.resolve_scratch();
+            match lmg_all_with_stats(p.graph(), budget) {
+                Some((oracle, _)) => {
+                    assert!(fits, "{name} step {step}: oracle fits, re-solve does not");
+                    assert_eq!(
+                        p.plan(),
+                        &oracle,
+                        "{name} step {step}: resolve_scratch must match the oracle byte-for-byte"
+                    );
+                }
                 // Instance mutated infeasible: the oracle refuses and the
                 // planner must agree it is over budget.
-                assert!(!p.within_budget(), "{name} step {step}");
-                continue;
-            };
-            assert_eq!(
-                p.plan(),
-                &oracle,
-                "{name} step {step}: scratch mode must match the oracle byte-for-byte"
-            );
+                None => assert!(!fits && !p.within_budget(), "{name} step {step}"),
+            }
+            assert_settled(&name, step, &p);
         }
-        assert_eq!(p.stats().scratch_solves, p.stats().absorbed);
+        assert!(p.stats().scratch_solves >= 8, "{name}");
     }
 }
 

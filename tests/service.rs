@@ -392,3 +392,93 @@ fn chaos_concurrent_traffic_over_faulty_store_serves_exact_bytes() {
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An absorb batch naming a version outside the graph is rejected with a
+/// typed error before any of it is applied. The plan's planner survives,
+/// so a valid absorb and a checkout on the same plan still get replies
+/// (on a single worker, which a panic would have killed).
+#[test]
+fn bad_absorb_batch_is_rejected_and_the_plan_keeps_serving() {
+    let (g, content) = fixture(16, 21);
+    let n = g.n() as u32;
+    let budget = min_storage_value(&g) * 2;
+    let plan = lmg_all(&g, budget).expect("feasible");
+    let cfg = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let svc = VersioningService::with_config(MemStore::new(), cfg);
+    let source = content.clone() as Arc<dyn VersionSource + Send + Sync>;
+    let submit = |request| {
+        svc.submit_with_deadline(request, Duration::from_secs(60))
+            .expect("admitted")
+    };
+    // Poll with a deadline: a reply that never comes (a dead worker)
+    // fails the test instead of hanging it.
+    let reply = |ticket: Ticket| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !ticket.is_ready() {
+            assert!(std::time::Instant::now() < deadline, "no reply");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        ticket.wait()
+    };
+    let absorb = |mutations| Request::Absorb {
+        plan: PlanId(0),
+        mutations,
+        budget,
+        source: source.clone(),
+    };
+    let committed = reply(submit(Request::Commit {
+        graph: g,
+        plan,
+        source: source.clone(),
+    }));
+    assert!(matches!(
+        committed,
+        Ok(Reply::Committed {
+            plan: PlanId(0),
+            ..
+        })
+    ));
+
+    // The edge into the batch's own new version `n` is valid (earlier
+    // `AddVersion`s count); the retirement of `n + 5` is not.
+    let bad = submit(absorb(vec![
+        Mutation::AddVersion { storage: 5_000 },
+        Mutation::AddEdge {
+            src: 0,
+            dst: n,
+            storage: 100,
+            retrieval: 100,
+        },
+        Mutation::Retire { version: n + 5 },
+    ]));
+    let valid = submit(absorb(vec![Mutation::AddEdge {
+        src: 0,
+        dst: n - 1,
+        storage: 100,
+        retrieval: 100,
+    }]));
+    let all: Vec<u32> = (0..n).collect();
+    let checkout = submit(Request::Checkout {
+        plan: PlanId(0),
+        versions: all.clone(),
+    });
+
+    let err = reply(bad).expect_err("bad batch is rejected");
+    assert!(
+        matches!(err, ServiceError::InvalidMutation { index: 2, version } if version == n + 5),
+        "{err}"
+    );
+    let Ok(Reply::Absorbed { versions, .. }) = reply(valid) else {
+        panic!("expected the valid batch to absorb");
+    };
+    assert_eq!(versions, n as usize, "nothing of the bad batch was applied");
+    let Ok(Reply::CheckedOut { payloads, .. }) = reply(checkout) else {
+        panic!("expected the checkout to serve");
+    };
+    for (v, served) in all.iter().zip(&payloads) {
+        assert_eq!(**served.as_ref().expect("served"), content.payload(*v));
+    }
+}

@@ -236,6 +236,74 @@ fn gc_never_collects_objects_of_live_plans() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Write-path rollback, for every k: failing the k-th put of an ingest
+/// leaves no live reference behind (GC drains the store to empty), and
+/// failing the k-th put of a migration leaves the old stored plan
+/// verifying with every object's refcount unchanged. Ingest writes one
+/// object per version, a migration one per changed plan entry; one put
+/// past the last, nothing fails.
+#[test]
+fn failed_writes_roll_back_every_reference() {
+    let c = corpus_with_content(CorpusName::Datasharing, 1.0, 29, true);
+    let g = &c.graph;
+    let content = c.content.as_ref().expect("content retained");
+    let smin = min_storage_value(g);
+    let old_plan = lmg_all(g, smin).expect("feasible");
+    let new_plan = lmg_all(g, smin * 4).expect("feasible");
+    for k in 1..=g.n() as u64 + 1 {
+        let mut store =
+            FaultStore::new(MemStore::new(), FaultPlan::none().fail_nth(FaultOp::Put, k));
+        let result = PlanExecutor::new(&mut store).ingest(g, &old_plan, content);
+        if k > g.n() as u64 {
+            result.expect("no put fails");
+            continue;
+        }
+        let err = result.expect_err("the k-th put fails");
+        assert!(matches!(err, ExecError::Store(_)), "ingest put {k}: {err}");
+        store.gc().expect("gc");
+        assert_eq!(
+            store.object_count(),
+            0,
+            "ingest put {k}: a reference leaked"
+        );
+    }
+
+    let changed = (0..g.n())
+        .filter(|&v| old_plan.parent[v] != new_plan.parent[v])
+        .count() as u64;
+    assert!(changed > 0, "the plans must differ");
+    for k in 1..=changed + 1 {
+        let mut store = FaultStore::transparent(MemStore::new());
+        let mut exec = PlanExecutor::new(&mut store);
+        let old = exec.ingest(g, &old_plan, content).expect("ingest");
+        // Refcounts of the old plan's objects, and the live object count
+        // once GC has reclaimed anything unreferenced.
+        let snapshot = |s: &mut FaultStore<MemStore>| {
+            s.gc().expect("gc");
+            let refcounts: Vec<u32> = old
+                .objects
+                .iter()
+                .map(|&id| s.meta(id).expect("live object").refcount)
+                .collect();
+            (refcounts, s.object_count())
+        };
+        let before = snapshot(exec.store());
+        let puts = exec.store().stats().puts;
+        exec.store()
+            .set_plan(FaultPlan::none().fail_nth(FaultOp::Put, puts + k));
+        let result = exec.migrate(g, &old, &new_plan, content);
+        if k > changed {
+            result.expect("no put fails");
+            continue;
+        }
+        let err = result.expect_err("the k-th put fails");
+        assert!(matches!(err, ExecError::Store(_)), "migrate put {k}: {err}");
+        assert_eq!(snapshot(exec.store()), before, "migrate put {k}");
+        let report = exec.execute(g, &old).expect("old plan still verifies");
+        assert!(report.agreement(), "migrate put {k}");
+    }
+}
+
 /// Property loop over both backends: random writes, reads, releases, and
 /// GC passes — reads always return the exact bytes written, retained
 /// objects survive every GC, released ones are reclaimed.
