@@ -1,4 +1,5 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and run the gated
+//! benches of the solve → store → serve path.
 //!
 //! ```text
 //! repro --experiment all --scale 0.1 --out results/
@@ -6,152 +7,20 @@
 //! repro --list
 //! ```
 //!
-//! `repro --list` enumerates the available experiments and the files each
-//! one writes. Output: Markdown to stdout plus one CSV per report under
-//! `--out` (default `results/`).
+//! `repro --list` enumerates the experiments. Each run prints its tables
+//! as Markdown to stdout and writes, under `--out` (default `results/`),
+//! one CSV per table plus `BENCH_<experiment>.json`: `experiment`,
+//! `seed`, `threads`, `gates[]` as `{name, value, floor, passed}`, and
+//! `tables[]`. The gates — correctness checks and perf floors — are
+//! declared by each experiment; the run exits 1, naming every failed
+//! gate, if any of them misses its floor.
 //!
-//! Four experiments additionally write machine-readable `BENCH_*.json`
-//! documents so the perf trajectory is tracked across PRs:
-//!
-//! * `portfolio` — `BENCH_portfolio.json` (per-solver wall times,
-//!   parallel-vs-sequential speedup, thread count); `--assert-speedup X`
-//!   turns it into a CI gate.
-//! * `lmg` — `BENCH_lmg.json` (incremental vs from-scratch LMG-All wall
-//!   times on ER graphs, byte-identical plans asserted); there
-//!   `--assert-speedup X` gates on the n = 4000 speedup.
-//! * `shard` — `BENCH_shard.json` (whole-graph LMG-All vs the sharded
-//!   hierarchical pipeline on large multi-cluster forests;
-//!   thread-count-independent plans and the declared regret bound are
-//!   asserted in-run); there `--assert-speedup X` gates on the n = 64k
-//!   sharded speedup.
-//! * `store` — `BENCH_store.json` (solver plans round-tripped through the
-//!   on-disk content-addressed store: predicted vs measured costs, hash
-//!   verification, bytes/sec, GC accounting). The run itself **fails**
-//!   (exit 1) if any measured cost disagrees with its prediction — this is
-//!   the CI gate for the planning/execution split. Store scratch space
-//!   goes under `--store-dir` (left in place for inspection); without the
-//!   flag it defaults to `<out>/store-work` and is removed after the run.
-//! * `btw` — `BENCH_btw.json` (the constructive bounded-width DP:
-//!   certificate vs reconstructed-plan retrieval — the run **fails**
-//!   (exit 1) if they ever differ — plus the old-witness-vs-exact gap, DP
-//!   wall time, and peak provenance-arena size).
-//! * `checkout` — `BENCH_checkout.json` (the serving read path: skewed
-//!   and uniform request streams served by the batched cache-backed
-//!   checkout vs one-at-a-time reconstruction, on both backends). Every
-//!   served payload is compared byte-for-byte against the source in-run;
-//!   a mismatch **fails** the run (exit 1). `--assert-speedup X` gates on
-//!   the aggregate skewed-workload speedup. Pack stores go under
-//!   `--store-dir` (same semantics as `store`).
-//! * `faults` — `BENCH_faults.json` (the self-healing read path: the
-//!   checkout streams served through a fault-injecting store decorator
-//!   at 0% / 0.1% / 1% per-object fault rates on both backends). The run
-//!   **fails** (exit 1) unless every repairable corruption is healed
-//!   byte-identically from the source, zero wrong bytes are served, and
-//!   the healed store passes a clean verification pass.
-//! * `service` — `BENCH_service.json` (the versioning service under an
-//!   open-loop Zipf overload: throughput, p50/p99 latency, shed rate,
-//!   degradation-tier histogram, fault/repair counters). The run
-//!   **fails** (exit 1) unless the queue stays bounded, the burst sheds
-//!   with typed `Overloaded` errors, both degraded tiers answer, p99
-//!   stays under the deadline, and zero wrong bytes are served under
-//!   injected faults; `--assert-throughput X` additionally gates on
-//!   served replies/sec.
-//! * `online` — `BENCH_online.json` (256-commit mutation streams absorbed
-//!   into a live plan + migrated against a pack store, vs the from-scratch
-//!   solve + re-ingest baseline). The run **fails** (exit 1) unless the
-//!   declared regret bound holds at every sampled point and the migrated
-//!   store hash-verifies throughout; `--assert-speedup X` gates on the
-//!   n = 4000 per-commit speedup.
+//! Experiments that build on-disk stores do so in a scratch directory
+//! under `--store-dir/<experiment>`; without the flag it is
+//! `<out>/store-work/<experiment>` and is removed after the run.
 
-use dsv_bench::experiments::{self, ExperimentOptions};
-use dsv_bench::Report;
-use std::path::PathBuf;
-
-/// The experiment registry: name, what it reproduces, files written under
-/// `--out` (beyond the Markdown on stdout).
-const EXPERIMENTS: &[(&str, &str, &str)] = &[
-    (
-        "table4",
-        "dataset overview (nodes, edges, avg costs, merges)",
-        "table4-dataset-overview.csv",
-    ),
-    (
-        "fig10",
-        "MSR on natural corpora (LMG / LMG-All / DP-MSR, OPT when small)",
-        "fig10-msr-natural-<corpus>.csv",
-    ),
-    (
-        "fig11",
-        "MSR on randomly-compressed natural corpora",
-        "fig11-msr-compressed-<corpus>.csv",
-    ),
-    (
-        "fig12",
-        "MSR on compressed Erdős–Rényi graphs (LeetCode)",
-        "fig12-msr-er-leetcode-<p>.csv",
-    ),
-    (
-        "fig13",
-        "BMR on natural corpora (MP vs DP-BMR)",
-        "fig13-bmr-natural-<corpus>.csv",
-    ),
-    (
-        "thm1",
-        "Theorem 1 adversarial chain (LMG/OPT unbounded)",
-        "thm1-lmg-worst-case.csv",
-    ),
-    (
-        "btw",
-        "constructive DP-BTW: certificate == plan gate + tree-DP/LMG-All comparison",
-        "btw-series-parallel.csv, btw-exact-bench.csv, BENCH_btw.json",
-    ),
-    (
-        "portfolio",
-        "engine portfolio winners + parallel speedup bench",
-        "engine-portfolio-datasharing.csv, BENCH_portfolio.json",
-    ),
-    (
-        "lmg",
-        "incremental vs from-scratch LMG-All perf bench",
-        "lmg-bench.csv, BENCH_lmg.json",
-    ),
-    (
-        "shard",
-        "sharded hierarchical solving vs whole-graph LMG-All at scale",
-        "shard-scale.csv, BENCH_shard.json",
-    ),
-    (
-        "store",
-        "on-disk store round-trip: predicted vs measured plan costs",
-        "store-roundtrip.csv, BENCH_store.json",
-    ),
-    (
-        "checkout",
-        "batched+cached checkout serving vs one-at-a-time reconstruction",
-        "checkout-serving.csv, BENCH_checkout.json",
-    ),
-    (
-        "faults",
-        "fault injection + self-healing reads: checkout streams under corruption",
-        "fault-injection.csv, BENCH_faults.json",
-    ),
-    (
-        "service",
-        "versioning service under overload: shed / degrade / heal gate",
-        "service-overload.csv, BENCH_service.json",
-    ),
-    (
-        "online",
-        "online absorption + live migration vs from-scratch solve + re-ingest",
-        "online-absorb.csv, BENCH_online.json",
-    ),
-    (
-        "treewidth",
-        "treewidth upper bounds of the corpora (footnote 7)",
-        "treewidth-of-corpora.csv",
-    ),
-    ("all", "every experiment above", "all of the above"),
-];
+use dsv_bench::experiments::{ExperimentOptions, EXPERIMENTS};
+use std::path::{Path, PathBuf};
 
 fn experiment_list() -> String {
     let width = EXPERIMENTS
@@ -160,12 +29,11 @@ fn experiment_list() -> String {
         .max()
         .unwrap_or(0);
     let mut out = String::from("available experiments:\n");
-    for (name, what, files) in EXPERIMENTS {
-        out.push_str(&format!(
-            "  {name:width$}  {what}\n  {:width$}  writes: {files}\n",
-            ""
-        ));
+    for (name, what, _) in EXPERIMENTS {
+        out.push_str(&format!("  {name:width$}  {what}\n"));
     }
+    out.push_str(&format!("  {:width$}  every experiment above\n", "all"));
+    out.push_str("each writes one CSV per table and BENCH_<experiment>.json under --out\n");
     out
 }
 
@@ -174,8 +42,6 @@ struct Args {
     out: PathBuf,
     store_dir: Option<PathBuf>,
     opts: ExperimentOptions,
-    assert_speedup: Option<f64>,
-    assert_throughput: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -183,8 +49,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out = PathBuf::from("results");
     let mut store_dir = None;
     let mut opts = ExperimentOptions::default();
-    let mut assert_speedup = None;
-    let mut assert_throughput = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
@@ -217,20 +81,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --opt-limit: {e}"))?
             }
-            "--assert-speedup" => {
-                assert_speedup = Some(
-                    value("--assert-speedup")?
-                        .parse()
-                        .map_err(|e| format!("bad --assert-speedup: {e}"))?,
-                )
-            }
-            "--assert-throughput" => {
-                assert_throughput = Some(
-                    value("--assert-throughput")?
-                        .parse()
-                        .map_err(|e| format!("bad --assert-throughput: {e}"))?,
-                )
-            }
             "--list" | "-l" => {
                 print!("{}", experiment_list());
                 std::process::exit(0);
@@ -239,8 +89,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: repro [--experiment NAME] [--list]\n\
                      \x20            [--scale F] [--max-nodes N] [--seed N] [--points N]\n\
-                     \x20            [--opt-limit N] [--out DIR] [--store-dir DIR]\n\
-                     \x20            [--assert-speedup X] [--assert-throughput X]\n\n{}",
+                     \x20            [--opt-limit N] [--out DIR] [--store-dir DIR]\n\n{}",
                     experiment_list()
                 );
                 std::process::exit(0);
@@ -253,62 +102,23 @@ fn parse_args() -> Result<Args, String> {
         out,
         store_dir,
         opts,
-        assert_speedup,
-        assert_throughput,
     })
 }
 
-fn run(experiment: &str, opts: &ExperimentOptions) -> Result<Vec<Report>, String> {
-    Ok(match experiment {
-        "table4" => vec![experiments::table4(opts)],
-        "fig10" => experiments::fig10(opts),
-        "fig11" => experiments::fig11(opts),
-        "fig12" => experiments::fig12(opts),
-        "fig13" => experiments::fig13(opts),
-        "thm1" => vec![experiments::thm1()],
-        "treewidth" => vec![experiments::treewidth_report(opts)],
-        "btw" => vec![experiments::btw_report(opts)],
-        "portfolio" => vec![experiments::portfolio_report(opts)],
-        // The lmg, shard, store, checkout, faults, service, and online
-        // experiments produce their reports (and BENCH_*.json) in the
-        // bench section of main.
-        "lmg" | "shard" | "store" | "checkout" | "faults" | "service" | "online" => Vec::new(),
-        "all" => {
-            let mut all = vec![experiments::table4(opts)];
-            all.extend(experiments::fig10(opts));
-            all.extend(experiments::fig11(opts));
-            all.extend(experiments::fig12(opts));
-            all.extend(experiments::fig13(opts));
-            all.push(experiments::thm1());
-            all.push(experiments::btw_report(opts));
-            all.push(experiments::portfolio_report(opts));
-            all.push(experiments::treewidth_report(opts));
-            all
-        }
-        other => {
-            return Err(format!(
-                "unknown experiment: {other}\n{}",
-                experiment_list()
-            ))
-        }
-    })
-}
-
-fn write_report_csv(report: &Report, out: &std::path::Path) {
-    let path = out.join(format!("{}.csv", report.name));
-    if let Err(e) = std::fs::write(&path, report.to_csv()) {
+/// Write `contents` to `path`, exiting 1 on failure.
+fn write(path: &Path, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
         eprintln!("error writing {}: {e}", path.display());
         std::process::exit(1);
     }
 }
 
-fn write_bench_json(out: &std::path::Path, name: &str, json: &str) {
-    let path = out.join(name);
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("error writing {}: {e}", path.display());
+/// Create `dir` (and parents), exiting 1 on failure.
+fn create_dir(dir: &Path) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("error creating {}: {e}", dir.display());
         std::process::exit(1);
     }
-    eprintln!("# wrote {}", path.display());
 }
 
 fn main() {
@@ -319,331 +129,70 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _, _)| args.experiment == "all" || args.experiment == *name)
+        .collect();
+    if selected.is_empty() {
+        eprintln!(
+            "error: unknown experiment: {}\n{}",
+            args.experiment,
+            experiment_list()
+        );
+        std::process::exit(2);
+    }
     eprintln!(
         "# experiment={} scale={} seed={} points={}",
         args.experiment, args.opts.scale, args.opts.seed, args.opts.points
     );
-    let reports = match run(&args.experiment, &args.opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    create_dir(&args.out);
+    // Only the default scratch location is removed afterwards; a
+    // user-supplied --store-dir may hold unrelated contents, so its stores
+    // are left in place for inspection.
+    let (scratch, ephemeral) = match &args.store_dir {
+        Some(dir) => (dir.clone(), false),
+        None => (args.out.join("store-work"), true),
     };
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("error creating {}: {e}", args.out.display());
+
+    let mut failed = Vec::new();
+    for (name, _, run) in selected {
+        let work_dir = scratch.join(name);
+        create_dir(&work_dir);
+        let bench = run(&args.opts, &work_dir);
+        if ephemeral {
+            let _ = std::fs::remove_dir_all(&work_dir);
+        } else {
+            // Drop the directory again if this experiment stored nothing.
+            let _ = std::fs::remove_dir(&work_dir);
+        }
+        for table in &bench.tables {
+            println!("{}", table.to_markdown());
+            write(
+                &args.out.join(format!("{}.csv", table.name)),
+                &table.to_csv(),
+            );
+        }
+        let json = args.out.join(format!("BENCH_{name}.json"));
+        write(&json, &bench.to_json(name, args.opts.seed));
+        eprintln!(
+            "# {name}: wrote {} CSV file(s) and {}",
+            bench.tables.len(),
+            json.display()
+        );
+        for gate in &bench.gates {
+            let verdict = if gate.passed() { "passed" } else { "FAILED" };
+            eprintln!(
+                "# gate {}: {} (value {}, floor {})",
+                gate.name, verdict, gate.value, gate.floor
+            );
+        }
+        failed.extend(bench.failed().map(|g| g.name.clone()));
+    }
+    if ephemeral {
+        let _ = std::fs::remove_dir(&scratch);
+    }
+    if !failed.is_empty() {
+        eprintln!("error: failed gate(s): {}", failed.join(", "));
         std::process::exit(1);
-    }
-    for report in &reports {
-        println!("{}", report.to_markdown());
-        write_report_csv(report, &args.out);
-    }
-    eprintln!(
-        "# wrote {} CSV file(s) to {}",
-        reports.len(),
-        args.out.display()
-    );
-
-    // The lmg experiments track greedy-loop performance (incremental vs
-    // from-scratch LMG-All, byte-identical plans asserted inside).
-    if matches!(args.experiment.as_str(), "lmg" | "all") {
-        let bench = experiments::lmg_bench(&args.opts);
-        println!("{}", bench.report.to_markdown());
-        write_report_csv(&bench.report, &args.out);
-        write_bench_json(&args.out, "BENCH_lmg.json", &bench.json);
-        if let Some(min) = args.assert_speedup {
-            if bench.speedup_4k < min {
-                eprintln!(
-                    "error: incremental LMG-All speedup {:.2}x below the asserted minimum \
-                     {min:.2}x on the n = 4000 ER graph",
-                    bench.speedup_4k
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "# speedup assertion passed: {:.2}x >= {min:.2}x (n = 4000)",
-                bench.speedup_4k
-            );
-        }
-    }
-
-    // The shard experiment tracks the hierarchical solving path at scale
-    // (thread-count-independent plans and the declared regret bound are
-    // asserted inside the bench itself).
-    if matches!(args.experiment.as_str(), "shard" | "all") {
-        let bench = experiments::shard_bench(&args.opts);
-        println!("{}", bench.report.to_markdown());
-        write_report_csv(&bench.report, &args.out);
-        write_bench_json(&args.out, "BENCH_shard.json", &bench.json);
-        if let Some(min) = args.assert_speedup {
-            if bench.speedup_64k < min {
-                eprintln!(
-                    "error: sharded solving speedup {:.2}x below the asserted minimum \
-                     {min:.2}x on the n = 64k shard forest (regret {:.3})",
-                    bench.speedup_64k, bench.regret_64k
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "# speedup assertion passed: {:.2}x >= {min:.2}x (n = 64k, regret {:.3})",
-                bench.speedup_64k, bench.regret_64k
-            );
-        }
-    }
-
-    // The store experiments round-trip solver plans through the on-disk
-    // content-addressed store; predicted and measured costs must agree
-    // exactly, so disagreement fails the run (the CI gate).
-    if matches!(args.experiment.as_str(), "store" | "all") {
-        // Only the default scratch location is removed afterwards; a
-        // user-supplied --store-dir may be a pre-existing directory with
-        // unrelated contents, so its stores are left in place.
-        let (store_dir, ephemeral) = match args.store_dir.clone() {
-            Some(dir) => (dir, false),
-            None => (args.out.join("store-work"), true),
-        };
-        if let Err(e) = std::fs::create_dir_all(&store_dir) {
-            eprintln!("error creating {}: {e}", store_dir.display());
-            std::process::exit(1);
-        }
-        let bench = experiments::store_bench(&args.opts, &store_dir);
-        println!("{}", bench.report.to_markdown());
-        write_report_csv(&bench.report, &args.out);
-        write_bench_json(&args.out, "BENCH_store.json", &bench.json);
-        if ephemeral {
-            // Scratch stores are an artifact of the run, not a result.
-            let _ = std::fs::remove_dir_all(&store_dir);
-        }
-        if !bench.agreement {
-            eprintln!(
-                "error: store round-trip disagreement — measured costs, hash verification, \
-                 or GC accounting diverged from the plan predictions (see BENCH_store.json)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("# store round-trip agreement: measured == predicted on every plan");
-    }
-
-    // The checkout experiments benchmark the serving read path: batched
-    // cache-backed checkout vs one-at-a-time reconstruction. Every served
-    // payload is compared byte-for-byte against the source in-run, so a
-    // mismatch fails the run; --assert-speedup gates on the aggregate
-    // skewed-workload speedup.
-    if matches!(args.experiment.as_str(), "checkout" | "all") {
-        let (base_dir, ephemeral) = match args.store_dir.clone() {
-            Some(dir) => (dir, false),
-            None => (args.out.join("store-work"), true),
-        };
-        // Namespaced under the scratch root so an `all` run sharing
-        // --store-dir with the store experiment cannot collide.
-        let work_dir = base_dir.join("checkout");
-        if let Err(e) = std::fs::create_dir_all(&work_dir) {
-            eprintln!("error creating {}: {e}", work_dir.display());
-            std::process::exit(1);
-        }
-        let bench = experiments::checkout_bench(&args.opts, &work_dir);
-        println!("{}", bench.report.to_markdown());
-        write_report_csv(&bench.report, &args.out);
-        write_bench_json(&args.out, "BENCH_checkout.json", &bench.json);
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&work_dir);
-        }
-        if !bench.agreement {
-            eprintln!(
-                "error: checkout served a payload that was not byte-identical to the \
-                 source content (see BENCH_checkout.json)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("# checkout agreement: every served payload byte-identical to the source");
-        if let Some(min) = args.assert_speedup {
-            if bench.skewed_speedup < min {
-                eprintln!(
-                    "error: batched checkout speedup {:.2}x below the asserted minimum \
-                     {min:.2}x on the skewed workloads",
-                    bench.skewed_speedup
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "# speedup assertion passed: {:.2}x >= {min:.2}x (skewed workloads)",
-                bench.skewed_speedup
-            );
-        }
-    }
-
-    // The faults experiments gate the self-healing read path: checkout
-    // streams served under injected faults, with every repairable
-    // corruption healed byte-identically from the source and written
-    // back — any wrong bytes, unrepairable fault, or failed post-heal
-    // verification fails the run.
-    if matches!(args.experiment.as_str(), "faults" | "all") {
-        let (base_dir, ephemeral) = match args.store_dir.clone() {
-            Some(dir) => (dir, false),
-            None => (args.out.join("store-work"), true),
-        };
-        let work_dir = base_dir.join("faults");
-        if let Err(e) = std::fs::create_dir_all(&work_dir) {
-            eprintln!("error creating {}: {e}", work_dir.display());
-            std::process::exit(1);
-        }
-        let bench = experiments::faults_bench(&args.opts, &work_dir);
-        println!("{}", bench.report.to_markdown());
-        write_report_csv(&bench.report, &args.out);
-        write_bench_json(&args.out, "BENCH_faults.json", &bench.json);
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&work_dir);
-        }
-        if !bench.agreement {
-            eprintln!(
-                "error: self-healing disagreement — wrong bytes served, a repairable \
-                 corruption left unhealed, or the post-heal verification failed \
-                 (see BENCH_faults.json)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "# faults agreement: every repairable corruption healed, every payload \
-             byte-identical"
-        );
-    }
-
-    // The service experiments gate the request/response layer: an
-    // open-loop overload storm against the versioning service over a
-    // fault-injected store — bounded queue, typed shedding, deadline
-    // propagation, graceful degradation, and self-healing reads all
-    // asserted in one run.
-    if matches!(args.experiment.as_str(), "service" | "all") {
-        let (base_dir, ephemeral) = match args.store_dir.clone() {
-            Some(dir) => (dir, false),
-            None => (args.out.join("store-work"), true),
-        };
-        let work_dir = base_dir.join("service");
-        if let Err(e) = std::fs::create_dir_all(&work_dir) {
-            eprintln!("error creating {}: {e}", work_dir.display());
-            std::process::exit(1);
-        }
-        let bench = experiments::service_bench(&args.opts, &work_dir);
-        println!("{}", bench.report.to_markdown());
-        write_report_csv(&bench.report, &args.out);
-        write_bench_json(&args.out, "BENCH_service.json", &bench.json);
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&work_dir);
-        }
-        if !bench.agreement {
-            eprintln!(
-                "error: service disagreement — unbounded queue depth, no shedding under \
-                 the overload burst, a degradation tier failed to answer, p99 over the \
-                 deadline, or wrong bytes served (see BENCH_service.json)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "# service agreement: bounded queue, typed shedding, degraded tiers answered, \
-             zero wrong bytes"
-        );
-        if let Some(min) = args.assert_throughput {
-            if bench.throughput_rps < min {
-                eprintln!(
-                    "error: service throughput {:.2} replies/sec below the asserted \
-                     minimum {min:.2}",
-                    bench.throughput_rps
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "# throughput assertion passed: {:.2} >= {min:.2} replies/sec",
-                bench.throughput_rps
-            );
-        }
-    }
-
-    // The online experiments gate absorption + live migration: a commit
-    // stream absorbed into a live plan and migrated against a pack store,
-    // with the regret bound and hash verification asserted in-run;
-    // --assert-speedup gates on the n = 4000 per-commit speedup over the
-    // from-scratch solve + re-ingest baseline.
-    if matches!(args.experiment.as_str(), "online" | "all") {
-        let (base_dir, ephemeral) = match args.store_dir.clone() {
-            Some(dir) => (dir, false),
-            None => (args.out.join("store-work"), true),
-        };
-        let work_dir = base_dir.join("online");
-        if let Err(e) = std::fs::create_dir_all(&work_dir) {
-            eprintln!("error creating {}: {e}", work_dir.display());
-            std::process::exit(1);
-        }
-        let bench = experiments::online_bench(&args.opts, &work_dir);
-        println!("{}", bench.report.to_markdown());
-        write_report_csv(&bench.report, &args.out);
-        write_bench_json(&args.out, "BENCH_online.json", &bench.json);
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&work_dir);
-        }
-        if !bench.agreement {
-            eprintln!(
-                "error: online disagreement — the regret bound was violated, a fallback \
-                 re-solve failed, or a migrated store failed hash verification \
-                 (see BENCH_online.json)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("# online agreement: regret bound held and every migrated store hash-verified");
-        if let Some(min) = args.assert_speedup {
-            if bench.speedup_4k < min {
-                eprintln!(
-                    "error: online absorption speedup {:.2}x below the asserted minimum \
-                     {min:.2}x on the n = 4000 commit stream",
-                    bench.speedup_4k
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "# speedup assertion passed: {:.2}x >= {min:.2}x (n = 4000 commit stream)",
-                bench.speedup_4k
-            );
-        }
-    }
-
-    // The btw experiments gate the constructive bounded-width DP: on every
-    // instance the reconstructed plan must realize the certificate exactly.
-    if matches!(args.experiment.as_str(), "btw" | "all") {
-        let bench = experiments::btw_bench(&args.opts);
-        println!("{}", bench.report.to_markdown());
-        write_report_csv(&bench.report, &args.out);
-        write_bench_json(&args.out, "BENCH_btw.json", &bench.json);
-        if !bench.agreement {
-            eprintln!(
-                "error: DP-BTW disagreement — a reconstructed plan failed validation, \
-                 overshot its budget, missed the DP certificate, or a benchmark \
-                 instance was skipped entirely (see BENCH_btw.json)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("# btw agreement: reconstructed plan == certificate on every instance");
-    }
-
-    // The portfolio experiments also track raw engine performance.
-    if matches!(args.experiment.as_str(), "portfolio" | "all") {
-        let bench = experiments::portfolio_bench(&args.opts);
-        println!("{}", bench.report.to_markdown());
-        write_bench_json(&args.out, "BENCH_portfolio.json", &bench.json);
-        if let Some(min) = args.assert_speedup {
-            if bench.threads <= 1 {
-                eprintln!("# --assert-speedup skipped: pool width is 1 (set DSV_NUM_THREADS > 1)");
-            } else if bench.speedup < min {
-                eprintln!(
-                    "error: portfolio speedup {:.2}x below the asserted minimum {min:.2}x \
-                     ({} threads)",
-                    bench.speedup, bench.threads
-                );
-                std::process::exit(1);
-            } else {
-                eprintln!(
-                    "# speedup assertion passed: {:.2}x >= {min:.2}x on {} threads",
-                    bench.speedup, bench.threads
-                );
-            }
-        }
     }
 }

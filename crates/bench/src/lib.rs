@@ -1,19 +1,12 @@
 //! # dsv-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation
-//! (Section 7). Each experiment produces a [`report::Report`] that the
-//! `repro` binary renders as Markdown and CSV:
-//!
-//! | experiment | paper artifact |
-//! |------------|----------------|
-//! | `table4` | Table 4 (dataset overview) |
-//! | `fig10` | Figure 10 (MSR on natural graphs, with ILP OPT where tractable) |
-//! | `fig11` | Figure 11 (MSR on randomly-compressed graphs, perf + runtime) |
-//! | `fig12` | Figure 12 (MSR on compressed Erdős–Rényi graphs) |
-//! | `fig13` | Figure 13 (BMR: MP vs DP-BMR, perf + runtime) |
-//! | `thm1` | Theorem 1 (LMG worst-case chain) |
-//! | `treewidth` | footnote 7 (treewidth of the corpora) |
-//! | `ablation` | Section 6.2 design choices (ticks, pruning, k-buckets) |
+//! (Section 7) and runs the gated benches of the solve → store → serve
+//! path. Every entry of [`experiments::EXPERIMENTS`] returns a
+//! [`report::Bench`]: typed [`report::Report`] tables plus named
+//! [`report::Gate`]s. The `repro` binary renders the tables as Markdown
+//! and CSV, writes `BENCH_<experiment>.json`, and exits 1 if a gate fails;
+//! `repro --list` enumerates the experiments.
 
 #![warn(missing_docs)]
 
@@ -21,4 +14,4 @@ pub mod experiments;
 pub mod report;
 pub mod sweep;
 
-pub use report::Report;
+pub use report::{Bench, Gate, Report};

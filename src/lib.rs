@@ -53,8 +53,8 @@
 //! request batch's retrieval chains, hydrates shared prefixes once,
 //! reconstructs independent subtrees in parallel over borrowed
 //! (`Store::get_ref`) bytes, and keeps hot payloads in a depth-aware
-//! LRU [`CheckoutCache`](core::checkout::CheckoutCache) — gated in CI by
-//! `repro --experiment checkout --assert-speedup`.
+//! LRU [`CheckoutCache`](core::checkout::CheckoutCache) — gated by
+//! `repro --experiment checkout`.
 //!
 //! ## Serving a shared engine
 //!
@@ -71,8 +71,8 @@
 //! heuristic → cached plan from a previously-seen graph fingerprint),
 //! each reply labeled with the tier that produced it; `Checkout`s go
 //! through the self-healing batched reader, so injected store faults
-//! heal instead of failing requests. Gated in CI by `repro --experiment
-//! service --assert-throughput`.
+//! heal instead of failing requests. Gated by `repro --experiment
+//! service`.
 //!
 //! ## Online planning & live migration
 //!
@@ -89,7 +89,7 @@
 //! diff two plans, write only the changed objects, retain-before-release
 //! so no live version is ever unreadable. The service's
 //! `Absorb` request chains both — mutate → absorb → migrate — per
-//! commit, gated in CI by `repro --experiment online --assert-speedup`.
+//! commit, gated by `repro --experiment online`.
 //!
 //! ## Scale: sharded hierarchical solving
 //!
@@ -103,8 +103,7 @@
 //! byte-identical at any thread count, exactly budget-safe, and gated
 //! within a declared regret bound
 //! ([`SHARD_REGRET_BOUND`](core::engine::sharded::SHARD_REGRET_BOUND)) of
-//! whole-graph LMG-All by `repro --experiment shard --assert-speedup` in
-//! CI. Small graphs are refused deterministically, so everyday dispatch
+//! whole-graph LMG-All by `repro --experiment shard`. Small graphs are refused deterministically, so everyday dispatch
 //! is unchanged; setting
 //! [`ShardConfig::min_graph_nodes`](core::engine::sharded::ShardConfig::min_graph_nodes)
 //! to `usize::MAX` disables the path entirely.
