@@ -14,9 +14,15 @@
 //! * Object bytes come from [`Store::get_ref`] — borrowed slices out of
 //!   `PackStore`'s resident pack map (or `MemStore`'s buffers), no
 //!   per-object allocation on the packed path.
-//! * Every reconstruction is verified by hashing the *decoded* content
-//!   directly ([`codec::hash_payload`]) against the plan's recorded
-//!   `source_hashes` — no `encode_payload` round-trip.
+//! * Each subtree goes reconstruct → verify in parallel → publish. It
+//!   first replays every needed delta down the subtree without hashing
+//!   (unchanged lines are shared with the parent payload, not copied);
+//!   then it hashes all reconstructions on the pool at once, hashing the
+//!   *decoded* content directly ([`codec::hash_payload`]) against the
+//!   plan's recorded `source_hashes` with no `encode_payload`
+//!   round-trip; then it publishes in DFS order. Nothing is served,
+//!   counted, measured or cached before its own hash and every
+//!   ancestor's have verified; below a failed node nothing is reported.
 //! * A [`CheckoutCache`] holds hot reconstructed payloads keyed by their
 //!   content hash. Admission is informed by the plan: a payload's
 //!   retrieval depth (deltas between it and its materialized root) is its
@@ -768,14 +774,15 @@ struct SubtreeOut {
 fn fetch_object<'x, S: Store + ?Sized>(
     ctx: &WalkCtx<'x, S>,
     node: u32,
-    out: &mut SubtreeOut,
+    repair: &mut RepairStats,
+    tickets: &mut Vec<RepairTicket>,
 ) -> Result<Cow<'x, [u8]>, ExecError> {
     let id = ctx.stored.objects[node as usize];
     let attempts = ctx.retry.effective_attempts();
     let mut last_err: Option<StoreError> = None;
     for attempt in 0..attempts {
         if attempt > 0 {
-            out.repair.retries += 1;
+            repair.retries += 1;
             // Salted by object id: concurrent retries of different
             // objects decorrelate, replays wait identically.
             ctx.retry.wait(attempt, id.0 ^ id.1);
@@ -793,7 +800,7 @@ fn fetch_object<'x, S: Store + ?Sized>(
         }
     }
     let last_err = last_err.expect("at least one attempt");
-    out.repair.detected += 1;
+    repair.detected += 1;
     if let Some(source) = ctx.source {
         let (kind, bytes) = match ctx.stored.plan.parent[node as usize] {
             Parent::Materialized => (ObjectKind::Chunk, source.payload_bytes(node)),
@@ -806,8 +813,8 @@ fn fetch_object<'x, S: Store + ?Sized>(
         // the source no longer describes the plan and serving them
         // would be serving wrong bytes.
         if hash_object(kind, &bytes) == id {
-            out.repair.rederived += 1;
-            out.tickets.push(RepairTicket {
+            repair.rederived += 1;
+            tickets.push(RepairTicket {
                 node,
                 id,
                 kind,
@@ -816,8 +823,23 @@ fn fetch_object<'x, S: Store + ?Sized>(
             return Ok(Cow::Owned(bytes));
         }
     }
-    out.repair.unrepairable += 1;
+    repair.unrepairable += 1;
     Err(ExecError::Store(last_err))
+}
+
+/// `Recon::parent` of a child of the subtree's entry node.
+const ENTRY: usize = usize::MAX;
+
+/// One delta replay of a subtree's reconstruct pass, awaiting its hash.
+struct Recon {
+    node: u32,
+    /// Index of the parent's `Recon` in DFS order, or [`ENTRY`].
+    parent: usize,
+    applied: Result<(Arc<Payload>, codec::DeltaCosts), ExecError>,
+    /// Fault handling spent fetching this node's delta; reported only if
+    /// the parent verified.
+    repair: RepairStats,
+    tickets: Vec<RepairTicket>,
 }
 
 fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> SubtreeOut {
@@ -844,7 +866,7 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
                 ));
                 return out;
             }
-            let decoded = fetch_object(ctx, entry.node, &mut out)
+            let decoded = fetch_object(ctx, entry.node, &mut out.repair, &mut out.tickets)
                 .and_then(|bytes| Ok(codec::decode_payload(&bytes)?));
             let payload = match decoded {
                 Ok(p) => Arc::new(p),
@@ -869,54 +891,99 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
         out.served.push((entry.node, Arc::clone(&payload)));
     }
 
-    // DFS down the needed subtree, carrying each node's payload (shared,
-    // not cloned) while its children reconstruct. A failed child is
-    // recorded and its branch abandoned — descendants are never
-    // reached, and lenient callers attribute them to this ancestor.
-    let mut stack: Vec<(u32, Arc<Payload>, u32, Cost)> = vec![(entry.node, payload, depth, 0)];
-    while let Some((v, payload, depth, retr)) = stack.pop() {
+    // Reconstruct: DFS down the needed subtree, carrying each node's
+    // payload (shared, not cloned) while its children replay their
+    // deltas. Nothing is hashed, counted, cached or served yet. A failed
+    // fetch or apply abandons that branch — its descendants are never
+    // reached.
+    let mut recons: Vec<Recon> = Vec::new();
+    let mut stack: Vec<(usize, u32, Arc<Payload>)> = vec![(ENTRY, entry.node, payload)];
+    while let Some((at, v, payload)) = stack.pop() {
         for &c in &ctx.children[v as usize] {
-            let applied = fetch_object(ctx, c, &mut out)
-                .and_then(|delta_bytes| Ok(codec::apply_delta(&payload, &delta_bytes)?));
-            let (child, costs) = match applied {
-                Ok(x) => x,
-                Err(e) => {
-                    out.failed.push((c, e));
-                    continue;
-                }
-            };
-            // Verify by hashing the decoded content directly — no
-            // encode_payload round-trip.
-            let actual = codec::hash_payload(&child);
-            let expected = ctx.stored.source_hashes[c as usize];
-            if actual != expected {
-                out.failed.push((
-                    c,
-                    ExecError::HashMismatch {
-                        node: c,
-                        expected,
-                        actual,
-                    },
-                ));
+            let mut repair = RepairStats::default();
+            let mut tickets = Vec::new();
+            let applied = fetch_object(ctx, c, &mut repair, &mut tickets)
+                .and_then(|delta_bytes| Ok(codec::apply_delta(&payload, &delta_bytes)?))
+                .map(|(child, costs)| (Arc::new(child), costs));
+            if let Ok((child, _)) = &applied {
+                stack.push((recons.len(), c, Arc::clone(child)));
+            }
+            recons.push(Recon {
+                node: c,
+                parent: at,
+                applied,
+                repair,
+                tickets,
+            });
+        }
+    }
+
+    // Verify: hash every reconstruction's decoded content directly (no
+    // encode_payload round-trip), in parallel and order-stable.
+    let hashes: Vec<Option<ObjectId>> = recons
+        .iter()
+        .map(|r| r.applied.as_ref().ok().map(|(child, _)| &**child))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|child| child.map(codec::hash_payload))
+        .collect();
+
+    // Publish in DFS order: a node counts, is measured, cached and served
+    // only if its own hash and every ancestor's verified. The first
+    // failure on a branch is reported; its descendants are dropped
+    // unreported, their repairs included, exactly as if never reached.
+    // `verified[i]` is recons[i]'s (depth, retrieval) once it passed.
+    let mut verified: Vec<Option<(u32, Cost)>> = Vec::with_capacity(recons.len());
+    for (r, actual) in recons.into_iter().zip(hashes) {
+        let parent = match r.parent {
+            ENTRY => Some((depth, 0)),
+            i => verified[i],
+        };
+        let Some((parent_depth, parent_retr)) = parent else {
+            verified.push(None);
+            continue;
+        };
+        out.repair.absorb(&r.repair);
+        out.tickets.extend(r.tickets);
+        let c = r.node;
+        let expected = ctx.stored.source_hashes[c as usize];
+        let (child, costs) = match r.applied {
+            Ok(applied) => applied,
+            Err(e) => {
+                out.failed.push((c, e));
+                verified.push(None);
                 continue;
             }
-            let child = Arc::new(child);
-            out.hydrated += 1;
-            out.delta_applies += 1;
-            let child_retr = cost_add(retr, costs.retrieval_cost());
-            if ctx.measure {
-                out.storage = cost_add(out.storage, costs.storage_cost());
-                out.retrievals.push((c, child_retr));
-                out.bytes += child.content_size();
-            }
-            if let Some(cache) = ctx.cache {
-                cache.admit(expected, Arc::clone(&child), depth + 1);
-            }
-            if ctx.collect && ctx.requested[c as usize] {
-                out.served.push((c, Arc::clone(&child)));
-            }
-            stack.push((c, child, depth + 1, child_retr));
+        };
+        let actual = actual.expect("every reconstruction is hashed");
+        if actual != expected {
+            out.failed.push((
+                c,
+                ExecError::HashMismatch {
+                    node: c,
+                    expected,
+                    actual,
+                },
+            ));
+            verified.push(None);
+            continue;
         }
+        out.hydrated += 1;
+        out.delta_applies += 1;
+        let child_depth = parent_depth + 1;
+        let child_retr = cost_add(parent_retr, costs.retrieval_cost());
+        if ctx.measure {
+            out.storage = cost_add(out.storage, costs.storage_cost());
+            out.retrievals.push((c, child_retr));
+            out.bytes += child.content_size();
+        }
+        if let Some(cache) = ctx.cache {
+            cache.admit(expected, Arc::clone(&child), child_depth);
+        }
+        if ctx.collect && ctx.requested[c as usize] {
+            out.served.push((c, child));
+        }
+        verified.push(Some((child_depth, child_retr)));
     }
     out
 }

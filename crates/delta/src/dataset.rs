@@ -8,11 +8,12 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Shared intern table for lines.
 #[derive(Clone, Debug, Default)]
 pub struct LineStore {
-    lines: Vec<String>,
+    lines: Vec<Arc<str>>,
     sizes: Vec<u64>,
     index: HashMap<String, u32>,
 }
@@ -29,7 +30,7 @@ impl LineStore {
             return id;
         }
         let id = self.lines.len() as u32;
-        self.lines.push(line.to_string());
+        self.lines.push(Arc::from(line));
         // +1 for the newline byte, as a byte-on-disk measure.
         self.sizes.push(line.len() as u64 + 1);
         self.index.insert(line.to_string(), id);
@@ -45,6 +46,12 @@ impl LineStore {
     /// The text of a line.
     pub fn text(&self, id: u32) -> &str {
         &self.lines[id as usize]
+    }
+
+    /// The bytes of a line as a shared allocation: text payloads built
+    /// from interned lines hold these, so building one copies no line.
+    pub fn bytes(&self, id: u32) -> Arc<[u8]> {
+        Arc::from(Arc::clone(&self.lines[id as usize]))
     }
 
     /// Number of distinct interned lines.

@@ -24,6 +24,7 @@
 use super::{ObjectHasher, ObjectId, ObjectKind, StoreError};
 use crate::chunks::SketchDelta;
 use crate::script::{CostParams, EditScript};
+use std::sync::Arc;
 
 const PAYLOAD_MAGIC: u8 = b'P';
 const DELTA_MAGIC: u8 = b'D';
@@ -40,12 +41,19 @@ pub enum Payload {
 }
 
 /// One file of a text payload.
+///
+/// Lines are shared, immutable byte strings: [`apply_delta`] hands the
+/// destination the source's own line allocations for every `Equal` run
+/// and every file the delta does not touch, so replaying a delta costs a
+/// refcount bump per unchanged line instead of a copy. Sharing is
+/// invisible to the format — encoding, [`hash_payload`] and equality see
+/// only the bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TextFile {
     /// File path.
     pub path: String,
     /// Line contents, without trailing newlines.
-    pub lines: Vec<Vec<u8>>,
+    pub lines: Vec<Arc<[u8]>>,
 }
 
 impl Payload {
@@ -71,7 +79,7 @@ pub enum DeltaOp {
     /// Skip this many source lines.
     Delete(u32),
     /// Splice these lines in (contents inline, no trailing newlines).
-    Insert(Vec<Vec<u8>>),
+    Insert(Vec<Arc<[u8]>>),
 }
 
 /// The per-file part of a text delta.
@@ -300,6 +308,14 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Capacity to reserve for `count` records of at least `min_record`
+    /// bytes each: never more than the remaining input could hold, so an
+    /// inflated count prefix cannot force a huge allocation — decoding
+    /// then fails on truncation with a typed error instead.
+    fn capacity(&self, count: u32, min_record: usize) -> usize {
+        (count as usize).min((self.bytes.len() - self.pos) / min_record)
+    }
+
     fn finish(&self, what: &str) -> Result<(), StoreError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -326,7 +342,8 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Payload, StoreError> {
     let payload = match r.u8("payload tag")? {
         TAG_TEXT => {
             let n_files = r.u32("file count")?;
-            let mut files = Vec::with_capacity(n_files as usize);
+            // A file is at least a path length and a line count.
+            let mut files = Vec::with_capacity(r.capacity(n_files, 8));
             for _ in 0..n_files {
                 let path = String::from_utf8(r.bytes("path")?.to_vec()).map_err(|_| {
                     StoreError::InvalidFormat {
@@ -334,9 +351,9 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Payload, StoreError> {
                     }
                 })?;
                 let n_lines = r.u32("line count")?;
-                let mut lines = Vec::with_capacity(n_lines as usize);
+                let mut lines = Vec::with_capacity(r.capacity(n_lines, 4));
                 for _ in 0..n_lines {
-                    lines.push(r.bytes("line")?.to_vec());
+                    lines.push(Arc::from(r.bytes("line")?));
                 }
                 files.push(TextFile { path, lines });
             }
@@ -344,7 +361,7 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Payload, StoreError> {
         }
         TAG_SKETCH => {
             let n = r.u32("chunk count")?;
-            let mut chunks = Vec::with_capacity(n as usize);
+            let mut chunks = Vec::with_capacity(r.capacity(n, 12));
             for _ in 0..n {
                 let id = r.u64("chunk id")?;
                 let size = r.u32("chunk size")?;
@@ -380,7 +397,8 @@ fn decode_delta(bytes: &[u8]) -> Result<DecodedDelta, StoreError> {
     let decoded = match r.u8("delta tag")? {
         TAG_TEXT => {
             let n_sections = r.u32("section count")?;
-            let mut sections = Vec::with_capacity(n_sections as usize);
+            // A section is at least a path length, a flag and an op count.
+            let mut sections = Vec::with_capacity(r.capacity(n_sections, 9));
             for _ in 0..n_sections {
                 let path = String::from_utf8(r.bytes("path")?.to_vec()).map_err(|_| {
                     StoreError::InvalidFormat {
@@ -389,16 +407,16 @@ fn decode_delta(bytes: &[u8]) -> Result<DecodedDelta, StoreError> {
                 })?;
                 let dst_absent = r.u8("flags")? != 0;
                 let n_ops = r.u32("op count")?;
-                let mut ops = Vec::with_capacity(n_ops as usize);
+                let mut ops = Vec::with_capacity(r.capacity(n_ops, 5));
                 for _ in 0..n_ops {
                     ops.push(match r.u8("op kind")? {
                         0 => DeltaOp::Equal(r.u32("equal len")?),
                         1 => DeltaOp::Delete(r.u32("delete len")?),
                         2 => {
                             let n = r.u32("insert len")?;
-                            let mut lines = Vec::with_capacity(n as usize);
+                            let mut lines = Vec::with_capacity(r.capacity(n, 4));
                             for _ in 0..n {
-                                lines.push(r.bytes("inserted line")?.to_vec());
+                                lines.push(Arc::from(r.bytes("inserted line")?));
                             }
                             DeltaOp::Insert(lines)
                         }
@@ -420,11 +438,11 @@ fn decode_delta(bytes: &[u8]) -> Result<DecodedDelta, StoreError> {
         TAG_SKETCH => {
             let n_removed = r.u32("removed count")?;
             let n_added = r.u32("added count")?;
-            let mut removed = Vec::with_capacity(n_removed as usize);
+            let mut removed = Vec::with_capacity(r.capacity(n_removed, 8));
             for _ in 0..n_removed {
                 removed.push(r.u64("removed id")?);
             }
-            let mut added = Vec::with_capacity(n_added as usize);
+            let mut added = Vec::with_capacity(r.capacity(n_added, 12));
             for _ in 0..n_added {
                 added.push((r.u64("added id")?, r.u32("added size")?));
             }
@@ -480,20 +498,23 @@ pub fn delta_costs(bytes: &[u8]) -> Result<DeltaCosts, StoreError> {
 pub fn apply_delta(src: &Payload, delta: &[u8]) -> Result<(Payload, DeltaCosts), StoreError> {
     let decoded = decode_delta(delta)?;
     let costs = costs_of(&decoded);
-    let dst = match (&decoded, src) {
+    let dst = match (decoded, src) {
         (DecodedDelta::Text(sections), Payload::Text(files)) => {
+            // Unchanged files and lines are shared with the source, not
+            // copied: cloning a `TextFile` bumps one refcount per line.
             let mut files = files.clone();
             for section in sections {
-                let src_lines: &[Vec<u8>] = files
-                    .binary_search_by(|f| f.path.as_str().cmp(&section.path))
-                    .map(|i| files[i].lines.as_slice())
-                    .unwrap_or(&[]);
-                let mut out = Vec::new();
+                let at = files.binary_search_by(|f| f.path.as_str().cmp(&section.path));
+                let src_lines = match at {
+                    Ok(i) => std::mem::take(&mut files[i].lines),
+                    Err(_) => Vec::new(),
+                };
+                let mut out = Vec::with_capacity(src_lines.len());
                 let mut cursor = 0usize;
-                for op in &section.ops {
+                for op in section.ops {
                     match op {
                         DeltaOp::Equal(len) => {
-                            let end = cursor + *len as usize;
+                            let end = cursor + len as usize;
                             let run = src_lines.get(cursor..end).ok_or_else(|| {
                                 StoreError::InvalidFormat {
                                     detail: format!(
@@ -502,11 +523,11 @@ pub fn apply_delta(src: &Payload, delta: &[u8]) -> Result<(Payload, DeltaCosts),
                                     ),
                                 }
                             })?;
-                            out.extend(run.iter().cloned());
+                            out.extend_from_slice(run);
                             cursor = end;
                         }
-                        DeltaOp::Delete(len) => cursor += *len as usize,
-                        DeltaOp::Insert(lines) => out.extend(lines.iter().cloned()),
+                        DeltaOp::Delete(len) => cursor += len as usize,
+                        DeltaOp::Insert(lines) => out.extend(lines),
                     }
                 }
                 if cursor != src_lines.len() {
@@ -518,7 +539,7 @@ pub fn apply_delta(src: &Payload, delta: &[u8]) -> Result<(Payload, DeltaCosts),
                         ),
                     });
                 }
-                match files.binary_search_by(|f| f.path.as_str().cmp(&section.path)) {
+                match at {
                     Ok(i) if section.dst_absent => {
                         files.remove(i);
                     }
@@ -527,7 +548,7 @@ pub fn apply_delta(src: &Payload, delta: &[u8]) -> Result<(Payload, DeltaCosts),
                     Err(i) => files.insert(
                         i,
                         TextFile {
-                            path: section.path.clone(),
+                            path: section.path,
                             lines: out,
                         },
                     ),
@@ -538,15 +559,13 @@ pub fn apply_delta(src: &Payload, delta: &[u8]) -> Result<(Payload, DeltaCosts),
         (DecodedDelta::Sketch { removed, added }, Payload::Sketch(chunks)) => {
             let mut map: std::collections::BTreeMap<u64, u32> = chunks.iter().copied().collect();
             for id in removed {
-                if map.remove(id).is_none() {
+                if map.remove(&id).is_none() {
                     return Err(StoreError::InvalidFormat {
                         detail: format!("delta removes chunk {id} absent from the source"),
                     });
                 }
             }
-            for &(id, size) in added {
-                map.insert(id, size);
-            }
+            map.extend(added);
             Payload::Sketch(map.into_iter().collect())
         }
         _ => {
@@ -562,15 +581,19 @@ pub fn apply_delta(src: &Payload, delta: &[u8]) -> Result<(Payload, DeltaCosts),
 mod tests {
     use super::*;
 
+    fn lines(texts: &[&str]) -> Vec<Arc<[u8]>> {
+        texts.iter().map(|t| Arc::from(t.as_bytes())).collect()
+    }
+
     fn text_payload() -> Payload {
         Payload::Text(vec![
             TextFile {
                 path: "a.txt".into(),
-                lines: vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()],
+                lines: lines(&["one", "two", "three"]),
             },
             TextFile {
                 path: "b.txt".into(),
-                lines: vec![b"solo".to_vec()],
+                lines: lines(&["solo"]),
             },
         ])
     }
@@ -597,7 +620,7 @@ mod tests {
                 ops: vec![
                     DeltaOp::Equal(1),
                     DeltaOp::Delete(1),
-                    DeltaOp::Insert(vec![b"TWO!".to_vec()]),
+                    DeltaOp::Insert(lines(&["TWO!"])),
                     DeltaOp::Equal(1),
                 ],
             },
@@ -609,7 +632,7 @@ mod tests {
             FileDelta {
                 path: "c.txt".into(),
                 dst_absent: false,
-                ops: vec![DeltaOp::Insert(vec![b"new".to_vec()])],
+                ops: vec![DeltaOp::Insert(lines(&["new"]))],
             },
         ]);
         let (dst, costs) = apply_delta(&src, &delta).expect("apply");
@@ -618,10 +641,7 @@ mod tests {
         };
         assert_eq!(files.len(), 2);
         assert_eq!(files[0].path, "a.txt");
-        assert_eq!(
-            files[0].lines,
-            vec![b"one".to_vec(), b"TWO!".to_vec(), b"three".to_vec()]
-        );
+        assert_eq!(files[0].lines, lines(&["one", "TWO!", "three"]));
         assert_eq!(files[1].path, "c.txt");
         let DeltaCosts::Text(script) = &costs else {
             panic!("text costs expected")
@@ -629,6 +649,31 @@ mod tests {
         assert_eq!(script.ops, 4); // delete, insert, delete, insert
         assert_eq!(script.inserted_bytes, 5 + 4);
         assert_eq!(delta_costs(&delta).expect("decode"), costs);
+    }
+
+    #[test]
+    fn apply_delta_shares_unchanged_lines_with_the_source() {
+        let src = text_payload();
+        // a.txt: keep "one", replace "two", keep "three"; b.txt untouched.
+        let delta = encode_text_delta(&[FileDelta {
+            path: "a.txt".into(),
+            dst_absent: false,
+            ops: vec![
+                DeltaOp::Equal(1),
+                DeltaOp::Delete(1),
+                DeltaOp::Insert(lines(&["TWO!"])),
+                DeltaOp::Equal(1),
+            ],
+        }]);
+        let (dst, _) = apply_delta(&src, &delta).expect("apply");
+        let (Payload::Text(before), Payload::Text(after)) = (&src, &dst) else {
+            panic!("text payloads expected")
+        };
+        let shared = |a: &Arc<[u8]>, b: &Arc<[u8]>| Arc::ptr_eq(a, b);
+        assert!(shared(&after[0].lines[0], &before[0].lines[0]));
+        assert!(!shared(&after[0].lines[1], &before[0].lines[1]));
+        assert!(shared(&after[0].lines[2], &before[0].lines[2]));
+        assert!(shared(&after[1].lines[0], &before[1].lines[0]));
     }
 
     #[test]
@@ -683,5 +728,84 @@ mod tests {
             apply_delta(&Payload::Sketch(vec![(1, 1)]), &sketchy),
             Err(StoreError::InvalidFormat { .. })
         ));
+    }
+
+    /// Little-endian `u32`s.
+    fn le(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// `head`, then `words` as little-endian `u32`s.
+    fn record(head: &[u8], words: &[u32]) -> Vec<u8> {
+        let mut out = head.to_vec();
+        out.extend(le(words));
+        out
+    }
+
+    fn rejected<T: std::fmt::Debug>(r: Result<T, StoreError>) {
+        assert!(
+            matches!(r, Err(StoreError::InvalidFormat { .. })),
+            "inflated count must be a typed error, got {r:?}"
+        );
+    }
+
+    #[test]
+    fn inflated_file_count_is_rejected() {
+        let bytes = record(&[PAYLOAD_MAGIC, TAG_TEXT], &[u32::MAX]);
+        rejected(decode_payload(&bytes));
+    }
+
+    #[test]
+    fn inflated_line_count_is_rejected() {
+        // One file, empty path, u32::MAX lines: 14 bytes in all.
+        let bytes = record(&[PAYLOAD_MAGIC, TAG_TEXT], &[1, 0, u32::MAX]);
+        assert_eq!(bytes.len(), 14);
+        rejected(decode_payload(&bytes));
+    }
+
+    #[test]
+    fn inflated_chunk_count_is_rejected() {
+        let bytes = record(&[PAYLOAD_MAGIC, TAG_SKETCH], &[u32::MAX]);
+        rejected(decode_payload(&bytes));
+    }
+
+    #[test]
+    fn inflated_section_count_is_rejected() {
+        rejected(delta_costs(&record(&[DELTA_MAGIC, TAG_TEXT], &[u32::MAX])));
+    }
+
+    #[test]
+    fn inflated_op_count_is_rejected() {
+        // One section, empty path, flags 0, u32::MAX ops.
+        let mut bytes = record(&[DELTA_MAGIC, TAG_TEXT], &[1, 0]);
+        bytes.push(0);
+        bytes.extend(le(&[u32::MAX]));
+        rejected(delta_costs(&bytes));
+    }
+
+    #[test]
+    fn inflated_insert_len_is_rejected() {
+        // One section, empty path, flags 0, one insert op of u32::MAX lines.
+        let mut bytes = record(&[DELTA_MAGIC, TAG_TEXT], &[1, 0]);
+        bytes.push(0);
+        bytes.extend(le(&[1]));
+        bytes.push(2);
+        bytes.extend(le(&[u32::MAX]));
+        rejected(delta_costs(&bytes));
+        rejected(apply_delta(&Payload::Text(vec![]), &bytes));
+    }
+
+    #[test]
+    fn inflated_removed_count_is_rejected() {
+        let bytes = record(&[DELTA_MAGIC, TAG_SKETCH], &[u32::MAX, 0]);
+        rejected(delta_costs(&bytes));
+        rejected(apply_delta(&Payload::Sketch(vec![]), &bytes));
+    }
+
+    #[test]
+    fn inflated_added_count_is_rejected() {
+        let bytes = record(&[DELTA_MAGIC, TAG_SKETCH], &[0, u32::MAX]);
+        rejected(delta_costs(&bytes));
+        rejected(apply_delta(&Payload::Sketch(vec![]), &bytes));
     }
 }

@@ -74,10 +74,7 @@ fn snapshot_payload(snap: &Snapshot, lines: &LineStore) -> Payload {
             .iter()
             .map(|(path, ids)| TextFile {
                 path: path.clone(),
-                lines: ids
-                    .iter()
-                    .map(|&id| lines.text(id).as_bytes().to_vec())
-                    .collect(),
+                lines: ids.iter().map(|&id| lines.bytes(id)).collect(),
             })
             .collect(),
     )
@@ -106,7 +103,7 @@ fn snapshot_delta(a: &Snapshot, b: &Snapshot, lines: &LineStore) -> Vec<u8> {
                 DiffOp::Insert { start, len } => DeltaOp::Insert(
                     dst[start..start + len]
                         .iter()
-                        .map(|&id| lines.text(id).as_bytes().to_vec())
+                        .map(|&id| lines.bytes(id))
                         .collect(),
                 ),
             })

@@ -12,12 +12,15 @@
 //! * `PackStore`'s resident pack map is invalidated by append and GC —
 //!   it never serves stale slices;
 //! * the read path is `&self`-shareable: concurrent checkouts against
-//!   one reader and one cache agree with the source.
+//!   one reader and one cache agree with the source;
+//! * a hash mismatch in the middle of a chain fails that node and every
+//!   descendant, while its ancestors are still served, counted and
+//!   cached.
 
 use dataset_versioning::prelude::*;
 use dsv_core::checkout::{Checkout, CheckoutCache};
 use dsv_core::executor::PlanExecutor;
-use dsv_delta::store::codec;
+use dsv_delta::store::codec::{self, encode_sketch_delta, Payload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -279,4 +282,142 @@ fn concurrent_checkouts_share_one_reader_and_cache() {
             });
         }
     });
+}
+
+/// Sketch content on a hand-built forest: version `v`'s manifest is
+/// chunks `0..=v`, except v6, which branches off v1 with chunk 60.
+struct BranchySource;
+
+impl BranchySource {
+    const N: u32 = 7;
+
+    fn manifest(v: u32) -> Vec<(u64, u32)> {
+        match v {
+            6 => vec![(0, 10), (1, 11), (60, 70)],
+            _ => (0..=u64::from(v)).map(|c| (c, 10 + c as u32)).collect(),
+        }
+    }
+
+    /// v0 → v1 → v2 → v3 → v4, v2 → v5, v1 → v6, priced by the sketch
+    /// model (`added_bytes + 12` per chunk record stored, `+ 6` read).
+    fn graph_and_plan() -> (VersionGraph, StoragePlan) {
+        let mut g = VersionGraph::new();
+        let nodes: Vec<_> = (0..Self::N)
+            .map(|v| {
+                let size = Self::manifest(v).iter().map(|&(_, s)| u64::from(s)).sum();
+                g.add_node(size)
+            })
+            .collect();
+        let mut parent = vec![Parent::Materialized];
+        for (src, dst) in [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (1, 6)] {
+            let (a, b) = (Self::manifest(src), Self::manifest(dst));
+            let added: u64 = b
+                .iter()
+                .filter(|c| !a.contains(c))
+                .map(|&(_, s)| u64::from(s))
+                .sum();
+            let records = (a.iter().filter(|c| !b.contains(c)).count()
+                + b.iter().filter(|c| !a.contains(c)).count()) as u64;
+            let e = g.add_edge(
+                nodes[src as usize],
+                nodes[dst as usize],
+                added + 12 * records,
+                added + 6 * records,
+            );
+            parent.push(Parent::Delta(e));
+        }
+        (g, StoragePlan { parent })
+    }
+}
+
+impl VersionSource for BranchySource {
+    fn version_count(&self) -> usize {
+        Self::N as usize
+    }
+
+    fn payload(&self, v: u32) -> Payload {
+        Payload::Sketch(Self::manifest(v))
+    }
+
+    fn delta(&self, src: u32, dst: u32) -> Vec<u8> {
+        let (a, b) = (Self::manifest(src), Self::manifest(dst));
+        let removed: Vec<u64> = a
+            .iter()
+            .filter(|c| !b.contains(c))
+            .map(|&(id, _)| id)
+            .collect();
+        let added: Vec<(u64, u32)> = b.iter().filter(|c| !a.contains(c)).copied().collect();
+        encode_sketch_delta(&removed, &added)
+    }
+}
+
+/// Verification runs after reconstruction, in parallel, yet a node is
+/// served, counted or cached only once its own hash and every
+/// ancestor's verified. Tampering with the recorded hash of `mid` (v2,
+/// depth 2 of a 5-node chain) must fail exactly `mid` and its
+/// descendants with `mid`'s `HashMismatch`, at any pool width.
+#[test]
+fn mid_chain_hash_mismatch_fails_only_the_subtree_below_it() {
+    const MID: u32 = 2;
+    let below_mid = [2u32, 3, 4, 5];
+    let above_mid = [0u32, 1, 6];
+    let (g, plan) = BranchySource::graph_and_plan();
+    let mut mem = MemStore::new();
+    let mut stored = PlanExecutor::new(&mut mem)
+        .ingest(&g, &plan, &BranchySource)
+        .expect("ingest");
+    let genuine = stored.source_hashes.clone();
+    let bogus = ObjectId(genuine[MID as usize].0 ^ 1, genuine[MID as usize].1);
+    stored.source_hashes[MID as usize] = bogus;
+    let is_mid_mismatch = |e: &ExecError| {
+        matches!(e, ExecError::HashMismatch { node, expected, actual }
+            if *node == MID && *expected == bogus && *actual == genuine[MID as usize])
+    };
+
+    // Strict: any request crossing `mid` fails the batch with its error.
+    let reader = Checkout::new(&mem);
+    for batch in [vec![4u32], vec![0, 6, 5], (0..BranchySource::N).collect()] {
+        let err = reader
+            .checkout(&g, &stored, &batch)
+            .expect_err("strict checkout crosses mid");
+        assert!(is_mid_mismatch(&err), "batch {batch:?}: {err}");
+    }
+    let clean = reader
+        .checkout(&g, &stored, &above_mid)
+        .expect("ancestors and the side branch do not cross mid");
+    assert_eq!(clean.stats.hydrated, 3);
+
+    // Lenient, with a cache that would admit anything verified.
+    let cache = CheckoutCache::new(1 << 20).with_admit_min_depth(0);
+    let all: Vec<u32> = (0..BranchySource::N).collect();
+    let out = Checkout::new(&mem)
+        .with_cache(&cache)
+        .serve(&g, &stored, &all)
+        .expect("lenient serve");
+    for v in above_mid {
+        let payload = out.results[v as usize].as_ref().expect("ancestor served");
+        assert_eq!(**payload, BranchySource.payload(v), "v{v}");
+    }
+    for v in below_mid {
+        let err = out.results[v as usize]
+            .as_ref()
+            .expect_err("at or below mid");
+        assert!(is_mid_mismatch(err), "v{v}: {err}");
+    }
+    assert_eq!(
+        out.stats.hydrated,
+        above_mid.len(),
+        "only verified nodes count"
+    );
+    assert_eq!(out.stats.delta_applies, above_mid.len() - 1);
+    assert_eq!(cache.len(), above_mid.len());
+    for v in below_mid {
+        assert!(
+            cache.get(genuine[v as usize]).is_none() && cache.get(bogus).is_none(),
+            "v{v} must not be cached"
+        );
+    }
+    for v in above_mid {
+        assert!(cache.get(genuine[v as usize]).is_some(), "v{v} cached");
+    }
 }
