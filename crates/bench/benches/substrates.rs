@@ -1,6 +1,6 @@
 //! Microbenches for the substrates every experiment leans on: minimum
-//! arborescences (fast vs naive), Dijkstra, Myers diff, the simplex solver,
-//! and tree decompositions.
+//! arborescences (fast vs naive), Dijkstra, Myers diff and tree
+//! decompositions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsv_core::baselines::extended_edges;
@@ -66,32 +66,6 @@ fn bench_myers(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_simplex(c: &mut Criterion) {
-    use dsv_solver::{solve_lp, ConstraintOp, LinearProgram};
-    let mut group = c.benchmark_group("substrate_simplex");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    for vars in [20usize, 60, 120] {
-        // A dense random-ish LP with box bounds and coupling rows.
-        let mut lp = LinearProgram::new(vars);
-        for j in 0..vars {
-            lp.set_objective(j, ((j * 37) % 13) as f64 - 6.0);
-            lp.set_upper(j, 10.0);
-        }
-        for i in 0..vars / 2 {
-            let terms: Vec<(usize, f64)> = (0..vars)
-                .map(|j| (j, (((i * 31 + j * 17) % 7) as f64) - 3.0))
-                .collect();
-            lp.add_constraint(terms, ConstraintOp::Le, 25.0);
-        }
-        group.bench_with_input(BenchmarkId::new("two-phase", vars), &lp, |b, lp| {
-            b.iter(|| black_box(solve_lp(lp)))
-        });
-    }
-    group.finish();
-}
-
 fn bench_treewidth(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_treewidth");
     group.sample_size(10);
@@ -109,7 +83,6 @@ criterion_group!(
     bench_arborescence,
     bench_dijkstra,
     bench_myers,
-    bench_simplex,
     bench_treewidth
 );
 criterion_main!(benches);

@@ -27,7 +27,8 @@ pub struct ExperimentOptions {
     pub seed: u64,
     /// Number of sweep points per figure.
     pub points: usize,
-    /// Node-count ceiling for ILP OPT curves (paper: only `datasharing`).
+    /// Node-count ceiling for the DP-BTW OPT curves of Figs. 10/11
+    /// (paper: only `datasharing`); 0 turns OPT off.
     pub opt_node_limit: usize,
 }
 
@@ -70,12 +71,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
     (
         "fig10",
         "Fig. 10: MSR on natural corpora (LMG / LMG-All / DP-MSR, OPT when small)",
-        |o, _| Bench::tables(fig10(o)),
+        |o, _| fig10(o),
     ),
     (
         "fig11",
         "Fig. 11: MSR on randomly-compressed natural corpora",
-        |o, _| Bench::tables(fig11(o)),
+        |o, _| fig11(o),
     ),
     (
         "fig12",
@@ -218,47 +219,94 @@ pub fn table4(opts: &ExperimentOptions) -> Report {
 
 /// Figure 10: MSR on natural graphs (LMG / LMG-All / DP-MSR, OPT on the
 /// smallest corpus).
-pub fn fig10(opts: &ExperimentOptions) -> Vec<Report> {
-    let mut reports = Vec::new();
-    for name in [
+pub fn fig10(opts: &ExperimentOptions) -> Bench {
+    let graphs = [
         CorpusName::Datasharing,
         CorpusName::Styleguide,
         CorpusName::Icu996,
         CorpusName::FreeCodeCamp,
-    ] {
-        let c = corpus(name, opts.scale_for(name), opts.seed);
-        let budgets = msr_budgets(&c.graph, opts.points);
-        let mut points = msr_sweep(&c.graph, &budgets);
-        if c.graph.n() <= opts.opt_node_limit {
-            points.extend(opt_sweep(&c.graph, &budgets, 8_000));
-        }
-        let mut r = sweep_report(&format!("fig10-msr-natural-{}", name.as_str()), &points);
-        r.note("Expected shape (paper Fig. 10): DP-MSR <= LMG-All <= LMG across the sweep; DP-MSR ~matches OPT on datasharing.");
-        reports.push(r);
-    }
-    reports
+    ]
+    .map(|name| (name, corpus(name, opts.scale_for(name), opts.seed).graph));
+    msr_figure(
+        "fig10",
+        "fig10-msr-natural",
+        graphs,
+        opts,
+        "Expected shape (paper Fig. 10): DP-MSR <= LMG-All <= LMG across the sweep; DP-MSR ~matches OPT on datasharing.",
+    )
 }
 
 /// Figure 11: MSR on randomly-compressed natural graphs.
-pub fn fig11(opts: &ExperimentOptions) -> Vec<Report> {
-    let mut reports = Vec::new();
-    for name in [
+pub fn fig11(opts: &ExperimentOptions) -> Bench {
+    let graphs = [
         CorpusName::Datasharing,
         CorpusName::Styleguide,
         CorpusName::Icu996,
-    ] {
+    ]
+    .map(|name| {
         let c = corpus(name, opts.scale_for(name), opts.seed);
-        let g = random_compression(&c.graph, opts.seed + 7);
+        (name, random_compression(&c.graph, opts.seed + 7))
+    });
+    msr_figure(
+        "fig11",
+        "fig11-msr-compressed",
+        graphs,
+        opts,
+        "Expected shape (paper Fig. 11): DP-MSR still ahead but the margin over LMG-All shrinks (the extracted tree loses information once storage and retrieval decouple).",
+    )
+}
+
+/// The body of Figs. 10 and 11: per corpus graph, the heuristic sweeps
+/// plus DP-BTW's proven OPT when the graph has at most
+/// [`ExperimentOptions::opt_node_limit`] nodes.
+///
+/// Gates: `<fig>.opt_le_heuristics` — wherever OPT exists it is no worse
+/// than LMG, LMG-All and DP-MSR at that budget; and
+/// `<fig>.opt_at_every_datasharing_budget` — when OPT was requested on
+/// datasharing (the paper's OPT corpus), every budget has it.
+fn msr_figure(
+    fig: &str,
+    table: &str,
+    graphs: impl IntoIterator<Item = (CorpusName, VersionGraph)>,
+    opts: &ExperimentOptions,
+    note: &str,
+) -> Bench {
+    let le_gate = format!("{fig}.opt_le_heuristics");
+    let every_gate = format!("{fig}.opt_at_every_datasharing_budget");
+    let mut bench = Bench::default();
+    bench.check(&le_gate, true);
+    bench.check(&every_gate, true);
+    for (name, g) in graphs {
         let budgets = msr_budgets(&g, opts.points);
         let mut points = msr_sweep(&g, &budgets);
-        if g.n() <= opts.opt_node_limit {
-            points.extend(opt_sweep(&g, &budgets, 8_000));
+        let want_opt = g.n() <= opts.opt_node_limit;
+        if want_opt {
+            points.extend(opt_sweep(&g, &budgets));
         }
-        let mut r = sweep_report(&format!("fig11-msr-compressed-{}", name.as_str()), &points);
-        r.note("Expected shape (paper Fig. 11): DP-MSR still ahead but the margin over LMG-All shrinks (the extracted tree loses information once storage and retrieval decouple).");
-        reports.push(r);
+        for &b in &budgets {
+            let at = |algorithm: &str| {
+                points
+                    .iter()
+                    .find(|p| p.algorithm == algorithm && p.budget == b)
+                    .and_then(|p| p.objective)
+            };
+            let opt = at("OPT");
+            if let Some(opt) = opt {
+                let beats = ["LMG", "LMG-All", "DP-MSR"]
+                    .into_iter()
+                    .filter_map(at)
+                    .all(|h| opt <= h);
+                bench.check(&le_gate, beats);
+            }
+            if want_opt && name == CorpusName::Datasharing {
+                bench.check(&every_gate, opt.is_some());
+            }
+        }
+        let mut r = sweep_report(&format!("{table}-{}", name.as_str()), &points);
+        r.note(note);
+        bench.tables.push(r);
     }
-    reports
+    bench
 }
 
 /// Figure 12: MSR on compressed Erdős–Rényi graphs (LeetCode).
@@ -2218,7 +2266,6 @@ mod tests {
             scale: 0.02,
             seed: 7,
             points: 3,
-            opt_node_limit: 0, // skip ILP in smoke tests
             ..Default::default()
         }
     }
@@ -2247,6 +2294,26 @@ mod tests {
             .collect();
         assert!(ratios.windows(2).all(|w| w[1] > w[0]));
         assert!(*ratios.last().expect("non-empty") > 100.0);
+    }
+
+    /// Fig. 10 at smoke scale with OPT on: datasharing gets a proven OPT
+    /// point at every budget and both OPT gates pass.
+    #[test]
+    fn fig10_smoke_with_opt() {
+        let opts = tiny_opts();
+        assert!(opts.opt_node_limit > 0, "OPT stays on");
+        let bench = fig10(&opts);
+        let failed: Vec<_> = bench.failed().collect();
+        assert!(failed.is_empty(), "failed gates {failed:?}");
+        assert_eq!(bench.gates.len(), 2);
+        let datasharing = &bench.tables[0];
+        assert!(datasharing.name.ends_with("datasharing"));
+        let opt_rows = datasharing
+            .rows
+            .iter()
+            .filter(|row| matches!(&row[0], Value::Str(a) if a == "OPT"))
+            .count();
+        assert_eq!(opt_rows, opts.points);
     }
 
     #[test]

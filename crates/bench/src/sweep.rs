@@ -2,13 +2,16 @@
 //! recording objective values and wall-clock times — the data behind every
 //! performance/runtime figure pair in Section 7.
 //!
-//! Every solve dispatches through the [`Engine`] — including the DP-MSR
-//! budget sweep, which goes through the batched [`Engine::solve_sweep`]
-//! entry point: one DP run covers the whole sweep (which is how the paper
-//! reports DP-MSR's runtime), with every per-budget plan validated and
-//! budget-checked like any other engine output.
+//! Every heuristic solve dispatches through the [`Engine`] — including the
+//! DP-MSR budget sweep, which goes through the batched
+//! [`Engine::solve_sweep`] entry point: one DP run covers the whole sweep
+//! (which is how the paper reports DP-MSR's runtime), with every
+//! per-budget plan validated and budget-checked like any other engine
+//! output. OPT likewise comes from one DP-BTW run per graph
+//! ([`opt_sweep`]), read at every budget of its exact frontier.
 
 use dsv_core::baselines::min_storage_value;
+use dsv_core::btw::{btw_msr, BtwConfig};
 use dsv_core::engine::{Engine, SolveOptions};
 use dsv_core::problem::ProblemKind;
 use dsv_vgraph::{Cost, VersionGraph};
@@ -135,49 +138,33 @@ pub fn bmr_sweep(g: &VersionGraph, budgets: &[Cost]) -> Vec<SweepPoint> {
     out
 }
 
-/// Add ILP OPT points (only call on small graphs, as in the paper).
+/// OPT points: DP-BTW's proven optimum at every budget (call on small,
+/// low-width graphs, as the paper does for `datasharing`).
 ///
-/// The engine's ILP solver primes branch & bound with an LMG-All
-/// incumbent; points where B&B hits its node limit without improving the
-/// incumbent fall back to the best heuristic value (still a valid upper
-/// bound witness, flagged by the caller's notes).
-pub fn opt_sweep(g: &VersionGraph, budgets: &[Cost], max_nodes: usize) -> Vec<SweepPoint> {
-    let engine = Engine::with_default_solvers();
-    let opts = SolveOptions {
-        ilp_max_nodes: max_nodes,
-        // This harness exists to attempt OPT; its callers already gate by
-        // node count, so lift the engine's defensive variable ceiling
-        // rather than silently degrading points to heuristic values.
-        ilp_max_vars: usize::MAX,
+/// One DP run, pruned at the largest budget (lossless for every smaller
+/// one), yields the exact frontier the whole sweep reads from; its wall
+/// time is reported at every point, as for DP-MSR. When the DP exceeds
+/// its state limit there are no points at all: an OPT point is always a
+/// proven optimum, never a heuristic stand-in.
+pub fn opt_sweep(g: &VersionGraph, budgets: &[Cost]) -> Vec<SweepPoint> {
+    let cfg = BtwConfig {
+        storage_prune: budgets.iter().max().copied(),
         ..Default::default()
     };
-    let mut out = Vec::new();
-    for &b in budgets {
-        let problem = ProblemKind::Msr { storage_budget: b };
-        let t0 = Instant::now();
-        let obj = engine
-            .solve_with("ILP", g, problem, &opts)
-            .ok()
-            .map(|s| s.costs.total_retrieval);
-        // Only the ILP solve (which internally computes its heuristic
-        // incumbents) is timed; the node-limit fallback below re-derives
-        // the heuristic value outside the clock.
-        let time_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let fallback = || {
-            ["LMG-All", "DP-MSR"]
-                .into_iter()
-                .filter_map(|n| engine.solve_with(n, g, problem, &opts).ok())
-                .map(|s| s.costs.total_retrieval)
-                .min()
-        };
-        out.push(SweepPoint {
+    let t0 = Instant::now();
+    let Some(dp) = btw_msr(g, &cfg) else {
+        return Vec::new();
+    };
+    let time_ms = t0.elapsed().as_secs_f64() * 1e3;
+    budgets
+        .iter()
+        .map(|&b| SweepPoint {
             algorithm: "OPT",
             budget: b,
-            objective: obj.or_else(fallback),
+            objective: dp.best_under(b),
             time_ms,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// One measured point of a [`portfolio_sweep`].
@@ -261,6 +248,18 @@ mod tests {
                     .expect("feasible")
             };
             assert!(get("DP-MSR") <= get("LMG"));
+        }
+    }
+
+    #[test]
+    fn opt_sweep_is_the_brute_force_optimum_at_every_budget() {
+        let g = bidirectional_path(6, &CostModel::default(), 4);
+        let budgets = msr_budgets(&g, 4);
+        let points = opt_sweep(&g, &budgets);
+        assert_eq!(points.len(), budgets.len());
+        for (p, &b) in points.iter().zip(&budgets) {
+            assert_eq!((p.algorithm, p.budget), ("OPT", b));
+            assert_eq!(p.objective, dsv_core::exact::brute::msr_optimum(&g, b));
         }
     }
 

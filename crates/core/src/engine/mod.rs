@@ -39,10 +39,9 @@
 //! parallel paths return byte-identical plans to sequential execution
 //! ([`SolveOptions::parallel`]` = false`).
 //!
-//! Within one call, heuristic results that several solvers want (LMG-All
-//! plans, DP-MSR frontier plans — used standalone and as the ILP's
-//! incumbent) are computed once and shared through a [`SharedWork`] memo
-//! keyed by graph fingerprint and budget.
+//! Heuristic results (LMG-All plans, DP-MSR frontier plans) are memoized
+//! in a [`SharedWork`] keyed by graph fingerprint and budget, so callers
+//! that reuse one [`SolveOptions`] on the same graph compute each once.
 //!
 //! The legacy free functions ([`crate::heuristics::lmg`],
 //! [`crate::tree::dp_msr_on_graph`], …) remain available and are what the
@@ -89,27 +88,20 @@ pub struct SolveOptions {
     pub root: NodeId,
     /// Wall-clock limit, enforced cooperatively: solvers are not *started*
     /// past the deadline (recorded as skipped in portfolios), and running
-    /// DPs/branch & bound poll a deadline token mid-run and abort early.
+    /// DPs and searches poll a deadline token mid-run and abort early.
     pub time_limit: Option<Duration>,
     /// Configuration for the DP-MSR tree engine.
     pub dp_msr: DpMsrConfig,
     /// Configuration for the bounded-width DP.
     pub btw: crate::btw::BtwConfig,
-    /// Node limit for ILP branch & bound.
-    pub ilp_max_nodes: usize,
-    /// Variable-count ceiling for the ILP (the dense simplex tableau is
-    /// `O(vars²)` per pivot); larger instances get a
-    /// [`SolveError::ResourceLimit`] instead of an unbounded solve. The
-    /// paper only computes OPT on its smallest corpus (~200 variables).
-    pub ilp_max_vars: usize,
     /// External cooperative cancellation. The engine derives per-call (and
     /// per-solver, when racing) child tokens from this, so firing it
     /// preempts everything downstream; solvers invoked directly poll it
     /// too. Inert by default.
     pub cancel: CancelToken,
-    /// Per-call memo of heuristic results shared between solvers (LMG-All
-    /// plans, DP-MSR frontier plans). The engine validates it against the
-    /// graph's fingerprint and swaps in a fresh memo on mismatch, so a
+    /// Memo of heuristic results (LMG-All plans, DP-MSR frontier plans),
+    /// keyed by budget. The engine validates it against the graph's
+    /// fingerprint and swaps in a fresh memo on mismatch, so a
     /// default value is always safe — and reusing one `SolveOptions`
     /// across calls on the *same* graph carries the warm cache forward.
     pub shared: SharedWork,
@@ -126,8 +118,6 @@ impl Default for SolveOptions {
             time_limit: None,
             dp_msr: DpMsrConfig::default(),
             btw: crate::btw::BtwConfig::default(),
-            ilp_max_nodes: 100_000,
-            ilp_max_vars: 4_096,
             cancel: CancelToken::inert(),
             shared: SharedWork::default(),
             parallel: true,
@@ -251,12 +241,12 @@ pub struct SolverMeta {
     /// Name of the producing solver.
     pub solver: &'static str,
     /// Solver-specific work counter: greedy moves, DP peak states,
-    /// branch-and-bound nodes, enumerated plans.
+    /// enumerated plans.
     pub iterations: usize,
     /// Wall-clock time of the solve call.
     pub wall_time: Duration,
     /// Whether the solver proved its objective optimal (exact DPs on their
-    /// native graph class, closed ILPs, brute force).
+    /// native graph class, brute force).
     pub proven_optimal: bool,
     /// The objective value as tracked by the solver's own bookkeeping
     /// (e.g. the greedy [`PlanView`](crate::heuristics)'s running total
@@ -264,8 +254,8 @@ pub struct SolverMeta {
     /// [`Solution::costs`] by the parity tests.
     pub reported_objective: Option<Cost>,
     /// A certified lower bound on the optimum objective, when the solver
-    /// produces one (exact DPs on their native class, proven ILPs, brute
-    /// force). For solvers with `proven_optimal` this equals
+    /// produces one (exact DPs on their native class, brute force). For
+    /// solvers with `proven_optimal` this equals
     /// [`SolverMeta::reported_objective`]; it stays a *bound* — callers
     /// use it to compute optimality gaps for heuristic plans.
     pub lower_bound: Option<Cost>,
@@ -469,7 +459,7 @@ impl Engine {
     /// The standard registry, in preference order: the sharded hierarchical
     /// path first (it refuses everything below its scale threshold, so
     /// small-graph dispatch is unchanged), then scalable DPs, greedies as
-    /// fallback, and exact solvers (bounded-width DP, ILP, brute force)
+    /// fallback, and exact solvers (bounded-width DP, brute force)
     /// last — they refuse instances beyond their resource limits.
     pub fn with_default_solvers() -> Self {
         let mut e = Engine::new();
@@ -480,7 +470,6 @@ impl Engine {
             .register(Box::new(solvers::LmgSolver))
             .register(Box::new(solvers::ModifiedPrimsSolver))
             .register(Box::new(solvers::BtwSolver))
-            .register(Box::new(solvers::IlpSolver))
             .register(Box::new(solvers::BruteForceSolver));
         e
     }
@@ -1165,28 +1154,6 @@ mod tests {
             // exact re-evaluation.
             assert_eq!(sol.meta.reported_objective, Some(sol.costs.total_retrieval));
         }
-    }
-
-    #[test]
-    fn ilp_refuses_oversized_instances_up_front() {
-        let g = graph();
-        let engine = Engine::with_default_solvers();
-        let smin = min_storage_value(&g);
-        let opts = SolveOptions {
-            ilp_max_vars: 4, // far below 2 * (m + n)
-            ..Default::default()
-        };
-        let err = engine
-            .solve_with(
-                "ILP",
-                &g,
-                ProblemKind::Msr {
-                    storage_budget: smin * 2,
-                },
-                &opts,
-            )
-            .expect_err("instance exceeds the variable limit");
-        assert!(matches!(err, SolveError::ResourceLimit { .. }), "{err}");
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Per-call shared-work memo for portfolio runs.
+//! Shared-work memo of heuristic results.
 //!
-//! An MSR portfolio used to compute LMG-All and DP-MSR twice each:
-//! standalone and as the ILP's incumbent (historically a third time, as
-//! DP-BTW's witness plan — gone now that the bounded-width DP reconstructs
-//! its own optimal plan). [`SharedWork`] memoizes those heuristic results
-//! per `(graph fingerprint, budget)` so each is computed **once per engine
-//! call** and
-//! reused by every solver that wants it — including solvers racing on
-//! different threads: the first requester computes, concurrent requesters
-//! block on the cell until the value is ready.
+//! [`SharedWork`] memoizes LMG-All and DP-MSR results per
+//! `(graph fingerprint, budget)`. Its reason to exist is reuse *across*
+//! calls: the versioning service keeps one memo per graph fingerprint in
+//! an LRU, so a repeated `Solve` on a known graph, the service's
+//! LMG-All heuristic tier and its cached tier all answer from plans that
+//! were already computed. Concurrent requests on different threads may
+//! ask for the same cell: the first requester computes, the others block
+//! on the cell until the value is ready.
 //!
 //! Correctness rules:
 //!

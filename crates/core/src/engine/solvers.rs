@@ -10,13 +10,10 @@
 //! | [`LmgSolver`] | ✓ | | | | Algorithm 1 (prior work) |
 //! | [`ModifiedPrimsSolver`] | | | | ✓ | Section-7 BMR baseline |
 //! | [`BtwSolver`] | ✓ | | | | constructive exact on bounded-width graphs (provenance-arena DP) |
-//! | [`IlpSolver`] | ✓ | | | | Appendix-D ILP on branch & bound |
 //! | [`BruteForceSolver`] | ✓ | ✓ | ✓ | ✓ | tiny instances only |
 
 use super::{Solution, SolveError, SolveOptions, Solver, SolverMeta};
-use crate::baselines::min_storage_value;
 use crate::exact::brute::{brute_force_cancellable, enumeration_space, ENUMERATION_LIMIT};
-use crate::exact::msr_opt_cancellable;
 use crate::heuristics::lmg::lmg_with_stats;
 use crate::heuristics::mp::modified_prims;
 use crate::problem::ProblemKind;
@@ -57,8 +54,8 @@ impl Solver for LmgSolver {
 }
 
 /// LMG-All (Algorithm 7) for MSR. The plan is produced through the
-/// per-call [`SharedWork`](super::SharedWork) memo, so a portfolio that
-/// also wants it as the ILP's incumbent computes it exactly once.
+/// [`SharedWork`](super::SharedWork) memo, so repeated calls on one graph
+/// and budget compute it once.
 pub struct LmgAllSolver;
 
 impl Solver for LmgAllSolver {
@@ -278,91 +275,6 @@ impl Solver for BtwSolver {
         meta.lower_bound = Some(retrieval);
         meta.proven_optimal = true;
         Solution::checked(g, problem, plan, meta, started)
-    }
-}
-
-/// The Appendix-D ILP on the from-scratch branch & bound, primed with an
-/// LMG-All incumbent.
-pub struct IlpSolver;
-
-impl Solver for IlpSolver {
-    fn name(&self) -> &'static str {
-        "ILP"
-    }
-
-    fn supports(&self, problem: ProblemKind) -> bool {
-        matches!(problem, ProblemKind::Msr { .. })
-    }
-
-    fn solve(
-        &self,
-        g: &VersionGraph,
-        problem: ProblemKind,
-        opts: &SolveOptions,
-    ) -> Result<Solution, SolveError> {
-        let started = Instant::now();
-        let ProblemKind::Msr { storage_budget } = problem else {
-            return Err(unsupported(self.name(), problem));
-        };
-        // The dense simplex tableau costs O(vars²) per pivot: refuse
-        // instances beyond the configured size up front (the paper only
-        // computes OPT on its smallest corpus) so portfolios stay bounded.
-        let vars = 2 * (g.m() + g.n());
-        if vars > opts.ilp_max_vars {
-            return Err(SolveError::ResourceLimit {
-                solver: self.name(),
-                detail: format!(
-                    "{vars} ILP variables exceed the {}-variable limit",
-                    opts.ilp_max_vars
-                ),
-            });
-        }
-        if min_storage_value(g) > storage_budget {
-            return Err(below_min_storage(self.name()));
-        }
-        // Prime branch & bound with the best cheap upper bound available:
-        // LMG-All and the DP-MSR frontier plan (the DP is usually tighter
-        // on tree-like graphs, which prunes far more of the search). Both
-        // come from the per-call memo, shared with the rest of the call,
-        // and both report the final retrieval their own run tracked — no
-        // re-costing pass.
-        let incumbent = [
-            opts.shared
-                .lmg_all(g, storage_budget, &opts.cancel)
-                .ok_or_else(|| cancelled(self.name(), opts))?
-                .map(|(_, stats)| stats.total_retrieval),
-            opts.shared
-                .dp_msr(g, opts.root, storage_budget, &opts.dp_msr, &opts.cancel)
-                .ok_or_else(|| cancelled(self.name(), opts))?
-                .map(|(_, c)| c.total_retrieval),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        let outcome = msr_opt_cancellable(
-            g,
-            storage_budget,
-            opts.ilp_max_nodes,
-            incumbent,
-            &opts.cancel,
-        )
-        .ok_or_else(|| {
-            cancelled_or(self.name(), opts, || SolveError::ResourceLimit {
-                solver: self.name(),
-                detail: format!(
-                    "branch & bound hit the {}-node limit without an improving solution",
-                    opts.ilp_max_nodes
-                ),
-            })
-        })?;
-        let mut meta = SolverMeta::new(self.name());
-        meta.iterations = outcome.nodes;
-        meta.proven_optimal = outcome.proven_optimal;
-        meta.reported_objective = Some(outcome.total_retrieval);
-        if outcome.proven_optimal {
-            meta.lower_bound = Some(outcome.total_retrieval);
-        }
-        Solution::checked(g, problem, outcome.plan, meta, started)
     }
 }
 

@@ -1,8 +1,7 @@
-//! Exact solvers: exhaustive enumeration for tiny instances (ground truth
-//! in tests) and the Appendix-D integer linear program (the paper's OPT).
+//! Exact solver: exhaustive enumeration for tiny instances, the ground
+//! truth in tests. Proven optima beyond that size come from the
+//! bounded-width DP ([`crate::btw`]).
 
 pub mod brute;
-pub mod ilp;
 
 pub use brute::{brute_force, brute_force_cancellable, BruteForceResult};
-pub use ilp::{msr_ilp, msr_opt, msr_opt_cancellable, MsrIlpOutcome};

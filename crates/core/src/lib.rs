@@ -19,9 +19,9 @@
 //! | [`tree::fptas`] | MSR FPTAS on bidirectional trees | Section 5.1 |
 //! | [`tree::dp_msr`] | scalable DP-MSR heuristic | Section 6.2 |
 //! | [`tree::extract`] | arborescence → bidirectional-tree extraction | Section 6.2 |
-//! | [`btw`] | DP over nice tree decompositions | Section 5.3 |
+//! | [`btw`] | exact MSR DP over nice path decompositions (proven optima) | Section 5.3 |
 //! | [`reductions`] | MSR↔BSR and MMR↔BMR binary searches | Lemma 7 |
-//! | [`exact`] | brute force + Appendix-D ILP | Appendix D |
+//! | [`exact`] | brute-force enumeration (test ground truth) | — |
 //!
 //! All of the above are unified behind the [`engine`]: a [`engine::Solver`]
 //! trait, an [`engine::Engine`] registry dispatching [`problem::ProblemKind`]

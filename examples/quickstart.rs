@@ -83,8 +83,8 @@ fn main() {
     }
 
     // The portfolio mode runs every applicable solver — including the
-    // Appendix-D ILP on this tiny graph — and returns the best feasible
-    // plan for each of the paper's four problems.
+    // exact DP-BTW and brute force on this tiny graph — and returns the
+    // best feasible plan for each of the paper's four problems.
     println!("\nengine portfolio across all four problems:");
     let rmax = g.max_edge_retrieval();
     for problem in [

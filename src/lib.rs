@@ -15,7 +15,7 @@
 //! All four problems are served by one entry point: the solver
 //! [`core::engine::Engine`]. It dispatches a
 //! [`ProblemKind`](core::problem::ProblemKind) to registered solvers (LMG,
-//! LMG-All, Modified Prim's, DP-MSR, DP-BMR, DP-BTW, ILP, brute force),
+//! LMG-All, Modified Prim's, DP-MSR, DP-BMR, DP-BTW, brute force),
 //! validates and budget-checks every plan before returning it, and offers a
 //! portfolio mode that runs every applicable solver and keeps the best
 //! feasible answer. Racing/portfolio dispatch fans out across a
@@ -23,7 +23,9 @@
 //! [`CancelToken`](core::cancel::CancelToken), deterministic: byte-identical
 //! results to sequential execution), and the batched
 //! [`solve_sweep`](core::engine::Engine::solve_sweep) answers a whole MSR
-//! budget sweep from a single DP run.
+//! budget sweep from a single DP run. Proven MSR optima come from DP-BTW,
+//! the paper's Section 5.3 dynamic program, on low-width graphs (brute
+//! force covers tiny ones).
 //!
 //! ## Planning vs execution
 //!
@@ -146,8 +148,7 @@
 //! | [`dsv_vgraph`] | graph container + arborescences, Dijkstra, MST, generators |
 //! | [`dsv_delta`] | Myers diff, chunk sketches, synthetic corpora (Table 4), and the content-addressed [`store`](delta::store) (Mem/Pack backends, codecs, GC) |
 //! | [`dsv_treewidth`] | tree decompositions, nice decompositions |
-//! | [`dsv_core`] | the [`Engine`](core::engine::Engine) + the algorithms under it: LMG, LMG-All, MP, DP-BMR, DP-MSR, FPTAS, DP-BTW, reductions, ILP — and the [`executor`](core::executor) that materializes plans against a store |
-//! | [`dsv_solver`] | simplex + branch & bound (the Gurobi stand-in) |
+//! | [`dsv_core`] | the [`Engine`](core::engine::Engine) + the algorithms under it: LMG, LMG-All, MP, DP-BMR, DP-MSR, FPTAS, DP-BTW (the exact MSR solver), reductions, brute force — and the [`executor`](core::executor) that materializes plans against a store |
 //!
 //! The free algorithm functions ([`prelude::lmg_all`],
 //! [`prelude::dp_msr_on_graph`], …) remain exported for direct use and for
@@ -159,7 +160,6 @@
 
 pub use dsv_core as core;
 pub use dsv_delta as delta;
-pub use dsv_solver as solver;
 pub use dsv_treewidth as treewidth;
 pub use dsv_vgraph as vgraph;
 
@@ -179,7 +179,7 @@ pub mod prelude {
         PortfolioAttempt, ShardConfig, ShardStats, ShardedSolver, SharedWork, Solution, SolveError,
         SolveOptions, Solver, SolverMeta, SHARD_REGRET_BOUND,
     };
-    pub use dsv_core::exact::{brute_force, msr_opt};
+    pub use dsv_core::exact::brute_force;
     pub use dsv_core::executor::{
         ExecError, ExecutionReport, MigrationStats, PlanExecutor, StoredPlan,
     };

@@ -182,29 +182,6 @@ fn parity_exact_solvers() {
     assert_eq!(sol.costs, direct.costs);
     assert!(sol.meta.proven_optimal);
 
-    // ILP: same incumbent priming as the engine's solver uses (best of
-    // LMG-All and the DP-MSR frontier plan).
-    let incumbent = [
-        lmg_all(&g, budget).map(|p| p.costs(&g).total_retrieval),
-        dp_msr_on_graph(&g, NodeId(0), budget, &DpMsrConfig::default())
-            .map(|(_, c)| c.total_retrieval),
-    ]
-    .into_iter()
-    .flatten()
-    .min();
-    let direct = msr_opt(&g, budget, opts.ilp_max_nodes, incumbent).expect("feasible");
-    let sol = engine
-        .solve_with("ILP", &g, problem, &opts)
-        .expect("feasible");
-    assert_eq!(sol.plan, direct.plan, "ILP plan differs");
-    assert_eq!(sol.costs.total_retrieval, direct.total_retrieval);
-    assert_eq!(sol.meta.proven_optimal, direct.proven_optimal);
-    // Both exact solvers agree with each other.
-    assert_eq!(
-        sol.costs.total_retrieval,
-        brute_force(&g, problem).unwrap().costs.total_retrieval
-    );
-
     // DP-BTW: constructive exact — the reconstructed plan realizes the
     // direct frontier value, byte-identically to the free function.
     let direct_value = btw_msr_value(&g, budget).expect("feasible");
@@ -244,10 +221,7 @@ fn property_every_solution_validates_and_respects_its_budget() {
         };
         let smin = min_storage_value(&g);
         let rmax = g.max_edge_retrieval();
-        let opts = SolveOptions {
-            ilp_max_nodes: 2_000,
-            ..Default::default()
-        };
+        let opts = SolveOptions::default();
         let problems = [
             ProblemKind::Msr {
                 storage_budget: smin + (seed % 4) * smin / 2,

@@ -32,7 +32,6 @@ fn graphs() -> Vec<(String, VersionGraph)> {
 fn opts(parallel: bool) -> SolveOptions {
     SolveOptions {
         parallel,
-        ilp_max_nodes: 2_000,
         ..Default::default()
     }
 }

@@ -28,8 +28,11 @@ fn datasharing_corpus_end_to_end() {
     let g = &c.graph;
     assert_eq!(g.n(), 29);
     let smin = min_storage_value(g);
+    let engine = Engine::with_default_solvers();
+    let opts = SolveOptions::default();
 
-    // Sweep like Figure 10.
+    // Sweep like Figure 10, against DP-BTW's proven optimum at every
+    // budget: DP-MSR must track OPT closely (paper: near-identical).
     for factor in [105u64, 150, 200, 250] {
         let budget = smin * factor / 100;
         all_msr_algorithms_agree_on_feasibility(g, budget);
@@ -37,47 +40,27 @@ fn datasharing_corpus_end_to_end() {
             dp_msr_on_graph(g, NodeId(0), budget, &DpMsrConfig::default()).expect("feasible");
         plan.validate(g).expect("valid");
         assert!(costs.storage <= budget);
-    }
+        let dp = costs.total_retrieval;
 
-    // OPT via ILP at one budget; DP must be close (paper: near-identical).
-    let budget = smin * 2;
-    let dp = dp_msr_on_graph(g, NodeId(0), budget, &DpMsrConfig::default())
-        .expect("feasible")
-        .1
-        .total_retrieval;
-    let incumbent = lmg_all(g, budget)
-        .expect("feasible")
-        .costs(g)
-        .total_retrieval
-        .min(dp);
-    // Debug builds get a smaller node budget: the assertion below accepts a
-    // NodeLimit outcome, so this only trades proof strength for time.
-    let node_cap = if cfg!(debug_assertions) {
-        4_000
-    } else {
-        150_000
-    };
-    match msr_opt(g, budget, node_cap, Some(incumbent)) {
-        Some(opt) if opt.proven_optimal => {
-            assert!(opt.total_retrieval <= dp);
-            assert!(
-                dp as f64 <= opt.total_retrieval as f64 * 1.3 + 1.0,
-                "DP-MSR ({dp}) should track OPT ({}) on datasharing",
-                opt.total_retrieval
-            );
-        }
-        Some(opt) => {
-            // Node limit hit but an improving solution was found.
-            assert!(opt.total_retrieval <= incumbent);
-        }
-        None => {
-            // Node limit hit without beating the heuristic incumbent —
-            // acceptable under debug node budgets; the release run proves
-            // optimality.
-            if !cfg!(debug_assertions) {
-                panic!("release ILP must close");
-            }
-        }
+        let problem = ProblemKind::Msr {
+            storage_budget: budget,
+        };
+        let opt = engine
+            .solve_with("DP-BTW", g, problem, &opts)
+            .expect("datasharing has small width");
+        assert!(opt.meta.proven_optimal);
+        let opt = opt.costs.total_retrieval;
+        let lmg_all = engine
+            .solve_with("LMG-All", g, problem, &opts)
+            .expect("feasible")
+            .costs
+            .total_retrieval;
+        assert!(opt <= lmg_all, "OPT {opt} > LMG-All {lmg_all} at {factor}%");
+        assert!(opt <= dp, "OPT {opt} > DP-MSR {dp} at {factor}%");
+        assert!(
+            dp as f64 <= opt as f64 * 1.3,
+            "DP-MSR ({dp}) should track OPT ({opt}) at {factor}% of smin"
+        );
     }
 }
 
