@@ -1,9 +1,11 @@
 //! Microbenches for the substrates every experiment leans on: minimum
-//! arborescences (fast vs naive), Dijkstra, Myers diff and tree
-//! decompositions.
+//! arborescences (fast vs naive), Dijkstra, Myers diff, tree
+//! decompositions and the object hash behind every store read.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsv_core::baselines::extended_edges;
+use dsv_delta::store::codec::{encode_payload, hash_payload};
+use dsv_delta::store::{hash_object, ObjectKind, VersionSource};
 use dsv_vgraph::arborescence::{min_arborescence, naive_min_arborescence};
 use dsv_vgraph::dijkstra::{dijkstra, EdgeWeight};
 use dsv_vgraph::generators::{erdos_renyi_bidirectional, random_tree, CostModel};
@@ -78,11 +80,41 @@ fn bench_treewidth(c: &mut Criterion) {
     group.finish();
 }
 
+/// The object hash on the read path's two shapes: one-shot over a
+/// resident ~1.5 MB object (`PackStore::get_ref`'s verify) and streamed
+/// over a decoded text payload, a length prefix and one line per
+/// `update` (checkout's `hash_payload`).
+fn bench_object_hash(c: &mut Criterion) {
+    let mut group = c.benchmark_group("substrate_object_hash");
+    group.sample_size(20);
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    let content = dsv_delta::corpus::corpus_with_content(
+        dsv_delta::corpus::CorpusName::Styleguide,
+        0.1,
+        3,
+        true,
+    )
+    .content
+    .expect("corpus keeps its content");
+    let payload = content.payload(0);
+    let bytes = encode_payload(&payload);
+    let mb = format!("{:.1}MB", bytes.len() as f64 / 1e6);
+    group.bench_with_input(BenchmarkId::new("one-shot", &mb), &bytes, |b, bytes| {
+        b.iter(|| black_box(hash_object(ObjectKind::Chunk, bytes)))
+    });
+    group.bench_with_input(BenchmarkId::new("text-payload", &mb), &payload, |b, p| {
+        b.iter(|| black_box(hash_payload(p)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_arborescence,
     bench_dijkstra,
     bench_myers,
-    bench_treewidth
+    bench_treewidth,
+    bench_object_hash
 );
 criterion_main!(benches);

@@ -1228,7 +1228,10 @@ const FAULT_RATES: [f64; 3] = [0.0, 0.001, 0.01];
 /// The self-healing benchmark: the checkout streams served through a
 /// [`FaultStore`](dsv_delta::FaultStore) that injects deterministic
 /// transient I/O errors, permanent read errors, and bit flips at 0%,
-/// 0.1%, and 1% per object, on both backends.
+/// 0.1%, and 1% per object, on both backends. At the top rate the first
+/// requested version's own object is also corrupted outright: with a few
+/// dozen objects a 1% draw often hits none, and the repair path must run
+/// in every top-rate cell whatever the object ids are.
 ///
 /// Each batch is served with the corpus content attached as the
 /// redundant copy ([`serve_healing`](dsv_core::executor::PlanExecutor::serve_healing)):
@@ -1283,6 +1286,7 @@ pub fn faults_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
             .unwrap_or_else(|e| panic!("LMG-All on {slug}: {e}"));
 
         for &rate in &FAULT_RATES {
+            let pin_fault = rate >= FAULT_RATES[FAULT_RATES.len() - 1];
             let faults = FaultPlan::seeded(opts.seed ^ (rate * 1e4) as u64)
                 .with_transient_get(rate)
                 .with_permanent_get(rate)
@@ -1298,6 +1302,7 @@ pub fn faults_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
                         &expected,
                         &stream,
                         &faults,
+                        pin_fault,
                     ),
                 ),
                 (
@@ -1309,6 +1314,7 @@ pub fn faults_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
                         &expected,
                         &stream,
                         &faults,
+                        pin_fault,
                     ),
                 ),
             ];
@@ -1330,7 +1336,7 @@ pub fn faults_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
                     bench.check("faults.zero_rate_detects_nothing", repair.detected == 0);
                     bench.check("faults.zero_rate_retries_nothing", repair.retries == 0);
                 }
-                if rate >= FAULT_RATES[FAULT_RATES.len() - 1] {
+                if pin_fault {
                     detected_at_max_rate += repair.detected;
                 }
                 r.push_row(row![
@@ -1372,7 +1378,8 @@ pub fn faults_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
 /// One fault-injection cell on one backend: ingest the plan into `inner`
 /// behind a [`FaultStore`](dsv_delta::FaultStore), arm `faults`, serve
 /// `stream` in batches through `serve_healing` (byte-comparing every
-/// served payload), then disarm and run a clean verification pass.
+/// served payload), then disarm and run a clean verification pass. With
+/// `pin_fault`, the object stored for `stream[0]` is corrupted as well.
 /// Returns the repair counters, repairs applied, wrong payloads, payloads
 /// served, serve wall seconds, and whether the clean pass agreed.
 fn serve_faulted<S: dsv_delta::Store + Sync>(
@@ -1382,6 +1389,7 @@ fn serve_faulted<S: dsv_delta::Store + Sync>(
     expected: &[dsv_delta::store::codec::Payload],
     stream: &[u32],
     faults: &dsv_delta::FaultPlan,
+    pin_fault: bool,
 ) -> (dsv_core::RepairStats, usize, u64, u64, f64, bool) {
     use dsv_core::executor::PlanExecutor;
     use dsv_delta::{FaultPlan, FaultStore};
@@ -1392,6 +1400,9 @@ fn serve_faulted<S: dsv_delta::Store + Sync>(
         .unwrap_or_else(|e| panic!("ingest {slug}: {e}"));
     store.inner_mut().flush().expect("flush store");
     store.set_plan(faults.clone());
+    if pin_fault {
+        assert!(store.corrupt_object(stored.objects[stream[0] as usize]));
+    }
 
     let mut repair = dsv_core::RepairStats::default();
     let mut applied = 0usize;

@@ -24,6 +24,7 @@ use crate::cancel::CancelToken;
 use crate::heuristics::lmg_all::{lmg_all_with_stats, LmgAllStats};
 use crate::plan::{PlanCosts, StoragePlan};
 use crate::tree::{dp_msr_on_graph, DpMsrConfig};
+use dsv_delta::store::{hash_object, ObjectKind};
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -44,20 +45,16 @@ enum WorkKey {
     },
 }
 
-/// FNV-1a over the deterministic `Debug` rendering of the DP-MSR tunables
-/// (cancellation tokens excluded — they never affect a completed result).
+/// The store's object hash over the deterministic `Debug` rendering of the
+/// DP-MSR tunables (cancellation tokens excluded — they never affect a
+/// completed result).
 fn dp_msr_config_fp(cfg: &DpMsrConfig) -> u64 {
     let engine = cfg.engine.clone().map(|mut e| {
         e.cancel = CancelToken::inert();
         e
     });
     let rendered = format!("{:?}|{:?}", cfg.storage_prune, engine);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in rendered.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    hash_object(ObjectKind::Chunk, rendered.as_bytes()).0
 }
 
 /// A completed memo value. The inner `Option` is the algorithm's own

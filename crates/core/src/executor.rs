@@ -278,34 +278,22 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
                 stats.reused += 1;
                 continue;
             }
-            // An added node's payload is encoded once: hashed here, and
-            // reused below when the new plan materializes it.
-            let mut payload = None;
             if v < old_n {
                 stats.changed += 1;
                 source_hashes.push(old.source_hashes[v]);
             } else {
                 stats.added += 1;
-                let bytes = source.payload_bytes(v as u32);
-                source_hashes.push(hash_object(ObjectKind::Chunk, &bytes));
-                payload = Some(bytes);
             }
             let (kind, bytes) = match new_plan.parent[v] {
-                Parent::Materialized => (
-                    ObjectKind::Chunk,
-                    payload.unwrap_or_else(|| source.payload_bytes(v as u32)),
-                ),
+                Parent::Materialized => (ObjectKind::Chunk, source.payload_bytes(v as u32)),
                 Parent::Delta(e) => {
                     let edge = g.edge(e);
                     (ObjectKind::Delta, source.delta(edge.src.0, edge.dst.0))
                 }
             };
             stats.bytes_moved += bytes.len() as u64;
-            match self.store.put(kind, &bytes) {
-                Ok(id) => {
-                    fresh.push(id);
-                    objects.push(id);
-                }
+            let id = match self.store.put(kind, &bytes) {
+                Ok(id) => id,
                 Err(e) => {
                     // Roll back the references this call already took, or
                     // they could never be released and GC could never
@@ -316,6 +304,20 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
                     }
                     return Err(e.into());
                 }
+            };
+            fresh.push(id);
+            objects.push(id);
+            if v >= old_n {
+                // `Store::put` addresses a chunk by `hash_object(Chunk,
+                // bytes)`, so a materialized node's source hash is the id
+                // just returned; only a delta-stored node's payload is
+                // encoded and hashed on the side.
+                source_hashes.push(match kind {
+                    ObjectKind::Chunk => id,
+                    ObjectKind::Delta => {
+                        hash_object(ObjectKind::Chunk, &source.payload_bytes(v as u32))
+                    }
+                });
             }
         }
         // Phase 2 — all replacements are durable; release the superseded

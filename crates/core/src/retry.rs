@@ -13,6 +13,7 @@
 //! benches wall-clock free; production callers opt into real backoff
 //! with [`RetryPolicy::with_backoff`].
 
+use dsv_delta::store::{ObjectHasher, ObjectKind};
 use std::time::Duration;
 
 /// Bounded, deterministic retry policy for transient failures.
@@ -88,16 +89,14 @@ impl RetryPolicy {
             return Duration::ZERO;
         }
         let base = self.backoff * attempt;
-        // FNV-1a over (seed, salt, attempt) → jitter in [0, backoff).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [self.jitter_seed, salt, attempt as u64] {
-            for b in word.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+        // The store's object hash over (seed, salt, attempt) → jitter in
+        // [0, backoff).
+        let mut h = ObjectHasher::new(ObjectKind::Chunk);
+        for word in [self.jitter_seed, salt, u64::from(attempt)] {
+            h.update(&word.to_le_bytes());
         }
         let unit = self.backoff.as_nanos() as u64;
-        base + Duration::from_nanos(h % unit.max(1))
+        base + Duration::from_nanos(h.finish().0 % unit.max(1))
     }
 
     /// Sleep for [`delay_for`](Self::delay_for) (no-op on zero).

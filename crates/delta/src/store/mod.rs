@@ -40,10 +40,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// The content address of a stored object: a 128-bit non-cryptographic
-/// hash of `kind byte || payload bytes`.
+/// hash of an object's kind and bytes (see [`ObjectHasher`]).
 ///
-/// Two independently seeded 64-bit FNV-1a lanes with a final avalanche —
-/// not collision-resistant against adversaries, but with the corpus sizes
+/// Not collision-resistant against adversaries, but with the corpus sizes
 /// of this system (thousands of objects) accidental collisions are
 /// negligible, and the hash doubles as the integrity check on every read.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,47 +98,160 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+
+/// Bytes per stripe: one little-endian `u64` word for each of the 4 lanes.
+const STRIPE: usize = 32;
+
+/// Updates up to this long are staged whole in the carry buffer.
+const SMALL: usize = 3 * STRIPE;
+
+/// One lane round: fold a word in with a multiply, rotate and multiply.
+#[inline(always)]
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+#[inline(always)]
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// Fold whole stripes into the lanes (`bytes.len()` is a multiple of
+/// [`STRIPE`]).
+#[inline(always)]
+fn fold(lanes: &mut [u64; 4], bytes: &[u8]) {
+    let [mut a, mut b, mut c, mut d] = *lanes;
+    for s in bytes.chunks_exact(STRIPE) {
+        a = round(a, word(&s[0..]));
+        b = round(b, word(&s[8..]));
+        c = round(c, word(&s[16..]));
+        d = round(d, word(&s[24..]));
+    }
+    *lanes = [a, b, c, d];
+}
 
 /// Incremental form of [`hash_object`]: feed the object bytes in any
 /// number of `update` calls and `finish` yields the identical
 /// [`ObjectId`]. This is what lets verification hash *streamed* content —
 /// e.g. a decoded payload's canonical encoding emitted piecewise — without
 /// ever materializing the full byte string.
+///
+/// The body is word-at-a-time: 4 independent `u64` lanes each fold one
+/// little-endian word of every 32-byte stripe, so the lanes' multiply
+/// chains overlap in the pipeline. Bytes short of a full stripe wait in a
+/// carry buffer, which keeps the result independent of how the input is
+/// split across `update` calls. `finish` folds the lanes into two halves,
+/// mixes in the buffered tail, the total length and the kind tag, and
+/// avalanches each half with a splitmix finalizer. All arithmetic wraps,
+/// so debug and release builds agree.
 #[derive(Clone, Debug)]
 pub struct ObjectHasher {
-    a: u64,
-    b: u64,
+    lanes: [u64; 4],
+    /// The carry (`buf_len` < [`STRIPE`] bytes between calls) plus room
+    /// to stage one short update behind it.
+    buf: [u8; STRIPE + SMALL],
+    buf_len: usize,
     len: u64,
+    tag: u64,
 }
 
 impl ObjectHasher {
-    /// Start hashing an object of `kind` (the kind tag seeds both lanes,
-    /// keeping chunk and delta namespaces disjoint).
+    /// Start hashing an object of `kind` (the kind tag seeds every lane
+    /// and is mixed in again at `finish`, keeping chunk and delta
+    /// namespaces disjoint).
     pub fn new(kind: ObjectKind) -> Self {
+        let tag = u64::from(kind.tag());
+        let seed = splitmix64(tag);
         ObjectHasher {
-            a: FNV_OFFSET ^ u64::from(kind.tag()),
-            b: FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15 ^ u64::from(kind.tag()).rotate_left(17),
+            lanes: [
+                seed.wrapping_add(P1).wrapping_add(P2),
+                seed.wrapping_add(P2),
+                seed,
+                seed.wrapping_sub(P1),
+            ],
+            buf: [0; STRIPE + SMALL],
+            buf_len: 0,
             len: 0,
+            tag,
         }
     }
 
     /// Absorb the next run of object bytes.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ u64::from(byte ^ 0x5A)).wrapping_mul(FNV_PRIME);
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        let fill = self.buf_len;
+        if bytes.len() <= SMALL {
+            // Short update (the streamed-encoding case): append to the
+            // carry, fold every whole stripe now in it, and move the
+            // remainder to the front with one fixed-size copy.
+            let end = fill + bytes.len();
+            self.buf[fill..end].copy_from_slice(bytes);
+            let whole = end - end % STRIPE;
+            fold(&mut self.lanes, &self.buf[..whole]);
+            self.buf.copy_within(whole..whole + STRIPE, 0);
+            self.buf_len = end - whole;
+            return;
         }
-        self.len += bytes.len() as u64;
+        let (head, rest) = bytes.split_at(STRIPE - fill);
+        self.buf[fill..STRIPE].copy_from_slice(head);
+        fold(&mut self.lanes, &self.buf[..STRIPE]);
+        let whole = rest.len() - rest.len() % STRIPE;
+        fold(&mut self.lanes, &rest[..whole]);
+        let tail = &rest[whole..];
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// The content address of everything absorbed so far.
     pub fn finish(self) -> ObjectId {
-        ObjectId(
-            splitmix64(self.a ^ self.len),
-            splitmix64(self.b ^ self.len.rotate_left(32)),
-        )
+        let [a, b, c, d] = self.lanes;
+        // Two different lane folds, so each half depends on every lane.
+        let mut h0 = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        let mut h1 = d
+            .rotate_left(5)
+            .wrapping_add(c.rotate_left(23))
+            .wrapping_add(b.rotate_left(41))
+            .wrapping_add(a.rotate_left(53));
+        for lane in [a, b, c, d] {
+            h0 = (h0 ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+            h1 = (h1 ^ round(P3, lane)).wrapping_mul(P2).wrapping_add(P3);
+        }
+        // The buffered tail: whole words, then the last 0..=7 bytes
+        // zero-padded (the length below tells the padding from data).
+        let tail = &self.buf[..self.buf_len];
+        let mut words = tail.chunks_exact(8);
+        for w in &mut words {
+            let k = round(0, word(w));
+            h0 = (h0 ^ k).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            h1 = (h1 ^ k.rotate_left(32))
+                .rotate_left(29)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            let k = u64::from_le_bytes(last).wrapping_mul(P3);
+            h0 = (h0 ^ k).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            h1 = (h1 ^ k.rotate_left(32))
+                .rotate_left(31)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+        }
+        h0 ^= self.len ^ self.tag.rotate_left(56);
+        h1 ^= self.len.rotate_left(32) ^ self.tag;
+        ObjectId(splitmix64(h0), splitmix64(h1 ^ h0.rotate_left(17)))
     }
 }
 
@@ -437,15 +549,116 @@ mod tests {
         );
     }
 
+    /// Feed `bytes` through one hasher, split at `cuts` (sorted offsets).
+    fn streamed(kind: ObjectKind, bytes: &[u8], cuts: &[usize]) -> ObjectId {
+        let mut h = ObjectHasher::new(kind);
+        let mut at = 0;
+        for &cut in cuts {
+            h.update(&bytes[at..cut]);
+            at = cut;
+        }
+        h.update(&bytes[at..]);
+        h.finish()
+    }
+
+    /// Deterministic pseudo-random bytes (splitmix64 stream).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = splitmix64(x);
+                x as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn incremental_hasher_matches_one_shot() {
-        let bytes = b"incrementally hashed object bytes";
-        for kind in [ObjectKind::Chunk, ObjectKind::Delta] {
-            let mut h = ObjectHasher::new(kind);
-            for chunk in bytes.chunks(5) {
-                h.update(chunk);
+        // Lengths around one and two 32-byte stripes and around the
+        // 96-byte short-update limit, split at every offset (alone and
+        // with a second cut 33 bytes on) and byte by byte.
+        for len in [0, 1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 128, 129, 200] {
+            let bytes = noise(len, len as u64);
+            for kind in [ObjectKind::Chunk, ObjectKind::Delta] {
+                let whole = hash_object(kind, &bytes);
+                for cut in 0..=len {
+                    assert_eq!(streamed(kind, &bytes, &[cut]), whole, "len {len} cut {cut}");
+                    let far = (cut + 33).min(len);
+                    assert_eq!(streamed(kind, &bytes, &[cut, far]), whole);
+                }
+                let every: Vec<usize> = (1..len).collect();
+                assert_eq!(streamed(kind, &bytes, &every), whole, "len {len} bytewise");
             }
-            assert_eq!(h.finish(), hash_object(kind, bytes));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn any_update_split_matches_hash_object(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+            cuts in proptest::collection::vec(0usize..4096, 0..12),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let chunk = hash_object(ObjectKind::Chunk, &bytes);
+            let delta = hash_object(ObjectKind::Delta, &bytes);
+            proptest::prop_assert_eq!(streamed(ObjectKind::Chunk, &bytes, &cuts), chunk);
+            proptest::prop_assert_eq!(streamed(ObjectKind::Delta, &bytes, &cuts), delta);
+            proptest::prop_assert!(chunk != delta, "kinds must not share ids");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_both_id_halves() {
+        let bytes = noise(100, 9);
+        let base = hash_object(ObjectKind::Chunk, &bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let id = hash_object(ObjectKind::Chunk, &flipped);
+            assert!(id.0 != base.0 && id.1 != base.1, "bit {bit}");
+        }
+    }
+
+    /// Pinned ids. Stored objects are addressed by these values, so a
+    /// change here is an on-disk format change: bump `PACK_MAGIC` and
+    /// `IDX_MAGIC` together with it.
+    #[test]
+    fn known_answer_ids() {
+        let mib = noise(1 << 20, 0xD5F);
+        let cases: [(&[u8], ObjectKind, &str); 10] = [
+            (b"", ObjectKind::Chunk, "01ef36639c469264441ef472ff28deaa"),
+            (b"", ObjectKind::Delta, "ec87d3fdf62177853cd4519fa264b555"),
+            (b"a", ObjectKind::Chunk, "ac1f544448515d433fd5a08e316ade53"),
+            (b"a", ObjectKind::Delta, "7607eefb2b5daae5f9d00023d67d40f0"),
+            (
+                &[0xA5; 32],
+                ObjectKind::Chunk,
+                "cd36d68631b4be832f6633c82402fd06",
+            ),
+            (
+                &[0xA5; 32],
+                ObjectKind::Delta,
+                "c84d0b184706013ca477cffc5b7e83ab",
+            ),
+            (
+                &[0xA5; 33],
+                ObjectKind::Chunk,
+                "103729dc25950cfb9ed060ad02f45b70",
+            ),
+            (
+                &[0xA5; 33],
+                ObjectKind::Delta,
+                "73b3271899ef8a406476ec1257826536",
+            ),
+            (&mib, ObjectKind::Chunk, "53854e45efd54d0ca33cbdf82d9ca2eb"),
+            (&mib, ObjectKind::Delta, "783b7e7262819203734204c0f884def2"),
+        ];
+        for (bytes, kind, want) in cases {
+            let got = hash_object(kind, bytes).to_string();
+            assert_eq!(got, want, "{} bytes as {kind:?}", bytes.len());
         }
     }
 

@@ -3,10 +3,10 @@
 //! On-disk layout under the store directory:
 //!
 //! ```text
-//! <dir>/pack.dsv     append-only pack: "DSVPACK1" magic, then records
+//! <dir>/pack.dsv     append-only pack: "DSVPACK2" magic, then records
 //!                    [id 16B][kind 1B][len 8B LE][payload]
-//! <dir>/pack.idx     fixed-width index: "DSVIDX01" magic, entry count,
-//!                    then 44-byte entries sorted by id:
+//! <dir>/pack.idx     fixed-width index: "DSVIDX02" magic, entry count,
+//!                    then 40-byte entries sorted by id:
 //!                    [id 16B][offset 8B][len 8B][kind 1B][pad 3B][rc 4B]
 //! <dir>/objects/     loose files for large objects, named by their hex id
 //! ```
@@ -17,6 +17,13 @@
 //! binary-search it straight from an `mmap` without parsing; this crate
 //! reads it eagerly into a map on open. Reference counts are persisted in
 //! the index, so retain/release balances survive process restarts.
+//!
+//! The magics carry the format version. Ids are object hashes, so a
+//! change of [`ObjectHasher`](super::ObjectHasher) is a change of format:
+//! version 2 is the 4-lane word-at-a-time hash, and a version-1 store
+//! (the byte-serial hash it replaced) is refused on open with a
+//! [`StoreError::InvalidFormat`] naming its version. Stores are not
+//! migrated; rebuild them from their source.
 //!
 //! [`Store::gc`] compacts: dead loose files are unlinked and the pack is
 //! rewritten with only live records (then atomically swapped in), so
@@ -48,8 +55,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-const PACK_MAGIC: &[u8; 8] = b"DSVPACK1";
-const IDX_MAGIC: &[u8; 8] = b"DSVIDX01";
+const PACK_MAGIC: &[u8; 8] = b"DSVPACK2";
+const IDX_MAGIC: &[u8; 8] = b"DSVIDX02";
 const RECORD_HEADER: u64 = 16 + 1 + 8;
 const IDX_ENTRY: usize = 16 + 8 + 8 + 1 + 3 + 4;
 
@@ -182,6 +189,30 @@ pub struct PackStore {
     /// go stale — a packed append extends the file past the map, and GC
     /// compaction rewrites it with new offsets entirely.
     resident: std::sync::OnceLock<Box<[u8]>>,
+}
+
+/// Check a file's 8-byte magic against `want`. A file of the same family
+/// (`DSVPACK…`/`DSVIDX…`) at another version is refused by name; anything
+/// else is simply not a store file.
+fn check_magic(found: &[u8], want: &[u8; 8], path: &Path) -> Result<(), StoreError> {
+    if found == want {
+        return Ok(());
+    }
+    let family = want.iter().take_while(|b| !b.is_ascii_digit()).count();
+    let detail = if found.len() == want.len() && found[..family] == want[..family] {
+        let version = String::from_utf8_lossy(&found[family..]);
+        let version = version.trim_start_matches('0');
+        format!(
+            "{} is a version-{version} store file ({}); this build reads only {} \
+             and does not migrate",
+            path.display(),
+            String::from_utf8_lossy(found),
+            String::from_utf8_lossy(want),
+        )
+    } else {
+        format!("{} has a bad magic", path.display())
+    };
+    Err(StoreError::InvalidFormat { detail })
 }
 
 fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> StoreError {
@@ -441,35 +472,41 @@ impl PackStore {
             f.seek(SeekFrom::Start(0))
                 .and_then(|_| f.read_exact(&mut magic))
                 .map_err(|e| io_err("read", &self.pack_path, e))?;
-            if &magic != PACK_MAGIC {
-                return Err(StoreError::InvalidFormat {
-                    detail: format!("{} has a bad magic", self.pack_path.display()),
-                });
-            }
+            check_magic(&magic, PACK_MAGIC, &self.pack_path)?;
             self.pack_len = len;
         }
         Ok(())
     }
 
-    /// Parse the index file into entries. A malformed header, truncated
-    /// body, or unknown kind tag is a hard [`StoreError::InvalidFormat`] —
+    /// Parse the index file into entries. A malformed header, a count that
+    /// does not match the file length (checked without overflow, so an
+    /// inflated count can neither wrap the check nor size an allocation),
+    /// or an unknown kind tag is a hard [`StoreError::InvalidFormat`] —
     /// the file is not an index. Offsets are *not* validated here:
     /// staleness against the pack is [`Self::index_matches_pack`]'s job,
     /// and a stale index is recoverable, not fatal.
     fn parse_index(&self) -> Result<Vec<(ObjectId, Entry)>, StoreError> {
         let bytes = std::fs::read(&self.idx_path).map_err(|e| io_err("read", &self.idx_path, e))?;
         let bad = |detail: String| StoreError::InvalidFormat { detail };
-        if bytes.len() < 16 || &bytes[..8] != IDX_MAGIC {
+        if bytes.len() < 16 {
             return Err(bad(format!("{} has a bad header", self.idx_path.display())));
         }
-        let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        if bytes.len() != 16 + count * IDX_ENTRY {
-            return Err(bad(format!(
-                "{}: {} bytes for {count} entries",
-                self.idx_path.display(),
-                bytes.len()
-            )));
-        }
+        check_magic(&bytes[..8], IDX_MAGIC, &self.idx_path)?;
+        let claimed = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+        let count = usize::try_from(claimed)
+            .ok()
+            .filter(|&n| {
+                n.checked_mul(IDX_ENTRY)
+                    .and_then(|body| body.checked_add(16))
+                    == Some(bytes.len())
+            })
+            .ok_or_else(|| {
+                bad(format!(
+                    "{}: {} bytes for {claimed} entries",
+                    self.idx_path.display(),
+                    bytes.len()
+                ))
+            })?;
         let mut parsed = Vec::with_capacity(count);
         for i in 0..count {
             let e = &bytes[16 + i * IDX_ENTRY..16 + (i + 1) * IDX_ENTRY];
@@ -568,7 +605,12 @@ impl PackStore {
             );
             let kind = ObjectKind::from_tag(rec[16]);
             let len = u64::from_le_bytes(rec[17..25].try_into().expect("8 bytes"));
-            let (Some(kind), true) = (kind, offset + RECORD_HEADER + len <= self.pack_len) else {
+            // A torn or garbled length must not wrap the bound (and size
+            // the payload buffer below): overflow is just another torn tail.
+            let end = offset
+                .checked_add(RECORD_HEADER)
+                .and_then(|x| x.checked_add(len));
+            let (Some(kind), Some(end)) = (kind, end.filter(|&end| end <= self.pack_len)) else {
                 truncate_at = Some(offset);
                 break;
             };
@@ -585,7 +627,7 @@ impl PackStore {
                 kind,
                 refcount: 1,
             });
-            offset += RECORD_HEADER + len;
+            offset = end;
         }
         if let Some(at) = truncate_at {
             drop(f);
@@ -1349,6 +1391,90 @@ mod tests {
             PackStore::open_with_threshold(&dir, 1 << 20),
             Err(StoreError::InvalidFormat { .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn inflated_index_count_is_invalid_format_not_a_panic() {
+        let dir = temp_dir("bigcount");
+        {
+            let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+            s.put(ObjectKind::Chunk, b"victim").expect("put");
+            s.flush().expect("flush");
+        }
+        // One real 40-byte entry under a count of 2^61 + 1: the unchecked
+        // `16 + count * 40` wraps to exactly the 56-byte file length.
+        let mut idx = std::fs::read(dir.join("pack.idx")).expect("read idx");
+        assert_eq!(idx.len(), 56);
+        idx[8..16].copy_from_slice(&((1u64 << 61) + 1).to_le_bytes());
+        std::fs::write(dir.join("pack.idx"), idx).expect("write idx");
+        assert!(matches!(
+            PackStore::open_with_threshold(&dir, 1 << 20),
+            Err(StoreError::InvalidFormat { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_store_is_refused_by_version() {
+        for (file, v1, v2) in [
+            ("pack.dsv", b"DSVPACK1", PACK_MAGIC),
+            ("pack.idx", b"DSVIDX01", IDX_MAGIC),
+        ] {
+            let dir = temp_dir("v1");
+            {
+                let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+                s.put(ObjectKind::Chunk, b"old format").expect("put");
+                s.flush().expect("flush");
+            }
+            let path = dir.join(file);
+            let mut bytes = std::fs::read(&path).expect("read");
+            assert_eq!(&bytes[..8], v2);
+            bytes[..8].copy_from_slice(v1);
+            std::fs::write(&path, bytes).expect("write");
+            match PackStore::open_with_threshold(&dir, 1 << 20) {
+                Err(StoreError::InvalidFormat { detail }) => {
+                    assert!(detail.contains("version-1"), "{detail}");
+                    assert!(
+                        detail.contains(std::str::from_utf8(v1).unwrap()),
+                        "{detail}"
+                    );
+                }
+                other => panic!("{file} at version 1 must be refused, got {other:?}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn torn_tail_with_wrapping_length_is_truncated() {
+        let dir = temp_dir("wraplen");
+        let (kept, covered);
+        {
+            let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+            kept = s.put(ObjectKind::Chunk, b"indexed object").expect("put");
+            s.flush().expect("flush");
+            covered = s.pack_file_len();
+        }
+        // An unindexed record header whose length makes
+        // `offset + header + len` wrap to 0, followed by a few bytes.
+        {
+            let mut f = OpenOptions::new()
+                .append(true)
+                .open(dir.join("pack.dsv"))
+                .expect("open pack");
+            let mut rec = Vec::new();
+            rec.extend_from_slice(&[0xAB; 16]);
+            rec.push(ObjectKind::Chunk.tag());
+            rec.extend_from_slice(&0u64.wrapping_sub(covered + RECORD_HEADER).to_le_bytes());
+            rec.extend_from_slice(b"torn payload");
+            f.write_all(&rec).expect("append torn record");
+        }
+        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        assert_eq!(s.pack_file_len(), covered, "torn record truncated away");
+        assert_eq!(s.get(kept).expect("indexed"), b"indexed object");
+        let fresh = s.put(ObjectKind::Delta, b"post-recovery").expect("put");
+        assert_eq!(s.get(fresh).expect("get"), b"post-recovery");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
