@@ -11,6 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsv_core::baselines::min_storage_value;
+use dsv_core::cancel::CancelToken;
 use dsv_core::tree::extract_tree;
 use dsv_core::tree::msr_engine::{run_tree_msr, GammaGrid, TreeDpConfig};
 use dsv_delta::corpus::{corpus, CorpusName};
@@ -53,7 +54,12 @@ fn bench_ablation(c: &mut Criterion) {
     let base = TreeDpConfig::heuristic(&g, Some(smin * 3));
     for (label, cfg) in variants(&base) {
         group.bench_with_input(BenchmarkId::new("dp", label), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_tree_msr(&g, &t, cfg.clone()).frontier()))
+            b.iter(|| {
+                black_box(
+                    run_tree_msr(&g, &t, cfg.clone(), &CancelToken::inert())
+                        .map(|dp| dp.frontier()),
+                )
+            })
         });
     }
     group.finish();

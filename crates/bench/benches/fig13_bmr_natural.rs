@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsv_bench::sweep::bmr_budgets;
+use dsv_core::cancel::CancelToken;
 use dsv_core::heuristics::modified_prims;
 use dsv_core::tree::dp_bmr_on_graph;
 use dsv_delta::corpus::{corpus, CorpusName};
@@ -28,7 +29,7 @@ fn bench_fig13(c: &mut Criterion) {
                 b.iter(|| black_box(modified_prims(g, budget)))
             });
             group.bench_with_input(BenchmarkId::new("DP-BMR", &label), &g, |b, g| {
-                b.iter(|| black_box(dp_bmr_on_graph(g, NodeId(0), budget)))
+                b.iter(|| black_box(dp_bmr_on_graph(g, NodeId(0), budget, &CancelToken::inert())))
             });
         }
     }

@@ -4,6 +4,7 @@
 
 use crate::report::{row, Bench, Report};
 use crate::sweep::{bmr_budgets, bmr_sweep, msr_budgets, msr_sweep, opt_sweep, SweepPoint};
+use dsv_core::cancel::CancelToken;
 use dsv_delta::corpus::{corpus, corpus_with_content, stats, CorpusName};
 use dsv_delta::store::CorpusContent;
 use dsv_delta::transforms::{erdos_renyi_from_sketches, random_compression};
@@ -405,9 +406,10 @@ pub fn thm1() -> Report {
 }
 
 /// Engine showcase: every [`ProblemKind`](dsv_core::problem::ProblemKind)
-/// solved end-to-end through [`Engine::portfolio`] on one corpus — which
-/// solver wins each problem, at what objective, against how many feasible
-/// competitors. Not a paper figure; it exercises the serving path future
+/// solved end-to-end through
+/// [`Engine::portfolio`](dsv_core::engine::Engine::portfolio) on one
+/// corpus — which solver wins each problem, at what objective, against how
+/// many feasible competitors. Not a paper figure; it exercises the serving path future
 /// PRs build on.
 pub fn portfolio_report(opts: &ExperimentOptions) -> Report {
     use crate::sweep::portfolio_sweep;
@@ -498,18 +500,20 @@ pub fn portfolio_bench(opts: &ExperimentOptions) -> Bench {
     let threads = rayon::current_num_threads();
 
     // Fresh options per run: no shared-work carry-over between timed
-    // iterations (sharing *within* one call still applies).
-    let time_mode = |parallel: bool| {
+    // iterations (sharing *within* one call still applies). The sequential
+    // mode runs on a one-thread pool, where the engine dispatches one
+    // solver at a time.
+    let time_mode = || {
         best_of(PORTFOLIO_BENCH_ITERS, || {
-            let solve_opts = SolveOptions {
-                parallel,
-                ..Default::default()
-            };
-            engine.portfolio(g, problem, &solve_opts)
+            engine.portfolio(g, problem, &SolveOptions::default())
         })
     };
-    let (parallel_ms, parallel_run) = time_mode(true);
-    let (sequential_ms, sequential_run) = time_mode(false);
+    let (parallel_ms, parallel_run) = time_mode();
+    let (sequential_ms, sequential_run) = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool")
+        .install(time_mode);
     let speedup = sequential_ms / parallel_ms.max(1e-9);
 
     let winner = match (&parallel_run, &sequential_run) {
@@ -678,7 +682,6 @@ pub const SHARD_SPEEDUP_FLOOR: f64 = 2.0;
 /// The benchmark sizes are **fixed** (exempt from `--scale`/`--max-nodes`
 /// capping): a 16k warm-up and the gated 64k forest.
 pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
-    use dsv_core::cancel::CancelToken;
     use dsv_core::engine::sharded::{sharded_msr, ShardConfig, SHARD_REGRET_BOUND};
     use dsv_core::heuristics::lmg_all::lmg_all_with_stats;
     use dsv_core::plan::StoragePlan;
@@ -1446,7 +1449,7 @@ fn serve_faulted<S: dsv_delta::Store + Sync>(
 
 /// Section 5.3 extension experiment: DP-BTW (exact on bounded-width
 /// graphs) against the tree-restricted DP and LMG-All on series-parallel
-/// graphs — the class the paper singles out as "highly resembl[ing] the
+/// graphs — the class the paper singles out as "highly resembl\[ing\] the
 /// version graphs we derive from real-world repositories". Not a paper
 /// figure; it demonstrates the bounded-treewidth contribution end to end.
 pub fn btw_report(opts: &ExperimentOptions) -> Report {
@@ -1507,7 +1510,7 @@ pub fn btw_bench(opts: &ExperimentOptions) -> Bench {
     use dsv_core::baselines::min_storage_value;
     use dsv_core::btw::{btw_msr, BtwConfig};
     use dsv_core::heuristics::lmg_all;
-    use dsv_core::tree::{dp_msr_on_graph, DpMsrConfig};
+    use dsv_core::tree::dp_msr_on_graph;
     use dsv_vgraph::generators::{bidirectional_path, series_parallel, CostModel};
     use dsv_vgraph::NodeId;
 
@@ -1561,7 +1564,7 @@ pub fn btw_bench(opts: &ExperimentOptions) -> Bench {
             ..Default::default()
         };
         let t0 = Instant::now();
-        let completed = btw_msr(g, &cfg).and_then(|result| {
+        let completed = btw_msr(g, &cfg, &CancelToken::inert()).and_then(|result| {
             let dp_ms = t0.elapsed().as_secs_f64() * 1e3;
             result
                 .plan_under(g, budget)
@@ -1592,7 +1595,7 @@ pub fn btw_bench(opts: &ExperimentOptions) -> Bench {
         // at this budget (what `BtwSolver` used to return).
         let witness = [
             lmg_all(g, budget).map(|p| p.costs(g).total_retrieval),
-            dp_msr_on_graph(g, NodeId(0), budget, &DpMsrConfig::default())
+            dp_msr_on_graph(g, NodeId(0), budget, &CancelToken::inert())
                 .map(|(_, c)| c.total_retrieval),
         ]
         .into_iter()

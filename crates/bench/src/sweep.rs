@@ -12,6 +12,7 @@
 
 use dsv_core::baselines::min_storage_value;
 use dsv_core::btw::{btw_msr, BtwConfig};
+use dsv_core::cancel::CancelToken;
 use dsv_core::engine::{Engine, SolveOptions};
 use dsv_core::problem::ProblemKind;
 use dsv_vgraph::{Cost, VersionGraph};
@@ -152,7 +153,7 @@ pub fn opt_sweep(g: &VersionGraph, budgets: &[Cost]) -> Vec<SweepPoint> {
         ..Default::default()
     };
     let t0 = Instant::now();
-    let Some(dp) = btw_msr(g, &cfg) else {
+    let Some(dp) = btw_msr(g, &cfg, &CancelToken::inert()) else {
         return Vec::new();
     };
     let time_ms = t0.elapsed().as_secs_f64() * 1e3;

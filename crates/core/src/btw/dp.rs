@@ -177,11 +177,6 @@ pub struct BtwConfig {
     pub max_states: usize,
     /// Drop partial solutions whose storage exceeds this.
     pub storage_prune: Option<Cost>,
-    /// Cooperative cancellation, polled once per introduced vertex (the
-    /// default inert token never fires). A fired token makes [`btw_msr`]
-    /// return `None`; callers that need to distinguish preemption from a
-    /// state-count blow-up re-check the token afterwards.
-    pub cancel: CancelToken,
 }
 
 impl Default for BtwConfig {
@@ -189,7 +184,6 @@ impl Default for BtwConfig {
         BtwConfig {
             max_states: 2_000_000,
             storage_prune: None,
-            cancel: CancelToken::inert(),
         }
     }
 }
@@ -361,8 +355,10 @@ fn mul(k: u32, g: Cost) -> Cost {
 }
 
 /// Exact MSR over a low-width version graph. Returns `None` when the state
-/// budget is exceeded (width too large for exact treatment).
-pub fn btw_msr(g: &VersionGraph, cfg: &BtwConfig) -> Option<BtwResult> {
+/// budget is exceeded (width too large for exact treatment) or when
+/// `cancel`, polled once per introduced vertex, fired; callers that need to
+/// tell the two apart re-check the token afterwards.
+pub fn btw_msr(g: &VersionGraph, cfg: &BtwConfig, cancel: &CancelToken) -> Option<BtwResult> {
     let so: SeparationOrder = separation_order(g);
     let mut arena = DecisionArena::default();
     let mut states: StateMap = BTreeMap::new();
@@ -370,7 +366,7 @@ pub fn btw_msr(g: &VersionGraph, cfg: &BtwConfig) -> Option<BtwResult> {
     let mut peak = 1usize;
 
     for (step, &v) in so.order.iter().enumerate() {
-        if cfg.cancel.is_cancelled() {
+        if cancel.is_cancelled() {
             return None;
         }
         let vid = v.0;
@@ -594,7 +590,7 @@ pub fn btw_msr_value(g: &VersionGraph, storage_budget: Cost) -> Option<Cost> {
         storage_prune: Some(storage_budget),
         ..Default::default()
     };
-    btw_msr(g, &cfg)?.best_under(storage_budget)
+    btw_msr(g, &cfg, &CancelToken::inert())?.best_under(storage_budget)
 }
 
 /// Constructive convenience wrapper: the optimal plan under a budget, or
@@ -604,7 +600,7 @@ pub fn btw_msr_plan(g: &VersionGraph, storage_budget: Cost) -> Option<(StoragePl
         storage_prune: Some(storage_budget),
         ..Default::default()
     };
-    btw_msr(g, &cfg)?.plan_under(g, storage_budget)
+    btw_msr(g, &cfg, &CancelToken::inert())?.plan_under(g, storage_budget)
 }
 
 /// A trivially feasible witness plan used by tests to sanity-check frontier
@@ -686,7 +682,7 @@ mod tests {
     #[test]
     fn frontier_endpoints_are_sane() {
         let g = bidirectional_path(5, &CostModel::default(), 7);
-        let r = btw_msr(&g, &BtwConfig::default()).expect("small width");
+        let r = btw_msr(&g, &BtwConfig::default(), &CancelToken::inert()).expect("small width");
         assert!(r.width <= 2);
         let frontier = r.frontier_pairs();
         // Low end: the minimum-storage plan.
@@ -729,7 +725,7 @@ mod tests {
             max_states: 50,
             ..Default::default()
         };
-        assert!(btw_msr(&g, &cfg).is_none());
+        assert!(btw_msr(&g, &cfg, &CancelToken::inert()).is_none());
     }
 
     #[test]
@@ -738,7 +734,7 @@ mod tests {
         // compaction the arena would hold one node per transition ever
         // taken (Ω(n · states)); with it the peak stays far below that.
         let g = bidirectional_path(40, &CostModel::default(), 9);
-        let r = btw_msr(&g, &BtwConfig::default()).expect("tiny width");
+        let r = btw_msr(&g, &BtwConfig::default(), &CancelToken::inert()).expect("tiny width");
         assert!(
             r.peak_arena < 40 * r.peak_states,
             "peak arena {} not proportional to the live frontier (peak states {})",

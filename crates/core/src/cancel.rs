@@ -4,8 +4,11 @@
 //! deadline, and an optional parent token (cancellation flows downward:
 //! cancelling a parent fires every descendant). Long solver loops poll
 //! [`CancelToken::is_cancelled`] between coarse steps — per DP node, per
-//! branch-and-bound relaxation — so the engine can preempt work mid-run
-//! instead of only between solvers.
+//! introduced vertex, every few thousand enumerated plans — so the engine
+//! can preempt work mid-run instead of only between solvers. Every
+//! function that polls a token takes it as its last parameter,
+//! `cancel: &CancelToken`; no configuration struct holds one, and callers
+//! with nothing to cancel pass [`CancelToken::inert`].
 //!
 //! The default token is **inert**: it carries no state, never fires, and
 //! polling it is a branch on a `None`. Every algorithm therefore accepts a

@@ -1,6 +1,6 @@
 //! Batched, cache-backed checkout: the servable read path.
 //!
-//! A [`StoragePlan`] only pays off if reconstructing versions down their
+//! A [`StoragePlan`](crate::plan::StoragePlan) only pays off if reconstructing versions down their
 //! retrieval chains is fast enough to *serve*. This module turns the
 //! executor's verification walk into a read hot path:
 //!

@@ -37,13 +37,14 @@
 //! between them). Results are **deterministic**: attempts are recorded in
 //! registry order and every combination step is order-stable, so the
 //! parallel paths return byte-identical plans to sequential execution
-//! ([`SolveOptions::parallel`]` = false`).
+//! (which the engine uses when the pool has one thread or only one solver
+//! applies).
 //!
 //! Heuristic results (LMG-All plans, DP-MSR frontier plans) are memoized
 //! in a [`SharedWork`] keyed by graph fingerprint and budget, so callers
 //! that reuse one [`SolveOptions`] on the same graph compute each once.
 //!
-//! The legacy free functions ([`crate::heuristics::lmg`],
+//! The legacy free functions ([`fn@crate::heuristics::lmg`],
 //! [`crate::tree::dp_msr_on_graph`], …) remain available and are what the
 //! built-in solvers call; the engine adds dispatch, validation, and
 //! metadata, not new algorithms.
@@ -75,7 +76,6 @@ pub use shared::SharedWork;
 use crate::cancel::CancelToken;
 use crate::plan::{PlanCosts, StoragePlan};
 use crate::problem::{Objective, ProblemKind};
-use crate::tree::DpMsrConfig;
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -90,8 +90,6 @@ pub struct SolveOptions {
     /// past the deadline (recorded as skipped in portfolios), and running
     /// DPs and searches poll a deadline token mid-run and abort early.
     pub time_limit: Option<Duration>,
-    /// Configuration for the DP-MSR tree engine.
-    pub dp_msr: DpMsrConfig,
     /// Configuration for the bounded-width DP.
     pub btw: crate::btw::BtwConfig,
     /// External cooperative cancellation. The engine derives per-call (and
@@ -105,10 +103,6 @@ pub struct SolveOptions {
     /// default value is always safe — and reusing one `SolveOptions`
     /// across calls on the *same* graph carries the warm cache forward.
     pub shared: SharedWork,
-    /// Dispatch racing/portfolio solvers onto the thread pool when it is
-    /// wider than one thread. `false` forces the sequential path (same
-    /// results, one solver at a time).
-    pub parallel: bool,
 }
 
 impl Default for SolveOptions {
@@ -116,11 +110,9 @@ impl Default for SolveOptions {
         SolveOptions {
             root: NodeId(0),
             time_limit: None,
-            dp_msr: DpMsrConfig::default(),
             btw: crate::btw::BtwConfig::default(),
             cancel: CancelToken::inert(),
             shared: SharedWork::default(),
-            parallel: true,
         }
     }
 }
@@ -170,7 +162,7 @@ pub enum SolveError {
         solver: &'static str,
     },
     /// The solver gave up within its resource bounds (state-count caps,
-    /// branch-and-bound node limits, enumeration-space limits).
+    /// enumeration-space limits).
     ResourceLimit {
         /// The reporting solver.
         solver: &'static str,
@@ -262,7 +254,7 @@ pub struct SolverMeta {
 }
 
 impl SolverMeta {
-    fn new(solver: &'static str) -> Self {
+    pub(crate) fn new(solver: &'static str) -> Self {
         SolverMeta {
             solver,
             iterations: 0,
@@ -554,7 +546,7 @@ impl Engine {
         token: &CancelToken,
         race: bool,
     ) -> Vec<(Option<Result<Solution, SolveError>>, Duration)> {
-        let parallel = eff.parallel && solvers.len() > 1 && rayon::current_num_threads() > 1;
+        let parallel = solvers.len() > 1 && rayon::current_num_threads() > 1;
         if !parallel {
             let mut out = Vec::with_capacity(solvers.len());
             let mut short_circuited = false;
@@ -764,11 +756,8 @@ impl Engine {
             solver: SOLVER,
             detail: format!("graph is not spanning-reachable from root {}", eff.root),
         })?;
-        let mut cfg = eff.dp_msr.clone();
-        cfg.cancel = token.clone();
         let max_budget = budgets.iter().copied().max().unwrap_or(0);
-        cfg.storage_prune = Some(cfg.storage_prune.unwrap_or(max_budget).max(max_budget));
-        let state = crate::tree::dp_msr::dp_msr(g, &t, &cfg).ok_or_else(|| {
+        let state = crate::tree::dp_msr::dp_msr(g, &t, max_budget, &token).ok_or_else(|| {
             if token.deadline_exceeded() {
                 SolveError::Timeout {
                     solver: SOLVER,
@@ -1128,7 +1117,8 @@ mod tests {
         let via_engine = engine
             .solve_with("BruteForce", &g, problem, &SolveOptions::default())
             .expect("feasible");
-        let direct = crate::exact::brute::brute_force(&g, problem).expect("feasible");
+        let direct =
+            crate::exact::brute::brute_force(&g, problem, &CancelToken::inert()).expect("feasible");
         assert_eq!(via_engine.plan, direct.plan);
         assert_eq!(via_engine.costs, direct.costs);
         assert!(via_engine.meta.proven_optimal);

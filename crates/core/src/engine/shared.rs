@@ -23,38 +23,15 @@
 use crate::cancel::CancelToken;
 use crate::heuristics::lmg_all::{lmg_all_with_stats, LmgAllStats};
 use crate::plan::{PlanCosts, StoragePlan};
-use crate::tree::{dp_msr_on_graph, DpMsrConfig};
-use dsv_delta::store::{hash_object, ObjectKind};
+use crate::tree::dp_msr_on_graph;
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum WorkKey {
-    LmgAll {
-        budget: Cost,
-    },
-    DpMsr {
-        budget: Cost,
-        root: u32,
-        /// Fingerprint of the DP configuration (see [`dp_msr_config_fp`]):
-        /// the memo outlives one engine call when callers reuse their
-        /// `SolveOptions` on the same graph, so a *changed* configuration
-        /// must miss the cache rather than return a stale plan.
-        cfg: u64,
-    },
-}
-
-/// The store's object hash over the deterministic `Debug` rendering of the
-/// DP-MSR tunables (cancellation tokens excluded — they never affect a
-/// completed result).
-fn dp_msr_config_fp(cfg: &DpMsrConfig) -> u64 {
-    let engine = cfg.engine.clone().map(|mut e| {
-        e.cancel = CancelToken::inert();
-        e
-    });
-    let rendered = format!("{:?}|{:?}", cfg.storage_prune, engine);
-    hash_object(ObjectKind::Chunk, rendered.as_bytes()).0
+    LmgAll { budget: Cost },
+    DpMsr { budget: Cost, root: u32 },
 }
 
 /// A completed memo value. The inner `Option` is the algorithm's own
@@ -212,30 +189,23 @@ impl SharedWork {
         }
     }
 
-    /// The DP-MSR plan at `(root, budget, config)`, computed once per
-    /// memo. Inner `None` = infeasible/unreachable; outer `None` =
-    /// abandoned because a cancellation fired (while computing or while
-    /// waiting). The key includes a configuration fingerprint because the
-    /// memo can outlive one engine call (reused `SolveOptions`): a caller
-    /// that retunes the DP between calls must not get a stale plan.
+    /// The DP-MSR plan at `(root, budget)`, computed once per memo.
+    /// Inner `None` = infeasible/unreachable; outer `None` = abandoned
+    /// because a cancellation fired (while computing or while waiting).
     #[allow(clippy::type_complexity)]
     pub fn dp_msr(
         &self,
         g: &VersionGraph,
         root: NodeId,
         budget: Cost,
-        cfg: &DpMsrConfig,
         cancel: &CancelToken,
     ) -> Option<Option<(StoragePlan, PlanCosts)>> {
         let key = WorkKey::DpMsr {
             budget,
             root: root.0,
-            cfg: dp_msr_config_fp(cfg),
         };
         let value = self.get_or_compute(key, cancel, || {
-            let mut cfg = cfg.clone();
-            cfg.cancel = cancel.clone();
-            let result = dp_msr_on_graph(g, root, budget, &cfg);
+            let result = dp_msr_on_graph(g, root, budget, cancel);
             // A `None` produced by a fired token is an aborted run, not an
             // infeasibility verdict — do not cache it.
             let complete = result.is_some() || !cancel.is_cancelled();
@@ -289,18 +259,10 @@ mod tests {
         let fired = CancelToken::new();
         fired.cancel();
         // A cancelled DP request yields nothing and leaves the cell empty…
-        assert!(shared
-            .dp_msr(&g, NodeId(0), budget, &DpMsrConfig::default(), &fired)
-            .is_none());
+        assert!(shared.dp_msr(&g, NodeId(0), budget, &fired).is_none());
         // …so a live request afterwards computes the real value.
         let live = shared
-            .dp_msr(
-                &g,
-                NodeId(0),
-                budget,
-                &DpMsrConfig::default(),
-                &CancelToken::inert(),
-            )
+            .dp_msr(&g, NodeId(0), budget, &CancelToken::inert())
             .expect("not cancelled");
         assert!(live.is_some(), "feasible budget must produce a plan");
     }

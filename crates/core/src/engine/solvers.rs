@@ -13,12 +13,12 @@
 //! | [`BruteForceSolver`] | ✓ | ✓ | ✓ | ✓ | tiny instances only |
 
 use super::{Solution, SolveError, SolveOptions, Solver, SolverMeta};
-use crate::exact::brute::{brute_force_cancellable, enumeration_space, ENUMERATION_LIMIT};
+use crate::exact::brute::{brute_force, enumeration_space, ENUMERATION_LIMIT};
 use crate::heuristics::lmg::lmg_with_stats;
 use crate::heuristics::mp::modified_prims;
 use crate::problem::ProblemKind;
-use crate::reductions::{bsr_via_msr, mmr_via_bmr_cancellable};
-use crate::tree::{dp_bmr_cancellable, extract_tree};
+use crate::reductions::{bsr_via_msr, mmr_via_bmr};
+use crate::tree::{dp_bmr, extract_tree, TreeDpConfig};
 use dsv_vgraph::VersionGraph;
 use std::time::Instant;
 
@@ -148,22 +148,21 @@ impl Solver for DpMsrSolver {
             ProblemKind::Msr { storage_budget } => {
                 let (plan, costs) = opts
                     .shared
-                    .dp_msr(g, opts.root, storage_budget, &opts.dp_msr, &opts.cancel)
+                    .dp_msr(g, opts.root, storage_budget, &opts.cancel)
                     .ok_or_else(|| cancelled(self.name(), opts))?
                     .ok_or_else(|| below_min_storage(self.name()))?;
                 meta.reported_objective = Some(costs.total_retrieval);
                 plan
             }
             ProblemKind::Bsr { retrieval_budget } => {
-                let mut cfg = opts.dp_msr.clone();
-                cfg.cancel = opts.cancel.clone();
-                let (plan, storage) = bsr_via_msr(g, opts.root, retrieval_budget, &cfg)
-                    .ok_or_else(|| {
-                        cancelled_or(self.name(), opts, || SolveError::Infeasible {
-                            solver: self.name(),
-                            detail: "no frontier point fits the retrieval budget".into(),
-                        })
-                    })?;
+                let cfg = TreeDpConfig::heuristic(g, None);
+                let found = bsr_via_msr(g, opts.root, retrieval_budget, cfg, &opts.cancel);
+                let (plan, storage) = found.ok_or_else(|| {
+                    cancelled_or(self.name(), opts, || SolveError::Infeasible {
+                        solver: self.name(),
+                        detail: "no frontier point fits the retrieval budget".into(),
+                    })
+                })?;
                 meta.reported_objective = Some(storage);
                 plan
             }
@@ -202,14 +201,14 @@ impl Solver for DpBmrSolver {
         };
         let plan = match problem {
             ProblemKind::Bmr { retrieval_budget } => {
-                let r = dp_bmr_cancellable(g, &t, retrieval_budget, &opts.cancel)
+                let r = dp_bmr(g, &t, retrieval_budget, &opts.cancel)
                     .ok_or_else(|| cancelled(self.name(), opts))?;
                 meta.reported_objective = Some(r.storage);
                 r.plan
             }
             ProblemKind::Mmr { storage_budget } => {
-                let (plan, max_r) = mmr_via_bmr_cancellable(g, &t, storage_budget, &opts.cancel)
-                    .ok_or_else(|| {
+                let (plan, max_r) =
+                    mmr_via_bmr(g, &t, storage_budget, &opts.cancel).ok_or_else(|| {
                         cancelled_or(self.name(), opts, || below_min_storage(self.name()))
                     })?;
                 meta.reported_objective = Some(max_r);
@@ -254,8 +253,7 @@ impl Solver for BtwSolver {
         // for MSR, while any tighter caller-supplied prune would truncate
         // the plan set and break the optimality certificate.
         cfg.storage_prune = Some(storage_budget);
-        cfg.cancel = opts.cancel.clone();
-        let result = crate::btw::btw_msr(g, &cfg).ok_or_else(|| {
+        let result = crate::btw::btw_msr(g, &cfg, &opts.cancel).ok_or_else(|| {
             cancelled_or(self.name(), opts, || SolveError::ResourceLimit {
                 solver: self.name(),
                 detail: format!("state count exceeded max_states = {}", cfg.max_states),
@@ -305,7 +303,7 @@ impl Solver for BruteForceSolver {
                 detail: format!("enumeration space {space} exceeds {ENUMERATION_LIMIT}"),
             });
         }
-        let result = brute_force_cancellable(g, problem, &opts.cancel).ok_or_else(|| {
+        let result = brute_force(g, problem, &opts.cancel).ok_or_else(|| {
             cancelled_or(self.name(), opts, || SolveError::Infeasible {
                 solver: self.name(),
                 detail: "no plan satisfies the constraint".into(),

@@ -33,22 +33,18 @@ pub fn enumeration_space(g: &VersionGraph) -> u128 {
         .fold(1u128, |acc, d| acc.saturating_mul(d))
 }
 
-/// Enumerate every valid plan, calling `f` with each plan and its costs.
-pub fn for_each_plan(g: &VersionGraph, f: impl FnMut(&StoragePlan, &PlanCosts)) {
-    for_each_plan_cancellable(g, &CancelToken::inert(), f);
-}
-
 /// How many visited assignments pass between cancellation polls.
 const CANCEL_POLL_STRIDE: u64 = 4_096;
 
-/// [`for_each_plan`] with cooperative cancellation, polled every
-/// [`CANCEL_POLL_STRIDE`] visited assignments. Returns `true` iff the
-/// enumeration ran to completion (`false` = preempted mid-way, so any
-/// aggregate the callback built is partial and must be discarded).
-pub fn for_each_plan_cancellable(
+/// Enumerate every valid plan, calling `f` with each plan and its costs,
+/// and poll `cancel` every `CANCEL_POLL_STRIDE` (4096) visited
+/// assignments. Returns `true` iff the enumeration ran to completion
+/// (`false` = preempted mid-way, so any aggregate the callback built is
+/// partial and must be discarded).
+pub fn for_each_plan(
     g: &VersionGraph,
-    cancel: &CancelToken,
     mut f: impl FnMut(&StoragePlan, &PlanCosts),
+    cancel: &CancelToken,
 ) -> bool {
     let n = g.n();
     let space: u128 = enumeration_space(g);
@@ -96,21 +92,16 @@ pub fn for_each_plan_cancellable(
 }
 
 /// Solve one of the four problems exactly. Returns `None` when no plan
-/// satisfies the constraint.
-pub fn brute_force(g: &VersionGraph, problem: ProblemKind) -> Option<BruteForceResult> {
-    brute_force_cancellable(g, problem, &CancelToken::inert())
-}
-
-/// [`brute_force`] with cooperative cancellation. A preempted enumeration
-/// returns `None` (never a partial best, so results stay deterministic);
-/// callers distinguish that from infeasibility by re-checking the token.
-pub fn brute_force_cancellable(
+/// satisfies the constraint, or when `cancel` fired mid-enumeration (never
+/// a partial best, so results stay deterministic); callers distinguish the
+/// two by re-checking the token.
+pub fn brute_force(
     g: &VersionGraph,
     problem: ProblemKind,
     cancel: &CancelToken,
 ) -> Option<BruteForceResult> {
     let mut best: Option<BruteForceResult> = None;
-    let complete = for_each_plan_cancellable(g, cancel, |plan, costs| {
+    let consider = |plan: &StoragePlan, costs: &PlanCosts| {
         let (feasible, objective) = match problem {
             ProblemKind::Msr { storage_budget } => {
                 (costs.storage <= storage_budget, costs.total_retrieval)
@@ -145,7 +136,8 @@ pub fn brute_force_cancellable(
                 costs: *costs,
             });
         }
-    });
+    };
+    let complete = for_each_plan(g, consider, cancel);
     if complete {
         best
     } else {
@@ -155,7 +147,12 @@ pub fn brute_force_cancellable(
 
 /// Exact MSR objective (convenience for tests).
 pub fn msr_optimum(g: &VersionGraph, storage_budget: Cost) -> Option<Cost> {
-    brute_force(g, ProblemKind::Msr { storage_budget }).map(|r| r.costs.total_retrieval)
+    brute_force(
+        g,
+        ProblemKind::Msr { storage_budget },
+        &CancelToken::inert(),
+    )
+    .map(|r| r.costs.total_retrieval)
 }
 
 #[cfg(test)]
@@ -174,7 +171,7 @@ mod tests {
         g.add_edge(a, b, 1, 1);
         g.add_edge(b, c, 1, 1);
         let mut count = 0;
-        for_each_plan(&g, |_, _| count += 1);
+        for_each_plan(&g, |_, _| count += 1, &CancelToken::inert());
         assert_eq!(count, 4);
     }
 
@@ -186,7 +183,7 @@ mod tests {
         g.add_bidirectional_edge(a, b, 1, 1);
         // 2*2 = 4 assignments, 1 cyclic (both delta) -> 3 valid plans.
         let mut count = 0;
-        for_each_plan(&g, |_, _| count += 1);
+        for_each_plan(&g, |_, _| count += 1, &CancelToken::inert());
         assert_eq!(count, 3);
     }
 
@@ -199,11 +196,17 @@ mod tests {
             ProblemKind::Msr {
                 storage_budget: u64::MAX / 8,
             },
+            &CancelToken::inert(),
         )
         .expect("feasible");
         assert_eq!(r.costs.total_retrieval, 0);
         // Below minimum storage: infeasible.
-        assert!(brute_force(&g, ProblemKind::Msr { storage_budget: 1 }).is_none());
+        assert!(brute_force(
+            &g,
+            ProblemKind::Msr { storage_budget: 1 },
+            &CancelToken::inert()
+        )
+        .is_none());
     }
 
     #[test]
@@ -214,6 +217,7 @@ mod tests {
             ProblemKind::Bmr {
                 retrieval_budget: 0,
             },
+            &CancelToken::inert(),
         )
         .expect("feasible");
         assert_eq!(r.costs.storage, g.total_node_storage());
@@ -230,6 +234,7 @@ mod tests {
             ProblemKind::Msr {
                 storage_budget: budget,
             },
+            &CancelToken::inert(),
         )
         .expect("ok");
         let mmr = brute_force(
@@ -237,6 +242,7 @@ mod tests {
             ProblemKind::Mmr {
                 storage_budget: budget,
             },
+            &CancelToken::inert(),
         )
         .expect("ok");
         // Max retrieval of the MSR optimum is an upper bound for MMR's

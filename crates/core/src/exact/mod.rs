@@ -4,4 +4,4 @@
 
 pub mod brute;
 
-pub use brute::{brute_force, brute_force_cancellable, BruteForceResult};
+pub use brute::{brute_force, BruteForceResult};

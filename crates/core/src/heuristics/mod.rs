@@ -2,7 +2,7 @@
 //!
 //! # Incremental plan maintenance
 //!
-//! Both greedy loops ([`lmg`] and [`lmg_all`]) repeatedly pick the
+//! Both greedy loops ([`fn@lmg`] and [`fn@lmg_all`]) repeatedly pick the
 //! best-ratio single move and apply it. The from-scratch formulation pays
 //! `O(n + m)` per move: rebuild [`PlanView`] (Euler tour, post-order,
 //! subtree sizes, full retrieval BFS), then rescan every candidate. The
@@ -34,7 +34,7 @@
 //! The only *global* evaluation input is the current total `storage`
 //! (budget feasibility); candidate caches handle it by parking
 //! over-budget candidates keyed by the largest storage at which they fit
-//! (see the lazy heap in [`lmg_all`]).
+//! (see the lazy heap in [`mod@lmg_all`]).
 //!
 //! ## Lazy-heap staleness rule
 //!

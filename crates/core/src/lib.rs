@@ -12,10 +12,10 @@
 //! | module | algorithm | paper |
 //! |--------|-----------|-------|
 //! | [`baselines`] | min-storage arborescence, SPT, checkpointing | Problems 1–2 |
-//! | [`heuristics::lmg`] | Local Move Greedy | Algorithm 1 (prior work) |
-//! | [`heuristics::lmg_all`] | LMG-All | Algorithm 7, Section 6.1 |
+//! | [`mod@heuristics::lmg`] | Local Move Greedy | Algorithm 1 (prior work) |
+//! | [`mod@heuristics::lmg_all`] | LMG-All | Algorithm 7, Section 6.1 |
 //! | [`heuristics::mp`] | Modified Prim's | BMR baseline of Section 7 |
-//! | [`tree::dp_bmr`] | exact BMR / MMR on bidirectional trees | Algorithm 2, Section 4 |
+//! | [`mod@tree::dp_bmr`] | exact BMR / MMR on bidirectional trees | Algorithm 2, Section 4 |
 //! | [`tree::fptas`] | MSR FPTAS on bidirectional trees | Section 5.1 |
 //! | [`tree::dp_msr`] | scalable DP-MSR heuristic | Section 6.2 |
 //! | [`tree::extract`] | arborescence → bidirectional-tree extraction | Section 6.2 |

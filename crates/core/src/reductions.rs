@@ -6,7 +6,7 @@
 //! which BSR (resp. BMR) has optimal objective at most S."
 //!
 //! * [`mmr_via_bmr`] — MinMax Retrieval on trees through binary search over
-//!   [`crate::tree::dp_bmr`] (exact on the extracted tree).
+//!   [`fn@crate::tree::dp_bmr`] (exact on the extracted tree).
 //! * [`bsr_via_msr`] — BoundedSum Retrieval through the DP-MSR frontier: a
 //!   single DP run already contains every `(storage, retrieval)` trade-off
 //!   point, so the "binary search" degenerates into a frontier lookup,
@@ -14,26 +14,17 @@
 
 use crate::cancel::CancelToken;
 use crate::plan::StoragePlan;
-use crate::tree::dp_msr::{dp_msr, DpMsrConfig};
+use crate::tree::dp_msr::DpMsr;
 use crate::tree::extract::extract_tree;
-use crate::tree::{dp_bmr_cancellable, BidirTree};
+use crate::tree::{dp_bmr, run_tree_msr, BidirTree, TreeDpConfig};
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
 
 /// MinMax Retrieval on the extracted tree: the smallest max-retrieval bound
 /// `R*` whose exact BMR storage optimum fits `storage_budget`, plus the
 /// realizing plan. `None` when even `R = ∞` cannot fit (budget below the
-/// tree's minimum storage).
+/// tree's minimum storage), or when `cancel`, threaded through every
+/// DP-BMR probe of the binary search, fired.
 pub fn mmr_via_bmr(
-    g: &VersionGraph,
-    t: &BidirTree,
-    storage_budget: Cost,
-) -> Option<(StoragePlan, Cost)> {
-    mmr_via_bmr_cancellable(g, t, storage_budget, &CancelToken::inert())
-}
-
-/// [`mmr_via_bmr`] with cooperative cancellation threaded through every
-/// DP-BMR probe of the binary search. `None` also when the token fired.
-pub fn mmr_via_bmr_cancellable(
     g: &VersionGraph,
     t: &BidirTree,
     storage_budget: Cost,
@@ -41,19 +32,19 @@ pub fn mmr_via_bmr_cancellable(
 ) -> Option<(StoragePlan, Cost)> {
     // Upper limit: the largest finite path retrieval is at most n * r_max.
     let hi_limit = (g.n() as u64).saturating_mul(g.max_edge_retrieval());
-    if dp_bmr_cancellable(g, t, hi_limit, cancel)?.storage > storage_budget {
+    if dp_bmr(g, t, hi_limit, cancel)?.storage > storage_budget {
         return None;
     }
     let (mut lo, mut hi) = (0u64, hi_limit);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if dp_bmr_cancellable(g, t, mid, cancel)?.storage <= storage_budget {
+        if dp_bmr(g, t, mid, cancel)?.storage <= storage_budget {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    let result = dp_bmr_cancellable(g, t, lo, cancel)?;
+    let result = dp_bmr(g, t, lo, cancel)?;
     debug_assert!(result.storage <= storage_budget);
     Some((result.plan, lo))
 }
@@ -63,32 +54,28 @@ pub fn mmr_on_graph(
     g: &VersionGraph,
     root: NodeId,
     storage_budget: Cost,
-) -> Option<(StoragePlan, Cost)> {
-    mmr_on_graph_cancellable(g, root, storage_budget, &CancelToken::inert())
-}
-
-/// [`mmr_on_graph`] with cooperative cancellation.
-pub fn mmr_on_graph_cancellable(
-    g: &VersionGraph,
-    root: NodeId,
-    storage_budget: Cost,
     cancel: &CancelToken,
 ) -> Option<(StoragePlan, Cost)> {
     let t = extract_tree(g, root)?;
-    mmr_via_bmr_cancellable(g, &t, storage_budget, cancel)
+    mmr_via_bmr(g, &t, storage_budget, cancel)
 }
 
-/// BoundedSum Retrieval through the DP-MSR frontier: minimum storage whose
-/// total retrieval estimate fits `retrieval_budget`. Returns the plan and
-/// its exact storage. `None` when no frontier point fits.
+/// BoundedSum Retrieval through the frontier of one tree-MSR run under
+/// `cfg` (the engine runs DP-MSR, `TreeDpConfig::heuristic(g, None)`):
+/// minimum storage whose total retrieval estimate fits `retrieval_budget`.
+/// Returns the plan and its exact storage. `None` when no frontier point
+/// fits or `cancel` fired mid-run.
 pub fn bsr_via_msr(
     g: &VersionGraph,
     root: NodeId,
     retrieval_budget: Cost,
-    cfg: &DpMsrConfig,
+    cfg: TreeDpConfig,
+    cancel: &CancelToken,
 ) -> Option<(StoragePlan, Cost)> {
     let t = extract_tree(g, root)?;
-    let state = dp_msr(g, &t, cfg)?;
+    let state = DpMsr {
+        dp: run_tree_msr(g, &t, cfg, cancel)?,
+    };
     let (s, _) = state
         .frontier()
         .into_iter()
@@ -117,11 +104,13 @@ mod tests {
                     ProblemKind::Mmr {
                         storage_budget: budget,
                     },
+                    &CancelToken::inert(),
                 )
                 .expect("feasible")
                 .costs
                 .max_retrieval;
-                let (plan, got) = mmr_on_graph(&g, NodeId(0), budget).expect("feasible");
+                let (plan, got) =
+                    mmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("feasible");
                 plan.validate(&g).expect("valid");
                 let c = plan.costs(&g);
                 assert!(c.storage <= budget);
@@ -134,7 +123,7 @@ mod tests {
     #[test]
     fn mmr_infeasible_when_budget_below_min_storage() {
         let g = bidirectional_path(5, &CostModel::default(), 1);
-        assert!(mmr_on_graph(&g, NodeId(0), 1).is_none());
+        assert!(mmr_on_graph(&g, NodeId(0), 1, &CancelToken::inert()).is_none());
     }
 
     #[test]
@@ -143,7 +132,8 @@ mod tests {
         let smin = crate::baselines::min_storage_value(&g);
         let mut last = u64::MAX;
         for mult in [1u64, 2, 3, 6, 12] {
-            let (_, r) = mmr_on_graph(&g, NodeId(0), smin * mult).expect("feasible");
+            let (_, r) =
+                mmr_on_graph(&g, NodeId(0), smin * mult, &CancelToken::inert()).expect("feasible");
             assert!(r <= last);
             last = r;
         }
@@ -160,15 +150,19 @@ mod tests {
                 ProblemKind::Bsr {
                     retrieval_budget: budget,
                 },
+                &CancelToken::inert(),
             )
             .expect("feasible")
             .costs
             .storage;
-            let cfg = DpMsrConfig {
-                engine: Some(crate::tree::msr_engine::TreeDpConfig::exact()),
-                ..Default::default()
-            };
-            let (plan, storage) = bsr_via_msr(&g, NodeId(0), budget, &cfg).expect("feasible");
+            let (plan, storage) = bsr_via_msr(
+                &g,
+                NodeId(0),
+                budget,
+                TreeDpConfig::exact(),
+                &CancelToken::inert(),
+            )
+            .expect("feasible");
             plan.validate(&g).expect("valid");
             assert!(plan.costs(&g).total_retrieval <= budget);
             assert_eq!(storage, want, "seed {}", seed);
@@ -178,8 +172,14 @@ mod tests {
     #[test]
     fn bsr_zero_budget_materializes_all() {
         let g = bidirectional_path(4, &CostModel::default(), 9);
-        let (plan, storage) =
-            bsr_via_msr(&g, NodeId(0), 0, &DpMsrConfig::default()).expect("feasible");
+        let (plan, storage) = bsr_via_msr(
+            &g,
+            NodeId(0),
+            0,
+            TreeDpConfig::heuristic(&g, None),
+            &CancelToken::inert(),
+        )
+        .expect("feasible");
         assert_eq!(storage, g.total_node_storage());
         assert_eq!(plan.materialized_count(), 4);
     }

@@ -841,14 +841,9 @@ fn lmg_all_solution(
     stats: crate::heuristics::lmg_all::LmgAllStats,
     started: Instant,
 ) -> Result<Box<Solution>, ServiceError> {
-    let meta = SolverMeta {
-        solver: "LMG-All",
-        iterations: stats.moves,
-        wall_time: Duration::ZERO,
-        proven_optimal: false,
-        reported_objective: Some(stats.total_retrieval),
-        lower_bound: None,
-    };
+    let mut meta = SolverMeta::new("LMG-All");
+    meta.iterations = stats.moves;
+    meta.reported_objective = Some(stats.total_retrieval);
     Solution::checked(g, problem, plan, meta, started)
         .map(Box::new)
         .map_err(ServiceError::Solve)

@@ -64,15 +64,10 @@ fn retrieval_ball(g: &VersionGraph, t: &BidirTree, v: NodeId, budget: Cost) -> V
 }
 
 /// Run DP-BMR on an extracted tree. Exact over plans restricted to tree
-/// deltas; always feasible (materializing everything has retrieval 0).
-pub fn dp_bmr(g: &VersionGraph, t: &BidirTree, retrieval_budget: Cost) -> DpBmrResult {
-    dp_bmr_cancellable(g, t, retrieval_budget, &CancelToken::inert())
-        .expect("inert token never cancels")
-}
-
-/// [`dp_bmr`] with cooperative cancellation: `cancel` is polled once per
-/// processed node; `None` iff it fired before the DP completed.
-pub fn dp_bmr_cancellable(
+/// deltas; always feasible (materializing everything has retrieval 0), so
+/// `None` means only that `cancel`, polled once per processed node, fired
+/// before the DP completed.
+pub fn dp_bmr(
     g: &VersionGraph,
     t: &BidirTree,
     retrieval_budget: Cost,
@@ -190,25 +185,16 @@ pub fn dp_bmr_cancellable(
 }
 
 /// Extract the tree rooted at `root` and run DP-BMR (the full Section-6.2
-/// pipeline). `None` when the graph is not spanning-reachable from `root`.
+/// pipeline). `None` when the graph is not spanning-reachable from `root`
+/// or `cancel` fired mid-run.
 pub fn dp_bmr_on_graph(
-    g: &VersionGraph,
-    root: NodeId,
-    retrieval_budget: Cost,
-) -> Option<DpBmrResult> {
-    dp_bmr_on_graph_cancellable(g, root, retrieval_budget, &CancelToken::inert())
-}
-
-/// [`dp_bmr_on_graph`] with cooperative cancellation. `None` when the graph
-/// is not spanning-reachable from `root` **or** the token fired mid-run.
-pub fn dp_bmr_on_graph_cancellable(
     g: &VersionGraph,
     root: NodeId,
     retrieval_budget: Cost,
     cancel: &CancelToken,
 ) -> Option<DpBmrResult> {
     let t = extract_tree(g, root)?;
-    dp_bmr_cancellable(g, &t, retrieval_budget, cancel)
+    dp_bmr(g, &t, retrieval_budget, cancel)
 }
 
 #[cfg(test)]
@@ -224,6 +210,7 @@ mod tests {
             ProblemKind::Bmr {
                 retrieval_budget: budget,
             },
+            &CancelToken::inert(),
         )
         .expect("BMR always feasible")
         .costs
@@ -233,7 +220,7 @@ mod tests {
     #[test]
     fn zero_budget_materializes_all() {
         let g = bidirectional_path(6, &CostModel::default(), 1);
-        let r = dp_bmr_on_graph(&g, NodeId(0), 0).expect("connected");
+        let r = dp_bmr_on_graph(&g, NodeId(0), 0, &CancelToken::inert()).expect("connected");
         r.plan.validate(&g).expect("valid");
         assert_eq!(r.storage, g.total_node_storage());
         assert_eq!(r.plan.costs(&g).max_retrieval, 0);
@@ -245,7 +232,8 @@ mod tests {
             let g = random_tree(7, &CostModel::default(), seed);
             let rmax = g.max_edge_retrieval();
             for budget in [0, rmax / 2, rmax, rmax * 2, rmax * 10] {
-                let r = dp_bmr_on_graph(&g, NodeId(0), budget).expect("connected");
+                let r = dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert())
+                    .expect("connected");
                 r.plan.validate(&g).expect("valid");
                 let c = r.plan.costs(&g);
                 assert!(c.max_retrieval <= budget);
@@ -267,7 +255,8 @@ mod tests {
         {
             let rmax = g.max_edge_retrieval();
             for budget in [rmax / 2, rmax * 3] {
-                let r = dp_bmr_on_graph(&g, NodeId(0), budget).expect("connected");
+                let r = dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert())
+                    .expect("connected");
                 assert_eq!(
                     r.storage,
                     exact_tree_bmr(&g, budget),
@@ -282,7 +271,8 @@ mod tests {
         let g = random_tree(40, &CostModel::default(), 9);
         let mut last = u64::MAX;
         for budget in [0u64, 100, 300, 1_000, 3_000, 30_000] {
-            let r = dp_bmr_on_graph(&g, NodeId(0), budget).expect("connected");
+            let r =
+                dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("connected");
             assert!(r.storage <= last, "DP-BMR objective must be monotone");
             last = r.storage;
         }
@@ -294,7 +284,8 @@ mod tests {
         // graphs DP must never lose.
         let g = random_tree(30, &CostModel::default(), 11);
         for budget in [200u64, 1_000, 5_000] {
-            let dp = dp_bmr_on_graph(&g, NodeId(0), budget).expect("connected");
+            let dp =
+                dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("connected");
             let mp = crate::heuristics::mp::modified_prims(&g, budget);
             assert!(dp.storage <= mp.storage_cost(&g), "budget {budget}");
         }

@@ -11,36 +11,10 @@
 //! whole sweep costs one DP.
 
 use super::extract::{extract_tree, BidirTree};
-use super::msr_engine::{try_run_tree_msr, Pair, TreeDpConfig, TreeMsrDp};
+use super::msr_engine::{run_tree_msr, Pair, TreeDpConfig, TreeMsrDp};
 use crate::cancel::CancelToken;
 use crate::plan::{PlanCosts, StoragePlan};
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
-
-/// Tunables for DP-MSR (wraps the engine's heuristic preset).
-#[derive(Clone, Debug, Default)]
-pub struct DpMsrConfig {
-    /// Prune partial solutions above this storage (defaults to the largest
-    /// queried budget; the paper uses 2×–10× the minimum storage).
-    pub storage_prune: Option<Cost>,
-    /// Override the engine configuration entirely (advanced).
-    pub engine: Option<TreeDpConfig>,
-    /// Cooperative cancellation, polled per DP node (inert by default). A
-    /// non-inert token here overrides the one in an `engine` override.
-    pub cancel: CancelToken,
-}
-
-impl DpMsrConfig {
-    fn engine_config(&self, g: &VersionGraph) -> TreeDpConfig {
-        let mut cfg = self
-            .engine
-            .clone()
-            .unwrap_or_else(|| TreeDpConfig::heuristic(g, self.storage_prune));
-        if !self.cancel.is_inert() {
-            cfg.cancel = self.cancel.clone();
-        }
-        cfg
-    }
-}
 
 /// The DP state plus the tree it was computed on.
 pub struct DpMsr<'a> {
@@ -69,44 +43,50 @@ impl<'a> DpMsr<'a> {
     }
 }
 
-/// Run DP-MSR on a pre-extracted tree. Returns `None` iff the config's
-/// cancellation token fired before the pass completed.
-pub fn dp_msr<'a>(g: &'a VersionGraph, t: &'a BidirTree, cfg: &DpMsrConfig) -> Option<DpMsr<'a>> {
+/// Run DP-MSR ([`TreeDpConfig::heuristic`]) on a pre-extracted tree,
+/// pruning partial solutions above `storage_prune` (the largest queried
+/// budget; the paper uses 2×–10× the minimum storage). Returns `None` iff
+/// `cancel` fired before the pass completed.
+pub fn dp_msr<'a>(
+    g: &'a VersionGraph,
+    t: &'a BidirTree,
+    storage_prune: Cost,
+    cancel: &CancelToken,
+) -> Option<DpMsr<'a>> {
+    let cfg = TreeDpConfig::heuristic(g, Some(storage_prune));
     Some(DpMsr {
-        dp: try_run_tree_msr(g, t, cfg.engine_config(g))?,
+        dp: run_tree_msr(g, t, cfg, cancel)?,
     })
 }
 
 /// Full pipeline for a single budget: extract the tree rooted at `root`,
-/// run the DP, reconstruct the plan. `None` when the graph is not spanning-
-/// reachable from `root`, the budget is below the tree's minimum storage,
-/// or the config's cancellation token fired mid-run.
+/// run the DP pruned at `budget`, reconstruct the plan. `None` when the
+/// graph is not spanning-reachable from `root`, the budget is below the
+/// tree's minimum storage, or `cancel` fired mid-run.
 pub fn dp_msr_on_graph(
     g: &VersionGraph,
     root: NodeId,
     budget: Cost,
-    cfg: &DpMsrConfig,
+    cancel: &CancelToken,
 ) -> Option<(StoragePlan, PlanCosts)> {
     let t = extract_tree(g, root)?;
-    let mut cfg = cfg.clone();
-    cfg.storage_prune = Some(cfg.storage_prune.unwrap_or(budget).max(budget));
-    let state = dp_msr(g, &t, &cfg)?;
+    let state = dp_msr(g, &t, budget, cancel)?;
     state.plan_under(g, budget)
 }
 
-/// Sweep many budgets with a single DP run (how the figures are produced).
-/// Returns, per budget, the exact costs of the reconstructed plan.
+/// Sweep many budgets with a single DP run pruned at the largest budget
+/// (how the figures are produced). Returns, per budget, the exact costs of
+/// the reconstructed plan; `None` when the graph is not spanning-reachable
+/// from `root` or `cancel` fired mid-run.
 pub fn dp_msr_sweep(
     g: &VersionGraph,
     root: NodeId,
     budgets: &[Cost],
-    cfg: &DpMsrConfig,
+    cancel: &CancelToken,
 ) -> Option<Vec<Option<PlanCosts>>> {
     let t = extract_tree(g, root)?;
-    let mut cfg = cfg.clone();
     let max_budget = budgets.iter().copied().max().unwrap_or(0);
-    cfg.storage_prune = Some(cfg.storage_prune.unwrap_or(max_budget).max(max_budget));
-    let state = dp_msr(g, &t, &cfg)?;
+    let state = dp_msr(g, &t, max_budget, cancel)?;
     Some(
         budgets
             .iter()
@@ -130,7 +110,7 @@ mod tests {
             let smin = min_storage_value(&g);
             for budget in [smin, smin * 2, smin * 4] {
                 let opt = msr_optimum(&g, budget).expect("feasible");
-                let (plan, costs) = dp_msr_on_graph(&g, NodeId(0), budget, &DpMsrConfig::default())
+                let (plan, costs) = dp_msr_on_graph(&g, NodeId(0), budget, &CancelToken::inert())
                     .expect("feasible");
                 plan.validate(&g).expect("valid");
                 assert!(costs.storage <= budget);
@@ -156,7 +136,7 @@ mod tests {
             let g = caterpillar(12, 2, &CostModel::default(), seed);
             let smin = min_storage_value(&g);
             for budget in [smin * 5 / 4, smin * 2] {
-                let dp = dp_msr_on_graph(&g, NodeId(0), budget, &DpMsrConfig::default())
+                let dp = dp_msr_on_graph(&g, NodeId(0), budget, &CancelToken::inert())
                     .expect("feasible")
                     .1
                     .total_retrieval;
@@ -186,7 +166,7 @@ mod tests {
         let smin = min_storage_value(&g);
         let budgets = vec![smin, smin * 3 / 2, smin * 2, smin * 3];
         let sweep =
-            dp_msr_sweep(&g, NodeId(0), &budgets, &DpMsrConfig::default()).expect("connected");
+            dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("connected");
         assert_eq!(sweep.len(), budgets.len());
         // Retrieval decreases along increasing budgets.
         let vals: Vec<u64> = sweep
@@ -205,11 +185,11 @@ mod tests {
     #[test]
     fn infeasible_and_unreachable_cases() {
         let g = bidirectional_path(5, &CostModel::default(), 4);
-        assert!(dp_msr_on_graph(&g, NodeId(0), 0, &DpMsrConfig::default()).is_none());
+        assert!(dp_msr_on_graph(&g, NodeId(0), 0, &CancelToken::inert()).is_none());
         let mut g2 = VersionGraph::with_nodes(2);
         *g2.node_storage_mut(NodeId(0)) = 1;
         *g2.node_storage_mut(NodeId(1)) = 1;
-        assert!(dp_msr_on_graph(&g2, NodeId(0), 100, &DpMsrConfig::default()).is_none());
+        assert!(dp_msr_on_graph(&g2, NodeId(0), 100, &CancelToken::inert()).is_none());
     }
 
     #[test]
@@ -218,7 +198,7 @@ mod tests {
         let smin = min_storage_value(&g);
         let budgets: Vec<u64> = (0..6).map(|i| smin + smin * i / 4).collect();
         let sweep =
-            dp_msr_sweep(&g, NodeId(0), &budgets, &DpMsrConfig::default()).expect("connected");
+            dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("connected");
         assert!(sweep.iter().all(|c| c.is_some()));
     }
 }

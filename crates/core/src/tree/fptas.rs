@@ -10,16 +10,19 @@
 
 use super::extract::BidirTree;
 use super::msr_engine::{run_tree_msr, TreeDpConfig, TreeMsrDp};
+use crate::cancel::CancelToken;
 use dsv_vgraph::VersionGraph;
 
 /// Exact MSR over tree plans (ground truth for tests; small trees only).
 pub fn msr_tree_exact<'a>(g: &'a VersionGraph, t: &'a BidirTree) -> TreeMsrDp<'a> {
-    run_tree_msr(g, t, TreeDpConfig::exact())
+    run_tree_msr(g, t, TreeDpConfig::exact(), &CancelToken::inert())
+        .expect("inert token never cancels")
 }
 
 /// The Section-5.1 FPTAS with parameter `ε`.
 pub fn msr_tree_fptas<'a>(g: &'a VersionGraph, t: &'a BidirTree, epsilon: f64) -> TreeMsrDp<'a> {
-    run_tree_msr(g, t, TreeDpConfig::fptas(g, epsilon))
+    run_tree_msr(g, t, TreeDpConfig::fptas(g, epsilon), &CancelToken::inert())
+        .expect("inert token never cancels")
 }
 
 #[cfg(test)]

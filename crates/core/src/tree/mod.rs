@@ -8,8 +8,8 @@ pub mod extract;
 pub mod fptas;
 pub mod msr_engine;
 
-pub use dp_bmr::{dp_bmr, dp_bmr_cancellable, dp_bmr_on_graph, dp_bmr_on_graph_cancellable};
-pub use dp_msr::{dp_msr_on_graph, dp_msr_sweep, DpMsrConfig};
+pub use dp_bmr::{dp_bmr, dp_bmr_on_graph};
+pub use dp_msr::{dp_msr_on_graph, dp_msr_sweep};
 pub use extract::{extract_tree, BidirTree};
 pub use fptas::{msr_tree_exact, msr_tree_fptas};
-pub use msr_engine::{run_tree_msr, try_run_tree_msr, TreeDpConfig, TreeMsrDp};
+pub use msr_engine::{run_tree_msr, TreeDpConfig, TreeMsrDp};

@@ -71,9 +71,6 @@ pub struct TreeDpConfig {
     /// has smaller-or-equal γ, storage, and retrieval, so dominance pruning
     /// is lossless; only this cap is lossy).
     pub up_cross_cap: usize,
-    /// Cooperative cancellation, polled once per processed node by
-    /// [`try_run_tree_msr`] (the default inert token never fires).
-    pub cancel: CancelToken,
 }
 
 /// How root-retrieval values are rounded (always upward, so estimates stay
@@ -139,7 +136,6 @@ impl TreeDpConfig {
             storage_prune: None,
             gamma_prune: None,
             up_cross_cap: usize::MAX,
-            cancel: CancelToken::inert(),
         }
     }
 
@@ -194,7 +190,6 @@ impl TreeDpConfig {
             storage_prune,
             gamma_prune: Some(gamma_top),
             up_cross_cap: if small { 512 } else { 96 },
-            cancel: CancelToken::inert(),
         }
     }
 
@@ -533,30 +528,18 @@ pub struct TreeMsrDp<'a> {
     tables: Vec<NodeTable>,
 }
 
-/// Run the bottom-up pass over the whole tree, ignoring cancellation (the
-/// token in `cfg` is stripped). For preemptible runs use
-/// [`try_run_tree_msr`].
+/// Run the bottom-up pass over the whole tree, polling `cancel` once per
+/// node. Returns `None` iff the token fired before the pass completed.
 pub fn run_tree_msr<'a>(
     g: &'a VersionGraph,
     t: &'a BidirTree,
-    mut cfg: TreeDpConfig,
-) -> TreeMsrDp<'a> {
-    cfg.cancel = CancelToken::inert();
-    try_run_tree_msr(g, t, cfg).expect("inert token never cancels")
-}
-
-/// Run the bottom-up pass over the whole tree, polling
-/// [`TreeDpConfig::cancel`] once per node. Returns `None` iff the token
-/// fired before the pass completed.
-pub fn try_run_tree_msr<'a>(
-    g: &'a VersionGraph,
-    t: &'a BidirTree,
     cfg: TreeDpConfig,
+    cancel: &CancelToken,
 ) -> Option<TreeMsrDp<'a>> {
     let n = t.n();
     let mut tables: Vec<NodeTable> = vec![NodeTable::default(); n];
     for v in t.post_order() {
-        if cfg.cancel.is_cancelled() {
+        if cancel.is_cancelled() {
             return None;
         }
         let mut acc = init_acc(g, v, &cfg);

@@ -22,7 +22,7 @@
 //! * [`evolve`] — a commit-DAG evolution simulator (branches and merges;
 //!   content drawn from per-commit seeded RNG streams, so corpora are
 //!   byte-stable regardless of `DSV_NUM_THREADS`);
-//! * [`corpus`] — the named corpora of Table 4, regenerated synthetically
+//! * [`mod@corpus`] — the named corpora of Table 4, regenerated synthetically
 //!   at calibrated sizes, optionally with full per-version content;
 //! * [`transforms`] — the "random compression" and "ER construction" graph
 //!   transforms of Section 7.1.

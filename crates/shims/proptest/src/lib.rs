@@ -142,7 +142,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact length or a range.
+    /// Length specification for [`fn@vec`]: an exact length or a range.
     pub struct SizeRange {
         lo: usize,
         hi: usize, // exclusive

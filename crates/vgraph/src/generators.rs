@@ -6,7 +6,7 @@
 //! * [`star`], [`caterpillar`], [`random_tree`] — tree-shaped inputs for the
 //!   Section 4/5 DPs;
 //! * [`series_parallel`] — treewidth-2 graphs, the class the paper calls out
-//!   as "highly resembl[ing] the version graphs we derive from real-world
+//!   as "highly resembl\[ing\] the version graphs we derive from real-world
 //!   repositories";
 //! * [`erdos_renyi_bidirectional`] — the ER construction of Section 7.1.
 

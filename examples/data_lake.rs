@@ -69,7 +69,7 @@ fn main() {
     // 1. The MSR frontier.
     let budgets: Vec<Cost> = (0..6).map(|i| smin + smin * i * 2 / 5).collect();
     let sweep =
-        dp_msr_sweep(&g, NodeId(0), &budgets, &DpMsrConfig::default()).expect("chain is connected");
+        dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("chain is connected");
     println!("DP-MSR frontier:");
     for (b, c) in budgets.iter().zip(&sweep) {
         match c {

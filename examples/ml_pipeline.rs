@@ -103,8 +103,8 @@ fn main() {
 
     // MSR frontier: how much faster do checkouts get per GB invested?
     let budgets: Vec<Cost> = (0..6).map(|i| smin + smin * i / 5).collect();
-    let sweep = dp_msr_sweep(&g, NodeId(0), &budgets, &DpMsrConfig::default())
-        .expect("lineage is connected");
+    let sweep =
+        dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("lineage is connected");
     println!("DP-MSR storage/retrieval frontier:");
     println!(
         "  {:>12} {:>14} {:>16}",

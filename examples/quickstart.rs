@@ -69,8 +69,7 @@ fn main() {
 
     // DP-MSR gives the whole storage/retrieval frontier in one run.
     let budgets: Vec<Cost> = (0..6).map(|i| smin + i * 5_000).collect();
-    let sweep =
-        dp_msr_sweep(&g, v1, &budgets, &DpMsrConfig::default()).expect("graph is connected");
+    let sweep = dp_msr_sweep(&g, v1, &budgets, &CancelToken::inert()).expect("graph is connected");
     println!("\nDP-MSR frontier (storage budget -> achieved storage/retrieval):");
     for (b, costs) in budgets.iter().zip(sweep) {
         match costs {

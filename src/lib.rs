@@ -150,7 +150,7 @@
 //! | [`dsv_treewidth`] | tree decompositions, nice decompositions |
 //! | [`dsv_core`] | the [`Engine`](core::engine::Engine) + the algorithms under it: LMG, LMG-All, MP, DP-BMR, DP-MSR, FPTAS, DP-BTW (the exact MSR solver), reductions, brute force — and the [`executor`](core::executor) that materializes plans against a store |
 //!
-//! The free algorithm functions ([`prelude::lmg_all`],
+//! The free algorithm functions ([`fn@prelude::lmg_all`],
 //! [`prelude::dp_msr_on_graph`], …) remain exported for direct use and for
 //! benchmarking individual algorithms; the engine is a thin validated
 //! dispatch layer over exactly those functions, as the parity tests in
@@ -194,7 +194,7 @@ pub mod prelude {
         Ticket, VersioningService,
     };
     pub use dsv_core::tree::{
-        dp_bmr_on_graph, dp_msr_on_graph, dp_msr_sweep, extract_tree, DpMsrConfig,
+        dp_bmr_on_graph, dp_msr_on_graph, dp_msr_sweep, extract_tree, TreeDpConfig,
     };
     pub use dsv_delta::corpus::{corpus, corpus_with_content, CorpusName};
     pub use dsv_delta::store::{

@@ -11,7 +11,7 @@ use dsv_vgraph::generators::{caterpillar, random_tree, CostModel};
 
 fn quality_at(g: &VersionGraph, cfg: TreeDpConfig, budget: Cost) -> Option<u64> {
     let t = extract_tree(g, NodeId(0))?;
-    let dp = run_tree_msr(g, &t, cfg);
+    let dp = run_tree_msr(g, &t, cfg, &CancelToken::inert())?;
     // Reconstruct and re-cost exactly, like the experiments do.
     dp.plan_under(budget)
         .map(|(plan, _)| plan.costs(g).total_retrieval)

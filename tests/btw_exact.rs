@@ -40,7 +40,8 @@ fn assert_constructive_exact(g: &VersionGraph, tag: &str) {
             storage_prune: Some(budget),
             ..Default::default()
         };
-        let result = btw_msr(g, &cfg).expect("small graphs stay within max_states");
+        let result =
+            btw_msr(g, &cfg, &CancelToken::inert()).expect("small graphs stay within max_states");
         let certificate = result.best_under(budget);
         assert_eq!(
             certificate, want,
@@ -154,9 +155,8 @@ fn max_states_exceeded_degrades_gracefully() {
     let cfg = BtwConfig {
         max_states: 50,
         storage_prune: Some(budget),
-        ..Default::default()
     };
-    assert!(btw_msr(&g, &cfg).is_none());
+    assert!(btw_msr(&g, &cfg, &CancelToken::inert()).is_none());
 
     let engine = Engine::with_default_solvers();
     let opts = SolveOptions {
@@ -198,7 +198,7 @@ fn infeasible_budgets_reconstruct_nothing() {
         storage_prune: Some(smin - 1),
         ..Default::default()
     };
-    let r = btw_msr(&g, &cfg).expect("tiny width");
+    let r = btw_msr(&g, &cfg, &CancelToken::inert()).expect("tiny width");
     assert_eq!(r.best_under(smin - 1), None);
     assert!(r.plan_under(&g, smin - 1).is_none());
 

@@ -12,7 +12,7 @@ fn single_node_graph_works_everywhere() {
     let plan = lmg(&g, 42).expect("materializing the node fits");
     assert_eq!(plan.costs(&g).total_retrieval, 0);
     assert!(lmg(&g, 41).is_none());
-    let dp = dp_bmr_on_graph(&g, v, 0).expect("single node is connected");
+    let dp = dp_bmr_on_graph(&g, v, 0, &CancelToken::inert()).expect("single node is connected");
     assert_eq!(dp.storage, 42);
     let bt = btw_msr_value(&g, 42).expect("feasible");
     assert_eq!(bt, 0);
@@ -32,9 +32,9 @@ fn zero_cost_edges_do_not_break_algorithms() {
     let plan = lmg_all(&g, smin).expect("feasible");
     let costs = plan.costs(&g);
     assert_eq!(costs.total_retrieval, 0); // all retrievals free
-    let dp = dp_msr_on_graph(&g, a, smin, &DpMsrConfig::default()).expect("feasible");
+    let dp = dp_msr_on_graph(&g, a, smin, &CancelToken::inert()).expect("feasible");
     assert_eq!(dp.1.total_retrieval, 0);
-    let r = dp_bmr_on_graph(&g, a, 0).expect("connected");
+    let r = dp_bmr_on_graph(&g, a, 0, &CancelToken::inert()).expect("connected");
     assert_eq!(r.storage, 100); // zero-retrieval deltas satisfy R = 0
 }
 
@@ -55,6 +55,7 @@ fn parallel_edges_pick_the_better_option() {
         ProblemKind::Msr {
             storage_budget: 1_000 + 500,
         },
+        &CancelToken::inert(),
     )
     .expect("feasible");
     assert_eq!(opt.plan.parent[b.index()], Parent::Delta(cheap_retr));
@@ -82,7 +83,7 @@ fn disconnected_graphs_fail_gracefully() {
     g.add_bidirectional_edge(NodeId(0), NodeId(1), 1, 1);
     // Tree-based pipelines need reachability from the root...
     assert!(extract_tree(&g, NodeId(0)).is_none());
-    assert!(dp_msr_on_graph(&g, NodeId(0), 100, &DpMsrConfig::default()).is_none());
+    assert!(dp_msr_on_graph(&g, NodeId(0), 100, &CancelToken::inert()).is_none());
     // ...but plan-based algorithms just materialize the isolated node.
     let plan = lmg_all(&g, 100).expect("materialization is always possible");
     plan.validate(&g).expect("valid");
@@ -109,6 +110,7 @@ fn directed_only_chains_have_no_upward_deltas() {
         ProblemKind::Msr {
             storage_budget: budget,
         },
+        &CancelToken::inert(),
     )
     .expect("feasible")
     .costs
@@ -183,5 +185,5 @@ fn budget_exactly_at_minimum_is_feasible() {
         let plan = plan.expect("exact minimum is feasible");
         assert!(plan.storage_cost(g) <= smin);
     }
-    assert!(dp_msr_on_graph(g, NodeId(0), smin, &DpMsrConfig::default()).is_some());
+    assert!(dp_msr_on_graph(g, NodeId(0), smin, &CancelToken::inert()).is_some());
 }

@@ -87,7 +87,7 @@ fn parity_dp_msr_and_bsr_reduction() {
         let smin = min_storage_value(&g);
         let budget = smin * 2;
         let direct =
-            dp_msr_on_graph(&g, NodeId(0), budget, &DpMsrConfig::default()).expect("feasible");
+            dp_msr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("feasible");
         let sol = engine
             .solve_with(
                 "DP-MSR",
@@ -103,8 +103,14 @@ fn parity_dp_msr_and_bsr_reduction() {
 
         // BSR through the same solver (Lemma-7 frontier lookup).
         let r_budget = g.max_edge_retrieval() * g.n() as u64;
-        let (bsr_plan, bsr_storage) =
-            bsr_via_msr(&g, NodeId(0), r_budget, &DpMsrConfig::default()).expect("feasible");
+        let (bsr_plan, bsr_storage) = bsr_via_msr(
+            &g,
+            NodeId(0),
+            r_budget,
+            TreeDpConfig::heuristic(&g, None),
+            &CancelToken::inert(),
+        )
+        .expect("feasible");
         let sol = engine
             .solve_with(
                 "DP-MSR",
@@ -126,7 +132,8 @@ fn parity_dp_bmr_and_mmr_reduction() {
     let opts = SolveOptions::default();
     for (name, g) in test_graphs() {
         let r_budget = g.max_edge_retrieval();
-        let direct = dp_bmr_on_graph(&g, NodeId(0), r_budget).expect("connected");
+        let direct =
+            dp_bmr_on_graph(&g, NodeId(0), r_budget, &CancelToken::inert()).expect("connected");
         let sol = engine
             .solve_with(
                 "DP-BMR",
@@ -145,7 +152,8 @@ fn parity_dp_bmr_and_mmr_reduction() {
 
         // MMR through the same solver (Lemma-7 binary search).
         let smin = min_storage_value(&g);
-        let (mmr_plan, mmr_value) = mmr_on_graph(&g, NodeId(0), smin * 2).expect("feasible");
+        let (mmr_plan, mmr_value) =
+            mmr_on_graph(&g, NodeId(0), smin * 2, &CancelToken::inert()).expect("feasible");
         let sol = engine
             .solve_with(
                 "DP-BMR",
@@ -174,7 +182,7 @@ fn parity_exact_solvers() {
     let opts = SolveOptions::default();
 
     // Brute force: deterministic enumeration, identical plan.
-    let direct = brute_force(&g, problem).expect("feasible");
+    let direct = brute_force(&g, problem, &CancelToken::inert()).expect("feasible");
     let sol = engine
         .solve_with("BruteForce", &g, problem, &opts)
         .expect("feasible");
@@ -196,7 +204,10 @@ fn parity_exact_solvers() {
     // Exact is exact: DP-BTW agrees with brute force.
     assert_eq!(
         sol.costs.total_retrieval,
-        brute_force(&g, problem).unwrap().costs.total_retrieval
+        brute_force(&g, problem, &CancelToken::inert())
+            .unwrap()
+            .costs
+            .total_retrieval
     );
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The engine's contract is that parallel dispatch is an *implementation*
 //! detail: racing/portfolio runs must return byte-identical plans and
-//! equivalent scoreboards to the sequential path (`SolveOptions::parallel
-//! = false`), whatever the pool width. These tests pin that contract
+//! equivalent scoreboards to the sequential path (taken on a one-thread
+//! pool), whatever the pool width. These tests pin that contract
 //! across seeded random graphs, plus the amortization guarantee of
 //! `Engine::solve_sweep` (one DP run per sweep) and the skipped-attempt
 //! marking for deadline-starved portfolios.
@@ -29,11 +29,14 @@ fn graphs() -> Vec<(String, VersionGraph)> {
     out
 }
 
-fn opts(parallel: bool) -> SolveOptions {
-    SolveOptions {
-        parallel,
-        ..Default::default()
-    }
+/// Run `f` on a one-thread pool, where the engine dispatches one solver at
+/// a time.
+fn sequential<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool")
+        .install(f)
 }
 
 fn problems(g: &VersionGraph) -> Vec<ProblemKind> {
@@ -62,8 +65,8 @@ fn parallel_portfolio_is_byte_identical_to_sequential() {
     let engine = Engine::with_default_solvers();
     for (name, g) in graphs() {
         for problem in problems(&g) {
-            let par = engine.portfolio(&g, problem, &opts(true));
-            let seq = engine.portfolio(&g, problem, &opts(false));
+            let par = engine.portfolio(&g, problem, &SolveOptions::default());
+            let seq = sequential(|| engine.portfolio(&g, problem, &SolveOptions::default()));
             match (par, seq) {
                 (Ok(par), Ok(seq)) => {
                     assert_eq!(
@@ -116,8 +119,8 @@ fn parallel_solve_matches_sequential_dispatch() {
     let engine = Engine::with_default_solvers();
     for (name, g) in graphs() {
         for problem in problems(&g) {
-            let par = engine.solve(&g, problem, &opts(true));
-            let seq = engine.solve(&g, problem, &opts(false));
+            let par = engine.solve(&g, problem, &SolveOptions::default());
+            let seq = sequential(|| engine.solve(&g, problem, &SolveOptions::default()));
             match (par, seq) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.plan, b.plan, "{name}/{}: plan differs", problem.name());
@@ -168,7 +171,7 @@ fn solve_sweep_performs_exactly_one_dp_run() {
 
     // Parity with the algorithm-layer sweep (identical costs per budget).
     let direct =
-        dp_msr_sweep(&g, NodeId(0), &budgets, &DpMsrConfig::default()).expect("connected graph");
+        dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("connected graph");
     for ((b, sol), direct) in budgets.iter().zip(&sweep.solutions).zip(direct) {
         match (sol, direct) {
             (Some(sol), Some(costs)) => {
@@ -234,11 +237,10 @@ fn deadline_starved_attempts_are_skipped_not_zero_duration_timeouts() {
         .register(Box::new(SleepyLmg(Duration::ZERO)));
     let solve_opts = SolveOptions {
         time_limit: Some(Duration::from_millis(30)),
-        parallel: false, // deterministic ordering for the deadline walk
         ..Default::default()
     };
-    let portfolio = engine
-        .portfolio(&g, problem, &solve_opts)
+    // Sequential dispatch: a deterministic ordering for the deadline walk.
+    let portfolio = sequential(|| engine.portfolio(&g, problem, &solve_opts))
         .expect("first solver finishes before the deadline");
     assert_eq!(portfolio.attempts.len(), 3);
     assert!(portfolio.attempts[0].outcome.is_ok());

@@ -37,7 +37,7 @@ fn datasharing_corpus_end_to_end() {
         let budget = smin * factor / 100;
         all_msr_algorithms_agree_on_feasibility(g, budget);
         let (plan, costs) =
-            dp_msr_on_graph(g, NodeId(0), budget, &DpMsrConfig::default()).expect("feasible");
+            dp_msr_on_graph(g, NodeId(0), budget, &CancelToken::inert()).expect("feasible");
         plan.validate(g).expect("valid");
         assert!(costs.storage <= budget);
         let dp = costs.total_retrieval;
@@ -80,7 +80,7 @@ fn compressed_corpus_pipeline() {
     let mp = modified_prims(&g, r_budget);
     mp.validate(&g).expect("valid");
     assert!(mp.costs(&g).max_retrieval <= r_budget);
-    let dp = dp_bmr_on_graph(&g, NodeId(0), r_budget).expect("connected");
+    let dp = dp_bmr_on_graph(&g, NodeId(0), r_budget, &CancelToken::inert()).expect("connected");
     dp.plan.validate(&g).expect("valid");
     assert!(dp.plan.costs(&g).max_retrieval <= r_budget);
 }
@@ -94,7 +94,7 @@ fn er_construction_pipeline() {
     // The ER graph must be solvable by every algorithm.
     let smin = min_storage_value(&er);
     all_msr_algorithms_agree_on_feasibility(&er, smin * 3 / 2);
-    let (plan, costs) = dp_msr_on_graph(&er, NodeId(0), smin * 3 / 2, &DpMsrConfig::default())
+    let (plan, costs) = dp_msr_on_graph(&er, NodeId(0), smin * 3 / 2, &CancelToken::inert())
         .expect("ER graphs are connected at p=0.3");
     plan.validate(&er).expect("valid");
     assert!(costs.storage <= smin * 3 / 2);
@@ -147,6 +147,7 @@ fn problem_enum_is_consistent_with_brute_force_on_corpus_subgraph() {
         ProblemKind::Msr {
             storage_budget: budget,
         },
+        &CancelToken::inert(),
     )
     .expect("feasible");
     // LMG/LMG-All are upper bounds on the brute-force optimum.
@@ -159,6 +160,7 @@ fn problem_enum_is_consistent_with_brute_force_on_corpus_subgraph() {
         ProblemKind::Msr {
             storage_budget: smin,
         },
+        &CancelToken::inert(),
     )
     .expect("feasible");
     assert_eq!(tight.costs.storage, smin);

@@ -67,7 +67,7 @@ proptest! {
     fn heuristics_are_feasible_and_bounded_by_optimum(g in small_graph(), mult in 1u64..5) {
         let smin = min_storage_value(&g);
         let budget = smin.saturating_mul(mult);
-        let opt = brute_force(&g, ProblemKind::Msr { storage_budget: budget });
+        let opt = brute_force(&g, ProblemKind::Msr { storage_budget: budget }, &CancelToken::inert());
         let opt_obj = opt.expect("budget >= smin is feasible").costs.total_retrieval;
         for plan in [lmg(&g, budget), lmg_all(&g, budget)].into_iter().flatten() {
             plan.validate(&g).expect("valid");
@@ -87,7 +87,7 @@ proptest! {
         let t = extract_tree(&g, NodeId(0)).expect("trees are connected");
         let dp = dsv_core::tree::msr_tree_exact(&g, &t);
         let got = dp.best_under(budget).map(|(_, r)| r);
-        let want = brute_force(&g, ProblemKind::Msr { storage_budget: budget })
+        let want = brute_force(&g, ProblemKind::Msr { storage_budget: budget }, &CancelToken::inert())
             .map(|r| r.costs.total_retrieval);
         prop_assert_eq!(got, want);
     }
@@ -95,12 +95,12 @@ proptest! {
     #[test]
     fn dp_bmr_matches_brute_force_on_trees(g in small_graph(), budget in 0u64..3_000) {
         prop_assume!(is_simple_bidir_tree(&g));
-        let r = dp_bmr_on_graph(&g, NodeId(0), budget).expect("connected");
+        let r = dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("connected");
         r.plan.validate(&g).expect("valid");
         let c = r.plan.costs(&g);
         prop_assert!(c.max_retrieval <= budget);
         prop_assert_eq!(c.storage, r.storage);
-        let want = brute_force(&g, ProblemKind::Bmr { retrieval_budget: budget })
+        let want = brute_force(&g, ProblemKind::Bmr { retrieval_budget: budget }, &CancelToken::inert())
             .expect("BMR always feasible")
             .costs
             .storage;
@@ -120,7 +120,7 @@ proptest! {
         // on any graph, and its reconstructed plan realizes the optimum.
         let smin = min_storage_value(&g);
         let budget = smin.saturating_mul(mult);
-        let want = brute_force(&g, ProblemKind::Msr { storage_budget: budget })
+        let want = brute_force(&g, ProblemKind::Msr { storage_budget: budget }, &CancelToken::inert())
             .expect("feasible")
             .costs
             .total_retrieval;
@@ -144,9 +144,11 @@ proptest! {
     fn min_storage_plan_is_the_cheapest_plan(g in small_graph()) {
         let smin = min_storage_value(&g);
         let mut cheapest = u64::MAX;
-        dsv_core::exact::brute::for_each_plan(&g, |_, costs| {
-            cheapest = cheapest.min(costs.storage);
-        });
+        dsv_core::exact::brute::for_each_plan(
+            &g,
+            |_, costs| cheapest = cheapest.min(costs.storage),
+            &CancelToken::inert(),
+        );
         prop_assert_eq!(smin, cheapest);
     }
 
@@ -176,11 +178,11 @@ proptest! {
         prop_assume!(is_simple_bidir_tree(&g));
         let smin = min_storage_value(&g);
         let budget = smin.saturating_mul(mult);
-        let want = brute_force(&g, ProblemKind::Mmr { storage_budget: budget })
+        let want = brute_force(&g, ProblemKind::Mmr { storage_budget: budget }, &CancelToken::inert())
             .expect("feasible")
             .costs
             .max_retrieval;
-        let (_, got) = mmr_on_graph(&g, NodeId(0), budget).expect("feasible");
+        let (_, got) = mmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("feasible");
         prop_assert_eq!(got, want);
     }
 
