@@ -670,6 +670,11 @@ pub const SHARD_BENCH_ITERS: usize = 2;
 /// Floor of the sharded-vs-whole-graph speedup on the n = 64k forest.
 pub const SHARD_SPEEDUP_FLOOR: f64 = 2.0;
 
+/// Floor of `sharded_ms / engine_ms` on the n = 64k forest: dispatching
+/// through [`Engine::solve`](dsv_core::engine::Engine::solve) may cost at
+/// most a quarter more than calling the sharded pipeline directly.
+pub const SHARD_ENGINE_EFFICIENCY_FLOOR: f64 = 0.8;
+
 /// Time whole-graph LMG-All vs the sharded hierarchical pipeline on large
 /// multi-cluster forests (`shard_forest`: clusters merged into one
 /// component by cross links, so the separator splitter is actually
@@ -677,14 +682,19 @@ pub const SHARD_SPEEDUP_FLOOR: f64 = 2.0;
 /// sharded plan is **byte-identical across pool widths 1 and 4** and that
 /// its objective stays within the declared regret bound of the whole-graph
 /// plan, so the reported speedup is a like-for-like measurement under the
-/// quality gate.
+/// quality gate. The engine path is timed too, on forests the default
+/// engine shards, and gated against the direct call; per-stage timings
+/// ([`ShardStats`](dsv_core::engine::ShardStats)) name the stage that
+/// moved.
 ///
 /// The benchmark sizes are **fixed** (exempt from `--scale`/`--max-nodes`
 /// capping): a 16k warm-up and the gated 64k forest.
 pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
     use dsv_core::engine::sharded::{sharded_msr, ShardConfig, SHARD_REGRET_BOUND};
+    use dsv_core::engine::{Engine, SolveOptions};
     use dsv_core::heuristics::lmg_all::lmg_all_with_stats;
     use dsv_core::plan::StoragePlan;
+    use dsv_core::problem::ProblemKind;
     use dsv_vgraph::generators::{shard_forest, CostModel};
 
     // (clusters, nodes per cluster, cross links): 16 × 1024 = 16k warm-up,
@@ -705,11 +715,17 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             "coarse_deltas",
             "whole_ms",
             "sharded_ms",
+            "engine_ms",
             "speedup",
             "regret",
+            "partition_ms",
+            "shards_ms",
+            "stitch_ms",
         ],
     );
+    let engine = Engine::with_default_solvers();
     let mut speedup_64k = 0.0f64;
+    let mut efficiency_64k = 0.0f64;
     for &(clusters, per, links) in &shapes {
         let g = shard_forest(clusters, per, links, &CostModel::default(), opts.seed);
         let n = g.n();
@@ -721,6 +737,23 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             sharded_msr(&g, budget, &cfg, &CancelToken::inert())
         });
         let (sharded_plan, stats) = sharded.expect("half materialize-all is shard-feasible");
+        // The default engine shards only graphs at or above its threshold;
+        // below it, dispatch goes to the whole-graph solvers (DP-MSR runs
+        // about a minute on the 16k forest), which this bench does not time.
+        let engine_ms = (n >= ShardConfig::default().min_graph_nodes).then(|| {
+            let problem = ProblemKind::Msr {
+                storage_budget: budget,
+            };
+            let (ms, solution) = best_of(SHARD_BENCH_ITERS, || {
+                engine.solve(&g, problem, &SolveOptions::default())
+            });
+            let solution = solution.expect("half materialize-all is feasible");
+            assert_eq!(
+                solution.plan, sharded_plan,
+                "Engine::solve must return the sharded plan (n = {n})"
+            );
+            ms
+        });
 
         // Determinism across pool widths: a one-thread pool must
         // reproduce the plan byte for byte (timed runs use the ambient
@@ -745,6 +778,7 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
         );
         if n >= 64_000 {
             speedup_64k = speedup;
+            efficiency_64k = sharded_ms / engine_ms.expect("64k is sharded").max(1e-9);
         }
         r.push_row(row![
             n,
@@ -754,18 +788,29 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             stats.coarse_deltas,
             whole_ms,
             sharded_ms,
+            engine_ms,
             speedup,
             regret,
+            stats.partition.as_secs_f64() * 1e3,
+            stats.shard_solves.as_secs_f64() * 1e3,
+            stats.stitch.as_secs_f64() * 1e3,
         ]);
     }
     r.note(format!(
         "whole-graph LMG-All vs sharded pipeline on shard_forest graphs \
          (budget = materialize-all / 2), best of {SHARD_BENCH_ITERS}; plans \
-         thread-count independent (asserted), regret bound {SHARD_REGRET_BOUND}x (asserted)"
+         thread-count independent (asserted), regret bound {SHARD_REGRET_BOUND}x (asserted); \
+         engine_ms = Engine::solve with the default solvers on forests it shards, \
+         plan equal to the sharded one (asserted); stage columns from the last sharded run"
     ));
 
     let mut bench = Bench::tables(vec![r]);
     bench.floor("shard.speedup_n64k", speedup_64k, SHARD_SPEEDUP_FLOOR);
+    bench.floor(
+        "shard.engine_dispatch_efficiency",
+        efficiency_64k,
+        SHARD_ENGINE_EFFICIENCY_FLOOR,
+    );
     bench
 }
 

@@ -135,7 +135,7 @@ impl CancelToken {
     }
 
     /// Whether a *deadline* (own or inherited) has passed — distinguishes
-    /// a timeout from a manual/short-circuit cancellation when reporting.
+    /// a timeout from a manual cancellation when reporting.
     pub fn deadline_exceeded(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.deadline_exceeded())
     }

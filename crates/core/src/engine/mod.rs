@@ -26,19 +26,18 @@
 //!
 //! ## Parallel dispatch, preemption, and shared work
 //!
-//! With a multi-threaded pool (see the `rayon` shim; width from
-//! `DSV_NUM_THREADS`), [`Engine::solve`] and [`Engine::portfolio`] fan the
-//! supporting solvers out across threads: portfolio wall time approaches
-//! the slowest single solver instead of the sum. `solve` races with
-//! first-feasible short-circuiting — as soon as a solver succeeds, every
-//! *lower-preference* solver is cancelled through its [`CancelToken`],
-//! which long DPs poll mid-run (cooperative preemption; the same mechanism
-//! enforces [`SolveOptions::time_limit`] inside running solvers, not just
-//! between them). Results are **deterministic**: attempts are recorded in
-//! registry order and every combination step is order-stable, so the
-//! parallel paths return byte-identical plans to sequential execution
-//! (which the engine uses when the pool has one thread or only one solver
-//! applies).
+//! [`Engine::solve`] tries the supporting solvers one at a time in
+//! preference order, so the solver that runs has the whole thread pool
+//! (see the `rayon` shim; width from `DSV_NUM_THREADS`) for its own
+//! parallelism — the sharded path solves its shards on it. Only
+//! [`Engine::portfolio`] fans solvers out across threads: its wall time
+//! approaches the slowest single solver instead of the sum. Every call
+//! derives one [`CancelToken`] from [`SolveOptions::cancel`] and
+//! [`SolveOptions::time_limit`], which long DPs poll mid-run (cooperative
+//! preemption inside running solvers, not just between them). Results are
+//! **deterministic**: portfolio attempts are recorded in registry order
+//! and every combination step is order-stable, so plans are byte-identical
+//! at any pool width.
 //!
 //! Heuristic results (LMG-All plans, DP-MSR frontier plans) are memoized
 //! in a [`SharedWork`] keyed by graph fingerprint and budget, so callers
@@ -92,10 +91,9 @@ pub struct SolveOptions {
     pub time_limit: Option<Duration>,
     /// Configuration for the bounded-width DP.
     pub btw: crate::btw::BtwConfig,
-    /// External cooperative cancellation. The engine derives per-call (and
-    /// per-solver, when racing) child tokens from this, so firing it
-    /// preempts everything downstream; solvers invoked directly poll it
-    /// too. Inert by default.
+    /// External cooperative cancellation. The engine derives a per-call
+    /// child token from this, so firing it preempts everything
+    /// downstream; solvers invoked directly poll it too. Inert by default.
     pub cancel: CancelToken,
     /// Memo of heuristic results (LMG-All plans, DP-MSR frontier plans),
     /// keyed by budget. The engine validates it against the graph's
@@ -155,8 +153,7 @@ pub enum SolveError {
         limit: Duration,
     },
     /// The solver was preempted mid-run through [`SolveOptions::cancel`] —
-    /// by the cooperative deadline, a racing sibling's short-circuit, or an
-    /// external caller firing the token.
+    /// by the cooperative deadline or an external caller firing the token.
     Cancelled {
         /// The preempted solver.
         solver: &'static str,
@@ -424,6 +421,10 @@ pub struct Portfolio {
     pub attempts: Vec<PortfolioAttempt>,
 }
 
+/// One solver's outcome (`None`: skipped because the call token had
+/// fired) and wall time.
+type Attempt = (Option<Result<Solution, SolveError>>, Duration);
+
 /// Registry dispatching problems to solvers.
 ///
 /// [`Engine::solve`] tries supporting solvers in registration order and
@@ -510,88 +511,60 @@ impl Engine {
                 problem: problem.name(),
             });
         }
-        let (eff, _token) = self.prepare_call(g, opts);
-        solver.solve(g, problem, &eff)
+        solver.solve(g, problem, &self.prepare_call(g, opts))
     }
 
     /// Effective per-call options: the shared-work memo claimed for this
     /// graph and a call-level token combining the caller's token with the
     /// cooperative deadline.
-    fn prepare_call(&self, g: &VersionGraph, opts: &SolveOptions) -> (SolveOptions, CancelToken) {
+    fn prepare_call(&self, g: &VersionGraph, opts: &SolveOptions) -> SolveOptions {
         let mut eff = opts.clone();
         eff.shared = opts.shared.for_graph(g);
-        let token = if opts.time_limit.is_some() {
-            opts.cancel.child_with_deadline(opts.time_limit)
-        } else {
-            opts.cancel.clone()
-        };
-        eff.cancel = token.clone();
-        (eff, token)
+        if opts.time_limit.is_some() {
+            eff.cancel = opts.cancel.child_with_deadline(opts.time_limit);
+        }
+        eff
     }
 
-    /// Run `solvers` against `problem`, sequentially or fanned out on the
-    /// thread pool, returning per-solver results **in input order**
-    /// (`None` = skipped: the call token had fired before the start).
-    ///
-    /// `race` enables first-feasible short-circuiting: a success at
-    /// preference `i` cancels every solver after `i` (sequentially, the
-    /// tail is simply skipped).
-    #[allow(clippy::type_complexity)]
+    /// Run one solver unless the call token has already fired (`None`:
+    /// skipped), timing the attempt.
+    fn attempt(
+        solver: &dyn Solver,
+        g: &VersionGraph,
+        problem: ProblemKind,
+        eff: &SolveOptions,
+    ) -> Attempt {
+        if eff.cancel.is_cancelled() {
+            return (None, Duration::ZERO);
+        }
+        let t0 = Instant::now();
+        let result = solver.solve(g, problem, eff);
+        (Some(result), t0.elapsed())
+    }
+
+    /// Run every one of `solvers` against `problem` for a portfolio,
+    /// sequentially or fanned out on the thread pool, returning per-solver
+    /// results **in input order**.
     fn run_attempts(
         &self,
         g: &VersionGraph,
         problem: ProblemKind,
         solvers: &[&dyn Solver],
         eff: &SolveOptions,
-        token: &CancelToken,
-        race: bool,
-    ) -> Vec<(Option<Result<Solution, SolveError>>, Duration)> {
-        let parallel = solvers.len() > 1 && rayon::current_num_threads() > 1;
-        if !parallel {
-            let mut out = Vec::with_capacity(solvers.len());
-            let mut short_circuited = false;
-            for solver in solvers {
-                if short_circuited || token.is_cancelled() {
-                    out.push((None, Duration::ZERO));
-                    continue;
-                }
-                let t0 = Instant::now();
-                let result = solver.solve(g, problem, eff);
-                let wall = t0.elapsed();
-                if race && result.is_ok() {
-                    short_circuited = true;
-                }
-                out.push((Some(result), wall));
-            }
-            return out;
+    ) -> Vec<Attempt> {
+        if solvers.len() <= 1 || rayon::current_num_threads() <= 1 {
+            return solvers
+                .iter()
+                .map(|&solver| Self::attempt(solver, g, problem, eff))
+                .collect();
         }
-
-        // Parallel dispatch: every solver gets its own child token so a
-        // race short-circuit can cancel lower-preference solvers without
-        // touching higher-preference ones; slots keep registry order.
-        let tokens: Vec<CancelToken> = solvers.iter().map(|_| token.child()).collect();
-        let slots: Vec<Mutex<Option<(Option<Result<Solution, SolveError>>, Duration)>>> =
-            solvers.iter().map(|_| Mutex::new(None)).collect();
+        // One task per solver; slots keep registry order.
+        let slots: Vec<Mutex<Option<Attempt>>> = solvers.iter().map(|_| Mutex::new(None)).collect();
         rayon::scope(|scope| {
-            for (i, solver) in solvers.iter().enumerate() {
-                let mut opts_i = eff.clone();
-                opts_i.cancel = tokens[i].clone();
-                let solver: &dyn Solver = *solver;
-                let (tokens, slots) = (&tokens, &slots);
+            for (&solver, slot) in solvers.iter().zip(&slots) {
                 scope.spawn(move || {
-                    if opts_i.cancel.is_cancelled() {
-                        *slots[i].lock().expect("attempt slot") = Some((None, Duration::ZERO));
-                        return;
-                    }
-                    let t0 = Instant::now();
-                    let result = solver.solve(g, problem, &opts_i);
-                    let wall = t0.elapsed();
-                    if race && result.is_ok() {
-                        for t in &tokens[i + 1..] {
-                            t.cancel();
-                        }
-                    }
-                    *slots[i].lock().expect("attempt slot") = Some((Some(result), wall));
+                    *slot.lock().expect("attempt slot") =
+                        Some(Self::attempt(solver, g, problem, eff));
                 });
             }
         });
@@ -643,13 +616,13 @@ impl Engine {
             })
     }
 
-    /// Solve `problem`: supporting solvers race in preference order with
-    /// first-feasible short-circuiting — the result is the success of the
-    /// most-preferred succeeding solver, exactly as sequential dispatch,
-    /// but lower-preference solvers run concurrently and are cancelled as
-    /// soon as a better-preferred one succeeds. On total failure, returns
-    /// the most informative error (an [`SolveError::Infeasible`] if any
-    /// solver reported one, otherwise the first error).
+    /// Solve `problem`: try the supporting solvers one at a time in
+    /// preference order and return the first success. The running solver
+    /// has the whole thread pool for its own parallelism (the sharded
+    /// path solves its shards on it); solvers after a fired call token
+    /// are skipped. On total failure, returns the most informative error (an
+    /// [`SolveError::Infeasible`] if any solver reported one, otherwise
+    /// the first error).
     pub fn solve(
         &self,
         g: &VersionGraph,
@@ -662,11 +635,10 @@ impl Engine {
                 problem: problem.name(),
             });
         }
-        let (eff, token) = self.prepare_call(g, opts);
-        let results = self.run_attempts(g, problem, &solvers, &eff, &token, true);
-        let mut errors = Vec::with_capacity(results.len());
-        for (result, _) in results {
-            match result {
+        let eff = self.prepare_call(g, opts);
+        let mut errors = Vec::with_capacity(solvers.len());
+        for solver in solvers {
+            match Self::attempt(solver, g, problem, &eff).0 {
                 Some(Ok(sol)) => return Ok(sol),
                 Some(Err(e)) => errors.push(Some(e)),
                 None => errors.push(None),
@@ -692,8 +664,8 @@ impl Engine {
                 problem: problem.name(),
             });
         }
-        let (eff, token) = self.prepare_call(g, opts);
-        let results = self.run_attempts(g, problem, &solvers, &eff, &token, false);
+        let eff = self.prepare_call(g, opts);
+        let results = self.run_attempts(g, problem, &solvers, &eff);
 
         let mut attempts = Vec::with_capacity(results.len());
         let mut best: Option<Solution> = None;
@@ -751,22 +723,23 @@ impl Engine {
     ) -> Result<MsrSweep, SolveError> {
         const SOLVER: &str = "DP-MSR";
         let started = Instant::now();
-        let (eff, token) = self.prepare_call(g, opts);
+        let eff = self.prepare_call(g, opts);
         let t = crate::tree::extract_tree(g, eff.root).ok_or_else(|| SolveError::Infeasible {
             solver: SOLVER,
             detail: format!("graph is not spanning-reachable from root {}", eff.root),
         })?;
         let max_budget = budgets.iter().copied().max().unwrap_or(0);
-        let state = crate::tree::dp_msr::dp_msr(g, &t, max_budget, &token).ok_or_else(|| {
-            if token.deadline_exceeded() {
-                SolveError::Timeout {
-                    solver: SOLVER,
-                    limit: opts.time_limit.unwrap_or_default(),
+        let state =
+            crate::tree::dp_msr::dp_msr(g, &t, max_budget, &eff.cancel).ok_or_else(|| {
+                if eff.cancel.deadline_exceeded() {
+                    SolveError::Timeout {
+                        solver: SOLVER,
+                        limit: opts.time_limit.unwrap_or_default(),
+                    }
+                } else {
+                    SolveError::Cancelled { solver: SOLVER }
                 }
-            } else {
-                SolveError::Cancelled { solver: SOLVER }
-            }
-        })?;
+            })?;
         let iterations = state.state_count();
         let mut solutions = Vec::with_capacity(budgets.len());
         for &budget in budgets {

@@ -46,7 +46,7 @@ use crate::problem::ProblemKind;
 use dsv_vgraph::{cost_add, partition_graph, Cost, EdgeId, NodeId, VersionGraph};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Solver/registry name of the sharded path.
 const SOLVER: &str = "Sharded-LMG";
@@ -80,7 +80,7 @@ impl Default for ShardConfig {
     }
 }
 
-/// Observability counters of one sharded solve.
+/// Observability counters and stage timings of one sharded solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Number of shards solved.
@@ -101,6 +101,15 @@ pub struct ShardStats {
     pub storage: Cost,
     /// Exact total retrieval cost of the stitched plan.
     pub total_retrieval: Cost,
+    /// Wall time of the partition stage: cutting the graph into shards,
+    /// extracting their sub-graphs and splitting the budget.
+    pub partition: Duration,
+    /// Wall time of the parallel shard solves (the whole-graph LMG-All
+    /// solve when the partition yields a single shard).
+    pub shard_solves: Duration,
+    /// Wall time of the stitch: primary roots, crossing edges, the coarse
+    /// solve and the global plan.
+    pub stitch: Duration,
 }
 
 fn infeasible(detail: String) -> SolveError {
@@ -110,9 +119,14 @@ fn infeasible(detail: String) -> SolveError {
     }
 }
 
-/// Stats for a solve that never actually sharded (single shard, or an
-/// empty graph): the whole-graph numbers under the sharded bookkeeping.
-fn whole_graph_stats(g: &VersionGraph, stats: &LmgAllStats) -> ShardStats {
+/// Stats for a solve that never actually sharded (a single shard): the
+/// whole-graph numbers under the sharded bookkeeping.
+fn whole_graph_stats(
+    g: &VersionGraph,
+    stats: &LmgAllStats,
+    partition: Duration,
+    shard_solves: Duration,
+) -> ShardStats {
     ShardStats {
         shards: 1,
         largest_shard: g.n(),
@@ -122,6 +136,9 @@ fn whole_graph_stats(g: &VersionGraph, stats: &LmgAllStats) -> ShardStats {
         materializations: stats.materializations,
         storage: stats.storage,
         total_retrieval: stats.total_retrieval,
+        partition,
+        shard_solves,
+        stitch: Duration::ZERO,
     }
 }
 
@@ -147,12 +164,15 @@ pub fn sharded_msr(
     if g.n() == 0 {
         return Ok((StoragePlan { parent: Vec::new() }, ShardStats::default()));
     }
+    let t_partition = Instant::now();
     let partition = partition_graph(g, cfg.max_shard_nodes, &dsv_treewidth::split_component);
     let k = partition.len();
     if k <= 1 {
+        let partition_time = t_partition.elapsed();
+        let t_solve = Instant::now();
         let (plan, stats) = lmg_all_with_stats(g, storage_budget)
             .ok_or_else(|| infeasible("storage budget below minimum storage".into()))?;
-        let stats = whole_graph_stats(g, &stats);
+        let stats = whole_graph_stats(g, &stats, partition_time, t_solve.elapsed());
         return Ok((plan, stats));
     }
 
@@ -216,8 +236,11 @@ pub fn sharded_msr(
         budgets.push(smin[s] + (hi - lo));
     }
 
+    let partition_time = t_partition.elapsed();
+
     // Parallel, order-stable shard solves; the token is polled before each
     // shard so a long pipeline can be preempted between sub-solves.
+    let t_solves = Instant::now();
     let locals: Vec<Option<(StoragePlan, LmgAllStats)>> = (0..k)
         .into_par_iter()
         .map(|s| {
@@ -230,6 +253,8 @@ pub fn sharded_msr(
     if cancel.is_cancelled() {
         return Err(SolveError::Cancelled { solver: SOLVER });
     }
+    let shard_solves = t_solves.elapsed();
+    let t_stitch = Instant::now();
     let mut local_plans = Vec::with_capacity(k);
     let mut local_stats = Vec::with_capacity(k);
     for (s, solved) in locals.into_iter().enumerate() {
@@ -359,6 +384,9 @@ pub fn sharded_msr(
             + coarse_stats.materializations,
         storage: costs.storage,
         total_retrieval: costs.total_retrieval,
+        partition: partition_time,
+        shard_solves,
+        stitch: t_stitch.elapsed(),
     };
     Ok((plan, stats))
 }

@@ -328,8 +328,7 @@ fn unsupported(solver: &'static str, problem: ProblemKind) -> SolveError {
 
 /// The error for a solve preempted through [`SolveOptions::cancel`]: a
 /// [`SolveError::Timeout`] when the cooperative deadline fired, otherwise a
-/// [`SolveError::Cancelled`] (external token or a racing sibling's
-/// short-circuit).
+/// [`SolveError::Cancelled`] (the caller fired the token).
 fn cancelled(solver: &'static str, opts: &SolveOptions) -> SolveError {
     match opts.time_limit {
         Some(limit) if opts.cancel.deadline_exceeded() => SolveError::Timeout { solver, limit },

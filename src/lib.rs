@@ -18,8 +18,8 @@
 //! LMG-All, Modified Prim's, DP-MSR, DP-BMR, DP-BTW, brute force),
 //! validates and budget-checks every plan before returning it, and offers a
 //! portfolio mode that runs every applicable solver and keeps the best
-//! feasible answer. Racing/portfolio dispatch fans out across a
-//! work-stealing thread pool (cooperatively preemptible via
+//! feasible answer. Portfolio dispatch fans out across a work-stealing
+//! thread pool (cooperatively preemptible via
 //! [`CancelToken`](core::cancel::CancelToken), deterministic: byte-identical
 //! results to sequential execution), and the batched
 //! [`solve_sweep`](core::engine::Engine::solve_sweep) answers a whole MSR

@@ -15,6 +15,7 @@ use dsv_core::exact::brute::{enumeration_space, for_each_plan};
 use dsv_core::reductions::mmr_via_bmr;
 use dsv_core::tree::dp_msr::dp_msr;
 use dsv_core::tree::{dp_bmr, run_tree_msr, BidirTree};
+use std::time::Duration;
 
 struct Fixture {
     g: VersionGraph,
@@ -206,10 +207,20 @@ fn rows() -> Vec<Row> {
                 match sharded_msr(&f.g, f.smin * 6, &cfg, c) {
                     Err(SolveError::Cancelled { .. }) => None,
                     Err(e) => Some(format!("error: {e}")),
-                    Ok((plan, stats)) => Some(format!("{stats:?} {}", plan_line(&f.g, &plan))),
+                    Ok((plan, stats)) => {
+                        // Stage timings vary from run to run; the counters
+                        // and the plan are what is pinned.
+                        let stats = ShardStats {
+                            partition: Duration::ZERO,
+                            shard_solves: Duration::ZERO,
+                            stitch: Duration::ZERO,
+                            ..stats
+                        };
+                        Some(format!("{stats:?} {}", plan_line(&f.g, &plan)))
+                    }
                 }
             },
-            "ShardStats { shards: 3, largest_shard: 4, cut_edges: 8, coarse_deltas: 0, moves: 1, materializations: 1, storage: 37631, total_retrieval: 2404 } s=37631 r=2404 m=776 [1,M,15,4,6,M,17,M,M,M]",
+            "ShardStats { shards: 3, largest_shard: 4, cut_edges: 8, coarse_deltas: 0, moves: 1, materializations: 1, storage: 37631, total_retrieval: 2404, partition: 0ns, shard_solves: 0ns, stitch: 0ns } s=37631 r=2404 m=776 [1,M,15,4,6,M,17,M,M,M]",
         ),
     ]
 }

@@ -1,12 +1,17 @@
 //! Engine integration tests: the parity suite (engine-dispatched solvers
 //! must return byte-identical plans and costs to their direct
 //! free-function calls) and a seeded property loop (every `Solution` the
-//! engine hands out validates and respects its `ProblemKind` budget).
+//! engine hands out validates and respects its `ProblemKind` budget),
+//! plus the dispatch contract of `Engine::solve`: solvers run one at a
+//! time in preference order, and none runs after the first success.
 
 use dataset_versioning::prelude::*;
 use dataset_versioning::vgraph::generators::{
     bidirectional_path, erdos_renyi_bidirectional, random_tree, CostModel,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn test_graphs() -> Vec<(String, VersionGraph)> {
     let mut graphs = Vec::new();
@@ -340,4 +345,129 @@ fn objective_and_constraint_sides_are_consistent() {
         }),
         bmr.costs.max_retrieval
     );
+}
+
+/// A scripted MSR solver that counts its calls and takes 50 ms (long
+/// enough for a dispatcher that ran solvers concurrently to start the next
+/// one), then either reports the instance infeasible or answers with the
+/// materialize-all plan under its own name.
+struct Scripted {
+    name: &'static str,
+    succeeds: bool,
+    calls: Arc<AtomicUsize>,
+}
+
+impl Scripted {
+    fn new(name: &'static str, succeeds: bool) -> (Self, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let solver = Scripted {
+            name,
+            succeeds,
+            calls: Arc::clone(&calls),
+        };
+        (solver, calls)
+    }
+}
+
+impl Solver for Scripted {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn supports(&self, problem: ProblemKind) -> bool {
+        matches!(problem, ProblemKind::Msr { .. })
+    }
+    fn solve(
+        &self,
+        g: &VersionGraph,
+        problem: ProblemKind,
+        _opts: &SolveOptions,
+    ) -> Result<Solution, SolveError> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(50));
+        if !self.succeeds {
+            return Err(SolveError::Infeasible {
+                solver: self.name,
+                detail: "scripted failure".into(),
+            });
+        }
+        let meta = SolverMeta {
+            solver: self.name,
+            iterations: 0,
+            wall_time: Duration::ZERO,
+            proven_optimal: false,
+            reported_objective: None,
+            lower_bound: None,
+        };
+        Solution::checked(
+            g,
+            problem,
+            StoragePlan::materialize_all(g),
+            meta,
+            Instant::now(),
+        )
+    }
+}
+
+/// Run `f` on a pool of `threads` threads.
+fn on_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool")
+        .install(f)
+}
+
+/// The MSR instance of the dispatch tests: a budget that fits the
+/// materialize-all plan.
+fn dispatch_instance() -> (VersionGraph, ProblemKind) {
+    let g = random_tree(8, &CostModel::default(), 4);
+    let storage_budget = StoragePlan::materialize_all(&g).storage_cost(&g);
+    (g, ProblemKind::Msr { storage_budget })
+}
+
+/// Once a solver succeeds, no lower-preference solver is ever started,
+/// whatever the pool width.
+#[test]
+fn solve_never_runs_a_solver_after_the_first_success() {
+    let (g, problem) = dispatch_instance();
+    for threads in [1, 4] {
+        let (first, first_calls) = Scripted::new("first", true);
+        let (second, second_calls) = Scripted::new("second", true);
+        let mut engine = Engine::new();
+        engine.register(Box::new(first)).register(Box::new(second));
+        let sol = on_pool(threads, || {
+            engine.solve(&g, problem, &SolveOptions::default())
+        })
+        .expect("the first solver succeeds");
+        assert_eq!(sol.meta.solver, "first", "{threads} threads");
+        assert_eq!(first_calls.load(Ordering::SeqCst), 1, "{threads} threads");
+        assert_eq!(
+            second_calls.load(Ordering::SeqCst),
+            0,
+            "a solver ran after the first success on {threads} threads"
+        );
+    }
+}
+
+/// A failing preferred solver falls through to the next one: its plan is
+/// returned, and each solver runs exactly once.
+#[test]
+fn solve_falls_through_a_failure_to_the_next_solver() {
+    let (g, problem) = dispatch_instance();
+    for threads in [1, 4] {
+        let (failing, failing_calls) = Scripted::new("failing", false);
+        let (second, second_calls) = Scripted::new("second", true);
+        let mut engine = Engine::new();
+        engine
+            .register(Box::new(failing))
+            .register(Box::new(second));
+        let sol = on_pool(threads, || {
+            engine.solve(&g, problem, &SolveOptions::default())
+        })
+        .expect("the second solver succeeds");
+        assert_eq!(sol.meta.solver, "second", "{threads} threads");
+        assert_eq!(sol.plan, StoragePlan::materialize_all(&g));
+        assert_eq!(failing_calls.load(Ordering::SeqCst), 1, "{threads} threads");
+        assert_eq!(second_calls.load(Ordering::SeqCst), 1, "{threads} threads");
+    }
 }

@@ -1,9 +1,10 @@
 //! Determinism and semantics of the parallel engine paths.
 //!
-//! The engine's contract is that parallel dispatch is an *implementation*
-//! detail: racing/portfolio runs must return byte-identical plans and
-//! equivalent scoreboards to the sequential path (taken on a one-thread
-//! pool), whatever the pool width. These tests pin that contract
+//! The engine's contract is that the pool width is an *implementation*
+//! detail: `solve` and portfolio runs must return byte-identical plans and
+//! equivalent scoreboards to a one-thread pool, whatever the width (a
+//! portfolio fans its solvers out; `solve` runs one solver at a time and
+//! lends it the pool). These tests pin that contract
 //! across seeded random graphs, plus the amortization guarantee of
 //! `Engine::solve_sweep` (one DP run per sweep) and the skipped-attempt
 //! marking for deadline-starved portfolios.
@@ -112,8 +113,9 @@ fn parallel_portfolio_is_byte_identical_to_sequential() {
     }
 }
 
-/// Racing solve: first-feasible short-circuiting must preserve sequential
-/// first-success semantics exactly.
+/// `solve` returns the most-preferred success, and the running solver's own
+/// parallelism must not change it: the same plan, costs and solver at the
+/// ambient pool width as on a one-thread pool.
 #[test]
 fn parallel_solve_matches_sequential_dispatch() {
     let engine = Engine::with_default_solvers();
