@@ -592,8 +592,10 @@ pub fn portfolio_bench(opts: &ExperimentOptions) -> Bench {
 /// Iterations per timing mode in [`lmg_bench`] (best is reported).
 pub const LMG_BENCH_ITERS: usize = 3;
 
-/// Floor of the incremental-vs-scratch LMG-All speedup at n = 4000.
-pub const LMG_SPEEDUP_FLOOR: f64 = 1.0;
+/// Floor of the incremental-vs-scratch LMG-All speedup at n = 4000. The
+/// one-entry-per-candidate heap measures ~120–150× on a 2-vCPU VM; a loop
+/// that pops and re-scores outdated heap copies measured ~19×.
+pub const LMG_SPEEDUP_FLOOR: f64 = 40.0;
 
 /// Time incremental vs from-scratch LMG-All on Erdős–Rényi graphs of
 /// increasing size (average total degree ≈ 8, budget = 2× the minimum

@@ -13,16 +13,17 @@
 //!
 //! Like LMG-All, the inner loop is **incremental**: an
 //! [`IncrementalPlanView`] absorbs each materialization with
-//! subtree-local updates, and a lazy max-heap re-scores only the
-//! candidates the move dirtied (the moved subtree and its old ancestor
-//! path) — `O(Δ + log n)` amortized per move instead of the from-scratch
-//! `O(n + m)` rebuild-and-rescan, which is kept as the differential oracle
+//! subtree-local updates, and a `CandidateHeap` with one entry per node
+//! re-scores only the candidates the move dirtied (the moved subtree and
+//! its old ancestor path) — `O(Δ·log n)` amortized per move instead of
+//! the from-scratch `O(n + m)` rebuild-and-rescan, which is kept as the
+//! differential oracle
 //! ([`oracle::lmg_scratch`](super::oracle::lmg_scratch)). Both loops pick
 //! byte-identical move sequences; ties break to the **lowest** node id
 //! (the oracle scans ids in order and replaces only on strict
 //! improvement).
 
-use super::{IncrementalPlanView, LazyCandidateHeap, Ratio, Scored};
+use super::{Candidate, CandidateHeap, IncrementalPlanView, Ratio, Scored};
 use crate::baselines::min_storage_plan;
 use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
@@ -49,6 +50,13 @@ pub fn lmg(g: &VersionGraph, storage_budget: Cost) -> Option<StoragePlan> {
 /// [`lmg`] plus run diagnostics.
 pub fn lmg_with_stats(g: &VersionGraph, storage_budget: Cost) -> Option<(StoragePlan, LmgStats)> {
     run_incremental(g, storage_budget, |_, _| {})
+}
+
+/// LMG's candidates are nodes; the slot is the node id.
+impl Candidate for Reverse<u32> {
+    fn slot(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// Score materializing `v` against current state, mirroring the oracle's
@@ -114,10 +122,10 @@ pub(super) fn run_incremental(
         .collect();
     // Payload `Reverse(node)`: ties break to the lowest id, matching the
     // oracle's ascending scan with strict-improvement replacement.
-    let mut cands: LazyCandidateHeap<Reverse<u32>> = LazyCandidateHeap::with_capacity(g.n());
+    let mut cands = CandidateHeap::with_capacity(g.n());
     for v in 0..g.n() as u32 {
         let sc = score(g, &mut view, &eligible, storage_budget, v as usize);
-        cands.push_scored(sc, Reverse(v));
+        cands.update(sc, Reverse(v));
     }
 
     loop {
@@ -144,7 +152,7 @@ pub(super) fn run_incremental(
         // path's `size` changed (materialization has no new parent path).
         for &x in effect.subtree.iter().chain(effect.path.iter()) {
             let sc = score(g, &mut view, &eligible, storage_budget, x as usize);
-            cands.push_scored(sc, Reverse(x));
+            cands.update(sc, Reverse(x));
         }
     }
 }

@@ -9,12 +9,13 @@
 //!
 //! [`lmg_all`] runs the **incremental** loop: an [`IncrementalPlanView`]
 //! maintains retrieval/size/paid state with subtree-local updates, and a
-//! **lazy max-heap** of stale-checked candidates replaces the
+//! `CandidateHeap` holding **one entry per move** replaces the
 //! per-iteration rescan. After a move only the candidates touched by its
-//! dirty region are re-scored; budget-blocked candidates are *parked*
-//! keyed by the largest total storage at which they fit and revived when
-//! storage drops. Amortized cost per move is `O(Δ·deg + log m)` instead of
-//! `O(n + m)`.
+//! dirty region are re-scored, each updating its own entry in place;
+//! selection re-scores the top entry and takes it if the score still
+//! matches. Budget-blocked candidates are *parked* keyed by the largest
+//! total storage at which they fit and revived when storage drops.
+//! Amortized cost per move is `O(Δ·deg·log m)` instead of `O(n + m)`.
 //!
 //! The from-scratch loop (rebuild the view, rescan all candidates each
 //! iteration) is the differential oracle
@@ -30,7 +31,7 @@
 //! first, then edge replacements beat materializations, then the higher
 //! index wins.
 
-use super::{IncrementalPlanView, LazyCandidateHeap, MoveEffect, Ratio, Scored};
+use super::{Candidate, CandidateHeap, IncrementalPlanView, MoveEffect, Ratio, Scored};
 use crate::baselines::min_storage_plan;
 use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::{Cost, EdgeId, NodeId, VersionGraph};
@@ -38,7 +39,7 @@ use dsv_vgraph::{Cost, EdgeId, NodeId, VersionGraph};
 /// One greedy move: change `node`'s parent in the stored-delta forest.
 ///
 /// The derived order is the tie-break among equal ratios, in both the
-/// oracle scan and the lazy heap: edge moves beat materializations
+/// oracle scan and the candidate heap: edge moves beat materializations
 /// (variant order), then the higher index wins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Move {
@@ -52,6 +53,16 @@ pub enum Move {
         /// The edge (by id) to store.
         edge: u32,
     },
+}
+
+impl Candidate for Move {
+    /// Edge moves take the even slots, materializations the odd ones.
+    fn slot(self) -> usize {
+        match self {
+            Move::Reparent { edge } => 2 * edge as usize,
+            Move::Materialize { node } => 2 * node as usize + 1,
+        }
+    }
 }
 
 impl Move {
@@ -159,9 +170,10 @@ pub(crate) fn score(
 }
 
 /// Incremental greedy behind [`lmg_all_with_stats`]: score all candidates
-/// once, then per move re-score only the dirty region and let the lazy
-/// heap pick the maximum. `observe` sees every applied move and the plan
-/// right after it (exposed to tests as [`super::oracle::lmg_all_traced`]).
+/// once, then per move re-score only the dirty region and let the
+/// candidate heap pick the maximum. `observe` sees every applied move and
+/// the plan right after it (exposed to tests as
+/// [`super::oracle::lmg_all_traced`]).
 pub(super) fn run_incremental(
     g: &VersionGraph,
     storage_budget: Cost,
@@ -173,11 +185,11 @@ pub(super) fn run_incremental(
     }
     let mut stats = LmgAllStats::default();
     let mut view = IncrementalPlanView::new(g, &plan);
-    let mut cands: LazyCandidateHeap<Move> = LazyCandidateHeap::with_capacity(g.m() + g.n());
+    let mut cands = CandidateHeap::with_capacity(2 * g.m().max(g.n()));
 
     for mv in all_moves(g) {
         let sc = score(g, &plan, &mut view, storage_budget, mv);
-        cands.push_scored(sc, mv);
+        cands.update(sc, mv);
     }
 
     loop {
@@ -202,7 +214,7 @@ pub(super) fn run_incremental(
         observe(mv, &plan);
         for_each_dirty(g, &effect, |mv| {
             let sc = score(g, &plan, &mut view, storage_budget, mv);
-            cands.push_scored(sc, mv);
+            cands.update(sc, mv);
         });
     }
 }

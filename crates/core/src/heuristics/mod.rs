@@ -7,9 +7,9 @@
 //! `O(n + m)` per move: rebuild [`PlanView`] (Euler tour, post-order,
 //! subtree sizes, full retrieval BFS), then rescan every candidate. The
 //! public entry points instead always run on [`IncrementalPlanView`] plus a
-//! lazy candidate heap. The from-scratch loops live on in [`oracle`] as
-//! the differential-testing oracle — both must pick **byte-identical move
-//! sequences**.
+//! `CandidateHeap` with one entry per candidate. The from-scratch loops
+//! live on in [`oracle`] as the differential-testing oracle — both must
+//! pick **byte-identical move sequences**.
 //!
 //! ## Dirty-region invariants
 //!
@@ -34,18 +34,27 @@
 //! The only *global* evaluation input is the current total `storage`
 //! (budget feasibility); candidate caches handle it by parking
 //! over-budget candidates keyed by the largest storage at which they fit
-//! (see the lazy heap in [`mod@lmg_all`]).
+//! (see `CandidateHeap`).
 //!
-//! ## Lazy-heap staleness rule
+//! ## One entry per candidate
 //!
-//! Candidate heaps are lazy (insert-only): every re-score pushes a fresh
-//! entry keyed by the ratio it was computed at, and popped entries are
-//! re-evaluated against current state — an entry whose stored ratio no
-//! longer matches is stale and is re-pushed at its current ratio (or
-//! parked/dropped) instead of being selected. The invariant making
-//! discards safe: whenever a candidate's evaluation changes, it is inside
-//! the dirty region of the move that changed it, so an accurate entry was
-//! pushed at that time.
+//! `CandidateHeap` gives every candidate one slot of an [`IndexedHeap`]
+//! keyed by `(ratio, payload)`: LMG-All's `Reparent{edge}` uses slot
+//! `2·edge` and `Materialize{node}` slot `2·node + 1`; LMG's
+//! `Reverse(node)` uses `node`. A re-score sets the candidate's entry in
+//! place, and a `Skip` or `Park` removes it. Selection peeks the top
+//! entry, re-scores it, and takes it only if the score still matches;
+//! otherwise it records the current score and looks again. The invariant making this exact:
+//! whenever a candidate's evaluation changes, it is inside the dirty
+//! region of the move that changed it, so its entry was re-scored then.
+//! The one input outside any dirty region is total storage, which only
+//! decides feasible versus parked: a top entry that went over budget is
+//! parked when selection re-scores it, and a parked candidate is revived
+//! once storage falls to its threshold.
+//!
+//! The heap thus holds at most `n + m` entries, and selection almost
+//! always takes the first entry it looks at: no outdated copies are left
+//! behind to be popped and re-scored.
 //!
 //! ## Ancestor tests
 //!
@@ -63,10 +72,11 @@
 //! |-----------|--------------|-------------|
 //! | view maintenance | `O(n + m)` rebuild | `O(|subtree(v)| + depth)` |
 //! | candidate scoring | `O(n + m)` rescan | `O(Σ deg(dirty) )` re-scores |
-//! | selection | `O(1)` (during scan) | `O(log m)` per heap op |
+//! | heap updates | — | `O(log m)` per re-score (one entry per candidate) |
+//! | selection | `O(1)` (during scan) | one verified peek, `O(log m)` |
 //! | ancestor tests | `O(1)` (fresh tour) | `O(depth)` amortized, `O(1)` after re-stamp |
 //!
-//! With `Δ` the dirty-region size, one move costs `O(Δ·deg + log m)`
+//! With `Δ` the dirty-region size, one move costs `O(Δ·deg·log m)`
 //! amortized instead of `O(n + m)`.
 
 pub mod lmg;
@@ -80,6 +90,7 @@ pub use lmg_all::lmg_all;
 pub use mp::modified_prims;
 
 use crate::plan::{Parent, StoragePlan};
+use dsv_vgraph::indexed_heap::IndexedHeap;
 use dsv_vgraph::{cost_add, Cost, NodeId, VersionGraph, INF};
 
 /// Per-iteration view of a plan: retrieval costs, dependency-subtree sizes,
@@ -152,8 +163,8 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 /// Dirty region of one applied move: the nodes whose per-node state
 /// (`r`/`depth`/`paid`, or ancestor-set membership) changed, plus the
 /// ancestor-path nodes whose `size` changed. May contain duplicates (old
-/// and new ancestor paths can share a suffix); re-scoring twice is
-/// harmless with a lazy heap.
+/// and new ancestor paths can share a suffix); re-scoring twice only sets
+/// the candidate's heap entry twice.
 pub(crate) struct MoveEffect {
     /// `subtree(v)` of the moved node, `v` included.
     pub subtree: Vec<u32>,
@@ -174,8 +185,8 @@ pub(crate) struct IncrementalPlanView {
     /// over `n` nodes is a fixed set of flat `u32`/`u64` arrays end-to-end
     /// (the SoA memory diet the sharded million-node solve path relies on).
     /// List order is irrelevant to move selection — every consumer either
-    /// sums over children (commutative) or feeds a lazily re-scored heap
-    /// with a total order on entries — so the push-front discipline is
+    /// sums over children (commutative) or feeds the candidate heap, whose
+    /// keys are totally ordered — so the push-front discipline is
     /// byte-identical-safe, as the differential oracle tests verify.
     first_child: Vec<u32>,
     next_sibling: Vec<u32>,
@@ -500,40 +511,63 @@ pub(crate) enum Scored {
     },
 }
 
-/// Lazy max-heap of greedy candidates with budget parking, shared by the
-/// incremental [`lmg`] and [`lmg_all`] loops (see the module docs for the
-/// staleness rule it implements). `P` is the candidate payload; its `Ord`
+/// A greedy candidate: its `Ord` is the tie-break among equal ratios, and
+/// it owns one dense slot of the [`CandidateHeap`].
+pub(crate) trait Candidate: Copy + Ord {
+    /// Id of the candidate's heap entry; distinct candidates of one loop
+    /// never share a slot.
+    fn slot(self) -> usize;
+}
+
+/// Max-heap of greedy candidates with budget parking, shared by the
+/// incremental [`lmg`] and [`lmg_all`] loops and the online planner (see
+/// the module docs for the one-entry rule it implements). Each candidate
+/// has at most one entry, keyed by `(ratio, payload)`: the payload's `Ord`
 /// is the tie-break among equal ratios, so each loop encodes its oracle's
 /// tie-breaking in the payload type (LMG-All: edge-beats-mat then highest
 /// index; LMG: `Reverse(node)` for lowest id).
-pub(crate) struct LazyCandidateHeap<P: Copy + Ord> {
-    heap: std::collections::BinaryHeap<(Ratio, P)>,
+pub(crate) struct CandidateHeap<P: Candidate> {
+    heap: IndexedHeap<(Ratio, P)>,
     parked: std::collections::BinaryHeap<(u128, P)>,
 }
 
-impl<P: Copy + Ord> LazyCandidateHeap<P> {
-    pub(crate) fn with_capacity(cap: usize) -> Self {
-        LazyCandidateHeap {
-            heap: std::collections::BinaryHeap::with_capacity(cap),
+impl<P: Candidate> Default for CandidateHeap<P> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl<P: Candidate> CandidateHeap<P> {
+    /// An empty heap with room for the slots `0..slots`; it grows past
+    /// them on demand.
+    pub(crate) fn with_capacity(slots: usize) -> Self {
+        CandidateHeap {
+            heap: IndexedHeap::with_capacity(slots),
             parked: std::collections::BinaryHeap::new(),
         }
     }
 
-    /// File a scored candidate: feasible entries into the ratio heap,
-    /// budget-blocked ones into the parked heap, `Skip`s nowhere.
-    pub(crate) fn push_scored(&mut self, sc: Scored, payload: P) {
+    /// Record a candidate's fresh score: a feasible one sets its entry to
+    /// the new ratio, a budget-blocked one leaves the ratio heap for the
+    /// parked heap, and a `Skip` leaves the ratio heap.
+    pub(crate) fn update(&mut self, sc: Scored, payload: P) {
         match sc {
-            Scored::Push(ratio) => self.heap.push((ratio, payload)),
-            Scored::Park { max_storage } => self.parked.push((max_storage, payload)),
-            Scored::Skip => {}
+            Scored::Push(ratio) => self.heap.set(payload.slot(), (ratio, payload)),
+            Scored::Park { max_storage } => {
+                self.heap.remove(payload.slot());
+                self.parked.push((max_storage, payload));
+            }
+            Scored::Skip => {
+                self.heap.remove(payload.slot());
+            }
         }
     }
 
-    /// Revive parked candidates that fit under the current total storage
-    /// (re-scored: a revived candidate may have gone stale while parked,
-    /// in which case its dirty-region re-score already pushed an accurate
-    /// twin and this copy re-sorts itself harmlessly). A re-parked entry
-    /// always gets a threshold below `storage`, so this terminates.
+    /// Revive parked candidates that fit under the current total storage,
+    /// re-scoring each. A parked copy may be stale (the candidate was
+    /// re-scored since it was parked); re-scoring it only records the
+    /// candidate's current score again. A re-parked candidate always gets
+    /// a threshold below `storage`, so this terminates.
     pub(crate) fn revive(&mut self, storage: Cost, rescore: &mut impl FnMut(P) -> Scored) {
         while self
             .parked
@@ -541,20 +575,23 @@ impl<P: Copy + Ord> LazyCandidateHeap<P> {
             .is_some_and(|&(max_storage, _)| max_storage >= storage as u128)
         {
             let (_, payload) = self.parked.pop().expect("peeked entry");
-            self.push_scored(rescore(payload), payload);
+            self.update(rescore(payload), payload);
         }
     }
 
-    /// Lazy selection: pop until an entry's stored ratio matches its
-    /// re-evaluation against current state. Stale entries re-queue at
-    /// their current score; state is frozen between moves, so this
-    /// converges (every re-queued entry is accurate when next popped).
-    /// `None` means no valid feasible candidate remains.
+    /// Verified selection: re-score the top entry and take it only if its
+    /// ratio still matches. A mismatch records the current score and
+    /// looks again; state is frozen between moves, so the next look at
+    /// that candidate matches. `None` means no valid feasible candidate
+    /// remains.
     pub(crate) fn select(&mut self, rescore: &mut impl FnMut(P) -> Scored) -> Option<P> {
-        while let Some((ratio, payload)) = self.heap.pop() {
+        while let Some((_, &(ratio, payload))) = self.heap.peek() {
             match rescore(payload) {
-                Scored::Push(current) if current == ratio => return Some(payload),
-                sc => self.push_scored(sc, payload),
+                Scored::Push(current) if current == ratio => {
+                    self.heap.pop();
+                    return Some(payload);
+                }
+                sc => self.update(sc, payload),
             }
         }
         None

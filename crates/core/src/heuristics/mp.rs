@@ -11,8 +11,9 @@
 //! `O(E log V)` with an indexed heap.
 
 use crate::plan::{Parent, StoragePlan};
-use dsv_vgraph::indexed_heap::IndexedMinHeap;
+use dsv_vgraph::indexed_heap::IndexedHeap;
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
+use std::cmp::Reverse;
 
 /// Run Modified Prim's under a max-retrieval budget `R`.
 pub fn modified_prims(g: &VersionGraph, retrieval_budget: Cost) -> StoragePlan {
@@ -21,9 +22,10 @@ pub fn modified_prims(g: &VersionGraph, retrieval_budget: Cost) -> StoragePlan {
     let mut retr: Vec<Cost> = vec![0; n]; // retrieval if attached via `choice`
     let mut attached = vec![false; n];
     let mut final_r: Vec<Cost> = vec![0; n];
-    let mut heap = IndexedMinHeap::new(n);
+    // Min-queue on the cheapest known way to attach each version.
+    let mut heap = IndexedHeap::with_capacity(n);
     for v in 0..n {
-        heap.push_or_decrease(v, g.node_storage(NodeId::new(v)));
+        heap.set(v, Reverse(g.node_storage(NodeId::new(v))));
     }
     let mut plan = StoragePlan {
         parent: vec![Parent::Materialized; n],
@@ -39,7 +41,10 @@ pub fn modified_prims(g: &VersionGraph, retrieval_budget: Cost) -> StoragePlan {
                 continue;
             }
             let r = final_r[v].saturating_add(e.retrieval);
-            if r <= retrieval_budget && heap.push_or_decrease(w, e.storage) {
+            // Unattached versions are still queued; attach `w` here only
+            // if this delta is strictly cheaper than its current way in.
+            if r <= retrieval_budget && heap.get(w).is_some_and(|&Reverse(c)| e.storage < c) {
+                heap.set(w, Reverse(e.storage));
                 choice[w] = Parent::Delta(eid);
                 retr[w] = r;
             }

@@ -4,7 +4,7 @@
 //! A production version store receives a continuous commit stream; paying
 //! O(solve) per commit does not scale. [`OnlinePlanner`] owns a
 //! [`VersionGraph`], its current [`StoragePlan`], and the incremental
-//! machinery from `heuristics` (the [`IncrementalPlanView`] and the lazy
+//! machinery from `heuristics` (the [`IncrementalPlanView`] and the
 //! candidate heap), and keeps the plan greedily settled across three
 //! mutations:
 //!
@@ -12,7 +12,7 @@
 //!   O(1) state growth, then the greedy loop runs on whatever candidates
 //!   the mutation dirtied (none yet — a bare version has no deltas).
 //! * [`OnlinePlanner::add_edge`] — exactly one new candidate (the new
-//!   delta) is scored and pushed; if adopting it (or anything it unlocks)
+//!   delta) is scored and queued; if adopting it (or anything it unlocks)
 //!   improves the objective, the standard dirty-region loop cascades from
 //!   there.
 //! * [`OnlinePlanner::retire_version`] — the retired version's stored
@@ -39,6 +39,16 @@
 //! The regular greedy loop then re-settles (it can only spend budget that
 //! exists, so feasibility is preserved from there on).
 //!
+//! The repair candidates live in a second [`IndexedHeap`], one entry per
+//! usable in-delta, ranked by smallest `growth / saving`, then the larger
+//! saving, then the lower edge id. A repair candidate's inputs are exactly
+//! those of the greedy `Reparent` move on the same edge, so it is
+//! re-scored on the same dirty regions (every applied move, every
+//! absorbed mutation, adoption and the from-scratch refresh). A repair
+//! move is then a verified pop — re-score the top entry, take it if its
+//! key still matches — instead of a scan over every in-delta of the
+//! graph. Unit tests assert that each pick equals that scan's.
+//!
 //! # Regret gate
 //!
 //! Online greedy is path-dependent: its plan can differ from what LMG-All
@@ -59,9 +69,11 @@
 
 use crate::baselines::min_storage_plan;
 use crate::heuristics::lmg_all::{all_moves, for_each_dirty, lmg_all_with_stats, score, Move};
-use crate::heuristics::{IncrementalPlanView, LazyCandidateHeap};
+use crate::heuristics::{CandidateHeap, IncrementalPlanView};
 use crate::plan::{Parent, StoragePlan};
+use dsv_vgraph::indexed_heap::IndexedHeap;
 use dsv_vgraph::{Cost, EdgeId, NodeId, VersionGraph, INF};
+use std::cmp::Ordering;
 
 /// Declared regret bound of online absorption: after any mutation
 /// sequence, the online plan's total retrieval is at most this factor
@@ -77,8 +89,11 @@ pub struct OnlineStats {
     pub absorbed: usize,
     /// Greedy moves applied across all absorbs.
     pub moves: usize,
-    /// Candidate (re-)scores pushed across all absorbs — the dirty-region
-    /// work metric (a from-scratch solve would pay ≥ n + m per commit).
+    /// Greedy candidate scores across all absorbs: the dirty-region
+    /// re-scores plus the verifications of the top entry at selection —
+    /// the dirty-region work metric (a from-scratch solve would pay
+    /// ≥ n + m per commit). Each candidate has one heap entry, so
+    /// selection never re-scores outdated copies.
     pub rescored: usize,
     /// Budget-repair moves (deltifications forced by a mutation pushing
     /// storage past the budget) — a subset of `moves`.
@@ -98,7 +113,7 @@ pub struct OnlinePlanner {
     g: VersionGraph,
     plan: StoragePlan,
     view: IncrementalPlanView,
-    heap: LazyCandidateHeap<Move>,
+    cands: Candidates,
     budget: Cost,
     stats: OnlineStats,
     /// Mutations absorbed since the last from-scratch solve; bounds the
@@ -121,12 +136,11 @@ impl OnlinePlanner {
     pub fn adopt(g: VersionGraph, plan: StoragePlan, budget: Cost) -> Self {
         debug_assert!(plan.validate(&g).is_ok(), "adopted plan must validate");
         let view = IncrementalPlanView::new(&g, &plan);
-        let heap = LazyCandidateHeap::with_capacity(64);
         let mut planner = OnlinePlanner {
             g,
             plan,
             view,
-            heap,
+            cands: Candidates::default(),
             budget,
             stats: OnlineStats::default(),
             drift: 0,
@@ -202,7 +216,7 @@ impl OnlinePlanner {
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, storage: Cost, retrieval: Cost) -> EdgeId {
         let e = self.g.add_edge(src, dst, storage, retrieval);
         self.stats.absorbed += 1;
-        self.push_candidate(Move::Reparent { edge: e.0 });
+        self.rescore(Move::Reparent { edge: e.0 });
         self.settle_and_repair();
         e
     }
@@ -266,38 +280,44 @@ impl OnlinePlanner {
             self.plan = min_storage_plan(&self.g);
         }
         self.view = IncrementalPlanView::new(&self.g, &self.plan);
-        self.heap = LazyCandidateHeap::with_capacity(64);
+        // The scratch plan is settled, so the greedy heap starts empty; the
+        // repair heap must hold every usable in-delta.
+        self.cands = Candidates::default();
+        for e in 0..self.g.m() as u32 {
+            let key = repair_key(&self.g, &self.plan, &mut self.view, EdgeId(e));
+            self.cands.set_repair(e, key);
+        }
         self.within_budget()
     }
 
-    /// Push one freshly-scored candidate.
-    fn push_candidate(&mut self, mv: Move) {
-        let sc = score(&self.g, &self.plan, &mut self.view, self.budget, mv);
+    /// Re-score one candidate, in both heaps, against the current state.
+    fn rescore(&mut self, mv: Move) {
         self.stats.rescored += 1;
-        self.heap.push_scored(sc, mv);
+        self.cands
+            .rescore(&self.g, &self.plan, &mut self.view, self.budget, mv);
     }
 
     /// Seed the full candidate set (adopt-time only).
     fn seed_all(&mut self) {
         for mv in all_moves(&self.g) {
-            self.push_candidate(mv);
+            self.rescore(mv);
         }
     }
 
     /// Re-score the candidates whose evaluation inputs depend on node `x`:
     /// its materialization and every incident delta (the superset of the
-    /// subtree/path split in [`for_each_dirty`]; duplicates are harmless
-    /// with a lazy heap).
+    /// subtree/path split in [`for_each_dirty`]; re-scoring a candidate
+    /// twice only sets its entry twice).
     fn rescore_around(&mut self, x: u32) {
-        self.push_candidate(Move::Materialize { node: x });
+        self.rescore(Move::Materialize { node: x });
         let xv = NodeId(x);
         for i in 0..self.g.in_edges(xv).len() {
             let e = self.g.in_edges(xv)[i];
-            self.push_candidate(Move::Reparent { edge: e.0 });
+            self.rescore(Move::Reparent { edge: e.0 });
         }
         for i in 0..self.g.out_edges(xv).len() {
             let e = self.g.out_edges(xv)[i];
-            self.push_candidate(Move::Reparent { edge: e.0 });
+            self.rescore(Move::Reparent { edge: e.0 });
         }
     }
 
@@ -318,8 +338,8 @@ impl OnlinePlanner {
                     *rescored += 1;
                     score(g, plan, view, budget, mv)
                 };
-                self.heap.revive(storage_now, &mut rescore);
-                self.heap.select(&mut rescore)
+                self.cands.greedy.revive(storage_now, &mut rescore);
+                self.cands.greedy.select(&mut rescore)
             };
             let Some(mv) = chosen else { return };
             let (v, new_parent) = mv.entry(&self.g);
@@ -333,10 +353,10 @@ impl OnlinePlanner {
     fn apply_and_rescore(&mut self, v: usize, new_parent: Parent) {
         let effect = self.view.apply(&self.g, &mut self.plan, v, new_parent);
         let (g, plan, view, budget) = (&self.g, &self.plan, &mut self.view, self.budget);
-        let (heap, rescored) = (&mut self.heap, &mut self.stats.rescored);
+        let (cands, rescored) = (&mut self.cands, &mut self.stats.rescored);
         for_each_dirty(g, &effect, |mv| {
             *rescored += 1;
-            heap.push_scored(score(g, plan, view, budget, mv), mv);
+            cands.rescore(g, plan, view, budget, mv);
         });
     }
 
@@ -378,55 +398,15 @@ impl OnlinePlanner {
     /// decides (full re-solve, or reject the commit).
     fn repair_budget(&mut self) {
         while self.view.storage() > self.budget {
-            // (retrieval growth, storage saved, edge): minimize the ratio
-            // growth/saved; ties prefer the bigger saving, then the lower
-            // edge id (deterministic).
-            let mut best: Option<(u128, u128, u32)> = None;
-            for v in 0..self.g.n() {
-                let paid = self.view.paid[v];
-                let old_r = self.view.r[v];
-                let size_v = self.view.size[v];
-                for i in 0..self.g.in_edges(NodeId(v as u32)).len() {
-                    let e = self.g.in_edges(NodeId(v as u32))[i];
-                    if self.plan.parent[v] == Parent::Delta(e) {
-                        continue; // already stored
-                    }
-                    let ed = self.g.edge(e);
-                    if ed.storage >= paid {
-                        continue; // no saving (also skips INF tombstones)
-                    }
-                    let u = ed.src.index();
-                    if self.view.is_ancestor(v, u) {
-                        continue; // cycle guard
-                    }
-                    let Some(new_r) = self.view.r[u].checked_add(ed.retrieval) else {
-                        continue;
-                    };
-                    if new_r >= INF {
-                        continue;
-                    }
-                    // Retrieval growth over all of v's dependants. A
-                    // retrieval-reducing saving would be an Infinite-ratio
-                    // settle move; post-settle it can only be blocked
-                    // moves surfacing mid-repair — cost it zero and take
-                    // it.
-                    let grow = new_r.saturating_sub(old_r) as u128 * size_v as u128;
-                    let save = (paid - ed.storage) as u128;
-                    let better = match best {
-                        None => true,
-                        Some((bg, bs, be)) => {
-                            let (l, r) = (grow * bs, bg * save);
-                            l < r
-                                || (l == r
-                                    && (save, std::cmp::Reverse(e.0)) > (bs, std::cmp::Reverse(be)))
-                        }
-                    };
-                    if better {
-                        best = Some((grow, save, e.0));
-                    }
-                }
-            }
-            let Some((_, _, edge)) = best else { return };
+            let Some(edge) = self.next_repair() else {
+                return;
+            };
+            #[cfg(test)]
+            assert_eq!(
+                Some(edge),
+                self.repair_scan(),
+                "repair heap disagrees with the scan"
+            );
             let e = EdgeId(edge);
             let v = self.g.edge(e).dst.index();
             self.stats.moves += 1;
@@ -434,6 +414,155 @@ impl OnlinePlanner {
             self.apply_and_rescore(v, Parent::Delta(e));
         }
     }
+
+    /// Verified pop of the repair heap: re-score the top entry and return
+    /// its edge only if the key still matches (applying it then re-scores
+    /// the edge out of the heap — it is stored). A mismatch records the
+    /// current key and looks again.
+    fn next_repair(&mut self) -> Option<u32> {
+        while let Some((edge, &key)) = self.cands.repair.peek() {
+            let current = repair_key(&self.g, &self.plan, &mut self.view, EdgeId(edge as u32));
+            if current == Some(key) {
+                return Some(key.edge);
+            }
+            self.cands.set_repair(edge as u32, current);
+        }
+        None
+    }
+
+    /// The repair pick by a full scan of every in-delta: the reference
+    /// the repair heap is checked against.
+    #[cfg(test)]
+    fn repair_scan(&mut self) -> Option<u32> {
+        // (retrieval growth, storage saved, edge): minimize the ratio
+        // growth/saved; ties prefer the bigger saving, then the lower
+        // edge id (deterministic).
+        let mut best: Option<(u128, u128, u32)> = None;
+        for v in 0..self.g.n() {
+            for i in 0..self.g.in_edges(NodeId(v as u32)).len() {
+                let e = self.g.in_edges(NodeId(v as u32))[i];
+                let Some(RepairKey { grow, save, .. }) =
+                    repair_key(&self.g, &self.plan, &mut self.view, e)
+                else {
+                    continue;
+                };
+                let better = match best {
+                    None => true,
+                    Some((bg, bs, be)) => {
+                        let (l, r) = (grow * bs, bg * save);
+                        l < r
+                            || (l == r
+                                && (save, std::cmp::Reverse(e.0)) > (bs, std::cmp::Reverse(be)))
+                    }
+                };
+                if better {
+                    best = Some((grow, save, e.0));
+                }
+            }
+        }
+        best.map(|(_, _, edge)| edge)
+    }
+}
+
+/// The planner's two candidate heaps, re-scored together on every dirty
+/// region: the greedy moves, and the budget-repair deltifications keyed
+/// by edge id.
+#[derive(Default)]
+struct Candidates {
+    greedy: CandidateHeap<Move>,
+    repair: IndexedHeap<RepairKey>,
+}
+
+impl Candidates {
+    /// Score `mv` as a greedy move and, for an edge, as a repair move.
+    fn rescore(
+        &mut self,
+        g: &VersionGraph,
+        plan: &StoragePlan,
+        view: &mut IncrementalPlanView,
+        budget: Cost,
+        mv: Move,
+    ) {
+        self.greedy.update(score(g, plan, view, budget, mv), mv);
+        if let Move::Reparent { edge } = mv {
+            self.set_repair(edge, repair_key(g, plan, view, EdgeId(edge)));
+        }
+    }
+
+    fn set_repair(&mut self, edge: u32, key: Option<RepairKey>) {
+        match key {
+            Some(key) => self.repair.set(edge as usize, key),
+            None => {
+                self.repair.remove(edge as usize);
+            }
+        }
+    }
+}
+
+/// Rank of a budget-repair move: storing `edge` for its destination `v`
+/// grows total retrieval by `grow` and saves `save > 0` bytes. The
+/// greatest key is repaired first: the smallest `grow / save`, then the
+/// larger saving, then the lower edge id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RepairKey {
+    grow: u128,
+    save: u128,
+    edge: u32,
+}
+
+impl Ord for RepairKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // a/b < c/d  <=>  a*d < c*b (b, d > 0).
+        (other.grow * self.save)
+            .cmp(&(self.grow * other.save))
+            .then(self.save.cmp(&other.save))
+            .then(other.edge.cmp(&self.edge))
+    }
+}
+
+impl PartialOrd for RepairKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Score storing `e` as a repair move, or `None` when it is unusable:
+/// already stored, saving nothing (which also rules out `INF`
+/// tombstones), closing a cycle, or overflowing retrieval. Reads the same
+/// state as the greedy `Reparent` score of `e`, so the same dirty regions
+/// keep it current.
+fn repair_key(
+    g: &VersionGraph,
+    plan: &StoragePlan,
+    view: &mut IncrementalPlanView,
+    e: EdgeId,
+) -> Option<RepairKey> {
+    let ed = g.edge(e);
+    let v = ed.dst.index();
+    if plan.parent[v] == Parent::Delta(e) {
+        return None;
+    }
+    let paid = view.paid[v];
+    if ed.storage >= paid {
+        return None;
+    }
+    let u = ed.src.index();
+    if view.is_ancestor(v, u) {
+        return None;
+    }
+    let new_r = view.r[u].checked_add(ed.retrieval)?;
+    if new_r >= INF {
+        return None;
+    }
+    // Retrieval growth over all of v's dependants. A retrieval-reducing
+    // saving would be an Infinite-ratio settle move; post-settle it can
+    // only be blocked moves surfacing mid-repair — cost it zero and take
+    // it.
+    Some(RepairKey {
+        grow: new_r.saturating_sub(view.r[v]) as u128 * view.size[v] as u128,
+        save: (paid - ed.storage) as u128,
+        edge: e.0,
+    })
 }
 
 #[cfg(test)]
@@ -469,6 +598,60 @@ mod tests {
         // The dirty-region loop did far less scoring work than 48
         // from-scratch solves (each ≥ n + m ≈ 200 scores) would have.
         assert!(p.stats().rescored < 48 * (p.graph().n() + p.graph().m()));
+    }
+
+    /// Seeded streams at ~1.05× the minimum storage, mixing new versions,
+    /// deltas between existing versions and retirements, so budget repair
+    /// runs hundreds of times. `repair_budget` asserts that every pick of
+    /// the repair heap equals the full scan's.
+    #[test]
+    fn repair_heap_picks_what_the_scan_picks_at_tight_budgets() {
+        let model = CostModel::default();
+        let mut repairs = 0;
+        for seed in 0..6u64 {
+            let g = erdos_renyi_bidirectional(40, 0.1, &model, seed);
+            let budget = min_storage_value(&g) * 21 / 20;
+            let mut p = OnlinePlanner::new(g, budget).expect("feasible");
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut rng = move |below: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % below
+            };
+            let live = |p: &OnlinePlanner, rng: &mut dyn FnMut(u64) -> u64| loop {
+                let v = NodeId(rng(p.graph().n() as u64) as u32);
+                if !p.graph().is_retired(v) {
+                    return v;
+                }
+            };
+            for _ in 0..150 {
+                match rng(4) {
+                    0 => {
+                        let v = live(&p, &mut rng);
+                        p.retire_version(v);
+                    }
+                    1 => {
+                        let (u, v) = (live(&p, &mut rng), live(&p, &mut rng));
+                        if u != v {
+                            p.add_edge(u, v, 50 + rng(450), 50 + rng(450));
+                        }
+                    }
+                    _ => {
+                        let u = live(&p, &mut rng);
+                        let v = p.add_version(5_000 + rng(10_000));
+                        p.add_edge(u, v, 50 + rng(450), 50 + rng(450));
+                        p.add_edge(v, u, 50 + rng(450), 50 + rng(450));
+                    }
+                }
+                p.plan().validate(p.graph()).expect("plan validates");
+                let costs = p.plan().costs(p.graph());
+                assert_eq!(costs.total_retrieval, p.total_retrieval());
+                assert_eq!(costs.storage, p.storage());
+            }
+            repairs += p.stats().repairs;
+        }
+        assert!(repairs >= 300, "only {repairs} repair moves ran");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 
 use crate::graph::VersionGraph;
 use crate::ids::{EdgeId, NodeId};
-use crate::indexed_heap::IndexedMinHeap;
+use crate::indexed_heap::IndexedHeap;
 use crate::{Cost, INF};
+use std::cmp::Reverse;
 
 /// Result of a (multi-source) shortest-path computation.
 #[derive(Clone, Debug)]
@@ -62,17 +63,14 @@ pub fn dijkstra_multi(
     let n = g.n();
     let mut dist = vec![INF; n];
     let mut parent_edge: Vec<Option<EdgeId>> = vec![None; n];
-    let mut heap = IndexedMinHeap::new(n);
+    let mut heap = IndexedHeap::with_capacity(n);
     for (s, d0) in sources {
         if d0 < dist[s.index()] {
             dist[s.index()] = d0;
-            heap.push_or_decrease(s.index(), d0);
+            heap.set(s.index(), Reverse(d0));
         }
     }
-    while let Some((u, du)) = heap.pop() {
-        if du > dist[u] {
-            continue;
-        }
+    while let Some((u, Reverse(du))) = heap.pop() {
         for &eid in g.out_edges(NodeId::new(u)) {
             let e = g.edge(eid);
             let nd = du.saturating_add(weight.of(e));
@@ -80,7 +78,7 @@ pub fn dijkstra_multi(
             if nd < dist[v] {
                 dist[v] = nd;
                 parent_edge[v] = Some(eid);
-                heap.push_or_decrease(v, nd);
+                heap.set(v, Reverse(nd));
             }
         }
     }

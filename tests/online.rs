@@ -183,6 +183,63 @@ fn resolve_scratch_is_byte_identical_to_the_oracle() {
     }
 }
 
+/// FNV-1a over the plan's parent entries (`u32::MAX` = materialized).
+fn plan_hash(plan: &StoragePlan) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for p in &plan.parent {
+        let word = match p {
+            Parent::Materialized => u32::MAX,
+            Parent::Delta(e) => e.0,
+        };
+        for b in word.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A long seeded stream on ER(1000) pins the planner's counters, objective
+/// and plan. The graph triples in size under a budget fixed at the start,
+/// so budget repair runs ~14k times; greedy selection, repair and the
+/// drift refreshes must keep choosing exactly the same moves. The pinned
+/// values were recorded with the scan-based budget repair and the
+/// insert-only candidate heap that preceded the indexed heaps.
+#[test]
+fn long_stream_pins_moves_repairs_and_plan() {
+    let g = erdos_renyi_bidirectional(1_000, 0.004, &CostModel::default(), 20);
+    let budget = min_storage_value(&g) * 6;
+    let mut p = OnlinePlanner::new(g, budget).expect("feasible");
+    let mut rng = Rng(0x5EED_2000);
+    for step in 0..2_000u64 {
+        random_commit(&mut p, &mut rng, step);
+        if !p.within_budget() {
+            p.resolve_scratch();
+        }
+    }
+    assert_settled("er-1000", 2_000, &p);
+    let s = p.stats();
+    let got = (
+        s.moves,
+        s.repairs,
+        s.scratch_solves,
+        p.total_retrieval(),
+        p.storage(),
+        plan_hash(p.plan()),
+    );
+    assert!(p.within_budget());
+    assert_eq!(
+        got,
+        (
+            26_201,
+            14_099,
+            37,
+            1_917_533,
+            1_649_047,
+            13_823_215_501_526_487_595
+        )
+    );
+}
+
 /// A sketch source over generated manifests: version `v` owns chunks
 /// derived from `v`, overlapping with its neighbours so deltas are small.
 struct StreamSource {

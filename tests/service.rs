@@ -180,7 +180,10 @@ fn overload_sheds_immediately_and_drains_without_deadlock() {
 
 #[test]
 fn expired_deadlines_are_cancelled_never_partial() {
-    let (g, _) = fixture(400, 7);
+    // 3,200 versions: the heuristic rung these deadlines fall to (LMG-All)
+    // takes 28–34 ms in release on a 2-vCPU VM, ≥ 35× the largest
+    // deadline below. At 400 versions it took ~1 ms and could beat 800 µs.
+    let (g, _) = fixture(3_200, 7);
     let svc = VersioningService::new(MemStore::new());
     // An already-expired deadline (queue-stage expiry)…
     let err = svc
@@ -196,7 +199,7 @@ fn expired_deadlines_are_cancelled_never_partial() {
         .expect_err("expired work must fail");
     assert!(matches!(err, ServiceError::Cancelled { .. }));
 
-    // …and a deadline far too short for a 400-node solve (mid-run
+    // …and a deadline far too short for a 3,200-node solve (mid-run
     // preemption or the completed-late conversion — either way the
     // reply must be Cancelled, never a truncated plan). Each probe uses
     // a distinct budget so the warm memo cannot answer from cache — the
@@ -218,7 +221,7 @@ fn expired_deadlines_are_cancelled_never_partial() {
             Err(ServiceError::Cancelled { .. }) => {}
             Err(other) => panic!("expected Cancelled, got {other}"),
             Ok(Reply::Solved { .. }) => {
-                panic!("a solve cannot beat a {micros}µs deadline on 400 nodes")
+                panic!("a solve cannot beat a {micros}µs deadline on 3,200 nodes")
             }
             Ok(_) => panic!("unexpected reply kind"),
         }
