@@ -857,8 +857,10 @@ fn serving_fixtures(opts: &ExperimentOptions, corpora: &[(&str, CorpusName, f64)
 /// hash-verify all of them, and compare measured storage/retrieval costs
 /// against the plans' predictions — they must agree **exactly**, because
 /// the store's codecs price bytes with the same models that priced the
-/// graph edges. Finishes by releasing every plan and gating that GC
-/// returns the store to empty.
+/// graph edges. Then releases every plan and gates that GC returns the
+/// store to empty, and finishes with the flush-cost gate
+/// `store.flush_bytes_flat`: a flush writes bytes in proportion to what
+/// changed, not to the objects the store holds.
 ///
 /// `work_dir` receives one store directory per fixture; the caller owns
 /// cleanup (the `repro` binary removes it after writing results).
@@ -983,8 +985,83 @@ pub fn store_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
         "solver plans executed against the on-disk PackStore; measured costs are re-priced \
          from the stored bytes and must equal the predictions exactly",
     );
-    bench.tables = vec![r, gc_table];
+
+    // A flush costs what changed, not what the store holds: the bytes a
+    // flush writes at 4x the objects stay within 1.5x of those at 1x.
+    let mut flush_table = Report::new(
+        "store-flush",
+        &["objects", "flushes", "checkpoints", "bytes_per_flush"],
+    );
+    let per_flush: Vec<f64> = [FLUSH_BASE_OBJECTS, 4 * FLUSH_BASE_OBJECTS]
+        .into_iter()
+        .map(|n| {
+            let (bytes, checkpoints) = flush_bytes(&work_dir.join(format!("flush-{n}")), n);
+            flush_table.push_row(row![n, FLUSH_ROUNDS, checkpoints, bytes]);
+            bytes
+        })
+        .collect();
+    flush_table.note(format!(
+        "each flush journals {FLUSH_CHANGE} retains; bytes are pack growth plus the index \
+         bytes of every checkpoint, amortized over {FLUSH_ROUNDS} flushes"
+    ));
+    bench.floor(
+        "store.flush_bytes_flat",
+        per_flush[0] / per_flush[1],
+        STORE_FLUSH_FLAT_FLOOR,
+    );
+    bench.tables = vec![r, gc_table, flush_table];
     bench
+}
+
+/// Floor of bytes per flush on a store of 128 objects over bytes per
+/// flush at 4x as many objects: at 4x the objects a flush may write at
+/// most 1.5x the bytes.
+pub const STORE_FLUSH_FLAT_FLOOR: f64 = 1.0 / 1.5;
+
+/// Objects in the smaller store of the flush-cost gate.
+const FLUSH_BASE_OBJECTS: usize = 128;
+/// Flushes the flush-cost gate amortizes over.
+const FLUSH_ROUNDS: usize = 256;
+/// Retains each of those flushes makes durable: the fixed-size change.
+const FLUSH_CHANGE: usize = 4;
+
+/// Bytes one flush writes on a store of `n` packed objects, amortized
+/// over [`FLUSH_ROUNDS`] flushes of [`FLUSH_CHANGE`] retains each, and the
+/// number of checkpoints among them. Bytes are the pack's growth plus
+/// the index bytes of every checkpoint; a checkpoint always rewrites the
+/// covered length, so a changed index file marks one.
+fn flush_bytes(dir: &Path, n: usize) -> (f64, usize) {
+    use dsv_delta::store::{ObjectKind, PackStore, Store};
+    let mut store = PackStore::open(dir).expect("open pack store");
+    let ids: Vec<_> = (0..n)
+        .map(|i| {
+            store
+                .put(ObjectKind::Chunk, format!("flush object {i}").as_bytes())
+                .expect("put")
+        })
+        .collect();
+    store.flush().expect("flush");
+    let idx = dir.join("pack.idx");
+    let read_idx = || std::fs::read(&idx).unwrap_or_default();
+    let mut last = read_idx();
+    let start_len = store.pack_file_len();
+    let (mut index_bytes, mut checkpoints) = (0, 0);
+    for round in 0..FLUSH_ROUNDS {
+        for k in 0..FLUSH_CHANGE {
+            store
+                .retain(ids[(round * FLUSH_CHANGE + k) % n])
+                .expect("retain");
+        }
+        store.flush().expect("flush");
+        let now = read_idx();
+        if now != last {
+            checkpoints += 1;
+            index_bytes += now.len() as u64;
+            last = now;
+        }
+    }
+    let written = store.pack_file_len() - start_len + index_bytes;
+    (written as f64 / FLUSH_ROUNDS as f64, checkpoints)
 }
 
 /// Floor of the aggregate batched-vs-one-at-a-time checkout speedup on

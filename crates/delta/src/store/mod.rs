@@ -166,7 +166,13 @@ impl ObjectHasher {
     /// and is mixed in again at `finish`, keeping chunk and delta
     /// namespaces disjoint).
     pub fn new(kind: ObjectKind) -> Self {
-        let tag = u64::from(kind.tag());
+        Self::with_tag(kind.tag())
+    }
+
+    /// Start hashing under a raw record tag. Public kinds go through
+    /// [`ObjectHasher::new`]; the pack's private journal tag comes here.
+    pub(crate) fn with_tag(tag: u8) -> Self {
+        let tag = u64::from(tag);
         let seed = splitmix64(tag);
         ObjectHasher {
             lanes: [

@@ -3,10 +3,11 @@
 //! On-disk layout under the store directory:
 //!
 //! ```text
-//! <dir>/pack.dsv     append-only pack: "DSVPACK2" magic, then records
-//!                    [id 16B][kind 1B][len 8B LE][payload]
-//! <dir>/pack.idx     fixed-width index: "DSVIDX02" magic, entry count,
-//!                    then 40-byte entries sorted by id:
+//! <dir>/pack.dsv     append-only pack: "DSVPACK3" magic, then records
+//!                    [id 16B][tag 1B][len 8B LE][payload]
+//! <dir>/pack.idx     fixed-width index (a checkpoint): "DSVIDX03" magic,
+//!                    entry count, covered pack length, then 40-byte
+//!                    entries sorted by id:
 //!                    [id 16B][offset 8B][len 8B][kind 1B][pad 3B][rc 4B]
 //! <dir>/objects/     loose files for large objects, named by their hex id
 //! ```
@@ -16,13 +17,36 @@
 //! split). The index is fixed-width and sorted so an external reader can
 //! binary-search it straight from an `mmap` without parsing; this crate
 //! reads it eagerly into a map on open. Reference counts are persisted in
-//! the index, so retain/release balances survive process restarts.
+//! the index and the journal, so retain/release balances survive process
+//! restarts.
 //!
-//! The magics carry the format version. Ids are object hashes, so a
-//! change of [`ObjectHasher`](super::ObjectHasher) is a change of format:
-//! version 2 is the 4-lane word-at-a-time hash, and a version-1 store
-//! (the byte-serial hash it replaced) is refused on open with a
-//! [`StoreError::InvalidFormat`] naming its version. Stores are not
+//! # The journal
+//!
+//! A pack record is either an object (its tag is an [`ObjectKind`] tag
+//! and its id the object's hash) or a **journal record**, whose tag is
+//! private to the pack. A journal payload is an entry count followed by
+//! that many entries in the index's own 40-byte encoding, and its id is
+//! the [`ObjectHasher`] checksum of the payload.
+//! Entries carry absolute values (offset, length, kind, refcount), never
+//! deltas, so replaying a journal twice is harmless.
+//!
+//! [`Store::flush`] appends one journal record holding every entry that
+//! changed since the last flush (`put`, dedup `put`, `retain`, `release`,
+//! `repair`) and syncs the pack once: its cost follows the change, not
+//! the store. The index is a **checkpoint**: it records the pack length
+//! it covers, and open loads it and replays every record past that
+//! offset in order — objects are adopted, journals overwrite entries. A
+//! checkpoint is written when the journal bytes since the last one pass
+//! half the index size (so its cost is amortized O(1) per journaled
+//! entry), before GC destroys bytes, after GC compaction, and on drop.
+//! GC compaction copies only live object records, so it drops every
+//! journal record; after `gc` the pack is the magic plus the live
+//! records.
+//!
+//! The magics carry the format version. Version 3 is the journaled
+//! layout; version 2 (index rewritten whole on every flush) and version
+//! 1 (the byte-serial hash) are refused on open with a
+//! [`StoreError::InvalidFormat`] naming their version. Stores are not
 //! migrated; rebuild them from their source.
 //!
 //! [`Store::gc`] compacts: dead loose files are unlinked and the pack is
@@ -31,34 +55,46 @@
 //!
 //! # Durability
 //!
+//! Acknowledgement contract: a loose `put` is written when it returns;
+//! packed `put`s and every refcount change are durable at the next
+//! [`Store::flush`], which is one journal append plus one pack fsync.
 //! Under [`Durability::Full`] (the default) every write site issues the
 //! fsync barriers that make its atomicity real: loose files and the index
-//! are written tmp → `sync_all` → rename → directory fsync, the pack file
-//! is synced *before* the index that points into it, and GC persists the
-//! zero refcounts *before* destroying any bytes. Acknowledgement contract:
-//! a loose `put` is durable when it returns; packed `put`s are durable at
-//! the next [`Store::flush`]. [`Durability::None`] skips every sync (for
-//! benches and throwaway stores) while keeping the same write ordering.
+//! are written tmp → `sync_all` → rename → directory fsync, a checkpoint
+//! syncs the pack *before* the index that covers it, and GC checkpoints
+//! the zero refcounts *before* destroying any bytes.
+//! [`Durability::None`] skips every sync (for benches and throwaway
+//! stores) while keeping the same write ordering.
 //!
 //! Crash consistency is tested, not assumed: [`PackStore::arm_crash`]
 //! makes the next write at a chosen [`CrashPoint`] tear its bytes
 //! mid-operation and poison the store, exactly as a power loss would, and
 //! the crash-matrix test reopens after each point. Recovery on open cleans
-//! stray tmp files, validates the index against the pack (a stale index —
-//! e.g. a crash between GC's pack swap and its index write — is rebuilt
-//! from the pack with reference counts carried over by id), scans back any
-//! unindexed appended records, and truncates torn tails.
+//! stray tmp files, validates the index against the pack, replays the
+//! records past the checkpoint, and truncates a torn tail (a record that
+//! is incomplete or fails its hash, journal or object alike). A stale
+//! index — e.g. a crash between GC's pack swap and its checkpoint — is
+//! rebuilt by replaying the whole pack, with reference counts carried
+//! over by id except where a journal past the stale checkpoint set them.
 
-use super::{hash_object, GcStats, ObjectId, ObjectKind, ObjectMeta, Store, StoreError};
-use std::collections::BTreeMap;
+use super::{
+    hash_object, GcStats, ObjectHasher, ObjectId, ObjectKind, ObjectMeta, Store, StoreError,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-const PACK_MAGIC: &[u8; 8] = b"DSVPACK2";
-const IDX_MAGIC: &[u8; 8] = b"DSVIDX02";
+const PACK_MAGIC: &[u8; 8] = b"DSVPACK3";
+const IDX_MAGIC: &[u8; 8] = b"DSVIDX03";
 const RECORD_HEADER: u64 = 16 + 1 + 8;
+/// Index header: magic, entry count, covered pack length.
+const IDX_HEADER: usize = 8 + 8 + 8;
 const IDX_ENTRY: usize = 16 + 8 + 8 + 1 + 3 + 4;
+/// Record tag of a journal record. Pack-private: no [`ObjectKind`] uses it.
+const JOURNAL_TAG: u8 = b'J';
+/// Journal payload header: the entry count.
+const JOURNAL_HEADER: usize = 8;
 
 /// Objects at or above this many bytes are stored as loose hash-keyed
 /// files instead of pack records.
@@ -103,27 +139,31 @@ impl Default for PackOptions {
 /// fails until the caller drops it and reopens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Mid-append of a packed record.
+    /// Mid-append of a packed object record.
     PackAppend,
+    /// Mid-append of a flush's journal record. Reopen truncates it and
+    /// recovers the previous flush's state.
+    JournalAppend,
     /// Mid-write of a loose object's tmp file.
     LooseWrite,
-    /// Mid-write of the index tmp file.
+    /// Mid-write of a checkpoint's index tmp file.
     IndexWrite,
-    /// After the index tmp is written but before the rename.
+    /// After a checkpoint's index tmp is written but before the rename.
     IndexRename,
     /// Mid-write of the GC-compacted pack tmp file.
     GcRewrite,
     /// After the compacted pack tmp is written but before the rename.
     GcRename,
-    /// After the compacted pack is swapped in but before the final index
-    /// write — the window where the on-disk index is stale.
+    /// After the compacted pack is swapped in but before the final
+    /// checkpoint — the window where the on-disk index is stale.
     GcIndex,
 }
 
 impl CrashPoint {
     /// Every enumerated crash point, for matrix tests.
-    pub const ALL: [CrashPoint; 7] = [
+    pub const ALL: [CrashPoint; 8] = [
         CrashPoint::PackAppend,
+        CrashPoint::JournalAppend,
         CrashPoint::LooseWrite,
         CrashPoint::IndexWrite,
         CrashPoint::IndexRename,
@@ -140,6 +180,182 @@ struct Entry {
     len: u64,
     kind: ObjectKind,
     refcount: u32,
+}
+
+impl Entry {
+    /// One past the last byte of this entry's pack record (`None` on
+    /// overflow, which no real record has).
+    fn record_end(&self) -> Option<u64> {
+        self.offset
+            .checked_add(RECORD_HEADER)
+            .and_then(|x| x.checked_add(self.len))
+    }
+}
+
+/// Append one entry in the 40-byte encoding shared by the index and the
+/// journal.
+fn encode_entry(out: &mut Vec<u8>, id: ObjectId, e: &Entry) {
+    out.extend_from_slice(&id.0.to_le_bytes());
+    out.extend_from_slice(&id.1.to_le_bytes());
+    out.extend_from_slice(&e.offset.to_le_bytes());
+    out.extend_from_slice(&e.len.to_le_bytes());
+    out.push(e.kind.tag());
+    out.extend_from_slice(&[0u8; 3]);
+    out.extend_from_slice(&e.refcount.to_le_bytes());
+}
+
+/// One pack record: `[id 16B][tag 1B][len 8B LE][payload]`.
+fn encode_record(id: ObjectId, tag: u8, payload: &[u8]) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(RECORD_HEADER as usize + payload.len());
+    rec.extend_from_slice(&id.0.to_le_bytes());
+    rec.extend_from_slice(&id.1.to_le_bytes());
+    rec.push(tag);
+    rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    rec.extend_from_slice(payload);
+    rec
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+fn read_id(bytes: &[u8]) -> ObjectId {
+    ObjectId(le_u64(&bytes[0..8]), le_u64(&bytes[8..16]))
+}
+
+/// Decode `claimed` entries in the shared 40-byte encoding from `body`.
+/// The count must match the body length exactly — checked without
+/// overflow and before anything is allocated, so an inflated count can
+/// neither wrap the check nor size an allocation. An unknown kind tag is
+/// an error too.
+fn decode_entries(claimed: u64, body: &[u8]) -> Result<Vec<(ObjectId, Entry)>, String> {
+    let count = usize::try_from(claimed)
+        .ok()
+        .filter(|&n| n.checked_mul(IDX_ENTRY) == Some(body.len()))
+        .ok_or_else(|| format!("{} bytes for {claimed} entries", body.len()))?;
+    let mut out = Vec::with_capacity(count);
+    for (i, e) in body.chunks_exact(IDX_ENTRY).enumerate() {
+        let kind = ObjectKind::from_tag(e[32])
+            .ok_or_else(|| format!("entry {i} has kind tag {}", e[32]))?;
+        out.push((
+            read_id(e),
+            Entry {
+                offset: le_u64(&e[16..24]),
+                len: le_u64(&e[24..32]),
+                kind,
+                refcount: u32::from_le_bytes(e[36..40].try_into().expect("4 bytes")),
+            },
+        ));
+    }
+    Ok(out)
+}
+
+/// Checksum of a journal payload: its record id.
+fn journal_id(payload: &[u8]) -> ObjectId {
+    let mut h = ObjectHasher::with_tag(JOURNAL_TAG);
+    h.update(payload);
+    h.finish()
+}
+
+/// Decode the journal record at pack offset `at`. Besides the entry
+/// decoding, every packed entry must point at a record wholly between
+/// the magic and the journal itself: a journal only ever describes
+/// records appended before it.
+fn decode_journal(at: u64, payload: &[u8]) -> Result<Vec<(ObjectId, Entry)>, String> {
+    if payload.len() < JOURNAL_HEADER {
+        return Err(format!("journal of {} bytes has no count", payload.len()));
+    }
+    let (head, body) = payload.split_at(JOURNAL_HEADER);
+    let entries = decode_entries(le_u64(head), body)?;
+    let min = PACK_MAGIC.len() as u64;
+    if let Some((id, _)) = entries.iter().find(|(_, e)| {
+        e.offset != LOOSE_OFFSET && (e.offset < min || e.record_end().is_none_or(|end| end > at))
+    }) {
+        return Err(format!(
+            "journal at {at} points {id} outside the records before it"
+        ));
+    }
+    Ok(entries)
+}
+
+/// One whole, checked record found by [`scan_records`].
+#[derive(Debug)]
+enum Scanned {
+    /// An object record whose payload hashes to its id.
+    Object {
+        offset: u64,
+        id: ObjectId,
+        kind: ObjectKind,
+        len: u64,
+    },
+    /// A journal record whose payload hashes to its id and decodes.
+    Journal {
+        offset: u64,
+        bytes: u64,
+        entries: Vec<(ObjectId, Entry)>,
+    },
+}
+
+/// Walk the pack records in `region`, the pack bytes from file offset
+/// `base` to the end. Returns the checked records in order and the offset
+/// where the valid prefix ends. The walk stops at the first record that
+/// is not whole — a short header, an unknown tag, a length past the end
+/// (or overflowing) — or is a journal that fails its checksum or does not
+/// decode, and everything from there on is a torn tail. A whole object
+/// record whose payload does not hash to its id is corruption at rest: it
+/// is skipped, not returned, and the walk goes on. Total: no input
+/// panics, and nothing is allocated beyond what `region` holds.
+fn scan_records(region: &[u8], base: u64) -> (Vec<Scanned>, u64) {
+    let mut out = Vec::new();
+    let mut pos = 0usize;
+    while let Some(header) = region.get(pos..pos + RECORD_HEADER as usize) {
+        let offset = base + pos as u64;
+        let id = read_id(header);
+        let tag = header[16];
+        let len = le_u64(&header[17..25]);
+        let start = pos + RECORD_HEADER as usize;
+        let Some(payload) = usize::try_from(len)
+            .ok()
+            .and_then(|len| start.checked_add(len))
+            .and_then(|end| region.get(start..end))
+        else {
+            break;
+        };
+        let next = start + payload.len();
+        let record = if tag == JOURNAL_TAG {
+            if journal_id(payload) != id {
+                break;
+            }
+            let Ok(entries) = decode_journal(offset, payload) else {
+                break;
+            };
+            Scanned::Journal {
+                offset,
+                bytes: RECORD_HEADER + len,
+                entries,
+            }
+        } else {
+            let Some(kind) = ObjectKind::from_tag(tag) else {
+                break;
+            };
+            if hash_object(kind, payload) != id {
+                // Whole but rotten: corruption at rest, not a tear. Skip
+                // it rather than truncate every record after it; an entry
+                // pointing here reads as `Corrupt` and is repairable.
+                pos = next;
+                continue;
+            }
+            Scanned::Object {
+                offset,
+                id,
+                kind,
+                len,
+            }
+        };
+        out.push(record);
+        pos = next;
+    }
+    (out, base + pos as u64)
 }
 
 /// Where an object physically lives — exposed for tooling and for
@@ -169,26 +385,39 @@ pub struct PackStore {
     pack_path: PathBuf,
     idx_path: PathBuf,
     entries: BTreeMap<ObjectId, Entry>,
+    /// Ids whose entries changed since the last flush or checkpoint: the
+    /// next flush's journal record.
+    dirty: BTreeSet<ObjectId>,
     pack_len: u64,
+    /// Pack length the on-disk index covers (0 while there is none);
+    /// open replays the records past it.
+    covered: u64,
+    /// Journal bytes in the pack past `covered`, which drive the
+    /// checkpoint cadence.
+    journal_bytes: u64,
     loose_threshold: u64,
     durability: Durability,
     /// Armed crash point (single-shot; see [`PackStore::arm_crash`]).
     crash: Option<CrashPoint>,
     /// Set when an armed crash point fired: the store refuses every
-    /// operation and [`Drop`] skips the index write, as a dead process
+    /// operation and [`Drop`] skips the checkpoint, as a dead process
     /// would.
     crashed: bool,
     /// Cached read handle for the pack file (lazily opened, invalidated
     /// when GC swaps the file), so the read path costs a seek, not an
     /// open, per object.
     reader: std::sync::Mutex<Option<File>>,
+    /// The one append handle: every record is written and every pack
+    /// sync issued through it. Opened lazily; reopened after GC swaps the
+    /// pack and after a torn tail is truncated.
+    appender: Option<File>,
     /// Resident pack map: the whole pack file read once and kept in
     /// memory so [`Store::get_ref`] serves verified *slices* instead of
     /// allocating a `Vec` per packed read. Loaded lazily on the first
-    /// `get_ref`; dropped (and lazily rebuilt) whenever the mapping could
-    /// go stale — a packed append extends the file past the map, and GC
-    /// compaction rewrites it with new offsets entirely.
-    resident: std::sync::OnceLock<Box<[u8]>>,
+    /// `get_ref`; every successful append extends it with the record it
+    /// wrote, so it always mirrors the file. GC compaction rewrites the
+    /// pack with new offsets, so GC drops it.
+    resident: std::sync::OnceLock<Vec<u8>>,
 }
 
 /// Check a file's 8-byte magic against `want`. A file of the same family
@@ -257,12 +486,16 @@ impl PackStore {
             pack_path,
             idx_path,
             entries: BTreeMap::new(),
+            dirty: BTreeSet::new(),
             pack_len: 0,
+            covered: 0,
+            journal_bytes: 0,
             loose_threshold: options.loose_threshold,
             durability: options.durability,
             crash: None,
             crashed: false,
             reader: std::sync::Mutex::new(None),
+            appender: None,
             resident: std::sync::OnceLock::new(),
         };
         // A crash can leave half-written tmp files anywhere we stage
@@ -270,55 +503,62 @@ impl PackStore {
         // before reading any state.
         store.clean_stale_tmp()?;
         store.init_pack()?;
+        let start = PACK_MAGIC.len() as u64;
+        let mut stale = false;
         if store.idx_path.exists() {
-            let parsed = store.parse_index()?;
-            if store.index_matches_pack(&parsed)? {
+            let (covered, parsed) = store.parse_index()?;
+            if store.index_matches_pack(covered, &parsed)? {
                 store.entries = parsed.into_iter().collect();
-                // Crash recovery: records appended after the index was last
-                // written (put without flush) are scanned back in; a torn
-                // trailing record is truncated away so future appends land
-                // on a valid boundary.
-                store.scan_pack_tail()?;
-                // A crash mid-GC can leave dead loose entries whose files
-                // were already unlinked; the unlink was the desired end
-                // state, so finish the job. (A *live* loose entry with a
-                // missing file is real data loss and is left to surface
-                // as a read error.)
-                let orphaned: Vec<ObjectId> = store
-                    .entries
-                    .iter()
-                    .filter(|(&id, e)| {
-                        e.offset == LOOSE_OFFSET
-                            && e.refcount == 0
-                            && !store.loose_path(id).exists()
-                    })
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in orphaned {
-                    store.entries.remove(&id);
-                }
+                store.covered = covered;
+                // Crash recovery and the journal alike: records appended
+                // after the checkpoint are replayed in order, and a torn
+                // trailing record is truncated away so future appends
+                // land on a valid boundary.
+                store.replay(covered)?;
             } else {
                 // The index is stale — e.g. a crash landed between GC's
-                // pack swap and its index write, so the entries point into
-                // a pack that no longer matches. Rebuild from the pack and
-                // loose directory, then carry reference counts over by id:
-                // ids absent from the rebuilt state were dead and simply
+                // pack swap and its checkpoint, so the entries point into
+                // a pack that no longer matches. Rebuild by replaying the
+                // whole pack and the loose directory, then carry
+                // reference counts over by id — except where a journal
+                // past the stale checkpoint set them, which is newer.
+                // Ids absent from the rebuilt state were dead and simply
                 // drop out.
-                let stale: BTreeMap<ObjectId, u32> =
-                    parsed.into_iter().map(|(id, e)| (id, e.refcount)).collect();
-                store.rebuild_index()?;
-                for (id, e) in store.entries.iter_mut() {
-                    if let Some(&rc) = stale.get(id) {
+                let journaled = store.replay(start)?;
+                store.adopt_loose_files()?;
+                for (id, rc) in parsed.into_iter().map(|(id, e)| (id, e.refcount)) {
+                    let newer = journaled.get(&id).is_some_and(|&at| at >= covered);
+                    if let Some(e) = store.entries.get_mut(&id).filter(|_| !newer) {
                         e.refcount = rc;
                     }
                 }
-                store.write_index()?;
+                stale = true;
             }
-        } else if store.pack_len > PACK_MAGIC.len() as u64 || store.any_loose()? {
-            // Recovery: no index but data exists — rebuild from the pack
-            // and the loose directory. Reference counts are unknown; every
-            // recovered object gets one reference.
-            store.rebuild_index()?;
+        } else if store.pack_len > start || store.any_loose()? {
+            // Recovery: no index but data exists — replay the whole pack
+            // and adopt the loose directory. Journaled reference counts
+            // come back exact; objects no flush ever journaled get one
+            // reference.
+            store.replay(start)?;
+            store.adopt_loose_files()?;
+        }
+        // A crash mid-GC can leave dead loose entries whose files were
+        // already unlinked; the unlink was the desired end state, so
+        // finish the job. (A *live* loose entry with a missing file is
+        // real data loss and is left to surface as a read error.)
+        let orphaned: Vec<ObjectId> = store
+            .entries
+            .iter()
+            .filter(|(&id, e)| {
+                e.offset == LOOSE_OFFSET && e.refcount == 0 && !store.loose_path(id).exists()
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        for id in orphaned {
+            store.entries.remove(&id);
+        }
+        if stale {
+            store.checkpoint()?;
         }
         Ok(store)
     }
@@ -326,7 +566,7 @@ impl PackStore {
     /// Arm a single-shot simulated power loss at `point`: the next write
     /// reaching that site tears its bytes mid-operation, the store marks
     /// itself crashed, and every later call fails with [`StoreError::Io`]
-    /// until the caller drops the store (which skips the exit index write,
+    /// until the caller drops the store (which skips the exit checkpoint,
     /// as a dead process would) and reopens.
     pub fn arm_crash(&mut self, point: CrashPoint) {
         self.crash = Some(point);
@@ -420,8 +660,8 @@ impl PackStore {
         &self.pack_path
     }
 
-    /// Total bytes of the pack file (including dead records until the next
-    /// [`Store::gc`]).
+    /// Total bytes of the pack file (including dead records and journal
+    /// records until the next [`Store::gc`]).
     pub fn pack_file_len(&self) -> u64 {
         self.pack_len
     }
@@ -478,188 +718,148 @@ impl PackStore {
         Ok(())
     }
 
-    /// Parse the index file into entries. A malformed header, a count that
-    /// does not match the file length (checked without overflow, so an
-    /// inflated count can neither wrap the check nor size an allocation),
-    /// or an unknown kind tag is a hard [`StoreError::InvalidFormat`] —
-    /// the file is not an index. Offsets are *not* validated here:
-    /// staleness against the pack is [`Self::index_matches_pack`]'s job,
-    /// and a stale index is recoverable, not fatal.
-    fn parse_index(&self) -> Result<Vec<(ObjectId, Entry)>, StoreError> {
+    /// Parse the index file into its covered pack length and entries. A
+    /// malformed header, a count that does not match the file length, or
+    /// an unknown kind tag is a hard [`StoreError::InvalidFormat`] — the
+    /// file is not an index. Offsets and the covered length are *not*
+    /// validated here: staleness against the pack is
+    /// [`Self::index_matches_pack`]'s job, and a stale index is
+    /// recoverable, not fatal.
+    fn parse_index(&self) -> Result<(u64, Vec<(ObjectId, Entry)>), StoreError> {
         let bytes = std::fs::read(&self.idx_path).map_err(|e| io_err("read", &self.idx_path, e))?;
+        let path = self.idx_path.display();
         let bad = |detail: String| StoreError::InvalidFormat { detail };
-        if bytes.len() < 16 {
-            return Err(bad(format!("{} has a bad header", self.idx_path.display())));
+        if bytes.len() < 8 {
+            return Err(bad(format!("{path} has a bad header")));
         }
         check_magic(&bytes[..8], IDX_MAGIC, &self.idx_path)?;
-        let claimed = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let count = usize::try_from(claimed)
-            .ok()
-            .filter(|&n| {
-                n.checked_mul(IDX_ENTRY)
-                    .and_then(|body| body.checked_add(16))
-                    == Some(bytes.len())
-            })
-            .ok_or_else(|| {
-                bad(format!(
-                    "{}: {} bytes for {claimed} entries",
-                    self.idx_path.display(),
-                    bytes.len()
-                ))
-            })?;
-        let mut parsed = Vec::with_capacity(count);
-        for i in 0..count {
-            let e = &bytes[16 + i * IDX_ENTRY..16 + (i + 1) * IDX_ENTRY];
-            let id = ObjectId(
-                u64::from_le_bytes(e[0..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(e[8..16].try_into().expect("8 bytes")),
-            );
-            let offset = u64::from_le_bytes(e[16..24].try_into().expect("8 bytes"));
-            let len = u64::from_le_bytes(e[24..32].try_into().expect("8 bytes"));
-            let kind = ObjectKind::from_tag(e[32])
-                .ok_or_else(|| bad(format!("index entry {i} has kind tag {}", e[32])))?;
-            let refcount = u32::from_le_bytes(e[36..40].try_into().expect("4 bytes"));
-            parsed.push((
-                id,
-                Entry {
-                    offset,
-                    len,
-                    kind,
-                    refcount,
-                },
-            ));
+        if bytes.len() < IDX_HEADER {
+            return Err(bad(format!("{path} has a bad header")));
         }
-        Ok(parsed)
+        let covered = le_u64(&bytes[16..24]);
+        let parsed = decode_entries(le_u64(&bytes[8..16]), &bytes[IDX_HEADER..])
+            .map_err(|detail| bad(format!("{path}: {detail}")))?;
+        Ok((covered, parsed))
     }
 
     /// Whether a parsed index actually describes the current pack file:
-    /// every packed entry must lie in bounds *and* the 16-byte record id
-    /// at its offset must match. Either check failing means the index is
+    /// its covered length must lie within the pack, and every packed
+    /// entry must lie within the covered length *and* the 16-byte record
+    /// id at its offset must match. Any check failing means the index is
     /// stale (a crash window, or external corruption) and the caller must
-    /// rebuild — loading it as-is could serve wrong bytes or read past
-    /// EOF.
-    fn index_matches_pack(&self, parsed: &[(ObjectId, Entry)]) -> Result<bool, StoreError> {
-        let packed: Vec<&(ObjectId, Entry)> = parsed
+    /// rebuild — loading it as-is could serve wrong bytes, read past EOF,
+    /// or replay from the middle of a record.
+    fn index_matches_pack(
+        &self,
+        covered: u64,
+        parsed: &[(ObjectId, Entry)],
+    ) -> Result<bool, StoreError> {
+        if covered < PACK_MAGIC.len() as u64 || covered > self.pack_len {
+            return Ok(false);
+        }
+        let mut packed = parsed
             .iter()
             .filter(|(_, e)| e.offset != LOOSE_OFFSET)
-            .collect();
-        if packed.is_empty() {
+            .peekable();
+        if packed.peek().is_none() {
             return Ok(true);
         }
         let mut f = File::open(&self.pack_path).map_err(|e| io_err("open", &self.pack_path, e))?;
         for (id, e) in packed {
-            let end = e
-                .offset
-                .checked_add(RECORD_HEADER)
-                .and_then(|x| x.checked_add(e.len));
-            if e.offset < PACK_MAGIC.len() as u64 || end.is_none_or(|end| end > self.pack_len) {
+            if e.offset < PACK_MAGIC.len() as u64 || e.record_end().is_none_or(|end| end > covered)
+            {
                 return Ok(false);
             }
             let mut rec_id = [0u8; 16];
             f.seek(SeekFrom::Start(e.offset))
                 .and_then(|_| f.read_exact(&mut rec_id))
                 .map_err(|err| io_err("read", &self.pack_path, err))?;
-            let actual = ObjectId(
-                u64::from_le_bytes(rec_id[0..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(rec_id[8..16].try_into().expect("8 bytes")),
-            );
-            if actual != *id {
+            if read_id(&rec_id) != *id {
                 return Ok(false);
             }
         }
         Ok(true)
     }
 
-    /// Recover records appended after the index was last written (a crash
-    /// between `put` and `flush`): scan forward from the last indexed
-    /// record, verify each candidate's payload hashes to its id, and adopt
-    /// it with one reference. A torn trailing record (crash mid-append) is
-    /// truncated away so future appends land on a valid boundary.
-    fn scan_pack_tail(&mut self) -> Result<(), StoreError> {
-        let covered = self
-            .entries
-            .values()
-            .filter(|e| e.offset != LOOSE_OFFSET)
-            .map(|e| e.offset + RECORD_HEADER + e.len)
-            .max()
-            .unwrap_or(PACK_MAGIC.len() as u64);
-        if covered >= self.pack_len {
-            return Ok(());
+    /// Replay the pack records from offset `from` to the end onto the
+    /// entries, in order: an object record sets its entry's location
+    /// (keeping a known refcount, or adopting the object with one
+    /// reference), and a journal record overwrites the entries it holds.
+    /// A torn tail ([`scan_records`]) is truncated away so future appends
+    /// land on a valid boundary. Returns, for every journaled id, the
+    /// offset of the last journal record that set it.
+    fn replay(&mut self, from: u64) -> Result<BTreeMap<ObjectId, u64>, StoreError> {
+        let mut journaled = BTreeMap::new();
+        if from >= self.pack_len {
+            return Ok(journaled);
         }
-        let mut f = File::open(&self.pack_path).map_err(|e| io_err("open", &self.pack_path, e))?;
-        let mut offset = covered;
-        let mut truncate_at = None;
-        while offset < self.pack_len {
-            if self.pack_len - offset < RECORD_HEADER {
-                truncate_at = Some(offset);
-                break;
+        let mut region = Vec::new();
+        File::open(&self.pack_path)
+            .and_then(|mut f| {
+                f.seek(SeekFrom::Start(from))?;
+                f.take(self.pack_len - from).read_to_end(&mut region)
+            })
+            .map_err(|e| io_err("read", &self.pack_path, e))?;
+        let (records, valid_end) = scan_records(&region, from);
+        drop(region);
+        for record in records {
+            match record {
+                Scanned::Object {
+                    offset,
+                    id,
+                    kind,
+                    len,
+                } => {
+                    let e = self.entries.entry(id).or_insert(Entry {
+                        offset,
+                        len,
+                        kind,
+                        refcount: 1,
+                    });
+                    (e.offset, e.len, e.kind) = (offset, len, kind);
+                }
+                Scanned::Journal {
+                    offset,
+                    bytes,
+                    entries,
+                } => {
+                    self.journal_bytes += bytes;
+                    for (id, e) in entries {
+                        self.entries.insert(id, e);
+                        journaled.insert(id, offset);
+                    }
+                }
             }
-            f.seek(SeekFrom::Start(offset))
-                .map_err(|e| io_err("seek", &self.pack_path, e))?;
-            let mut rec = [0u8; RECORD_HEADER as usize];
-            f.read_exact(&mut rec)
-                .map_err(|e| io_err("read", &self.pack_path, e))?;
-            let id = ObjectId(
-                u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")),
-            );
-            let kind = ObjectKind::from_tag(rec[16]);
-            let len = u64::from_le_bytes(rec[17..25].try_into().expect("8 bytes"));
-            // A torn or garbled length must not wrap the bound (and size
-            // the payload buffer below): overflow is just another torn tail.
-            let end = offset
-                .checked_add(RECORD_HEADER)
-                .and_then(|x| x.checked_add(len));
-            let (Some(kind), Some(end)) = (kind, end.filter(|&end| end <= self.pack_len)) else {
-                truncate_at = Some(offset);
-                break;
-            };
-            let mut payload = vec![0u8; len as usize];
-            f.read_exact(&mut payload)
-                .map_err(|e| io_err("read", &self.pack_path, e))?;
-            if hash_object(kind, &payload) != id {
-                truncate_at = Some(offset);
-                break;
-            }
-            self.entries.entry(id).or_insert(Entry {
-                offset,
-                len,
-                kind,
-                refcount: 1,
-            });
-            offset = end;
         }
-        if let Some(at) = truncate_at {
-            drop(f);
+        if valid_end < self.pack_len {
             let w = OpenOptions::new()
                 .write(true)
                 .open(&self.pack_path)
                 .map_err(|e| io_err("open", &self.pack_path, e))?;
-            w.set_len(at)
+            w.set_len(valid_end)
                 .map_err(|e| io_err("truncate", &self.pack_path, e))?;
-            self.pack_len = at;
+            self.pack_len = valid_end;
+            self.appender = None;
         }
-        Ok(())
+        Ok(journaled)
     }
 
-    /// Write the fixed-width sorted index atomically: tmp → (sync) →
-    /// rename → (directory fsync). The syncs make the rename a real
+    /// Write a checkpoint: sync the pack, then write the fixed-width
+    /// sorted index — covering the whole pack — atomically: tmp → (sync)
+    /// → rename → (directory fsync). The syncs make the rename a real
     /// barrier under [`Durability::Full`] — without them the rename can
     /// land before the tmp's data and a power loss leaves a valid-looking
-    /// index full of garbage.
-    fn write_index(&mut self) -> Result<(), StoreError> {
-        let mut out = Vec::with_capacity(16 + self.entries.len() * IDX_ENTRY);
+    /// index full of garbage, or an index covering pack bytes that were
+    /// lost. A checkpoint subsumes every pending journal entry.
+    fn checkpoint(&mut self) -> Result<(), StoreError> {
+        self.sync_pack()?;
+        let mut out = Vec::with_capacity(IDX_HEADER + self.entries.len() * IDX_ENTRY);
         out.extend_from_slice(IDX_MAGIC);
         out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
+        out.extend_from_slice(&self.pack_len.to_le_bytes());
         // BTreeMap iterates sorted by id — the binary-search invariant.
-        for (id, e) in &self.entries {
-            out.extend_from_slice(&id.0.to_le_bytes());
-            out.extend_from_slice(&id.1.to_le_bytes());
-            out.extend_from_slice(&e.offset.to_le_bytes());
-            out.extend_from_slice(&e.len.to_le_bytes());
-            out.push(e.kind.tag());
-            out.extend_from_slice(&[0u8; 3]);
-            out.extend_from_slice(&e.refcount.to_le_bytes());
+        for (&id, e) in &self.entries {
+            encode_entry(&mut out, id, e);
         }
         let tmp = self.idx_path.with_extension("idx.tmp");
         if self.hit_crash(CrashPoint::IndexWrite) {
@@ -678,57 +878,21 @@ impl PackStore {
         }
         std::fs::rename(&tmp, &self.idx_path).map_err(|e| io_err("rename", &self.idx_path, e))?;
         self.fsync_dir(&self.dir)?;
+        self.covered = self.pack_len;
+        self.journal_bytes = 0;
+        self.dirty.clear();
         Ok(())
     }
 
-    /// Rebuild the in-memory index by scanning the pack and the loose
-    /// directory (recovery path when `pack.idx` is missing).
-    fn rebuild_index(&mut self) -> Result<(), StoreError> {
-        let mut f = File::open(&self.pack_path).map_err(|e| io_err("open", &self.pack_path, e))?;
-        let mut header = [0u8; 8];
-        f.read_exact(&mut header)
-            .map_err(|e| io_err("read", &self.pack_path, e))?;
-        let mut offset = PACK_MAGIC.len() as u64;
-        while offset < self.pack_len {
-            let mut rec = [0u8; RECORD_HEADER as usize];
-            f.read_exact(&mut rec)
-                .map_err(|e| io_err("read", &self.pack_path, e))?;
-            let id = ObjectId(
-                u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")),
-            );
-            let kind = ObjectKind::from_tag(rec[16]).ok_or_else(|| StoreError::InvalidFormat {
-                detail: format!("pack record at {offset} has kind tag {}", rec[16]),
-            })?;
-            let len = u64::from_le_bytes(rec[17..25].try_into().expect("8 bytes"));
-            // Same bounds guard as load_index: a corrupted length field
-            // must fail typed, not wrap the scan offset or seek past EOF.
-            // (Payload integrity itself is re-checked on every get.)
-            if offset
-                .checked_add(RECORD_HEADER)
-                .and_then(|x| x.checked_add(len))
-                .is_none_or(|end| end > self.pack_len)
-            {
-                return Err(StoreError::InvalidFormat {
-                    detail: format!(
-                        "pack record at {offset} claims {len} bytes beyond the {} byte pack",
-                        self.pack_len
-                    ),
-                });
-            }
-            self.entries.insert(
-                id,
-                Entry {
-                    offset,
-                    len,
-                    kind,
-                    refcount: 1,
-                },
-            );
-            offset += RECORD_HEADER + len;
-            f.seek(SeekFrom::Start(offset))
-                .map_err(|e| io_err("seek", &self.pack_path, e))?;
-        }
+    /// Index bytes a checkpoint writes at the current entry count.
+    fn index_len(&self) -> u64 {
+        (IDX_HEADER + self.entries.len() * IDX_ENTRY) as u64
+    }
+
+    /// Adopt loose files the entries do not know (recovery path when the
+    /// index is missing or stale). A journaled entry keeps its refcount;
+    /// an unknown file gets one reference.
+    fn adopt_loose_files(&mut self) -> Result<(), StoreError> {
         let objects = self.dir.join("objects");
         let rd = std::fs::read_dir(&objects).map_err(|e| io_err("read_dir", &objects, e))?;
         for dirent in rd {
@@ -742,10 +906,13 @@ impl PackStore {
             let (Ok(a), Ok(b)) = (u64::from_str_radix(hi, 16), u64::from_str_radix(lo, 16)) else {
                 continue;
             };
+            let id = ObjectId(a, b);
+            if self.entries.contains_key(&id) {
+                continue;
+            }
             let path = dirent.path();
             let bytes = std::fs::read(&path).map_err(|e| io_err("read", &path, e))?;
             // Loose files carry no kind tag; recover it by matching the hash.
-            let id = ObjectId(a, b);
             let kind = [ObjectKind::Chunk, ObjectKind::Delta]
                 .into_iter()
                 .find(|&k| hash_object(k, &bytes) == id)
@@ -774,8 +941,8 @@ impl PackStore {
     }
 
     /// The resident pack map: the pack file read once into memory, after
-    /// which packed [`Store::get_ref`] reads are verified slices. Reloaded
-    /// lazily after `put`/`gc` invalidate it.
+    /// which packed [`Store::get_ref`] reads are verified slices. Appends
+    /// extend it; reloaded lazily after `gc` drops it.
     fn resident_pack(&self) -> Result<&[u8], StoreError> {
         if let Some(bytes) = self.resident.get() {
             return Ok(bytes);
@@ -783,8 +950,9 @@ impl PackStore {
         let bytes =
             std::fs::read(&self.pack_path).map_err(|e| io_err("read", &self.pack_path, e))?;
         // A concurrent reader may have raced the load and won; both read
-        // the same immutable file, so either copy serves.
-        let _ = self.resident.set(bytes.into_boxed_slice());
+        // the same file under the shared borrow (appends need `&mut`), so
+        // either copy serves.
+        let _ = self.resident.set(bytes);
         Ok(self.resident.get().expect("resident just set"))
     }
 
@@ -806,10 +974,7 @@ impl PackStore {
             *guard = None;
             return Err(io_err("read", &self.pack_path, err));
         }
-        let rec_id = ObjectId(
-            u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes")),
-            u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")),
-        );
+        let rec_id = read_id(&rec);
         if rec_id != id {
             return Err(StoreError::Corrupt {
                 id,
@@ -819,48 +984,67 @@ impl PackStore {
         Ok(payload)
     }
 
+    /// The append handle, opened on first use.
+    fn appender(&mut self) -> Result<&mut File, StoreError> {
+        if self.appender.is_none() {
+            let f = OpenOptions::new()
+                .append(true)
+                .open(&self.pack_path)
+                .map_err(|e| io_err("open", &self.pack_path, e))?;
+            self.appender = Some(f);
+        }
+        Ok(self.appender.as_mut().expect("appender just opened"))
+    }
+
+    /// Sync the pack through the append handle (no-op under
+    /// [`Durability::None`]).
+    fn sync_pack(&mut self) -> Result<(), StoreError> {
+        if !self.durable() {
+            return Ok(());
+        }
+        let f = self.appender()?;
+        f.sync_all()
+            .map_err(|e| io_err("sync", &self.pack_path, e))?;
+        Ok(())
+    }
+
     /// Append one record to the pack, returning its offset. Shared by
-    /// `put` and `repair`. The append itself is not synced — packed writes
-    /// are acknowledged durable at the next flush (which syncs the pack
-    /// before the index pointing into it).
+    /// `put`, `repair` and `flush`'s journal; `point` is the crash point
+    /// that tears it. The append itself is not synced — packed writes are
+    /// acknowledged durable at the next flush, which syncs the pack after
+    /// its journal record.
     fn append_record(
         &mut self,
         id: ObjectId,
-        kind: ObjectKind,
+        tag: u8,
         bytes: &[u8],
+        point: CrashPoint,
     ) -> Result<u64, StoreError> {
-        let mut f = OpenOptions::new()
-            .append(true)
-            .open(&self.pack_path)
-            .map_err(|e| io_err("open", &self.pack_path, e))?;
         let offset = self.pack_len;
-        let mut rec = Vec::with_capacity(RECORD_HEADER as usize + bytes.len());
-        rec.extend_from_slice(&id.0.to_le_bytes());
-        rec.extend_from_slice(&id.1.to_le_bytes());
-        rec.push(kind.tag());
-        rec.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        rec.extend_from_slice(bytes);
-        if self.hit_crash(CrashPoint::PackAppend) {
+        let rec = encode_record(id, tag, bytes);
+        self.appender()?;
+        let crash = self.hit_crash(point);
+        let f = self.appender.as_mut().expect("appender open");
+        if crash {
             // Tear the record: half its bytes land past the committed
             // length, exactly what a power loss mid-append leaves behind.
             // pack_len and the entry map are NOT updated — the record was
             // never acknowledged. Reopen truncates the torn tail.
             let _ = f.write_all(&rec[..rec.len() / 2]);
-            return Err(self.crash_err(CrashPoint::PackAppend));
+            return Err(self.crash_err(point));
         }
         if let Err(e) = f.write_all(&rec) {
             // A partial append leaves garbage past pack_len; truncate
             // it away so the next put's recorded offset stays honest.
-            let _ = f.set_len(self.pack_len);
+            let _ = f.set_len(offset);
             return Err(io_err("write", &self.pack_path, e));
         }
         self.pack_len += rec.len() as u64;
-        // The resident map no longer covers the whole pack; drop it so
-        // the next get_ref reloads one consistent snapshot. (Existing
-        // offsets stay valid — the pack is append-only — so get_ref
-        // additionally bounds-checks and falls back rather than ever
-        // serving a slice the map does not cover.)
-        self.resident = std::sync::OnceLock::new();
+        // Keep the resident map a mirror of the file: `&mut self` proves
+        // no slice of it is borrowed, so it can grow in place.
+        if let Some(map) = self.resident.get_mut() {
+            map.extend_from_slice(&rec);
+        }
         Ok(offset)
     }
 
@@ -893,13 +1077,14 @@ impl Store for PackStore {
         let id = hash_object(kind, bytes);
         if let Some(e) = self.entries.get_mut(&id) {
             e.refcount += 1;
+            self.dirty.insert(id);
             return Ok(id);
         }
         let offset = if bytes.len() as u64 >= self.loose_threshold {
             self.write_loose(id, bytes)?;
             LOOSE_OFFSET
         } else {
-            self.append_record(id, kind, bytes)?
+            self.append_record(id, kind.tag(), bytes, CrashPoint::PackAppend)?
         };
         self.entries.insert(
             id,
@@ -910,6 +1095,7 @@ impl Store for PackStore {
                 refcount: 1,
             },
         );
+        self.dirty.insert(id);
         Ok(id)
     }
 
@@ -944,15 +1130,12 @@ impl Store for PackStore {
         let start = e.offset as usize;
         let end = start + RECORD_HEADER as usize + e.len as usize;
         let Some(rec) = pack.get(start..end) else {
-            // The record was appended after this map was loaded (the map
-            // is a still-valid prefix of the append-only pack, it just
-            // does not cover the tail). Serve the owned fallback.
+            // Appends extend the map, so only a file changed behind the
+            // store's back gets here. Serve the owned fallback, which
+            // re-reads and re-verifies the record.
             return self.get(id).map(std::borrow::Cow::Owned);
         };
-        let rec_id = ObjectId(
-            u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes")),
-            u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")),
-        );
+        let rec_id = read_id(rec);
         if rec_id != id {
             return Err(StoreError::Corrupt {
                 id,
@@ -985,6 +1168,7 @@ impl Store for PackStore {
             .get_mut(&id)
             .ok_or(StoreError::Missing { id })?;
         e.refcount += 1;
+        self.dirty.insert(id);
         Ok(())
     }
 
@@ -998,6 +1182,7 @@ impl Store for PackStore {
             return Err(StoreError::AlreadyReleased { id });
         }
         e.refcount -= 1;
+        self.dirty.insert(id);
         Ok(())
     }
 
@@ -1010,17 +1195,25 @@ impl Store for PackStore {
             .filter(|(_, e)| e.refcount == 0)
             .map(|(&id, _)| id)
             .collect();
-        if dead.is_empty() {
+        // With nothing dead, compaction still pays when the pack holds
+        // bytes no entry points at: journal records and records orphaned
+        // by `repair`.
+        let packed_bytes: u64 = self
+            .entries
+            .values()
+            .filter(|e| e.offset != LOOSE_OFFSET)
+            .map(|e| RECORD_HEADER + e.len)
+            .sum();
+        if dead.is_empty() && self.pack_len == PACK_MAGIC.len() as u64 + packed_bytes {
             return Ok(stats);
         }
-        // Durability barrier: persist the zero refcounts *before*
-        // destroying any bytes. Without this, a crash mid-GC reopens with
-        // an older index whose counts say some unlinked object is live —
-        // a resurrected dead record at best, a lost "live" object at
-        // worst.
-        if self.durable() {
-            self.write_index()?;
-        }
+        // Durability barrier: checkpoint the zero refcounts and every
+        // journaled entry *before* destroying any bytes. Without this, a
+        // crash mid-GC reopens with an older index whose counts say some
+        // unlinked object is live — a resurrected dead record at best, a
+        // lost "live" object at worst — and compaction would drop the
+        // journal records holding the newest counts.
+        self.checkpoint()?;
         let mut unlinked_loose = false;
         for &id in &dead {
             let e = self.entries.remove(&id).expect("dead entry exists");
@@ -1040,7 +1233,7 @@ impl Store for PackStore {
         if unlinked_loose {
             self.fsync_dir(&self.dir.join("objects"))?;
         }
-        // Compact the pack: rewrite only live packed records, then swap.
+        // Compact the pack: rewrite only live object records, then swap.
         // New offsets are staged and applied only once the rename has
         // succeeded — a failure mid-compaction must leave the in-memory
         // index pointing at the intact old pack, not the abandoned tmp.
@@ -1060,13 +1253,7 @@ impl Store for PackStore {
             let mut torn = false;
             for id in live {
                 let e = self.entries[&id];
-                let payload = self.read_packed(id, &e)?;
-                let mut rec = Vec::with_capacity(RECORD_HEADER as usize + payload.len());
-                rec.extend_from_slice(&id.0.to_le_bytes());
-                rec.extend_from_slice(&id.1.to_le_bytes());
-                rec.push(e.kind.tag());
-                rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                rec.extend_from_slice(&payload);
+                let rec = encode_record(id, e.kind.tag(), &self.read_packed(id, &e)?);
                 if self.hit_crash(CrashPoint::GcRewrite) {
                     let _ = out.write_all(&rec[..rec.len() / 2]);
                     torn = true;
@@ -1094,10 +1281,12 @@ impl Store for PackStore {
             self.entries.get_mut(&id).expect("live entry").offset = offset;
         }
         self.pack_len = new_len;
-        // The cached read handle still points at the pre-compaction file,
-        // and the resident map's offsets are those of the old pack — both
-        // must go, or reads after GC would serve stale bytes.
+        // The cached read and append handles still point at the
+        // pre-compaction file, and the resident map's offsets are those
+        // of the old pack — all must go, or reads after GC would serve
+        // stale bytes and appends would land in the unlinked file.
         *self.reader.lock().expect("pack reader lock") = None;
+        self.appender = None;
         self.resident = std::sync::OnceLock::new();
         if self.hit_crash(CrashPoint::GcIndex) {
             // The new pack is in place but the on-disk index still
@@ -1105,7 +1294,7 @@ impl Store for PackStore {
             // must detect and rebuild.
             return Err(self.crash_err(CrashPoint::GcIndex));
         }
-        self.write_index()?;
+        self.checkpoint()?;
         Ok(stats)
     }
 
@@ -1119,15 +1308,35 @@ impl Store for PackStore {
 
     fn flush(&mut self) -> Result<(), StoreError> {
         self.check_crashed()?;
-        if self.durable() {
-            // Pack data before the index that points into it: an index
-            // entry must never outlive a power loss that its record does
-            // not survive.
-            let f = File::open(&self.pack_path).map_err(|e| io_err("open", &self.pack_path, e))?;
-            f.sync_all()
-                .map_err(|e| io_err("sync", &self.pack_path, e))?;
+        if self.dirty.is_empty() {
+            return Ok(());
         }
-        self.write_index()
+        // One journal record with every changed entry (absolute values),
+        // then one pack sync: the records it points at were appended
+        // before it, so the sync makes both durable together.
+        let mut payload = Vec::with_capacity(JOURNAL_HEADER + self.dirty.len() * IDX_ENTRY);
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        let mut count = 0u64;
+        for id in &self.dirty {
+            if let Some(e) = self.entries.get(id) {
+                encode_entry(&mut payload, *id, e);
+                count += 1;
+            }
+        }
+        payload[..JOURNAL_HEADER].copy_from_slice(&count.to_le_bytes());
+        self.append_record(
+            journal_id(&payload),
+            JOURNAL_TAG,
+            &payload,
+            CrashPoint::JournalAppend,
+        )?;
+        self.journal_bytes += RECORD_HEADER + payload.len() as u64;
+        self.sync_pack()?;
+        self.dirty.clear();
+        if 2 * self.journal_bytes > self.index_len() {
+            self.checkpoint()?;
+        }
+        Ok(())
     }
 
     fn repair(&mut self, id: ObjectId, kind: ObjectKind, bytes: &[u8]) -> Result<(), StoreError> {
@@ -1146,24 +1355,26 @@ impl Store for PackStore {
         } else {
             // Append a fresh record and point the entry at it; the
             // orphaned corrupt record is dropped at the next GC
-            // compaction, and index rebuilds adopt the later record (the
-            // pack scan inserts last-wins by offset).
-            let offset = self.append_record(id, kind, bytes)?;
+            // compaction, and replay adopts the later record (an object
+            // record moves its entry, keeping the refcount).
+            let offset = self.append_record(id, kind.tag(), bytes, CrashPoint::PackAppend)?;
             let e = self.entries.get_mut(&id).expect("entry exists");
             e.offset = offset;
             e.len = bytes.len() as u64;
             e.kind = kind;
         }
+        self.dirty.insert(id);
         Ok(())
     }
 }
 
 impl Drop for PackStore {
     fn drop(&mut self) {
-        // Best-effort index persistence; callers needing guarantees flush.
-        // A crashed store writes nothing — the process it simulates died.
-        if !self.crashed {
-            let _ = self.write_index();
+        // Best-effort checkpoint, so the next open replays nothing;
+        // callers needing guarantees flush. A crashed store writes
+        // nothing — the process it simulates died.
+        if !self.crashed && (self.covered != self.pack_len || !self.dirty.is_empty()) {
+            let _ = self.checkpoint();
         }
     }
 }
@@ -1219,13 +1430,24 @@ mod tests {
         drop(bytes);
         assert!(s.resident_loaded());
 
-        // An append invalidates the map; the next get_ref reloads one
-        // snapshot covering both objects and serves slices again.
+        // An append extends the map in place: it stays loaded, and the
+        // appended record is served as a borrowed slice of it.
         let b = s.put(ObjectKind::Delta, b"appended object").expect("put");
-        assert!(!s.resident_loaded(), "append must invalidate the map");
-        assert!(matches!(s.get_ref(b).expect("new"), Cow::Borrowed(_)));
+        assert!(s.resident_loaded(), "append must keep the map loaded");
+        let appended = s.get_ref(b).expect("new");
+        assert!(matches!(appended, Cow::Borrowed(_)));
+        assert_eq!(&*appended, b"appended object");
+        drop(appended);
+        // A flush's journal record extends it too, without disturbing
+        // the object slices.
+        s.flush().expect("flush");
+        assert!(s.resident_loaded(), "a journal append keeps the map loaded");
         assert_eq!(&*s.get_ref(a).expect("old"), b"first object");
-        assert!(s.resident_loaded());
+        assert_eq!(
+            s.resident.get().expect("loaded").len() as u64,
+            s.pack_file_len(),
+            "the map mirrors the whole pack"
+        );
 
         // GC compaction moves offsets; a stale map would serve the wrong
         // record. The reload must reflect the compacted pack exactly.
@@ -1363,10 +1585,10 @@ mod tests {
             s.flush().expect("flush");
         }
         // Blow up the first entry's length field (bytes 24..32 after the
-        // 16-byte header and 16-byte id). The index no longer matches the
+        // 24-byte header and 16-byte id). The index no longer matches the
         // pack, so open must treat it as stale and rebuild — not refuse.
         let mut idx = std::fs::read(dir.join("pack.idx")).expect("read idx");
-        idx[16 + 24..16 + 32].copy_from_slice(&u64::MAX.to_le_bytes());
+        idx[IDX_HEADER + 24..IDX_HEADER + 32].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(dir.join("pack.idx"), idx).expect("write idx");
         let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("rebuild");
         assert_eq!(s.get(victim).expect("get"), b"victim");
@@ -1403,9 +1625,9 @@ mod tests {
             s.flush().expect("flush");
         }
         // One real 40-byte entry under a count of 2^61 + 1: the unchecked
-        // `16 + count * 40` wraps to exactly the 56-byte file length.
+        // `24 + count * 40` wraps to exactly the 64-byte file length.
         let mut idx = std::fs::read(dir.join("pack.idx")).expect("read idx");
-        assert_eq!(idx.len(), 56);
+        assert_eq!(idx.len(), 64);
         idx[8..16].copy_from_slice(&((1u64 << 61) + 1).to_le_bytes());
         std::fs::write(dir.join("pack.idx"), idx).expect("write idx");
         assert!(matches!(
@@ -1417,11 +1639,13 @@ mod tests {
 
     #[test]
     fn version_one_store_is_refused_by_version() {
-        for (file, v1, v2) in [
-            ("pack.dsv", b"DSVPACK1", PACK_MAGIC),
-            ("pack.idx", b"DSVIDX01", IDX_MAGIC),
+        for (file, version, old, current) in [
+            ("pack.dsv", 1, b"DSVPACK1", PACK_MAGIC),
+            ("pack.idx", 1, b"DSVIDX01", IDX_MAGIC),
+            ("pack.dsv", 2, b"DSVPACK2", PACK_MAGIC),
+            ("pack.idx", 2, b"DSVIDX02", IDX_MAGIC),
         ] {
-            let dir = temp_dir("v1");
+            let dir = temp_dir("vold");
             {
                 let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
                 s.put(ObjectKind::Chunk, b"old format").expect("put");
@@ -1429,18 +1653,18 @@ mod tests {
             }
             let path = dir.join(file);
             let mut bytes = std::fs::read(&path).expect("read");
-            assert_eq!(&bytes[..8], v2);
-            bytes[..8].copy_from_slice(v1);
+            assert_eq!(&bytes[..8], current);
+            bytes[..8].copy_from_slice(old);
             std::fs::write(&path, bytes).expect("write");
             match PackStore::open_with_threshold(&dir, 1 << 20) {
                 Err(StoreError::InvalidFormat { detail }) => {
-                    assert!(detail.contains("version-1"), "{detail}");
+                    assert!(detail.contains(&format!("version-{version}")), "{detail}");
                     assert!(
-                        detail.contains(std::str::from_utf8(v1).unwrap()),
+                        detail.contains(std::str::from_utf8(old).unwrap()),
                         "{detail}"
                     );
                 }
-                other => panic!("{file} at version 1 must be refused, got {other:?}"),
+                other => panic!("{file} at version {version} must be refused, got {other:?}"),
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -1602,6 +1826,378 @@ mod tests {
         f.write_all(&[byte[0] ^ 0xFF]).expect("write");
         drop(f);
         assert!(matches!(s.get(id), Err(StoreError::Corrupt { .. })));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store of `n` small packed objects, flushed and checkpointed.
+    fn populated(dir: &Path, n: usize) -> (PackStore, Vec<ObjectId>) {
+        let mut s = PackStore::open_with_threshold(dir, 1 << 20).expect("open");
+        let ids = (0..n)
+            .map(|i| {
+                s.put(ObjectKind::Chunk, format!("object {i}").as_bytes())
+                    .expect("put")
+            })
+            .collect();
+        s.flush().expect("flush");
+        (s, ids)
+    }
+
+    #[test]
+    fn flush_appends_one_journal_record_and_reopen_replays_it() {
+        let dir = temp_dir("journal");
+        let (mut s, ids) = populated(&dir, 64);
+        let idx_before = std::fs::read(dir.join("pack.idx")).expect("read idx");
+        let len_before = s.pack_file_len();
+        s.retain(ids[3]).expect("retain");
+        s.retain(ids[3]).expect("retain");
+        s.release(ids[5]).expect("release");
+        s.flush().expect("flush");
+        // Two changed entries: one record holding a count and two entries.
+        assert_eq!(
+            s.pack_file_len() - len_before,
+            RECORD_HEADER + (JOURNAL_HEADER + 2 * IDX_ENTRY) as u64
+        );
+        let idx_after = std::fs::read(dir.join("pack.idx")).expect("read idx");
+        assert_eq!(
+            idx_before, idx_after,
+            "a small flush must not rewrite the index"
+        );
+        // A flush with nothing changed writes nothing.
+        s.flush().expect("idle flush");
+        assert_eq!(
+            s.pack_file_len() - len_before,
+            RECORD_HEADER + (JOURNAL_HEADER + 2 * IDX_ENTRY) as u64
+        );
+        drop(s);
+        // Put back the checkpoint from before the journal, as if the
+        // process died before its exit checkpoint: replay restores both.
+        std::fs::write(dir.join("pack.idx"), idx_after).expect("restore idx");
+        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        assert_eq!(s.meta(ids[3]).expect("meta").refcount, 3);
+        assert_eq!(s.meta(ids[5]).expect("meta").refcount, 0);
+        assert_eq!(s.meta(ids[4]).expect("meta").refcount, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoints_follow_the_journal_volume() {
+        let dir = temp_dir("cadence");
+        let (mut s, ids) = populated(&dir, 100);
+        // Half the 4024-byte index is 2012 bytes, and a one-entry journal
+        // record is 73 bytes: every 28th flush checkpoints.
+        assert_eq!(s.index_len(), 4024);
+        let mut checkpoints = 0;
+        for i in 0..90 {
+            s.retain(ids[i % ids.len()]).expect("retain");
+            s.flush().expect("flush");
+            if s.covered == s.pack_file_len() {
+                checkpoints += 1;
+                assert_eq!(s.journal_bytes, 0);
+            }
+            assert!(2 * s.journal_bytes <= s.index_len());
+        }
+        assert_eq!(checkpoints, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn missing_index_replays_journals_for_exact_refcounts() {
+        let dir = temp_dir("noidx");
+        let (mut s, ids) = populated(&dir, 8);
+        s.retain(ids[0]).expect("retain");
+        s.retain(ids[0]).expect("retain");
+        s.release(ids[1]).expect("release");
+        s.flush().expect("flush");
+        let unflushed = s.put(ObjectKind::Delta, b"never journaled").expect("put");
+        drop(s);
+        std::fs::remove_file(dir.join("pack.idx")).expect("drop index");
+        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("rebuild");
+        assert_eq!(s.meta(ids[0]).expect("meta").refcount, 3);
+        assert_eq!(s.meta(ids[1]).expect("meta").refcount, 0);
+        assert_eq!(s.meta(ids[2]).expect("meta").refcount, 1);
+        assert_eq!(s.meta(unflushed).expect("meta").refcount, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_index_prefers_journals_past_its_checkpoint() {
+        let dir = temp_dir("stalejournal");
+        let (mut s, ids) = populated(&dir, 20);
+        let (a, b, c) = (ids[0], ids[1], ids[2]);
+        // Journaled before the checkpoint below: the index agrees.
+        s.retain(a).expect("retain");
+        s.flush().expect("flush");
+        // Never journaled: only the exit checkpoint holds b's count, so
+        // replaying the older journals alone would roll it back to 1.
+        s.retain(b).expect("retain");
+        drop(s);
+        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        // Journaled past the checkpoint: newer than the index.
+        s.retain(c).expect("retain");
+        s.retain(c).expect("retain");
+        s.flush().expect("flush");
+        assert!(
+            s.covered < s.pack_file_len(),
+            "the journal is past the index"
+        );
+        let idx = std::fs::read(dir.join("pack.idx")).expect("read idx");
+        drop(s);
+        // Restore that checkpoint with one entry's length blown up: the
+        // index no longer matches the pack and open must rebuild.
+        let mut idx = idx;
+        idx[IDX_HEADER + 24..IDX_HEADER + 32].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(dir.join("pack.idx"), idx).expect("write idx");
+        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("rebuild");
+        assert_eq!(s.meta(a).expect("meta").refcount, 2);
+        assert_eq!(
+            s.meta(b).expect("meta").refcount,
+            2,
+            "index over older journals"
+        );
+        assert_eq!(
+            s.meta(c).expect("meta").refcount,
+            3,
+            "newer journal over index"
+        );
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(s.get(id).expect("get"), format!("object {i}").as_bytes());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotten_record_past_the_checkpoint_does_not_truncate_later_ones() {
+        let dir = temp_dir("rotten");
+        let (mut s, _) = populated(&dir, 20);
+        let idx = std::fs::read(dir.join("pack.idx")).expect("read idx");
+        let x = s.put(ObjectKind::Chunk, b"rots at rest").expect("put");
+        s.flush().expect("flush");
+        let y = s.put(ObjectKind::Delta, b"journaled after").expect("put");
+        s.retain(y).expect("retain");
+        s.flush().expect("flush");
+        let Some(ObjectLocation::Packed { payload_offset, .. }) = s.locate(x) else {
+            panic!("expected a packed object");
+        };
+        drop(s);
+        std::fs::write(dir.join("pack.idx"), idx).expect("restore idx");
+        let mut f = OpenOptions::new()
+            .write(true)
+            .open(dir.join("pack.dsv"))
+            .expect("open pack");
+        f.seek(SeekFrom::Start(payload_offset)).expect("seek");
+        f.write_all(b"R").expect("write");
+        drop(f);
+        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        // x's journal entry survives and reads as corrupt (repairable);
+        // everything after it replays.
+        assert!(matches!(s.get(x), Err(StoreError::Corrupt { .. })));
+        s.repair(x, ObjectKind::Chunk, b"rots at rest")
+            .expect("repair");
+        assert_eq!(s.get(x).expect("healed"), b"rots at rest");
+        assert_eq!(s.get(y).expect("replayed"), b"journaled after");
+        assert_eq!(s.meta(y).expect("meta").refcount, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_compacts_away_journal_records_with_nothing_dead() {
+        let dir = temp_dir("gcjournal");
+        let (mut s, ids) = populated(&dir, 16);
+        for &id in &ids[..4] {
+            s.retain(id).expect("retain");
+            s.flush().expect("flush");
+        }
+        let live: u64 = ids
+            .iter()
+            .map(|&id| RECORD_HEADER + s.meta(id).expect("meta").len)
+            .sum();
+        assert!(s.pack_file_len() > PACK_MAGIC.len() as u64 + live);
+        let stats = s.gc().expect("gc");
+        assert_eq!(stats.collected_objects, 0);
+        assert_eq!(s.pack_file_len(), PACK_MAGIC.len() as u64 + live);
+        // Nothing left to compact: a second gc is a no-op.
+        s.gc().expect("gc");
+        assert_eq!(s.pack_file_len(), PACK_MAGIC.len() as u64 + live);
+        drop(s);
+        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(s.meta(id).expect("meta").refcount, 1 + u32::from(i < 4));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The scan is total on damaged journals: bit flips, truncation,
+    /// inflated counts (re-checksummed so the count check itself is
+    /// reached) and splices of valid records all end in a prefix of
+    /// whole, checked records and a torn tail — never a panic, and
+    /// never an entry count the bytes do not hold.
+    #[test]
+    fn journal_decoding_is_total_under_damage() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let dir = temp_dir("journalfuzz");
+        let (mut s, ids) = populated(&dir, 12);
+        let base = s.pack_file_len();
+        for round in 0..6 {
+            for &id in &ids[round..round + 3] {
+                s.retain(id).expect("retain");
+            }
+            s.flush().expect("flush");
+            s.put(ObjectKind::Delta, format!("tail {round}").as_bytes())
+                .expect("put");
+        }
+        s.flush().expect("flush");
+        let pack = std::fs::read(dir.join("pack.dsv")).expect("read pack");
+        let region = &pack[base as usize..];
+        let (clean, end) = scan_records(region, base);
+        assert_eq!(end, pack.len() as u64, "the undamaged tail scans whole");
+        let journals: Vec<(usize, usize)> = clean
+            .iter()
+            .filter_map(|r| match r {
+                Scanned::Journal { offset, bytes, .. } => {
+                    Some(((offset - base) as usize, *bytes as usize))
+                }
+                Scanned::Object { .. } => None,
+            })
+            .collect();
+        assert_eq!(journals.len(), 7);
+
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut torn = 0;
+        for case in 0..2000 {
+            let mut bytes = region.to_vec();
+            let (at, len) = journals[rng.gen_range(0..journals.len())];
+            match case % 4 {
+                0 => {
+                    let bit = rng.gen_range(at * 8..(at + len) * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+                1 => bytes.truncate(rng.gen_range(at..at + len)),
+                2 => {
+                    // Inflate the count and re-checksum the payload.
+                    let payload = at + RECORD_HEADER as usize;
+                    let count = [1u64 << 61, u64::MAX, rng.gen_range(0..1u64 << 20)]
+                        [rng.gen_range(0..3usize)];
+                    bytes[payload..payload + 8].copy_from_slice(&count.to_le_bytes());
+                    let id = journal_id(&bytes[payload..at + len]);
+                    bytes[at..at + 8].copy_from_slice(&id.0.to_le_bytes());
+                    bytes[at + 8..at + 16].copy_from_slice(&id.1.to_le_bytes());
+                }
+                _ => {
+                    // Splice a valid journal over another position.
+                    let (from, n) = journals[rng.gen_range(0..journals.len())];
+                    let rec = region[from..from + n].to_vec();
+                    let to = rng.gen_range(0..bytes.len());
+                    let end = (to + n).min(bytes.len());
+                    bytes[to..end].copy_from_slice(&rec[..end - to]);
+                }
+            }
+            let (records, end) = scan_records(&bytes, base);
+            assert!(end <= base + bytes.len() as u64);
+            // Records are in order and disjoint (a skipped rotten object
+            // leaves a gap), and the valid prefix ends after the last.
+            let mut pos = base;
+            for r in &records {
+                let (offset, size) = match r {
+                    Scanned::Object { offset, len, .. } => (*offset, RECORD_HEADER + len),
+                    Scanned::Journal {
+                        offset,
+                        bytes,
+                        entries,
+                    } => {
+                        let body = *bytes - RECORD_HEADER - JOURNAL_HEADER as u64;
+                        assert_eq!(entries.len() as u64 * IDX_ENTRY as u64, body);
+                        (*offset, *bytes)
+                    }
+                };
+                assert!(offset >= pos, "records are in order and disjoint");
+                pos = offset + size;
+            }
+            assert!(pos <= end, "the valid prefix ends after its last record");
+            torn += usize::from(end < base + bytes.len() as u64);
+            // The decoder alone, without the checksum in front of it.
+            let payload = &bytes[(at + RECORD_HEADER as usize).min(bytes.len())..];
+            if let Ok(entries) = decode_journal(base + at as u64, payload) {
+                assert_eq!(entries.len() * IDX_ENTRY + JOURNAL_HEADER, payload.len());
+            }
+        }
+        assert!(torn > 1000, "the damage must be caught: {torn} torn tails");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Open is total on damaged v3 index headers and damaged packs: every
+    /// result is a store or a typed error, never a panic, and an opened
+    /// store serves only bytes that hash to their ids.
+    #[test]
+    fn damaged_index_headers_and_packs_open_or_fail_typed() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let dir = temp_dir("idxfuzz");
+        let ids = {
+            let (mut s, ids) = populated(&dir, 10);
+            s.retain(ids[0]).expect("retain");
+            s.flush().expect("flush");
+            s.put(ObjectKind::Delta, b"unflushed").expect("put");
+            let idx = std::fs::read(dir.join("pack.idx")).expect("read idx");
+            drop(s);
+            // Keep the pre-exit checkpoint so the pack has a tail to replay.
+            std::fs::write(dir.join("pack.idx"), idx).expect("restore idx");
+            ids
+        };
+        let pack = std::fs::read(dir.join("pack.dsv")).expect("read pack");
+        let idx = std::fs::read(dir.join("pack.idx")).expect("read idx");
+        let options = PackOptions {
+            loose_threshold: 1 << 20,
+            durability: Durability::None,
+        };
+        let mut rng = SmallRng::seed_from_u64(0x1DE7);
+        let (mut opened, mut refused) = (0, 0);
+        for case in 0..300 {
+            let (mut p, mut x) = (pack.clone(), idx.clone());
+            match case % 5 {
+                0 => {
+                    let bit = rng.gen_range(0..IDX_HEADER * 8);
+                    x[bit / 8] ^= 1 << (bit % 8);
+                }
+                1 => x.truncate(rng.gen_range(0..IDX_HEADER + IDX_ENTRY)),
+                2 => {
+                    let count = [1u64 << 61, u64::MAX, (1 << 61) + 1][rng.gen_range(0..3usize)];
+                    x[8..16].copy_from_slice(&count.to_le_bytes());
+                }
+                3 => {
+                    let covered = rng.gen_range(0..pack.len() as u64 + 64);
+                    x[16..24].copy_from_slice(&covered.to_le_bytes());
+                }
+                _ => {
+                    let bit = rng.gen_range(PACK_MAGIC.len() * 8..p.len() * 8);
+                    p[bit / 8] ^= 1 << (bit % 8);
+                    if rng.gen_bool(0.5) {
+                        p.truncate(rng.gen_range(PACK_MAGIC.len()..p.len()));
+                    }
+                }
+            }
+            std::fs::write(dir.join("pack.dsv"), &p).expect("write pack");
+            std::fs::write(dir.join("pack.idx"), &x).expect("write idx");
+            match PackStore::open_with(&dir, options) {
+                Ok(s) => {
+                    opened += 1;
+                    assert!(s.pack_file_len() <= p.len() as u64);
+                    for &id in &ids {
+                        if let Ok(bytes) = s.get(id) {
+                            assert_eq!(hash_object(ObjectKind::Chunk, &bytes), id);
+                        }
+                    }
+                }
+                Err(StoreError::InvalidFormat { .. }) | Err(StoreError::Corrupt { .. }) => {
+                    refused += 1
+                }
+                Err(e) => panic!("case {case}: untyped failure {e}"),
+            }
+        }
+        assert!(
+            opened > 0 && refused > 0,
+            "{opened} opened, {refused} refused"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -188,7 +188,7 @@ fn cached_checkouts_identical_to_cold_property_loop() {
     );
 }
 
-/// Pack-map invalidation: reads through the resident pack map stay
+/// Pack-map upkeep: reads through the resident pack map stay
 /// byte-correct across appends (new plan ingested) and GC (old plan
 /// collected) — stale slices are never served.
 #[test]
@@ -217,11 +217,15 @@ fn pack_resident_map_never_serves_stale_slices() {
     }
 
     // Append plan B (different forest, overlapping objects): the packed
-    // appends invalidate the map; reads of BOTH plans must stay correct.
+    // appends extend the map; reads of BOTH plans must stay correct.
     let plan_b = msr_plan(&g, "DP-MSR");
     let stored_b = PlanExecutor::new(&mut pack)
         .ingest(&g, &plan_b, &content)
         .expect("ingest B");
+    assert!(
+        pack.resident_loaded(),
+        "appends extend the map, not drop it"
+    );
     for (tag, stored) in [("A", &stored_a), ("B", &stored_b)] {
         let out = Checkout::new(&pack)
             .checkout(&g, stored, &all)
