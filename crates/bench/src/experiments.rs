@@ -677,6 +677,17 @@ pub const SHARD_SPEEDUP_FLOOR: f64 = 2.0;
 /// most a quarter more than calling the sharded pipeline directly.
 pub const SHARD_ENGINE_EFFICIENCY_FLOOR: f64 = 0.8;
 
+/// Floor of `engine_ms / warm_ms` on the n = 64k forest: a solve on
+/// options that already solved the graph reuses the budget-independent
+/// prep, so it must beat a cold solve by more than noise.
+pub const SHARD_WARM_SPEEDUP_FLOOR: f64 = 1.15;
+
+/// Budgets of the warm solves in [`shard_bench`], after one solve at the
+/// cold budget: that budget plus these multiples of 1/64 of it. All lie
+/// above the cold budget, where LMG-All has at least as much room to
+/// move, so the warm timing is not flattered by easier instances.
+const SHARD_WARM_STEPS: [u64; 4] = [1, 2, 3, 4];
+
 /// Time whole-graph LMG-All vs the sharded hierarchical pipeline on large
 /// multi-cluster forests (`shard_forest`: clusters merged into one
 /// component by cross links, so the separator splitter is actually
@@ -687,7 +698,14 @@ pub const SHARD_ENGINE_EFFICIENCY_FLOOR: f64 = 0.8;
 /// quality gate. The engine path is timed too, on forests the default
 /// engine shards, and gated against the direct call; per-stage timings
 /// ([`ShardStats`](dsv_core::engine::ShardStats)) name the stage that
-/// moved.
+/// moved. `engine_ms` is cold (fresh [`SolveOptions`] per call);
+/// `warm_ms` reuses one [`SolveOptions`] across budgets the way the
+/// service reuses its per-graph memo, so the partition, sub-graphs and
+/// per-shard arborescences are built once; each warm plan is asserted
+/// equal to a cold [`sharded_msr`] at its budget.
+///
+/// [`SolveOptions`]: dsv_core::engine::SolveOptions
+/// [`sharded_msr`]: dsv_core::engine::sharded_msr
 ///
 /// The benchmark sizes are **fixed** (exempt from `--scale`/`--max-nodes`
 /// capping): a 16k warm-up and the gated 64k forest.
@@ -718,6 +736,7 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             "whole_ms",
             "sharded_ms",
             "engine_ms",
+            "warm_ms",
             "speedup",
             "regret",
             "partition_ms",
@@ -728,6 +747,7 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
     let engine = Engine::with_default_solvers();
     let mut speedup_64k = 0.0f64;
     let mut efficiency_64k = 0.0f64;
+    let mut warm_speedup_64k = 0.0f64;
     for &(clusters, per, links) in &shapes {
         let g = shard_forest(clusters, per, links, &CostModel::default(), opts.seed);
         let n = g.n();
@@ -742,20 +762,42 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
         // The default engine shards only graphs at or above its threshold;
         // below it, dispatch goes to the whole-graph solvers (DP-MSR runs
         // about a minute on the 16k forest), which this bench does not time.
-        let engine_ms = (n >= ShardConfig::default().min_graph_nodes).then(|| {
-            let problem = ProblemKind::Msr {
-                storage_budget: budget,
-            };
-            let (ms, solution) = best_of(SHARD_BENCH_ITERS, || {
-                engine.solve(&g, problem, &SolveOptions::default())
-            });
-            let solution = solution.expect("half materialize-all is feasible");
-            assert_eq!(
-                solution.plan, sharded_plan,
-                "Engine::solve must return the sharded plan (n = {n})"
-            );
-            ms
+        // Cold solves take fresh options; warm ones reuse options that
+        // already solved the graph at `budget`, as the service reuses its
+        // per-graph memo. The two alternate so a change in machine speed
+        // during the run reaches both alike.
+        let timed = (n >= ShardConfig::default().min_graph_nodes).then(|| {
+            let msr = |storage_budget| ProblemKind::Msr { storage_budget };
+            let warm_opts = SolveOptions::default();
+            engine
+                .solve(&g, msr(budget), &warm_opts)
+                .expect("half materialize-all is feasible");
+            let (mut cold_ms, mut warm_ms) = (f64::INFINITY, f64::INFINITY);
+            for (i, step) in SHARD_WARM_STEPS.into_iter().enumerate() {
+                if i < SHARD_BENCH_ITERS {
+                    let (ms, solution) = best_of(1, || {
+                        engine.solve(&g, msr(budget), &SolveOptions::default())
+                    });
+                    cold_ms = cold_ms.min(ms);
+                    assert_eq!(
+                        solution.expect("half materialize-all is feasible").plan,
+                        sharded_plan,
+                        "Engine::solve must return the sharded plan (n = {n})"
+                    );
+                }
+                let b = budget + step * (budget / 64);
+                let (ms, warm) = best_of(1, || engine.solve(&g, msr(b), &warm_opts));
+                warm_ms = warm_ms.min(ms);
+                let (cold, _) = sharded_msr(&g, b, &cfg, &CancelToken::inert()).expect("feasible");
+                assert_eq!(
+                    warm.expect("feasible").plan,
+                    cold,
+                    "a warm Engine::solve must return the cold sharded plan (n = {n}, budget {b})"
+                );
+            }
+            (cold_ms, warm_ms)
         });
+        let (engine_ms, warm_ms) = timed.unzip();
 
         // Determinism across pool widths: a one-thread pool must
         // reproduce the plan byte for byte (timed runs use the ambient
@@ -780,7 +822,9 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
         );
         if n >= 64_000 {
             speedup_64k = speedup;
-            efficiency_64k = sharded_ms / engine_ms.expect("64k is sharded").max(1e-9);
+            let engine_ms = engine_ms.expect("64k is sharded");
+            efficiency_64k = sharded_ms / engine_ms.max(1e-9);
+            warm_speedup_64k = engine_ms / warm_ms.expect("64k is sharded").max(1e-9);
         }
         r.push_row(row![
             n,
@@ -791,6 +835,7 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             whole_ms,
             sharded_ms,
             engine_ms,
+            warm_ms,
             speedup,
             regret,
             stats.partition.as_secs_f64() * 1e3,
@@ -803,7 +848,10 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
          (budget = materialize-all / 2), best of {SHARD_BENCH_ITERS}; plans \
          thread-count independent (asserted), regret bound {SHARD_REGRET_BOUND}x (asserted); \
          engine_ms = Engine::solve with the default solvers on forests it shards, \
-         plan equal to the sharded one (asserted); stage columns from the last sharded run"
+         plan equal to the sharded one (asserted); warm_ms = best Engine::solve at budget \
+         x (1 + {SHARD_WARM_STEPS:?}/64) on options that already solved the graph at the \
+         budget, alternating with the cold engine_ms solves, plans equal to cold sharded_msr \
+         (asserted); stage columns from the last sharded run"
     ));
 
     let mut bench = Bench::tables(vec![r]);
@@ -812,6 +860,11 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
         "shard.engine_dispatch_efficiency",
         efficiency_64k,
         SHARD_ENGINE_EFFICIENCY_FLOOR,
+    );
+    bench.floor(
+        "shard.warm_speedup_n64k",
+        warm_speedup_64k,
+        SHARD_WARM_SPEEDUP_FLOOR,
     );
     bench
 }

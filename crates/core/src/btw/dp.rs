@@ -13,11 +13,11 @@
 //! Per live (in-bag) vertex the interface stores exactly the paper's
 //! information:
 //!
-//! * [`VS::Rooted`]`{γ}` — the `Ret` value: retrieval already resolved;
-//! * [`VS::Wait`]`{k}` — the `Dep` value: `k` processed versions (itself
+//! * `VS::Rooted{γ}` — the `Ret` value: retrieval already resolved;
+//! * `VS::Wait{k}` — the `Dep` value: `k` processed versions (itself
 //!   included) hang below an as-yet unparented vertex, priced with
 //!   `R(v) = 0` and re-priced exactly when the parent arrives;
-//! * [`VS::Chain`]`{root, δ}` — the `Par`/`Anc` information: parent chosen,
+//! * `VS::Chain{root, δ}` — the `Par`/`Anc` information: parent chosen,
 //!   retrieval resolves together with the waiting chain `root` (`δ` = path
 //!   cost from the root), and the root pointer is what blocks cycles.
 //!
@@ -30,8 +30,8 @@
 //! **decision arena**. Each arena node records the entry's predecessor and
 //! the one plan-visible decision taken at that step:
 //!
-//! * [`Decision::Materialize`] — the introduced vertex is stored in full;
-//! * [`Decision::Edge`] — a delta edge `(p, v)` is stored, either at
+//! * `Decision::Materialize` — the introduced vertex is stored in full;
+//! * `Decision::Edge` — a delta edge `(p, v)` is stored, either at
 //!   introduce time (`v` picks a live in-neighbour) or during the adoption
 //!   closure (the introduced vertex adopts a waiting out-neighbour, which
 //!   is what re-roots that vertex's waiting chain).

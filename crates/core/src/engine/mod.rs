@@ -40,8 +40,10 @@
 //! at any pool width.
 //!
 //! Heuristic results (LMG-All plans, DP-MSR frontier plans) are memoized
-//! in a [`SharedWork`] keyed by graph fingerprint and budget, so callers
-//! that reuse one [`SolveOptions`] on the same graph compute each once.
+//! in a [`SharedWork`] keyed by graph fingerprint and budget, and the
+//! sharded solver's budget-independent prep by graph fingerprint and
+//! shard size, so callers that reuse one [`SolveOptions`] on the same
+//! graph compute each once.
 //!
 //! The legacy free functions ([`fn@crate::heuristics::lmg`],
 //! [`crate::tree::dp_msr_on_graph`], …) remain available and are what the
@@ -96,7 +98,8 @@ pub struct SolveOptions {
     /// downstream; solvers invoked directly poll it too. Inert by default.
     pub cancel: CancelToken,
     /// Memo of heuristic results (LMG-All plans, DP-MSR frontier plans),
-    /// keyed by budget. The engine validates it against the graph's
+    /// keyed by budget, and of the sharded solver's budget-independent
+    /// prep. The engine validates it against the graph's
     /// fingerprint and swaps in a fresh memo on mismatch, so a
     /// default value is always safe — and reusing one `SolveOptions`
     /// across calls on the *same* graph carries the warm cache forward.

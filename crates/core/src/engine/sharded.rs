@@ -10,13 +10,15 @@
 //!    shards of at most [`ShardConfig::max_shard_nodes`] nodes: connected
 //!    components first (free parallelism), then oversized components are
 //!    split along their branch structure by the treewidth-separator
-//!    splitter ([`dsv_treewidth::split_component`]).
-//! 2. **Parallel shard solves** — each shard becomes its own
-//!    [`VersionGraph`] and gets an independent LMG-All run under a
-//!    deterministic slice of the storage budget. Shards solve on the
-//!    thread pool with an order-stable collect, so the result is
-//!    byte-identical at any `DSV_NUM_THREADS`. The [`CancelToken`] is
-//!    polled per shard, making the whole pipeline preemptible.
+//!    splitter ([`dsv_treewidth::split_component`]). Each shard becomes its
+//!    own [`VersionGraph`] together with its minimum-storage arborescence,
+//!    in one parallel pass over the shards.
+//! 2. **Parallel shard solves** — each shard gets an independent LMG-All
+//!    run, started from its arborescence, under a deterministic slice of
+//!    the storage budget. Shards solve on the thread pool with an
+//!    order-stable collect, so the result is byte-identical at any
+//!    `DSV_NUM_THREADS`. The [`CancelToken`] is polled per shard, making
+//!    the whole pipeline preemptible.
 //! 3. **Coarsened stitch** — a coarse graph with one super-node per shard
 //!    (its *primary root*: the most expensive locally-materialized
 //!    version) and the cheapest crossing edge per shard pair is solved
@@ -31,19 +33,40 @@
 //! objective is heuristic: the differential suite and the `shard` bench
 //! gate it against whole-graph LMG-All within [`SHARD_REGRET_BOUND`].
 //!
+//! ## Budget-independent work is done once per graph
+//!
+//! Nothing in stage 1 depends on the budget. Its output, the crate-private
+//! `ShardPrep` (the [`Partition`], each shard's sub-graph, its
+//! local→global edge map, its minimum-storage plan and that plan's
+//! storage), is kept in the call's [`SharedWork`] memo under the key
+//! `max_shard_nodes`, claimed by the graph's fingerprint like every other
+//! cell. [`ShardedSolver`] takes it from [`SolveOptions::shared`], so
+//! callers that reuse one [`SolveOptions`] on one graph (the versioning
+//! service keeps a memo per graph fingerprint) partition once and pay only
+//! the budget split, shard solves and stitch per budget.
+//! [`sharded_msr`] runs the same code on a fresh memo, so every call is
+//! cold. [`ShardStats::partition`] is the time the call actually spent:
+//! a build when cold, a lookup when warm.
+//!
+//! Memory: a prep is about one more copy of the graph (sub-graphs with
+//! their adjacency, edge maps, start plans and the partition's three `u32`
+//! arrays), held as long as its memo lives. The service's memo LRU keeps
+//! up to 32 graphs by default (`ServiceConfig::graph_memos`), so up to 32
+//! preps.
+//!
 //! Setting [`ShardConfig::min_graph_nodes`] to `usize::MAX` disables the
 //! path entirely (the solver reports a deterministic
 //! [`SolveError::ResourceLimit`] and the engine falls through to
 //! whole-graph solvers) — the escape hatch if sharding ever misbehaves in
 //! production.
 
-use super::{Solution, SolveError, SolveOptions, Solver, SolverMeta};
-use crate::baselines::min_storage_value;
+use super::{SharedWork, Solution, SolveError, SolveOptions, Solver, SolverMeta};
+use crate::baselines::min_storage_plan;
 use crate::cancel::CancelToken;
-use crate::heuristics::lmg_all::{lmg_all_with_stats, LmgAllStats};
+use crate::heuristics::lmg_all::{lmg_all_from, lmg_all_with_stats, LmgAllStats};
 use crate::plan::{Parent, StoragePlan};
 use crate::problem::ProblemKind;
-use dsv_vgraph::{cost_add, partition_graph, Cost, EdgeId, NodeId, VersionGraph};
+use dsv_vgraph::{cost_add, partition_graph, Cost, EdgeId, NodeId, Partition, VersionGraph};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -101,8 +124,10 @@ pub struct ShardStats {
     pub storage: Cost,
     /// Exact total retrieval cost of the stitched plan.
     pub total_retrieval: Cost,
-    /// Wall time of the partition stage: cutting the graph into shards,
-    /// extracting their sub-graphs and splitting the budget.
+    /// Wall time of the partition stage: getting the budget-independent
+    /// prep (partition, shard sub-graphs and their minimum-storage
+    /// arborescences), built when cold and looked up in the memo when
+    /// warm, plus splitting the budget.
     pub partition: Duration,
     /// Wall time of the parallel shard solves (the whole-graph LMG-All
     /// solve when the partition yields a single shard).
@@ -110,6 +135,93 @@ pub struct ShardStats {
     /// Wall time of the stitch: primary roots, crossing edges, the coarse
     /// solve and the global plan.
     pub stitch: Duration,
+}
+
+/// The budget-independent part of a sharded solve of one graph, built by
+/// [`ShardPrep::build`] and kept in the [`SharedWork`] memo.
+#[derive(Debug)]
+pub(crate) enum ShardPrep {
+    /// The partition is a single shard: the solve is whole-graph LMG-All,
+    /// started from the graph's minimum-storage arborescence.
+    Whole(StoragePlan),
+    /// Two or more shards, in shard order.
+    Split {
+        /// The node → shard assignment.
+        partition: Partition,
+        /// One entry per shard of `partition`.
+        shards: Vec<Shard>,
+    },
+}
+
+/// One shard of a [`ShardPrep::Split`].
+#[derive(Debug)]
+pub(crate) struct Shard {
+    /// The shard's sub-graph: members in ascending global order (local
+    /// index `i` = `i`-th member), intra-shard edges in global edge-id
+    /// order per node.
+    sub: VersionGraph,
+    /// Local edge id → global edge id, for the stitch.
+    edge_map: Vec<EdgeId>,
+    /// [`min_storage_plan`] of `sub`: LMG-All's starting plan.
+    start: StoragePlan,
+    /// Storage of `start`: the least storage the shard can be given.
+    smin: Cost,
+}
+
+impl ShardPrep {
+    /// Partition `g` into shards of at most `max_shard_nodes` nodes, then
+    /// extract every shard and build its arborescence in one parallel,
+    /// order-stable pass.
+    pub(crate) fn build(g: &VersionGraph, max_shard_nodes: usize) -> ShardPrep {
+        let partition = partition_graph(g, max_shard_nodes, &dsv_treewidth::split_component);
+        if partition.len() <= 1 {
+            return ShardPrep::Whole(min_storage_plan(g));
+        }
+        let mut local_of = vec![0u32; g.n()];
+        for members in partition.iter() {
+            for (i, &v) in members.iter().enumerate() {
+                local_of[v as usize] = i as u32;
+            }
+        }
+        let shards = (0..partition.len())
+            .into_par_iter()
+            .map(|s| Shard::extract(g, &partition, &local_of, s))
+            .collect();
+        ShardPrep::Split { partition, shards }
+    }
+}
+
+impl Shard {
+    fn extract(g: &VersionGraph, partition: &Partition, local_of: &[u32], s: usize) -> Shard {
+        let members = partition.members(s);
+        let mut sub = VersionGraph::new();
+        for &v in members {
+            sub.add_node(g.node_storage(NodeId(v)));
+        }
+        let mut edge_map = Vec::new();
+        for &v in members {
+            for &e in g.out_edges(NodeId(v)) {
+                let ed = g.edge(e);
+                if partition.shard_of(ed.dst) == s as u32 {
+                    sub.add_edge(
+                        NodeId(local_of[v as usize]),
+                        NodeId(local_of[ed.dst.index()]),
+                        ed.storage,
+                        ed.retrieval,
+                    );
+                    edge_map.push(e);
+                }
+            }
+        }
+        let start = min_storage_plan(&sub);
+        let smin = start.storage_cost(&sub);
+        Shard {
+            sub,
+            edge_map,
+            start,
+            smin,
+        }
+    }
 }
 
 fn infeasible(detail: String) -> SolveError {
@@ -151,7 +263,10 @@ fn whole_graph_stats(
 /// stitch can reclaim any), so in engine dispatch this surfaces as an
 /// ordinary solver failure and budget-tight instances fall through to the
 /// whole-graph solvers. Also returns [`SolveError::Cancelled`] when
-/// `cancel` fires between shard solves.
+/// `cancel` has fired before the partition or between shard solves.
+///
+/// Every call builds the budget-independent prep afresh; [`ShardedSolver`]
+/// keeps it in [`SolveOptions::shared`] across calls instead.
 ///
 /// A graph that yields a single shard reduces *exactly* to the whole-graph
 /// LMG-All solve.
@@ -161,65 +276,44 @@ pub fn sharded_msr(
     cfg: &ShardConfig,
     cancel: &CancelToken,
 ) -> Result<(StoragePlan, ShardStats), SolveError> {
+    solve_sharded(g, storage_budget, cfg, cancel, &SharedWork::default())
+}
+
+/// [`sharded_msr`] with the prep taken from (or built into) `shared`.
+fn solve_sharded(
+    g: &VersionGraph,
+    storage_budget: Cost,
+    cfg: &ShardConfig,
+    cancel: &CancelToken,
+    shared: &SharedWork,
+) -> Result<(StoragePlan, ShardStats), SolveError> {
     if g.n() == 0 {
         return Ok((StoragePlan { parent: Vec::new() }, ShardStats::default()));
     }
     let t_partition = Instant::now();
-    let partition = partition_graph(g, cfg.max_shard_nodes, &dsv_treewidth::split_component);
-    let k = partition.len();
-    if k <= 1 {
-        let partition_time = t_partition.elapsed();
-        let t_solve = Instant::now();
-        let (plan, stats) = lmg_all_with_stats(g, storage_budget)
-            .ok_or_else(|| infeasible("storage budget below minimum storage".into()))?;
-        let stats = whole_graph_stats(g, &stats, partition_time, t_solve.elapsed());
-        return Ok((plan, stats));
-    }
-
-    // Extract one sub-graph per shard: nodes in ascending global order (so
-    // local index i = i-th member), intra-shard edges in global edge-id
-    // order per node, with the local→global edge map kept for the stitch.
-    let mut subs: Vec<VersionGraph> = Vec::with_capacity(k);
-    let mut edge_maps: Vec<Vec<EdgeId>> = Vec::with_capacity(k);
-    let mut local_of = vec![u32::MAX; g.n()];
-    for members in partition.iter() {
-        for (i, &v) in members.iter().enumerate() {
-            local_of[v as usize] = i as u32;
+    let cancelled = || SolveError::Cancelled { solver: SOLVER };
+    let prep = shared
+        .for_graph(g)
+        .shard_prep(g, cfg.max_shard_nodes, cancel)
+        .ok_or_else(cancelled)?;
+    let (partition, shards) = match &*prep {
+        ShardPrep::Whole(start) => {
+            let partition_time = t_partition.elapsed();
+            let t_solve = Instant::now();
+            let (plan, stats) = lmg_all_from(g, start.clone(), storage_budget)
+                .ok_or_else(|| infeasible("storage budget below minimum storage".into()))?;
+            let stats = whole_graph_stats(g, &stats, partition_time, t_solve.elapsed());
+            return Ok((plan, stats));
         }
-        let mut sub = VersionGraph::new();
-        for &v in members {
-            sub.add_node(g.node_storage(NodeId(v)));
-        }
-        let mut edge_map = Vec::new();
-        for &v in members {
-            let a = local_of[v as usize];
-            for &e in g.out_edges(NodeId(v)) {
-                let dst = g.edge(e).dst;
-                if partition.shard_of(dst) == partition.shard_of(NodeId(v)) {
-                    let ed = g.edge(e);
-                    sub.add_edge(
-                        NodeId(a),
-                        NodeId(local_of[dst.index()]),
-                        ed.storage,
-                        ed.retrieval,
-                    );
-                    edge_map.push(e);
-                }
-            }
-        }
-        for &v in members {
-            local_of[v as usize] = u32::MAX;
-        }
-        subs.push(sub);
-        edge_maps.push(edge_map);
-    }
+        ShardPrep::Split { partition, shards } => (partition, shards),
+    };
+    let k = shards.len();
 
     // Deterministic budget split: every shard gets its minimum storage,
     // and the surplus is divided proportionally to shard sizes through a
     // prefix-sum floor formula (shares sum to the surplus exactly, and the
     // split is independent of thread count).
-    let smin: Vec<Cost> = subs.iter().map(min_storage_value).collect();
-    let min_total: Cost = smin.iter().fold(0, |a, &b| cost_add(a, b));
+    let min_total: Cost = shards.iter().fold(0, |a, sh| cost_add(a, sh.smin));
     if min_total > storage_budget {
         return Err(infeasible(format!(
             "storage budget {storage_budget} below the shards' minimum storage {min_total}"
@@ -229,11 +323,11 @@ pub fn sharded_msr(
     let n_total = g.n() as u128;
     let mut budgets = Vec::with_capacity(k);
     let mut cum = 0u128;
-    for (s, sub) in subs.iter().enumerate() {
+    for sh in shards {
         let lo = (surplus as u128 * cum / n_total) as Cost;
-        cum += sub.n() as u128;
+        cum += sh.sub.n() as u128;
         let hi = (surplus as u128 * cum / n_total) as Cost;
-        budgets.push(smin[s] + (hi - lo));
+        budgets.push(sh.smin + (hi - lo));
     }
 
     let partition_time = t_partition.elapsed();
@@ -247,11 +341,11 @@ pub fn sharded_msr(
             if cancel.is_cancelled() {
                 return None;
             }
-            lmg_all_with_stats(&subs[s], budgets[s])
+            lmg_all_from(&shards[s].sub, shards[s].start.clone(), budgets[s])
         })
         .collect();
     if cancel.is_cancelled() {
-        return Err(SolveError::Cancelled { solver: SOLVER });
+        return Err(cancelled());
     }
     let shard_solves = t_solves.elapsed();
     let t_stitch = Instant::now();
@@ -286,10 +380,10 @@ pub fn sharded_msr(
                 .1
         })
         .collect();
-    let local_retrievals: Vec<Vec<Cost>> = subs
+    let local_retrievals: Vec<Vec<Cost>> = shards
         .iter()
         .zip(&local_plans)
-        .map(|(sub, plan)| plan.retrievals(sub))
+        .map(|(sh, plan)| plan.retrievals(&sh.sub))
         .collect();
 
     // Cheapest crossing edge per ordered shard pair, among edges entering
@@ -357,7 +451,7 @@ pub fn sharded_msr(
     for (s, members) in partition.iter().enumerate() {
         for (i, &v) in members.iter().enumerate() {
             if let Parent::Delta(le) = local_plans[s].parent[i] {
-                parent[v as usize] = Parent::Delta(edge_maps[s][le.index()]);
+                parent[v as usize] = Parent::Delta(shards[s].edge_map[le.index()]);
             }
         }
     }
@@ -435,7 +529,8 @@ impl Solver for ShardedSolver {
                 ),
             });
         }
-        let (plan, stats) = sharded_msr(g, storage_budget, &self.config, &opts.cancel)?;
+        let (plan, stats) =
+            solve_sharded(g, storage_budget, &self.config, &opts.cancel, &opts.shared)?;
         let mut meta = SolverMeta::new(SOLVER);
         meta.iterations = stats.moves;
         meta.reported_objective = Some(stats.total_retrieval);
@@ -446,6 +541,7 @@ impl Solver for ShardedSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::min_storage_value;
     use dsv_vgraph::generators::{shard_forest, CostModel};
 
     fn small_cfg() -> ShardConfig {
@@ -538,5 +634,77 @@ mod tests {
             sharded_msr(&g, 0, &small_cfg(), &CancelToken::inert()).expect("trivially feasible");
         assert!(plan.parent.is_empty());
         assert_eq!(stats.shards, 0);
+    }
+
+    /// The stats with the stage timings zeroed: what must not vary.
+    fn counters(stats: ShardStats) -> ShardStats {
+        ShardStats {
+            partition: Duration::ZERO,
+            shard_solves: Duration::ZERO,
+            stitch: Duration::ZERO,
+            ..stats
+        }
+    }
+
+    #[test]
+    fn warm_and_cold_solves_agree_over_a_budget_sweep() {
+        let inert = CancelToken::inert();
+        for (g, cfg) in [
+            (
+                shard_forest(6, 50, 10, &CostModel::default(), 7),
+                small_cfg(),
+            ),
+            (
+                shard_forest(1, 40, 0, &CostModel::default(), 3),
+                ShardConfig {
+                    max_shard_nodes: 4_096,
+                    min_graph_nodes: 0,
+                },
+            ),
+        ] {
+            let memo = SharedWork::default();
+            let prep = memo
+                .for_graph(&g)
+                .shard_prep(&g, cfg.max_shard_nodes, &inert)
+                .expect("not cancelled");
+            let floor = match &*prep {
+                ShardPrep::Whole(start) => start.storage_cost(&g),
+                ShardPrep::Split { shards, .. } => shards.iter().map(|sh| sh.smin).sum(),
+            };
+            let top = StoragePlan::materialize_all(&g).storage_cost(&g);
+            for i in 0..=8 {
+                // From just below the shards' minimum storage to
+                // materialize-all.
+                let budget = floor - 1 + (top - floor + 1) * i / 8;
+                let cold = sharded_msr(&g, budget, &cfg, &inert);
+                let warm = solve_sharded(&g, budget, &cfg, &inert, &memo);
+                match (cold, warm) {
+                    (Ok((cp, cs)), Ok((wp, ws))) => {
+                        assert_eq!(cp, wp, "budget {budget}");
+                        assert_eq!(counters(cs), counters(ws), "budget {budget}");
+                    }
+                    (Err(ce), Err(we)) => assert_eq!(ce, we, "budget {budget}"),
+                    (c, w) => panic!("budget {budget}: cold {c:?} vs warm {w:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_arborescence_starts_lmg_all_exactly_like_a_fresh_one() {
+        let g = shard_forest(6, 50, 10, &CostModel::default(), 7);
+        let ShardPrep::Split { shards, .. } = ShardPrep::build(&g, 64) else {
+            panic!("the fixture shards");
+        };
+        for sh in &shards {
+            for mult in [1, 2, 3, 5, 8] {
+                let budget = sh.smin * mult / 2;
+                assert_eq!(
+                    lmg_all_from(&sh.sub, sh.start.clone(), budget),
+                    lmg_all_with_stats(&sh.sub, budget),
+                    "budget {budget}"
+                );
+            }
+        }
     }
 }

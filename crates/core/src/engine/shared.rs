@@ -1,9 +1,12 @@
 //! Shared-work memo of heuristic results.
 //!
 //! [`SharedWork`] memoizes LMG-All and DP-MSR results per
-//! `(graph fingerprint, budget)`. Its reason to exist is reuse *across*
-//! calls: the versioning service keeps one memo per graph fingerprint in
-//! an LRU, so a repeated `Solve` on a known graph, the service's
+//! `(graph fingerprint, budget)`, and one budget-independent cell per
+//! shard size: the sharded solver's prep (partition, shard sub-graphs,
+//! edge maps and per-shard minimum-storage arborescences, see
+//! [`sharded`](super::sharded)), so a budget sweep on one graph builds it
+//! once. Its reason to exist is reuse *across* calls: the versioning
+//! service keeps one memo per graph fingerprint in an LRU, so a repeated `Solve` on a known graph, the service's
 //! LMG-All heuristic tier and its cached tier all answer from plans that
 //! were already computed. Concurrent requests on different threads may
 //! ask for the same cell: the first requester computes, the others block
@@ -11,8 +14,9 @@
 //!
 //! Correctness rules:
 //!
-//! * A cell is keyed by budget (and root for DP-MSR); the graph itself is
-//!   pinned by a fingerprint claimed on first use. The engine swaps in a
+//! * A cell is keyed by budget (and root for DP-MSR), or by
+//!   `max_shard_nodes` for the shard prep; the graph itself is pinned by a
+//!   fingerprint claimed on first use. The engine swaps in a
 //!   fresh memo when a caller reuses one `SolveOptions` across different
 //!   graphs, so stale plans can never cross graphs.
 //! * A computation aborted by cancellation is **discarded**, never cached:
@@ -20,6 +24,7 @@
 //!   gives up if its own token has also fired. Only complete results enter
 //!   the cache, so cached values are deterministic.
 
+use super::sharded::ShardPrep;
 use crate::cancel::CancelToken;
 use crate::heuristics::lmg_all::{lmg_all_with_stats, LmgAllStats};
 use crate::plan::{PlanCosts, StoragePlan};
@@ -32,6 +37,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 enum WorkKey {
     LmgAll { budget: Cost },
     DpMsr { budget: Cost, root: u32 },
+    ShardPrep { max_shard_nodes: usize },
 }
 
 /// A completed memo value. The inner `Option` is the algorithm's own
@@ -41,6 +47,7 @@ enum WorkKey {
 enum WorkValue {
     LmgAll(Option<(StoragePlan, LmgAllStats)>),
     DpMsr(Option<(StoragePlan, PlanCosts)>),
+    ShardPrep(Arc<ShardPrep>),
 }
 
 #[derive(Debug, Default)]
@@ -185,7 +192,7 @@ impl SharedWork {
         })?;
         match value {
             WorkValue::LmgAll(v) => Some(v),
-            WorkValue::DpMsr(_) => unreachable!("key/value kinds match"),
+            _ => unreachable!("key/value kinds match"),
         }
     }
 
@@ -213,7 +220,28 @@ impl SharedWork {
         })?;
         match value {
             WorkValue::DpMsr(v) => Some(v),
-            WorkValue::LmgAll(_) => unreachable!("key/value kinds match"),
+            _ => unreachable!("key/value kinds match"),
+        }
+    }
+
+    /// The sharded solver's budget-independent prep for shards of at most
+    /// `max_shard_nodes`, built once per memo and shared by every budget.
+    /// `None` = abandoned because `cancel` fired before it was ready.
+    pub(crate) fn shard_prep(
+        &self,
+        g: &VersionGraph,
+        max_shard_nodes: usize,
+        cancel: &CancelToken,
+    ) -> Option<Arc<ShardPrep>> {
+        let key = WorkKey::ShardPrep { max_shard_nodes };
+        let value = self.get_or_compute(key, cancel, || {
+            // The build runs to completion, so it is always cacheable.
+            let prep = ShardPrep::build(g, max_shard_nodes);
+            (WorkValue::ShardPrep(Arc::new(prep)), true)
+        })?;
+        match value {
+            WorkValue::ShardPrep(p) => Some(p),
+            _ => unreachable!("key/value kinds match"),
         }
     }
 }
@@ -265,5 +293,126 @@ mod tests {
             .dp_msr(&g, NodeId(0), budget, &CancelToken::inert())
             .expect("not cancelled");
         assert!(live.is_some(), "feasible budget must produce a plan");
+    }
+
+    #[test]
+    fn shard_prep_is_shared_across_budgets_and_renewed_per_graph_and_size() {
+        use super::super::{ShardConfig, ShardedSolver, SolveOptions, Solver};
+        use crate::problem::ProblemKind;
+        use dsv_vgraph::generators::shard_forest;
+        let mut g = shard_forest(4, 30, 6, &CostModel::default(), 5);
+        let solver = ShardedSolver {
+            config: ShardConfig {
+                max_shard_nodes: 32,
+                min_graph_nodes: 0,
+            },
+        };
+        // The prep the solver left in the memo, looked up without computing.
+        let cached = |memo: &SharedWork| {
+            let key = WorkKey::ShardPrep {
+                max_shard_nodes: 32,
+            };
+            let cell = memo.inner.cells.lock().unwrap().get(&key)?.clone();
+            let state = cell.state.lock().unwrap();
+            match &*state {
+                CellState::Done(WorkValue::ShardPrep(p)) => Some(p.clone()),
+                _ => None,
+            }
+        };
+        let opts = SolveOptions::default();
+        let inert = CancelToken::inert();
+        let all = StoragePlan::materialize_all(&g).storage_cost(&g);
+        let mut preps = Vec::new();
+        for storage_budget in [all / 2, all * 2 / 3] {
+            let problem = ProblemKind::Msr { storage_budget };
+            solver.solve(&g, problem, &opts).expect("feasible");
+            preps.push(cached(&opts.shared).expect("the solve filled the cell"));
+        }
+        assert!(
+            Arc::ptr_eq(&preps[0], &preps[1]),
+            "one prep for both budgets"
+        );
+        let memo = opts.shared.for_graph(&g);
+        let other_size = memo.shard_prep(&g, 16, &inert).expect("not cancelled");
+        assert!(!Arc::ptr_eq(&preps[0], &other_size));
+
+        let v = g.add_node(1_000);
+        g.add_edge(NodeId(0), v, 10, 10);
+        let problem = ProblemKind::Msr {
+            storage_budget: all * 2 / 3,
+        };
+        let sol = solver.solve(&g, problem, &opts).expect("feasible");
+        sol.plan.validate(&g).expect("valid on the mutated graph");
+        assert!(
+            Arc::ptr_eq(&cached(&opts.shared).expect("kept"), &preps[0]),
+            "the first graph's memo keeps its prep"
+        );
+        let fresh = opts.shared.for_graph(&g).shard_prep(&g, 32, &inert);
+        assert!(
+            !Arc::ptr_eq(&preps[0], &fresh.expect("not cancelled")),
+            "a mutated graph gets its own prep"
+        );
+    }
+
+    #[test]
+    fn a_waiter_on_a_prep_being_built_returns_when_its_token_fires() {
+        use super::super::{ShardConfig, ShardedSolver, SolveError, SolveOptions, Solver};
+        use crate::problem::ProblemKind;
+        use dsv_vgraph::generators::shard_forest;
+        use std::sync::mpsc;
+        let g = shard_forest(4, 30, 6, &CostModel::default(), 5);
+        let memo = SharedWork::default().for_graph(&g);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let token = CancelToken::new();
+        let solver = ShardedSolver {
+            config: ShardConfig {
+                max_shard_nodes: 32,
+                min_graph_nodes: 0,
+            },
+        };
+        let opts = SolveOptions {
+            cancel: token.clone(),
+            shared: memo.clone(),
+            ..SolveOptions::default()
+        };
+        let problem = ProblemKind::Msr {
+            storage_budget: StoragePlan::materialize_all(&g).storage_cost(&g) / 2,
+        };
+        std::thread::scope(|s| {
+            // Hold the cell in `Computing` until the waiter has given up.
+            let (builder_memo, builder_g) = (&memo, &g);
+            let builder = s.spawn(move || {
+                let key = WorkKey::ShardPrep {
+                    max_shard_nodes: 32,
+                };
+                builder_memo.get_or_compute(key, &CancelToken::inert(), || {
+                    started_tx.send(()).expect("waiter listening");
+                    release_rx.recv().expect("released");
+                    (
+                        WorkValue::ShardPrep(Arc::new(ShardPrep::build(builder_g, 32))),
+                        true,
+                    )
+                })
+            });
+            started_rx.recv().expect("builder started");
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                token.cancel();
+            });
+            let solved = solver.solve(&g, problem, &opts);
+            // Release the builder before asserting, so a failure cannot
+            // leave the scope waiting on it.
+            release_tx.send(()).expect("builder waiting");
+            assert!(builder.join().expect("builder").is_some());
+            let err = solved.expect_err("cancelled");
+            assert!(matches!(err, SolveError::Cancelled { .. }), "{err}");
+        });
+        // The builder's prep was cached: a live solve uses it.
+        let live = SolveOptions {
+            shared: memo,
+            ..SolveOptions::default()
+        };
+        solver.solve(&g, problem, &live).expect("feasible");
     }
 }

@@ -22,7 +22,7 @@
 //!    [`ExecError::HashMismatch`], never a silent success.
 //!
 //! `execute` only *reads*, so it takes `&self`: it is a thin client of the
-//! batched [`Checkout`](crate::checkout::Checkout) walker (cache off,
+//! batched [`Checkout`] walker (cache off,
 //! every version requested), which reconstructs independent subtrees of
 //! the retrieval forest in parallel over borrowed
 //! [`Store::get_ref`] bytes. [`PlanExecutor::reader`] hands out the same

@@ -12,7 +12,7 @@
 //! reduction `Δ` of Algorithm 1 line 16 equals `R(v) · |subtree(v)|`.
 //!
 //! Like LMG-All, the inner loop is **incremental**: an
-//! [`IncrementalPlanView`] absorbs each materialization with
+//! `IncrementalPlanView` absorbs each materialization with
 //! subtree-local updates, and a `CandidateHeap` with one entry per node
 //! re-scores only the candidates the move dirtied (the moved subtree and
 //! its old ancestor path) — `O(Δ·log n)` amortized per move instead of

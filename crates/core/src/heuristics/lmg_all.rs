@@ -7,7 +7,7 @@
 //! do not increase storage get ratio `∞` as in the paper; otherwise the
 //! ratio is retrieval-reduction per storage-increase.
 //!
-//! [`lmg_all`] runs the **incremental** loop: an [`IncrementalPlanView`]
+//! [`lmg_all`] runs the **incremental** loop: an `IncrementalPlanView`
 //! maintains retrieval/size/paid state with subtree-local updates, and a
 //! `CandidateHeap` holding **one entry per move** replaces the
 //! per-iteration rescan. After a move only the candidates touched by its
@@ -27,7 +27,7 @@
 //! point the paper makes when comparing against the inherently sequential
 //! LMG.
 //!
-//! Selection tie-breaking (identical in both loops): higher [`Ratio`]
+//! Selection tie-breaking (identical in both loops): higher `Ratio`
 //! first, then edge replacements beat materializations, then the higher
 //! index wins.
 
@@ -103,7 +103,18 @@ pub fn lmg_all_with_stats(
     g: &VersionGraph,
     storage_budget: Cost,
 ) -> Option<(StoragePlan, LmgAllStats)> {
-    run_incremental(g, storage_budget, |_, _| {})
+    run_incremental(g, min_storage_plan(g), storage_budget, |_, _| {})
+}
+
+/// [`lmg_all_with_stats`] from `start`, which must be
+/// [`min_storage_plan`]`(g)` computed earlier: the sharded solver keeps
+/// each shard's arborescence across budgets and hands it in here.
+pub(crate) fn lmg_all_from(
+    g: &VersionGraph,
+    start: StoragePlan,
+    storage_budget: Cost,
+) -> Option<(StoragePlan, LmgAllStats)> {
+    run_incremental(g, start, storage_budget, |_, _| {})
 }
 
 /// Score one candidate move against the current incremental state.
@@ -169,17 +180,18 @@ pub(crate) fn score(
     }
 }
 
-/// Incremental greedy behind [`lmg_all_with_stats`]: score all candidates
+/// Incremental greedy behind [`lmg_all_with_stats`]: starting from
+/// `plan` (the minimum-storage arborescence of `g`), score all candidates
 /// once, then per move re-score only the dirty region and let the
 /// candidate heap pick the maximum. `observe` sees every applied move and
 /// the plan right after it (exposed to tests as
 /// [`super::oracle::lmg_all_traced`]).
 pub(super) fn run_incremental(
     g: &VersionGraph,
+    mut plan: StoragePlan,
     storage_budget: Cost,
     mut observe: impl FnMut(Move, &StoragePlan),
 ) -> Option<(StoragePlan, LmgAllStats)> {
-    let mut plan = min_storage_plan(g);
     if plan.storage_cost(g) > storage_budget {
         return None;
     }

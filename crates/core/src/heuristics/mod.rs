@@ -4,9 +4,9 @@
 //!
 //! Both greedy loops ([`fn@lmg`] and [`fn@lmg_all`]) repeatedly pick the
 //! best-ratio single move and apply it. The from-scratch formulation pays
-//! `O(n + m)` per move: rebuild [`PlanView`] (Euler tour, post-order,
+//! `O(n + m)` per move: rebuild `PlanView` (Euler tour, post-order,
 //! subtree sizes, full retrieval BFS), then rescan every candidate. The
-//! public entry points instead always run on [`IncrementalPlanView`] plus a
+//! public entry points instead always run on `IncrementalPlanView` plus a
 //! `CandidateHeap` with one entry per candidate. The from-scratch loops
 //! live on in [`oracle`] as the differential-testing oracle — both must
 //! pick **byte-identical move sequences**.
@@ -26,8 +26,8 @@
 //!   outside it keeps exactly the same ancestors, so `u ∈ subtree(w)` can
 //!   change only when `u ∈ subtree(v)`).
 //!
-//! [`IncrementalPlanView::apply`] performs exactly those updates and
-//! returns the dirty region as a [`MoveEffect`] (`subtree` + ancestor
+//! `IncrementalPlanView::apply` performs exactly those updates and
+//! returns the dirty region as a `MoveEffect` (`subtree` + ancestor
 //! `path`), so a greedy loop re-scores only candidates whose evaluation
 //! inputs could have changed: edges incident to `subtree(v)`, edges into
 //! the ancestor paths, and the materialization moves of both node sets.
@@ -60,7 +60,7 @@
 //!
 //! The cycle guard needs `is u ∈ subtree(v)` queries. Euler timestamps
 //! give `O(1)` tests but a move invalidates them globally; re-stamping
-//! every move would cost `O(n)`. [`IncrementalPlanView`] therefore answers
+//! every move would cost `O(n)`. `IncrementalPlanView` therefore answers
 //! queries by a parent path-walk bounded by depth, and re-stamps the tour
 //! only when the walks since the last structural change exceed a `Θ(n)`
 //! budget — after which tests are `O(1)` again until the next move. Walk
@@ -96,7 +96,7 @@ use dsv_vgraph::{cost_add, Cost, NodeId, VersionGraph, INF};
 /// Per-iteration view of a plan: retrieval costs, dependency-subtree sizes,
 /// Euler timestamps (for ancestor tests), and currently-paid storage. The
 /// [`oracle`] loops rebuild it every move; tests pin
-/// [`IncrementalPlanView`] against it.
+/// `IncrementalPlanView` against it.
 pub(crate) struct PlanView {
     /// Retrieval cost per node.
     pub r: Vec<Cost>,

@@ -42,7 +42,7 @@ pub fn lmg_all_traced(
     storage_budget: Cost,
     observe: impl FnMut(Move, &StoragePlan),
 ) -> Option<(StoragePlan, LmgAllStats)> {
-    lmg_all::run_incremental(g, storage_budget, observe)
+    lmg_all::run_incremental(g, min_storage_plan(g), storage_budget, observe)
 }
 
 /// The from-scratch LMG loop: rebuild the `PlanView` and rescan every

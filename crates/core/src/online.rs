@@ -4,7 +4,7 @@
 //! A production version store receives a continuous commit stream; paying
 //! O(solve) per commit does not scale. [`OnlinePlanner`] owns a
 //! [`VersionGraph`], its current [`StoragePlan`], and the incremental
-//! machinery from `heuristics` (the [`IncrementalPlanView`] and the
+//! machinery from `heuristics` (the `IncrementalPlanView` and the
 //! candidate heap), and keeps the plan greedily settled across three
 //! mutations:
 //!

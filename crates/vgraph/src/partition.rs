@@ -178,9 +178,28 @@ impl Partition {
     /// Build from a per-node shard assignment. Fails with a typed error if
     /// any shard id in `0..max(shard_of)+1` is unused (ids must be gap-free
     /// so shard indices can be array indices downstream).
+    ///
+    /// Total on wire input: nothing is sized by a shard id. Gap-free ids
+    /// over `n` nodes imply `k <= n`, so an id `>= n` is rejected, as the
+    /// lowest unused id below `n`, before any id-sized allocation.
     pub fn from_shard_of(shard_of: Vec<u32>) -> Result<Partition, PartitionError> {
         let n = shard_of.len();
         let k = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(0);
+        if k > n {
+            // n nodes, one of them on an id >= n: at most n - 1 ids below n
+            // are used, so one of them is a gap.
+            let mut used = vec![false; n];
+            for &s in &shard_of {
+                if let Some(u) = used.get_mut(s as usize) {
+                    *u = true;
+                }
+            }
+            let gap = used
+                .iter()
+                .position(|&u| !u)
+                .expect("an id >= n leaves a gap");
+            return Err(PartitionError::EmptyShard { shard: gap as u32 });
+        }
         let mut offsets = vec![0u32; k + 1];
         for &s in &shard_of {
             offsets[s as usize + 1] += 1;
@@ -305,65 +324,18 @@ pub fn halve_by_order(n: usize, _edges: &[(u32, u32)]) -> Vec<u32> {
 /// (one part keeps everything), the driver falls back to
 /// [`halve_by_order`], so termination is unconditional.
 ///
+/// The recursion runs on the thread pool: independent oversized groups are
+/// split in halves on [`rayon::join`], each cut with its own scratch.
+///
 /// Deterministic: shards are numbered by smallest member id, members are
-/// ascending, and the recursion is order-stable — independent of the
-/// splitter's own label numbering.
+/// ascending, and every cut depends only on its own group — independent
+/// of the splitter's own label numbering and of the pool width.
 pub fn partition_graph(g: &VersionGraph, max_shard_nodes: usize, splitter: &Splitter) -> Partition {
     let max = max_shard_nodes.max(1);
     let comps = g.connected_components();
-    let mut queue: Vec<Vec<u32>> = comps.iter().map(<[u32]>::to_vec).collect();
-    let mut shards: Vec<Vec<u32>> = Vec::new();
-    // Scratch global → local index map, sentinel-reset after each group so
-    // the allocation is reused across the whole recursion.
-    let mut local_of = vec![u32::MAX; g.n()];
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    while let Some(group) = queue.pop() {
-        if group.len() <= max {
-            shards.push(group);
-            continue;
-        }
-        for (i, &v) in group.iter().enumerate() {
-            local_of[v as usize] = i as u32;
-        }
-        // Local undirected deduped edge list (splitters see topology only).
-        edges.clear();
-        for &v in &group {
-            let a = local_of[v as usize];
-            for &e in g.out_edges(NodeId(v)) {
-                let b = local_of[g.edge(e).dst.index()];
-                if b == u32::MAX || b == a {
-                    continue; // endpoint outside the group, or a self-loop
-                }
-                edges.push(if a < b { (a, b) } else { (b, a) });
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        let labels = splitter(group.len(), &edges);
-        let mut subs: Vec<Vec<u32>> = Vec::new();
-        if labels.len() == group.len() {
-            let parts = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(1);
-            subs.resize(parts, Vec::new());
-            for (i, &v) in group.iter().enumerate() {
-                subs[labels[i] as usize].push(v);
-            }
-            subs.retain(|s| !s.is_empty());
-        }
-        // No progress (wrong arity, or one part kept everything): fall back
-        // to positional halving, which always strictly shrinks both parts.
-        if subs.len() < 2 || subs.iter().any(|s| s.len() == group.len()) {
-            let labels = halve_by_order(group.len(), &edges);
-            subs = vec![Vec::new(), Vec::new()];
-            for (i, &v) in group.iter().enumerate() {
-                subs[labels[i] as usize].push(v);
-            }
-        }
-        for &v in &group {
-            local_of[v as usize] = u32::MAX;
-        }
-        queue.extend(subs);
-    }
-    // Members stayed ascending through every filter; number shards by
+    let groups: Vec<Vec<u32>> = comps.iter().map(<[u32]>::to_vec).collect();
+    let mut shards = cut_down(g, groups, max, splitter);
+    // Members stayed ascending through every cut; number shards by
     // smallest member so the result is independent of recursion order.
     shards.sort_unstable_by_key(|s| s[0]);
     let mut shard_of = vec![0u32; g.n()];
@@ -373,6 +345,88 @@ pub fn partition_graph(g: &VersionGraph, max_shard_nodes: usize, splitter: &Spli
         }
     }
     Partition::from_shard_of(shard_of).expect("driver emits gap-free non-empty shards")
+}
+
+/// Cut every group down to at most `max` nodes. Groups already small
+/// enough are kept; the oversized ones are halved as a list on
+/// [`rayon::join`], so independent cuts run in parallel.
+fn cut_down(
+    g: &VersionGraph,
+    groups: Vec<Vec<u32>>,
+    max: usize,
+    splitter: &Splitter,
+) -> Vec<Vec<u32>> {
+    let (mut done, mut big): (Vec<_>, Vec<_>) = groups.into_iter().partition(|s| s.len() <= max);
+    match big.len() {
+        0 => {}
+        1 => {
+            let parts = cut(g, &big[0], splitter);
+            done.extend(cut_down(g, parts, max, splitter));
+        }
+        len => {
+            let right = big.split_off(len / 2);
+            let (a, b) = rayon::join(
+                || cut_down(g, big, max, splitter),
+                || cut_down(g, right, max, splitter),
+            );
+            done.extend(a);
+            done.extend(b);
+        }
+    }
+    done
+}
+
+/// One cut of an oversized group (ascending members) into two or more
+/// non-empty parts, each ascending. The splitter sees the group's local
+/// undirected edge list; a cut that makes no progress falls back to
+/// [`halve_by_order`].
+fn cut(g: &VersionGraph, group: &[u32], splitter: &Splitter) -> Vec<Vec<u32>> {
+    // Per-cut scratch: global → local index over the group's id range.
+    let lo = group[0];
+    let mut local_of = vec![u32::MAX; (group[group.len() - 1] - lo) as usize + 1];
+    for (i, &v) in group.iter().enumerate() {
+        local_of[(v - lo) as usize] = i as u32;
+    }
+    let local = |u: NodeId| {
+        let i = u.0.wrapping_sub(lo) as usize;
+        local_of.get(i).copied().unwrap_or(u32::MAX)
+    };
+    // Each undirected edge is emitted at its smaller endpoint, from that
+    // node's out- and in-edges: ascending and deduplicated without a
+    // global sort. Endpoints outside the group (MAX) and self-loops drop.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut above: Vec<u32> = Vec::new();
+    for (a, &v) in group.iter().enumerate() {
+        let a = a as u32;
+        let v = NodeId(v);
+        above.clear();
+        let outs = g.out_edges(v).iter().map(|&e| local(g.edge(e).dst));
+        let ins = g.in_edges(v).iter().map(|&e| local(g.edge(e).src));
+        above.extend(outs.chain(ins).filter(|&b| b > a && b != u32::MAX));
+        above.sort_unstable();
+        above.dedup();
+        edges.extend(above.iter().map(|&b| (a, b)));
+    }
+    let labels = splitter(group.len(), &edges);
+    let mut parts: Vec<Vec<u32>> = Vec::new();
+    if labels.len() == group.len() {
+        let k = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(1);
+        parts.resize(k, Vec::new());
+        for (&v, &l) in group.iter().zip(&labels) {
+            parts[l as usize].push(v);
+        }
+        parts.retain(|s| !s.is_empty());
+    }
+    // No progress (wrong arity, or one part kept everything): fall back
+    // to positional halving, which always strictly shrinks both parts.
+    if parts.len() < 2 || parts.iter().any(|s| s.len() == group.len()) {
+        let labels = halve_by_order(group.len(), &edges);
+        parts = vec![Vec::new(), Vec::new()];
+        for (&v, &l) in group.iter().zip(&labels) {
+            parts[l as usize].push(v);
+        }
+    }
+    parts
 }
 
 #[cfg(test)]
@@ -482,6 +536,23 @@ mod tests {
     }
 
     #[test]
+    fn ids_at_or_above_n_rejected_before_allocating() {
+        // Sizing by the id would ask for ~16 GB here.
+        assert_eq!(
+            Partition::from_shard_of(vec![4_000_000_000]),
+            Err(PartitionError::EmptyShard { shard: 0 })
+        );
+        assert_eq!(
+            Partition::from_shard_of(vec![0, u32::MAX, 1]),
+            Err(PartitionError::EmptyShard { shard: 2 })
+        );
+        // Gap-free up to n - 1 is still fine.
+        assert_eq!(Partition::from_shard_of(vec![2, 1, 0]).unwrap().len(), 3);
+        let bad = r#"{"shard_of":[4000000000]}"#;
+        assert!(serde_json::from_str::<Partition>(bad).is_err());
+    }
+
+    #[test]
     fn wire_roundtrip_and_corruption_rejected() {
         let g = erdos_renyi_bidirectional(20, 0.2, &CostModel::default(), 5);
         let p = partition_graph(&g, 6, &halve_by_order);
@@ -491,5 +562,91 @@ mod tests {
         // A gap-introducing corruption must surface as a typed wire error.
         let bad = r#"{"shard_of":[0,3,3]}"#;
         assert!(serde_json::from_str::<Partition>(bad).is_err());
+    }
+
+    /// Valid `Partition` JSON over `n` nodes: ids assigned by first
+    /// appearance of `labels[v] % k`, so they are gap-free.
+    fn valid_json(labels: &[u32], k: u32) -> String {
+        let mut id_of = vec![u32::MAX; k as usize];
+        let mut next = 0;
+        let shard_of: Vec<u32> = labels
+            .iter()
+            .map(|&l| {
+                let id = &mut id_of[(l % k) as usize];
+                if *id == u32::MAX {
+                    *id = next;
+                    next += 1;
+                }
+                *id
+            })
+            .collect();
+        let p = Partition::from_shard_of(shard_of).expect("gap-free by construction");
+        serde_json::to_string(&p).unwrap()
+    }
+
+    /// Inflated ids spliced over one id of valid JSON: past `n`, past
+    /// `u32`, and far past `u64`.
+    const INFLATED: [&str; 5] = [
+        "64",
+        "4000000000",
+        "4294967295",
+        "4294967296",
+        "184467440737095516160",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The wire decoder is total: bit flips, inflated ids, truncation
+        /// and splices of valid `Partition` JSON decode to a well-formed
+        /// partition or a typed error, never a panic or an id-sized
+        /// allocation.
+        #[test]
+        fn mutated_partition_json_is_ok_or_typed_error(
+            labels in proptest::collection::vec(0u32..64, 1..48),
+            k in 1u32..12,
+            kind in 0u32..4,
+            (x, y, z) in (0usize..4096, 0usize..4096, 0usize..4096),
+        ) {
+            let json = valid_json(&labels, k);
+            let mut bytes = json.clone().into_bytes();
+            let len = bytes.len();
+            match kind {
+                0 => bytes[x % len] ^= 1 << (y % 8),
+                1 => {
+                    // Replace the (y mod n)-th id with an inflated one.
+                    let open = json.find('[').expect("array") + 1;
+                    let close = json.rfind(']').expect("array");
+                    let mut ids: Vec<&str> = json[open..close].split(',').collect();
+                    let i = y % ids.len();
+                    ids[i] = INFLATED[z % INFLATED.len()];
+                    bytes = format!("{}{}{}", &json[..open], ids.join(","), &json[close..])
+                        .into_bytes();
+                }
+                2 => bytes.truncate(x % len),
+                _ => {
+                    // Copy a slice of the document to another position.
+                    let (a, b) = ((x % len).min(y % len), (x % len).max(y % len));
+                    let piece = bytes[a..b].to_vec();
+                    let at = z % (len + 1);
+                    bytes.splice(at..at, piece);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(p) = serde_json::from_str::<Partition>(&text) {
+                // Accepted: a well-formed partition of its own node count.
+                let n = p.shard_of.len();
+                proptest::prop_assert!(p.len() <= n);
+                let mut seen = vec![false; n];
+                for (s, members) in p.iter().enumerate() {
+                    proptest::prop_assert!(!members.is_empty());
+                    for &v in members {
+                        proptest::prop_assert_eq!(p.shard_of(NodeId(v)), s as u32);
+                        proptest::prop_assert!(!std::mem::replace(&mut seen[v as usize], true));
+                    }
+                }
+                proptest::prop_assert!(seen.iter().all(|&s| s));
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The cancellation contract of every algorithm that polls a
 //! `CancelToken`, one table row per function: a pre-fired token yields the
 //! function's preempted value (`None`, `false` for `for_each_plan`,
-//! `Err(Cancelled)` for `sharded_msr`), and an inert token yields exactly
-//! the output pinned in the row.
+//! `Err(Cancelled)` for `sharded_msr` and `ShardedSolver`), and an inert
+//! token yields exactly the output pinned in the row.
 //!
 //! The pinned outputs are the costs and parent vectors of the returned
 //! plans (and DP frontiers) on one seeded 10-version tree, recorded from
@@ -221,6 +221,39 @@ fn rows() -> Vec<Row> {
                 }
             },
             "ShardStats { shards: 3, largest_shard: 4, cut_edges: 8, coarse_deltas: 0, moves: 1, materializations: 1, storage: 37631, total_retrieval: 2404, partition: 0ns, shard_solves: 0ns, stitch: 0ns } s=37631 r=2404 m=776 [1,M,15,4,6,M,17,M,M,M]",
+        ),
+        (
+            // The prep cell is shared with a solve on another thread, so
+            // this call may find it empty, being built, or built; a fired
+            // token preempts it in every case.
+            "ShardedSolver::solve",
+            |f, c| {
+                let solver = ShardedSolver {
+                    config: ShardConfig {
+                        max_shard_nodes: 4,
+                        min_graph_nodes: 0,
+                    },
+                };
+                let problem = ProblemKind::Msr {
+                    storage_budget: f.smin * 6,
+                };
+                let builder = SolveOptions::default();
+                let waiter = SolveOptions {
+                    cancel: c.clone(),
+                    shared: builder.shared.clone(),
+                    ..SolveOptions::default()
+                };
+                let solved = std::thread::scope(|s| {
+                    s.spawn(|| solver.solve(&f.g, problem, &builder));
+                    solver.solve(&f.g, problem, &waiter)
+                });
+                match solved {
+                    Err(SolveError::Cancelled { .. }) => None,
+                    Err(e) => Some(format!("error: {e}")),
+                    Ok(sol) => Some(plan_line(&f.g, &sol.plan)),
+                }
+            },
+            "s=37631 r=2404 m=776 [1,M,15,4,6,M,17,M,M,M]",
         ),
     ]
 }

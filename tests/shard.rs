@@ -113,6 +113,42 @@ fn plans_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn partition_byte_identical_across_thread_counts() {
+    use dataset_versioning::vgraph::generators::erdos_renyi_bidirectional;
+    use dataset_versioning::vgraph::partition_graph;
+    let model = CostModel::default();
+    // Groups above and below the splitter's exact-separator limit, one
+    // merged forest component and many random components.
+    let graphs = [
+        ("forest", shard_forest(8, 300, 24, &model, 5), 100),
+        ("forest-wide", shard_forest(3, 1_200, 6, &model, 6), 700),
+        ("er", erdos_renyi_bidirectional(1_000, 0.003, &model, 7), 64),
+    ];
+    for (name, g, max) in graphs {
+        // `Partition` equality compares its three arrays element for
+        // element.
+        let parts: Vec<_> = [1usize, 4]
+            .into_iter()
+            .map(|threads| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool");
+                let p = pool.install(|| partition_graph(&g, max, &dsv_treewidth::split_component));
+                assert!(p.max_shard_len() <= max, "{name}");
+                p.validate(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+                p
+            })
+            .collect();
+        assert!(parts[0].len() > 1, "{name}: the fixture must be cut");
+        assert_eq!(
+            parts[0], parts[1],
+            "{name}: partition differs between 1 and 4 threads"
+        );
+    }
+}
+
+#[test]
 fn single_shard_graph_reduces_exactly_to_whole_graph_solve() {
     // One 50-node cluster, shard cap far above it: the partition yields a
     // single shard and the result must be the whole-graph LMG-All plan.
