@@ -142,6 +142,11 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "treewidth upper bounds of the corpora (footnote 7)",
         |o, _| Bench::tables(vec![treewidth_report(o)]),
     ),
+    (
+        "substrates",
+        "substrate timings: arborescence, Dijkstra, Myers, treewidth, hash, corpora, DP-MSR variants",
+        |_, _| substrates_bench(),
+    ),
 ];
 
 /// Run `f` `iters` times: the best wall time in milliseconds (so one cold
@@ -151,7 +156,7 @@ fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut last = None;
     for _ in 0..iters {
         let t0 = Instant::now();
-        last = Some(f());
+        last = Some(std::hint::black_box(f()));
         best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     (best_ms, last.expect("at least one iteration"))
@@ -663,6 +668,135 @@ pub fn lmg_bench(opts: &ExperimentOptions) -> Bench {
 
     let mut bench = Bench::tables(vec![r]);
     bench.floor("lmg.speedup_n4000", speedup_4k, LMG_SPEEDUP_FLOOR);
+    bench
+}
+
+/// Iterations per row of [`substrates_bench`] (best is reported).
+pub const SUBSTRATES_ITERS: usize = 5;
+
+/// Time the substrates every experiment leans on, one row each: minimum
+/// arborescences (Gabow–Tarjan vs naive Chu–Liu), Dijkstra, Myers diff,
+/// the treewidth upper bound, the object hash on the read path's two
+/// shapes (one-shot over a resident object, `PackStore::get_ref`'s
+/// verify; streamed over a text payload, checkout's `hash_payload`),
+/// corpus generation across the content models, and the Section 6.2
+/// DP-MSR design variants (γ grid, k bucketing, Pareto caps; their
+/// quality side is `tests/ablation.rs`).
+///
+/// Instances, sizes and seeds are **fixed** (exempt from `--scale`,
+/// `--max-nodes` and `--seed`). The one gate asserts that the fast and
+/// naive arborescences have equal total weight on every instance where
+/// both are timed.
+pub fn substrates_bench() -> Bench {
+    use dsv_core::baselines::{extended_edges, min_storage_value};
+    use dsv_core::tree::extract_tree;
+    use dsv_core::tree::msr_engine::{run_tree_msr, GammaGrid, TreeDpConfig};
+    use dsv_delta::store::codec::{encode_payload, hash_payload};
+    use dsv_delta::store::{hash_object, ObjectKind, VersionSource};
+    use dsv_vgraph::arborescence::{min_arborescence, naive_min_arborescence};
+    use dsv_vgraph::dijkstra::{dijkstra, EdgeWeight};
+    use dsv_vgraph::generators::{erdos_renyi_bidirectional, random_tree, CostModel};
+    use dsv_vgraph::NodeId;
+
+    let mut r = Report::new("substrates", &["group", "case", "n", "best_ms"]);
+    let mut agrees = true;
+
+    for n in [50usize, 200, 1_000] {
+        let g = erdos_renyi_bidirectional(n, 0.1, &CostModel::default(), 7);
+        let edges = extended_edges(&g, EdgeWeight::Storage);
+        let (ms, fast) = best_of(SUBSTRATES_ITERS, || min_arborescence(n + 1, n, &edges));
+        r.push_row(row!["arborescence", "gabow-tarjan", n, ms]);
+        if n <= 200 {
+            let (ms, naive) = best_of(SUBSTRATES_ITERS, || {
+                naive_min_arborescence(n + 1, n, &edges)
+            });
+            r.push_row(row!["arborescence", "naive-chu-liu", n, ms]);
+            agrees &= fast.map(|a| a.total_weight) == naive.map(|a| a.total_weight);
+        }
+    }
+
+    for n in [1_000usize, 10_000] {
+        let g = random_tree(n, &CostModel::default(), 9);
+        let (ms, _) = best_of(SUBSTRATES_ITERS, || {
+            dijkstra(&g, NodeId(0), EdgeWeight::Retrieval)
+        });
+        r.push_row(row!["dijkstra", "tree", n, ms]);
+    }
+
+    for (case, n, edits) in [
+        ("near-identical", 5_000usize, 5usize),
+        ("divergent", 1_000, 300),
+    ] {
+        let a: Vec<u32> = (0..n as u32).collect();
+        let mut b = a.clone();
+        for i in 0..edits {
+            b[(i * 977) % n] = u32::MAX - i as u32;
+        }
+        let (ms, _) = best_of(SUBSTRATES_ITERS, || dsv_delta::myers::diff(&a, &b));
+        r.push_row(row!["myers", case, n, ms]);
+    }
+
+    let g = corpus(CorpusName::Styleguide, 0.2, 3).graph;
+    let (ms, _) = best_of(SUBSTRATES_ITERS, || {
+        dsv_treewidth::treewidth_upper_bound(&g)
+    });
+    r.push_row(row!["treewidth", "styleguide-ub", g.n(), ms]);
+
+    let content = corpus_with_content(CorpusName::Styleguide, 0.1, 3, true)
+        .content
+        .expect("corpus keeps its content");
+    let payload = content.payload(0);
+    let bytes = encode_payload(&payload);
+    let (ms, _) = best_of(SUBSTRATES_ITERS, || hash_object(ObjectKind::Chunk, &bytes));
+    r.push_row(row!["object-hash", "one-shot", bytes.len(), ms]);
+    let (ms, _) = best_of(SUBSTRATES_ITERS, || hash_payload(&payload));
+    r.push_row(row!["object-hash", "text-payload", bytes.len(), ms]);
+
+    for (name, scale) in [
+        (CorpusName::Datasharing, 1.0),   // text mode, real Myers diffs
+        (CorpusName::Styleguide, 0.15),   // text mode, larger documents
+        (CorpusName::Icu996, 0.05),       // sketch mode, large chunks
+        (CorpusName::FreeCodeCamp, 0.01), // sketch mode, many small chunks
+    ] {
+        let (ms, c) = best_of(SUBSTRATES_ITERS, || corpus(name, scale, 42));
+        r.push_row(row!["corpus", name.as_str(), c.graph.n(), ms]);
+    }
+
+    let g = corpus(CorpusName::Styleguide, 0.4, 2024).graph;
+    let t = extract_tree(&g, NodeId(0)).expect("connected");
+    let base = TreeDpConfig::heuristic(&g, Some(min_storage_value(&g) * 3));
+    type Edit = fn(&mut TreeDpConfig);
+    let variants: [(&str, Edit); 6] = [
+        ("baseline", |_| {}),
+        ("gamma-fine", |c| {
+            if let GammaGrid::Linear(s) = &mut c.gamma {
+                *s = (*s / 4).max(1);
+            }
+        }),
+        ("gamma-coarse", |c| {
+            if let GammaGrid::Linear(s) = &mut c.gamma {
+                *s *= 4;
+            }
+        }),
+        ("k-exact", |c| c.k_exact_limit = u32::MAX),
+        ("pareto-4", |c| c.pareto_cap = 4),
+        ("pareto-48", |c| c.pareto_cap = 48),
+    ];
+    for (case, edit) in variants {
+        let mut cfg = base.clone();
+        edit(&mut cfg);
+        let (ms, _) = best_of(SUBSTRATES_ITERS, || {
+            run_tree_msr(&g, &t, cfg.clone(), &CancelToken::inert()).map(|dp| dp.frontier())
+        });
+        r.push_row(row!["dp-msr", case, g.n(), ms]);
+    }
+
+    r.note(format!(
+        "best of {SUBSTRATES_ITERS}; n = nodes (arborescence: ER p = 0.1), sequence length \
+         (myers), or encoded payload bytes (object-hash)"
+    ));
+    let mut bench = Bench::tables(vec![r]);
+    bench.check("substrates.arborescence_agrees", agrees);
     bench
 }
 
@@ -1414,7 +1548,7 @@ const FAULT_RATES: [f64; 3] = [0.0, 0.001, 0.01];
 /// in every top-rate cell whatever the object ids are.
 ///
 /// Each batch is served with the corpus content attached as the
-/// redundant copy ([`serve_healing`](dsv_core::executor::PlanExecutor::serve_healing)):
+/// redundant copy ([`Checkout::serve`](dsv_core::checkout::Checkout::serve)):
 /// transient errors retry, corrupt/permanent reads re-derive from the
 /// source, and every repair ticket is written back through
 /// [`Store::repair`](dsv_delta::Store::repair). Every served payload is
@@ -1557,9 +1691,10 @@ pub fn faults_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
 
 /// One fault-injection cell on one backend: ingest the plan into `inner`
 /// behind a [`FaultStore`](dsv_delta::FaultStore), arm `faults`, serve
-/// `stream` in batches through `serve_healing` (byte-comparing every
-/// served payload), then disarm and run a clean verification pass. With
-/// `pin_fault`, the object stored for `stream[0]` is corrupted as well.
+/// `stream` in batches with `content` attached as the source, writing
+/// every repair ticket back (byte-comparing every served payload), then
+/// disarm and run a clean verification pass. With `pin_fault`, the
+/// object stored for `stream[0]` is corrupted as well.
 /// Returns the repair counters, repairs applied, wrong payloads, payloads
 /// served, serve wall seconds, and whether the clean pass agreed.
 fn serve_faulted<S: dsv_delta::Store + Sync>(
@@ -1590,10 +1725,13 @@ fn serve_faulted<S: dsv_delta::Store + Sync>(
     let mut served_ok = 0u64;
     let t0 = Instant::now();
     for batch in stream.chunks(CHECKOUT_BATCH) {
-        let (out, n_applied) = PlanExecutor::new(&mut store)
-            .serve_healing(g, &stored, batch, content)
+        let mut exec = PlanExecutor::new(&mut store);
+        let out = exec
+            .reader()
+            .with_source(content)
+            .serve(g, &stored, batch)
             .expect("plan-shape valid serve");
-        applied += n_applied;
+        applied += exec.apply_repairs(&out.tickets).expect("apply repairs");
         repair.detected += out.repair.detected;
         repair.retries += out.repair.retries;
         repair.rederived += out.repair.rederived;

@@ -448,8 +448,8 @@ struct WalkCtx<'x, S: Store + ?Sized> {
     stored: &'x StoredPlan,
     children: &'x [Vec<u32>],
     requested: &'x [bool],
-    measure: bool,
-    collect: bool,
+    /// Verification walk: cache off, costs measured, payloads not kept.
+    verify: bool,
 }
 
 impl<'a, S: Store + ?Sized> Checkout<'a, S> {
@@ -508,7 +508,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         requests: &[u32],
     ) -> Result<CheckoutOutcome, ExecError> {
         let started = Instant::now();
-        let mut out = self.walk(g, stored, requests, true, false, true)?;
+        let mut out = self.walk(g, stored, requests, false)?;
         // Strict mode: the first hydration failure (in deterministic
         // entry/DFS order) fails the whole batch.
         if let Some((_, err)) = out.failed.into_iter().next() {
@@ -550,7 +550,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         requests: &[u32],
     ) -> Result<ServeOutcome, ExecError> {
         let started = Instant::now();
-        let mut out = self.walk(g, stored, requests, true, false, true)?;
+        let mut out = self.walk(g, stored, requests, false)?;
         let failed: HashMap<u32, ExecError> = out.failed.into_iter().collect();
         let results: Vec<Result<Arc<Payload>, ExecError>> = requests
             .iter()
@@ -597,7 +597,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         stored: &StoredPlan,
     ) -> Result<(CheckoutStats, Measure), ExecError> {
         let all: Vec<u32> = (0..g.n() as u32).collect();
-        let out = self.walk(g, stored, &all, false, true, false)?;
+        let out = self.walk(g, stored, &all, true)?;
         if let Some((_, err)) = out.failed.into_iter().next() {
             return Err(err);
         }
@@ -609,9 +609,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         g: &VersionGraph,
         stored: &StoredPlan,
         requests: &[u32],
-        use_cache: bool,
-        measure: bool,
-        collect: bool,
+        verify: bool,
     ) -> Result<WalkOut, ExecError> {
         let n = g.n();
         if stored.objects.len() != n
@@ -637,7 +635,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         // toward its materialized root, stopping at the first node some
         // earlier chain already claimed (shared prefixes hydrate once) or
         // at a cache hit (the chain above the hit is not needed at all).
-        let cache = if use_cache { self.cache } else { None };
+        let cache = if verify { None } else { self.cache };
         let mut needed = vec![false; n];
         let mut seeded = vec![false; n];
         let mut entries: Vec<Entry> = Vec::new();
@@ -697,8 +695,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
             stored,
             children: &children,
             requested: &requested,
-            measure,
-            collect,
+            verify,
         };
         let outs: Vec<SubtreeOut> = entries
             .into_par_iter()
@@ -712,7 +709,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
             cache_misses: misses,
             ..CheckoutStats::default()
         };
-        let mut meas = measure.then(|| Measure {
+        let mut meas = verify.then(|| Measure {
             storage: 0,
             retrievals: vec![0; n],
             bytes_reconstructed: 0,
@@ -876,7 +873,7 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
                 }
             };
             out.hydrated += 1;
-            if ctx.measure {
+            if ctx.verify {
                 out.storage = cost_add(out.storage, payload.content_size());
                 out.retrievals.push((entry.node, 0));
                 out.bytes += payload.content_size();
@@ -887,7 +884,7 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
             (payload, 0)
         }
     };
-    if ctx.collect && ctx.requested[entry.node as usize] {
+    if !ctx.verify && ctx.requested[entry.node as usize] {
         out.served.push((entry.node, Arc::clone(&payload)));
     }
 
@@ -972,7 +969,7 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
         out.delta_applies += 1;
         let child_depth = parent_depth + 1;
         let child_retr = cost_add(parent_retr, costs.retrieval_cost());
-        if ctx.measure {
+        if ctx.verify {
             out.storage = cost_add(out.storage, costs.storage_cost());
             out.retrievals.push((c, child_retr));
             out.bytes += child.content_size();
@@ -980,7 +977,7 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
         if let Some(cache) = ctx.cache {
             cache.admit(expected, Arc::clone(&child), child_depth);
         }
-        if ctx.collect && ctx.requested[c as usize] {
+        if !ctx.verify && ctx.requested[c as usize] {
             out.served.push((c, child));
         }
         verified.push(Some((child_depth, child_retr)));

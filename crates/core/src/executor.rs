@@ -40,7 +40,7 @@
 //! [`MemStore`](dsv_delta::MemStore) and the persistent
 //! [`PackStore`](dsv_delta::PackStore) run the identical code path.
 
-use crate::checkout::{Checkout, RepairTicket, ServeOutcome};
+use crate::checkout::{Checkout, RepairTicket};
 use crate::plan::{Parent, PlanCosts, StoragePlan};
 use dsv_delta::store::{hash_object, ObjectId, ObjectKind, Store, StoreError, VersionSource};
 use dsv_vgraph::{cost_add, VersionGraph};
@@ -419,32 +419,6 @@ impl<'s, S: Store + Sync + ?Sized> PlanExecutor<'s, S> {
         })
     }
 
-    /// Serve a batch with self-healing: read leniently with `source`
-    /// attached as the redundant copy, then immediately write every
-    /// repair ticket back into the store. Returns the serve outcome
-    /// (tickets included, for reporting) and the number of repairs
-    /// durably applied.
-    ///
-    /// This is the full repair loop in one call; use
-    /// [`reader`](PlanExecutor::reader) +
-    /// [`Checkout::serve`](crate::checkout::Checkout::serve) +
-    /// [`apply_repairs`](PlanExecutor::apply_repairs) to stage the
-    /// write-back separately.
-    pub fn serve_healing(
-        &mut self,
-        g: &VersionGraph,
-        stored: &StoredPlan,
-        requests: &[u32],
-        source: &(dyn VersionSource + Sync),
-    ) -> Result<(ServeOutcome, usize), ExecError> {
-        let outcome = self
-            .reader()
-            .with_source(source)
-            .serve(g, stored, requests)?;
-        let applied = self.apply_repairs(&outcome.tickets)?;
-        Ok((outcome, applied))
-    }
-
     /// Ingest then execute in one call. If execution fails, the
     /// just-ingested references are rolled back before the error
     /// propagates — the caller never sees the [`StoredPlan`], so holding
@@ -571,9 +545,12 @@ mod tests {
 
         let requests = [0, 1, 2];
         let mut exec = PlanExecutor::new(&mut store);
-        let (outcome, applied) = exec
-            .serve_healing(&g, &stored, &requests, &TinySource)
+        let outcome = exec
+            .reader()
+            .with_source(&TinySource)
+            .serve(&g, &stored, &requests)
             .expect("serve");
+        let applied = exec.apply_repairs(&outcome.tickets).expect("repair");
         assert!(outcome.all_ok(), "{:?}", outcome.repair);
         assert_eq!(outcome.repair.detected, 2);
         assert_eq!(outcome.repair.rederived, 2);

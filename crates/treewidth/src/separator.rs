@@ -7,9 +7,10 @@
 //! vertex separators** — removing the best bag splits the graph along its
 //! branch structure, so version-graph clusters (low treewidth, per
 //! footnote 7 of the paper) are cut at narrow waists instead of through
-//! the middle of a branch. Components too large for the quadratic
-//! elimination heuristic fall back to a deterministic BFS-order bisection,
-//! which still respects locality (BFS layers) at linear cost.
+//! the middle of a branch. Components too large or too dense for the
+//! superlinear elimination heuristic fall back to a deterministic
+//! BFS-order bisection, which still respects locality (BFS layers) at
+//! linear cost.
 //!
 //! Output is one part label (0/1) per local vertex; both parts are
 //! non-empty for every input with at least two vertices.
@@ -21,6 +22,15 @@ use crate::elimination::{elimination_order, EliminationHeuristic};
 /// larger ones use BFS bisection (the elimination heuristic is quadratic).
 pub const SEPARATOR_EXACT_LIMIT: usize = 768;
 
+/// Components with more undirected edges than this use BFS bisection
+/// whatever their size: elimination fill grows with density, so a dense
+/// group of a few hundred nodes costs seconds per split. The limit is an
+/// average degree of 4 at [`SEPARATOR_EXACT_LIMIT`] nodes: one split of a
+/// 768-node Erdős–Rényi group at that density took 0.19 s on a 2-vCPU VM
+/// (release build), at average degree 8 it took 1.8 s. Version graphs are
+/// near-trees, with average degree 2–3.
+pub const SEPARATOR_EXACT_EDGE_LIMIT: usize = 2 * SEPARATOR_EXACT_LIMIT;
+
 /// Split one component into two non-empty parts, returning a part label
 /// per local vertex `0..n`. Deterministic for a given `(n, edges)` input.
 /// Matches the `dsv_vgraph::partition::Splitter` signature.
@@ -28,7 +38,7 @@ pub fn split_component(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     if n <= 1 {
         return vec![0; n];
     }
-    if n <= SEPARATOR_EXACT_LIMIT {
+    if n <= SEPARATOR_EXACT_LIMIT && edges.len() <= SEPARATOR_EXACT_EDGE_LIMIT {
         if let Some(labels) = separator_split(n, edges) {
             return labels;
         }
@@ -260,6 +270,26 @@ mod tests {
         }
         let labels = split_component(8, &edges);
         check_split(8, &labels);
+    }
+
+    #[test]
+    fn dense_groups_take_the_bfs_bisection() {
+        use dsv_vgraph::generators::{erdos_renyi_bidirectional, CostModel};
+        // 700 nodes, under the size limit; ~7.3k undirected edges put the
+        // group over the edge limit. Local edges as the partitioner emits
+        // them: ascending, deduplicated, smaller endpoint first.
+        let n = 700;
+        let g = erdos_renyi_bidirectional(n, 0.03, &CostModel::default(), 7);
+        let mut edges: Vec<(u32, u32)> = g
+            .edges()
+            .iter()
+            .map(|e| (e.src.0.min(e.dst.0), e.src.0.max(e.dst.0)))
+            .filter(|&(a, b)| a != b)
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        assert!(edges.len() > SEPARATOR_EXACT_EDGE_LIMIT);
+        assert_eq!(split_component(n, &edges), bfs_bisect(n, &edges));
     }
 
     #[test]

@@ -327,6 +327,11 @@ impl Deserialize for VersionGraph {
         if out_adj.len() != n || in_adj.len() != n {
             return Err(Error::new("adjacency lists do not match node count"));
         }
+        // Labels are resized to the node count on each labelled add, so an
+        // honest dump never has more labels than nodes.
+        if labels.len() > n {
+            return Err(Error::new("more labels than nodes"));
+        }
         for e in &edges {
             if e.src.index() >= n || e.dst.index() >= n {
                 return Err(Error::new("edge endpoint out of range"));
@@ -995,6 +1000,132 @@ mod tests {
         g.retire_version(NodeId(1));
         assert_eq!(g.retired_count(), 1);
         assert_eq!(g.fingerprint(), g.fingerprint_recomputed());
+    }
+
+    #[test]
+    fn labels_longer_than_nodes_are_rejected() {
+        let mut g = VersionGraph::new();
+        g.add_labelled_node(5, "commit-a");
+        let json = serde_json::to_string(&g).unwrap();
+        let back: VersionGraph = serde_json::from_str(&json).expect("honest dump");
+        assert_eq!(back.label(NodeId(0)), Some("commit-a"));
+        let bad = json.replace(r#"["commit-a"]"#, r#"["commit-a","commit-b"]"#);
+        assert!(serde_json::from_str::<VersionGraph>(&bad).is_err());
+    }
+
+    /// Valid `VersionGraph` JSON over `n` nodes: every third node
+    /// labelled, endpoints taken mod `n`, and node 1 retired.
+    fn valid_json(n: usize, edges: &[(u32, u32, u64)]) -> String {
+        let mut g = VersionGraph::new();
+        for v in 0..n as u64 {
+            if v % 3 == 0 {
+                g.add_labelled_node(10 + v, format!("c{v}"));
+            } else {
+                g.add_node(10 + v);
+            }
+        }
+        for &(a, b, c) in edges {
+            g.add_edge(NodeId(a % n as u32), NodeId(b % n as u32), c, c + 1);
+        }
+        if n > 1 {
+            g.retire_version(NodeId(1));
+        }
+        serde_json::to_string(&g).unwrap()
+    }
+
+    /// Inflated values spliced over one number of valid JSON: past the
+    /// node and edge counts, past `u32`, and far past `u64`.
+    const INFLATED: [&str; 5] = [
+        "64",
+        "4000000000",
+        "4294967295",
+        "4294967296",
+        "184467440737095516160",
+    ];
+
+    /// One extra element for each top-level array of the wire format.
+    const EXTRA: [(&str, &str); 6] = [
+        ("node_storage", "7"),
+        ("edges", r#"{"src":0,"dst":0,"storage":1,"retrieval":1}"#),
+        ("out_adj", "[]"),
+        ("in_adj", "[0]"),
+        ("labels", r#""x""#),
+        ("retired", "false"),
+    ];
+
+    /// Append `extra` `times` times to the top-level array `field`. Only
+    /// a top-level array closes before `,"` or at the closing `]}`.
+    fn inflate(json: &str, field: &str, extra: &str, times: usize) -> String {
+        let open = json.find(&format!("\"{field}\":[")).expect("field") + field.len() + 4;
+        let close = open + json[open..].find("],\"").unwrap_or(json.len() - 2 - open);
+        let mut items = vec![extra; times];
+        if close > open {
+            items.insert(0, &json[open..close]);
+        }
+        format!("{}{}{}", &json[..open], items.join(","), &json[close..])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The wire decoder is total: bit flips, inflated ids and
+        /// counts, truncation and splices of valid `VersionGraph` JSON
+        /// decode to a well-formed graph or a typed error, never a panic.
+        #[test]
+        fn mutated_graph_json_is_ok_or_typed_error(
+            n in 1usize..12,
+            other_n in 1usize..12,
+            edges in proptest::collection::vec((0u32..64, 0u32..64, 0u64..100), 0..20),
+            kind in 0u32..5,
+            (x, y, z) in (0usize..4096, 0usize..4096, 0usize..4096),
+        ) {
+            let json = valid_json(n, &edges);
+            let mut bytes = json.clone().into_bytes();
+            let len = bytes.len();
+            match kind {
+                0 => bytes[x % len] ^= 1 << (y % 8),
+                1 => {
+                    // Replace the (y mod count)-th number with an inflated one.
+                    let starts: Vec<usize> = (0..len)
+                        .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
+                        .collect();
+                    let a = starts[y % starts.len()];
+                    let b = a + json[a..].find(|c: char| !c.is_ascii_digit()).unwrap_or(len - a);
+                    bytes = format!("{}{}{}", &json[..a], INFLATED[z % INFLATED.len()], &json[b..])
+                        .into_bytes();
+                }
+                2 => {
+                    let (field, extra) = EXTRA[y % EXTRA.len()];
+                    bytes = inflate(&json, field, extra, 1 + z % 4).into_bytes();
+                }
+                3 => bytes.truncate(x % len),
+                _ => {
+                    // Copy a slice of another valid graph into this one.
+                    let other = valid_json(other_n, &edges[edges.len() / 2..]).into_bytes();
+                    let (a, b) = (x % other.len(), y % other.len());
+                    let at = z % (len + 1);
+                    bytes.splice(at..at, other[a.min(b)..a.max(b)].iter().copied());
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(g) = serde_json::from_str::<VersionGraph>(&text) {
+                // Accepted: a self-consistent graph that round-trips.
+                proptest::prop_assert!(g.labels.len() <= g.n());
+                proptest::prop_assert_eq!(g.retired.len(), g.n());
+                for v in g.node_ids() {
+                    for &e in g.out_edges(v) {
+                        proptest::prop_assert_eq!(g.edge(e).src, v);
+                    }
+                    for &e in g.in_edges(v) {
+                        proptest::prop_assert_eq!(g.edge(e).dst, v);
+                    }
+                }
+                proptest::prop_assert_eq!(g.fingerprint(), g.fingerprint_recomputed());
+                let again = serde_json::to_string(&g).unwrap();
+                let back: VersionGraph = serde_json::from_str(&again).expect("re-decodes");
+                proptest::prop_assert_eq!(serde_json::to_string(&back).unwrap(), again);
+            }
+        }
     }
 
     #[test]
