@@ -679,19 +679,22 @@ pub const SUBSTRATES_ITERS: usize = 5;
 /// the treewidth upper bound, the object hash on the read path's two
 /// shapes (one-shot over a resident object, `PackStore::get_ref`'s
 /// verify; streamed over a text payload, checkout's `hash_payload`),
+/// the read path's decode and delta apply on that payload,
 /// corpus generation across the content models, and the Section 6.2
 /// DP-MSR design variants (γ grid, k bucketing, Pareto caps; their
 /// quality side is `tests/ablation.rs`).
 ///
 /// Instances, sizes and seeds are **fixed** (exempt from `--scale`,
-/// `--max-nodes` and `--seed`). The one gate asserts that the fast and
-/// naive arborescences have equal total weight on every instance where
-/// both are timed.
+/// `--max-nodes` and `--seed`). Two gates: the fast and naive
+/// arborescences have equal total weight on every instance where both are
+/// timed, and the text payload round-trips (decode∘encode is the
+/// identity, the streamed hash equals the one-shot hash, the applied
+/// delta equals the source's destination payload).
 pub fn substrates_bench() -> Bench {
     use dsv_core::baselines::{extended_edges, min_storage_value};
     use dsv_core::tree::extract_tree;
     use dsv_core::tree::msr_engine::{run_tree_msr, GammaGrid, TreeDpConfig};
-    use dsv_delta::store::codec::{encode_payload, hash_payload};
+    use dsv_delta::store::codec::{apply_delta, decode_payload, encode_payload, hash_payload};
     use dsv_delta::store::{hash_object, ObjectKind, VersionSource};
     use dsv_vgraph::arborescence::{min_arborescence, naive_min_arborescence};
     use dsv_vgraph::dijkstra::{dijkstra, EdgeWeight};
@@ -742,15 +745,32 @@ pub fn substrates_bench() -> Bench {
     });
     r.push_row(row!["treewidth", "styleguide-ub", g.n(), ms]);
 
-    let content = corpus_with_content(CorpusName::Styleguide, 0.1, 3, true)
-        .content
-        .expect("corpus keeps its content");
+    let styleguide = corpus_with_content(CorpusName::Styleguide, 0.1, 3, true);
+    let content = styleguide.content.expect("corpus keeps its content");
     let payload = content.payload(0);
     let bytes = encode_payload(&payload);
     let (ms, _) = best_of(SUBSTRATES_ITERS, || hash_object(ObjectKind::Chunk, &bytes));
     r.push_row(row!["object-hash", "one-shot", bytes.len(), ms]);
     let (ms, _) = best_of(SUBSTRATES_ITERS, || hash_payload(&payload));
     r.push_row(row!["object-hash", "text-payload", bytes.len(), ms]);
+
+    // The read path's other two stages on the same payload: decoding the
+    // root (from a borrowed slice, so the one copy is timed) and
+    // replaying one of its out-edges' deltas.
+    let (ms, decoded) = best_of(SUBSTRATES_ITERS, || decode_payload(&bytes[..]));
+    let decoded = decoded.expect("the encoding decodes");
+    r.push_row(row!["read-path", "decode-payload", bytes.len(), ms]);
+    let edge = styleguide
+        .graph
+        .edge(styleguide.graph.out_edges(NodeId(0))[0]);
+    let delta = content.delta(0, edge.dst.0);
+    let (ms, applied) = best_of(SUBSTRATES_ITERS, || apply_delta(&decoded, &delta));
+    let (applied, _) = applied.expect("the edge's delta applies");
+    r.push_row(row!["read-path", "apply-delta", delta.len(), ms]);
+    let roundtrip = decoded == payload
+        && encode_payload(&decoded) == bytes
+        && hash_payload(&decoded) == hash_object(ObjectKind::Chunk, &bytes)
+        && applied == content.payload(edge.dst.0);
 
     for (name, scale) in [
         (CorpusName::Datasharing, 1.0),   // text mode, real Myers diffs
@@ -793,10 +813,12 @@ pub fn substrates_bench() -> Bench {
 
     r.note(format!(
         "best of {SUBSTRATES_ITERS}; n = nodes (arborescence: ER p = 0.1), sequence length \
-         (myers), or encoded payload bytes (object-hash)"
+         (myers), encoded payload bytes (object-hash, decode-payload) or encoded delta bytes \
+         (apply-delta, one out-edge of the same styleguide version)"
     ));
     let mut bench = Bench::tables(vec![r]);
     bench.check("substrates.arborescence_agrees", agrees);
+    bench.check("substrates.text_payload_roundtrip", roundtrip);
     bench
 }
 
@@ -871,6 +893,7 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             "sharded_ms",
             "engine_ms",
             "warm_ms",
+            "warm_partition_ms",
             "speedup",
             "regret",
             "partition_ms",
@@ -906,7 +929,8 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             engine
                 .solve(&g, msr(budget), &warm_opts)
                 .expect("half materialize-all is feasible");
-            let (mut cold_ms, mut warm_ms) = (f64::INFINITY, f64::INFINITY);
+            let (mut cold_ms, mut warm_ms, mut warm_partition_ms) =
+                (f64::INFINITY, f64::INFINITY, f64::INFINITY);
             for (i, step) in SHARD_WARM_STEPS.into_iter().enumerate() {
                 if i < SHARD_BENCH_ITERS {
                     let (ms, solution) = best_of(1, || {
@@ -921,17 +945,21 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
                 }
                 let b = budget + step * (budget / 64);
                 let (ms, warm) = best_of(1, || engine.solve(&g, msr(b), &warm_opts));
+                let warm = warm.expect("feasible");
                 warm_ms = warm_ms.min(ms);
+                let stages = warm.meta.shard.expect("a sharded solve reports its stages");
+                warm_partition_ms = warm_partition_ms.min(stages.partition.as_secs_f64() * 1e3);
                 let (cold, _) = sharded_msr(&g, b, &cfg, &CancelToken::inert()).expect("feasible");
                 assert_eq!(
-                    warm.expect("feasible").plan,
-                    cold,
+                    warm.plan, cold,
                     "a warm Engine::solve must return the cold sharded plan (n = {n}, budget {b})"
                 );
             }
-            (cold_ms, warm_ms)
+            (cold_ms, warm_ms, warm_partition_ms)
         });
-        let (engine_ms, warm_ms) = timed.unzip();
+        let engine_ms = timed.map(|t| t.0);
+        let warm_ms = timed.map(|t| t.1);
+        let warm_partition_ms = timed.map(|t| t.2);
 
         // Determinism across pool widths: a one-thread pool must
         // reproduce the plan byte for byte (timed runs use the ambient
@@ -970,6 +998,7 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             sharded_ms,
             engine_ms,
             warm_ms,
+            warm_partition_ms,
             speedup,
             regret,
             stats.partition.as_secs_f64() * 1e3,
@@ -985,7 +1014,8 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
          plan equal to the sharded one (asserted); warm_ms = best Engine::solve at budget \
          x (1 + {SHARD_WARM_STEPS:?}/64) on options that already solved the graph at the \
          budget, alternating with the cold engine_ms solves, plans equal to cold sharded_msr \
-         (asserted); stage columns from the last sharded run"
+         (asserted); warm_partition_ms = least partition stage of those warm solves, \
+         from their SolverMeta; other stage columns from the last sharded run"
     ));
 
     let mut bench = Bench::tables(vec![r]);

@@ -13,14 +13,21 @@
 //!   that union in parallel on the rayon pool.
 //! * Object bytes come from [`Store::get_ref`] — borrowed slices out of
 //!   `PackStore`'s resident pack map (or `MemStore`'s buffers), no
-//!   per-object allocation on the packed path.
-//! * Each subtree goes reconstruct → verify in parallel → publish. It
+//!   per-object allocation on the packed path. Large loose objects come
+//!   back owned, and the decoded root keeps that buffer as its lines'
+//!   storage rather than copying it.
+//! * Each subtree goes reconstruct → verify → publish. It
 //!   first replays every needed delta down the subtree without hashing
-//!   (unchanged lines are shared with the parent payload, not copied);
-//!   then it hashes all reconstructions on the pool at once, hashing the
-//!   *decoded* content directly ([`codec::hash_payload`]) against the
-//!   plan's recorded `source_hashes` with no `encode_payload`
-//!   round-trip; then it publishes in DFS order. Nothing is served,
+//!   (a child keeps runs of its parent's line records for unchanged
+//!   lines and runs of its delta's bytes for inserted ones, so a replay
+//!   costs per delta op, not per line);
+//!   then it walks the reconstructions in DFS order on the same thread,
+//!   hashing each one's *decoded* content directly
+//!   ([`codec::hash_payload`]) against the plan's recorded
+//!   `source_hashes` with no `encode_payload` round-trip, and publishes
+//!   it. Independent subtrees run in parallel; one chain's hashes do
+//!   not, so a checkout's latency does not hinge on a second CPU being
+//!   free. Nothing is served,
 //!   counted, measured or cached before its own hash and every
 //!   ancestor's have verified; below a failed node nothing is reported.
 //! * A [`CheckoutCache`] holds hot reconstructed payloads keyed by their
@@ -864,7 +871,7 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
                 return out;
             }
             let decoded = fetch_object(ctx, entry.node, &mut out.repair, &mut out.tickets)
-                .and_then(|bytes| Ok(codec::decode_payload(&bytes)?));
+                .and_then(|bytes| Ok(codec::decode_payload(bytes)?));
             let payload = match decoded {
                 Ok(p) => Arc::new(p),
                 Err(e) => {
@@ -915,23 +922,19 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
         }
     }
 
-    // Verify: hash every reconstruction's decoded content directly (no
-    // encode_payload round-trip), in parallel and order-stable.
-    let hashes: Vec<Option<ObjectId>> = recons
-        .iter()
-        .map(|r| r.applied.as_ref().ok().map(|(child, _)| &**child))
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|child| child.map(codec::hash_payload))
-        .collect();
-
-    // Publish in DFS order: a node counts, is measured, cached and served
-    // only if its own hash and every ancestor's verified. The first
-    // failure on a branch is reported; its descendants are dropped
-    // unreported, their repairs included, exactly as if never reached.
-    // `verified[i]` is recons[i]'s (depth, retrieval) once it passed.
+    // Verify and publish in DFS order: hash each reconstruction's decoded
+    // content directly (no encode_payload round-trip) on this thread,
+    // while its lines are still in this core's cache. Handing the hashes
+    // of one chain to the pool cost a wakeup and a cache transfer per
+    // payload, and made a single checkout's latency depend on whether a
+    // second CPU was free; subtrees still run in parallel. A node counts,
+    // is measured, cached and served only if its own hash and every
+    // ancestor's verified. The first failure on a branch is reported; its
+    // descendants are dropped unreported and unhashed, their repairs
+    // included, exactly as if never reached. `verified[i]` is recons[i]'s
+    // (depth, retrieval) once it passed.
     let mut verified: Vec<Option<(u32, Cost)>> = Vec::with_capacity(recons.len());
-    for (r, actual) in recons.into_iter().zip(hashes) {
+    for r in recons {
         let parent = match r.parent {
             ENTRY => Some((depth, 0)),
             i => verified[i],
@@ -952,7 +955,7 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
                 continue;
             }
         };
-        let actual = actual.expect("every reconstruction is hashed");
+        let actual = codec::hash_payload(&child);
         if actual != expected {
             out.failed.push((
                 c,

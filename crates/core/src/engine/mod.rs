@@ -251,6 +251,9 @@ pub struct SolverMeta {
     /// [`SolverMeta::reported_objective`]; it stays a *bound* — callers
     /// use it to compute optimality gaps for heuristic plans.
     pub lower_bound: Option<Cost>,
+    /// Counters and stage timings (partition, shard solves, stitch) when
+    /// the sharded pipeline produced the solution.
+    pub shard: Option<ShardStats>,
 }
 
 impl SolverMeta {
@@ -262,6 +265,7 @@ impl SolverMeta {
             proven_optimal: false,
             reported_objective: None,
             lower_bound: None,
+            shard: None,
         }
     }
 }

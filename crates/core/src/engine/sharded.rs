@@ -534,6 +534,7 @@ impl Solver for ShardedSolver {
         let mut meta = SolverMeta::new(SOLVER);
         meta.iterations = stats.moves;
         meta.reported_objective = Some(stats.total_retrieval);
+        meta.shard = Some(stats);
         Solution::checked(g, problem, plan, meta, started)
     }
 }

@@ -17,7 +17,7 @@
 //!    materialized roots, then apply stored deltas downward — and each
 //!    reconstruction is hash-verified against the recorded source hash by
 //!    hashing the *decoded* content directly
-//!    ([`codec::hash_payload`](dsv_delta::store::codec::hash_payload) —
+//!    ([`codec::hash_payload`] —
 //!    no re-encoding round-trip). A mismatch is a typed
 //!    [`ExecError::HashMismatch`], never a silent success.
 //!
@@ -42,7 +42,7 @@
 
 use crate::checkout::{Checkout, RepairTicket};
 use crate::plan::{Parent, PlanCosts, StoragePlan};
-use dsv_delta::store::{hash_object, ObjectId, ObjectKind, Store, StoreError, VersionSource};
+use dsv_delta::store::{codec, ObjectId, ObjectKind, Store, StoreError, VersionSource};
 use dsv_vgraph::{cost_add, VersionGraph};
 use std::time::{Duration, Instant};
 
@@ -311,12 +311,10 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
                 // `Store::put` addresses a chunk by `hash_object(Chunk,
                 // bytes)`, so a materialized node's source hash is the id
                 // just returned; only a delta-stored node's payload is
-                // encoded and hashed on the side.
+                // hashed on the side, streamed from the decoded form.
                 source_hashes.push(match kind {
                     ObjectKind::Chunk => id,
-                    ObjectKind::Delta => {
-                        hash_object(ObjectKind::Chunk, &source.payload_bytes(v as u32))
-                    }
+                    ObjectKind::Delta => codec::hash_payload(&source.payload(v as u32)),
                 });
             }
         }

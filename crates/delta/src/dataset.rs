@@ -48,12 +48,6 @@ impl LineStore {
         &self.lines[id as usize]
     }
 
-    /// The bytes of a line as a shared allocation: text payloads built
-    /// from interned lines hold these, so building one copies no line.
-    pub fn bytes(&self, id: u32) -> Arc<[u8]> {
-        Arc::from(Arc::clone(&self.lines[id as usize]))
-    }
-
     /// Number of distinct interned lines.
     pub fn len(&self) -> usize {
         self.lines.len()

@@ -1122,8 +1122,10 @@ impl Store for PackStore {
         self.check_crashed()?;
         let e = *self.entries.get(&id).ok_or(StoreError::Missing { id })?;
         if e.offset == LOOSE_OFFSET {
-            // Loose objects stay owned reads: they are the large-object
-            // tail, rare on the hot path and not worth keeping resident.
+            // Loose objects (at least the loose threshold, e.g. every
+            // large text root) are not kept resident: they are read into
+            // a fresh buffer and served owned, so a decoder can keep that
+            // buffer instead of copying it again.
             return self.get(id).map(std::borrow::Cow::Owned);
         }
         let pack = self.resident_pack()?;

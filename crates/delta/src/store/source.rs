@@ -15,7 +15,7 @@
 //! bit for bit.
 
 use super::codec::{
-    self, encode_sketch_delta, encode_text_delta, DeltaOp, FileDelta, Payload, TextFile,
+    self, encode_sketch_delta, encode_text_delta, DeltaOp, FileDelta, Payload, TextPayloadWriter,
 };
 use crate::chunks::ChunkSketch;
 use crate::dataset::{LineStore, Snapshot};
@@ -68,16 +68,28 @@ impl CorpusContent {
     }
 }
 
-fn snapshot_payload(snap: &Snapshot, lines: &LineStore) -> Payload {
-    Payload::Text(
-        snap.files
-            .iter()
-            .map(|(path, ids)| TextFile {
-                path: path.clone(),
-                lines: ids.iter().map(|&id| lines.bytes(id)).collect(),
-            })
-            .collect(),
-    )
+/// A snapshot's canonical payload encoding, written into one exactly-sized
+/// buffer.
+fn write_snapshot(snap: &Snapshot, lines: &LineStore) -> TextPayloadWriter {
+    let n_lines = snap.files.values().map(Vec::len).sum();
+    // Per file a path and a line count; per line a `u32` length before the
+    // bytes, where `LineStore::size` counts a newline.
+    let byte_len = snap
+        .files
+        .iter()
+        .map(|(path, ids)| {
+            let records: u64 = ids.iter().map(|&id| lines.size(id) + 3).sum();
+            8 + path.len() + records as usize
+        })
+        .sum();
+    let mut w = TextPayloadWriter::new(snap.files.len(), byte_len, n_lines);
+    for (path, ids) in &snap.files {
+        w.file(path, ids.len());
+        for &id in ids {
+            w.line(lines.text(id).as_bytes());
+        }
+    }
+    w
 }
 
 /// Mirror of [`Snapshot::delta_to`], producing applyable bytes instead of
@@ -103,7 +115,7 @@ fn snapshot_delta(a: &Snapshot, b: &Snapshot, lines: &LineStore) -> Vec<u8> {
                 DiffOp::Insert { start, len } => DeltaOp::Insert(
                     dst[start..start + len]
                         .iter()
-                        .map(|&id| lines.bytes(id))
+                        .map(|&id| lines.text(id))
                         .collect(),
                 ),
             })
@@ -163,11 +175,20 @@ impl VersionSource for CorpusContent {
     fn payload(&self, v: u32) -> Payload {
         match self {
             CorpusContent::Text { lines, snapshots } => {
-                snapshot_payload(&snapshots[v as usize], lines)
+                write_snapshot(&snapshots[v as usize], lines).into_payload()
             }
             CorpusContent::Sketch { sketches } => {
                 Payload::Sketch(sketches[v as usize].iter().collect())
             }
+        }
+    }
+
+    fn payload_bytes(&self, v: u32) -> Vec<u8> {
+        match self {
+            CorpusContent::Text { lines, snapshots } => {
+                write_snapshot(&snapshots[v as usize], lines).into_bytes()
+            }
+            CorpusContent::Sketch { .. } => codec::encode_payload(&self.payload(v)),
         }
     }
 
@@ -228,6 +249,20 @@ mod tests {
         let p = CostParams::default();
         assert_eq!(costs.storage_cost(), script.storage_cost(&p));
         assert_eq!(costs.retrieval_cost(), script.retrieval_cost(&p));
+    }
+
+    #[test]
+    fn text_payload_bytes_are_the_exactly_sized_encoding() {
+        let content = text_content();
+        for v in 0..2 {
+            let bytes = content.payload_bytes(v);
+            assert_eq!(bytes.len(), bytes.capacity(), "one exactly-sized buffer");
+            assert_eq!(bytes, codec::encode_payload(&content.payload(v)));
+            assert_eq!(
+                codec::decode_payload(bytes).expect("decode"),
+                content.payload(v)
+            );
+        }
     }
 
     #[test]

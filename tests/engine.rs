@@ -397,6 +397,7 @@ impl Solver for Scripted {
             proven_optimal: false,
             reported_objective: None,
             lower_bound: None,
+            shard: None,
         };
         Solution::checked(
             g,

@@ -182,6 +182,11 @@ fn engine_prefers_sharded_at_scale_and_ignores_it_below_threshold() {
         .expect("feasible");
     assert_eq!(sol.meta.solver, "Sharded-LMG");
     sol.plan.validate(&g).expect("valid");
+    // The engine's solution carries the sharded solve's stage report.
+    let stats = sol.meta.shard.expect("a sharded solve reports its stages");
+    assert!(stats.shards > 1);
+    assert_eq!(stats.total_retrieval, sol.costs.total_retrieval);
+    assert_eq!(stats.storage, sol.costs.storage);
 
     // Below threshold: the default registry's sharded entry refuses and a
     // whole-graph solver answers instead.
@@ -194,6 +199,7 @@ fn engine_prefers_sharded_at_scale_and_ignores_it_below_threshold() {
         .solve(&small, problem, &SolveOptions::default())
         .expect("feasible");
     assert_ne!(sol.meta.solver, "Sharded-LMG");
+    assert!(sol.meta.shard.is_none());
 }
 
 #[test]
