@@ -697,7 +697,7 @@ pub fn substrates_bench() -> Bench {
     use dsv_delta::store::codec::{apply_delta, decode_payload, encode_payload, hash_payload};
     use dsv_delta::store::{hash_object, ObjectKind, VersionSource};
     use dsv_vgraph::arborescence::{min_arborescence, naive_min_arborescence};
-    use dsv_vgraph::dijkstra::{dijkstra, EdgeWeight};
+    use dsv_vgraph::dijkstra::dijkstra;
     use dsv_vgraph::generators::{erdos_renyi_bidirectional, random_tree, CostModel};
     use dsv_vgraph::NodeId;
 
@@ -706,7 +706,7 @@ pub fn substrates_bench() -> Bench {
 
     for n in [50usize, 200, 1_000] {
         let g = erdos_renyi_bidirectional(n, 0.1, &CostModel::default(), 7);
-        let edges = extended_edges(&g, EdgeWeight::Storage);
+        let edges = extended_edges(&g);
         let (ms, fast) = best_of(SUBSTRATES_ITERS, || min_arborescence(n + 1, n, &edges));
         r.push_row(row!["arborescence", "gabow-tarjan", n, ms]);
         if n <= 200 {
@@ -720,9 +720,7 @@ pub fn substrates_bench() -> Bench {
 
     for n in [1_000usize, 10_000] {
         let g = random_tree(n, &CostModel::default(), 9);
-        let (ms, _) = best_of(SUBSTRATES_ITERS, || {
-            dijkstra(&g, NodeId(0), EdgeWeight::Retrieval)
-        });
+        let (ms, _) = best_of(SUBSTRATES_ITERS, || dijkstra(&g, NodeId(0)));
         r.push_row(row!["dijkstra", "tree", n, ms]);
     }
 
@@ -1373,10 +1371,10 @@ fn run_checkout_workload<S: dsv_delta::Store + Sync>(
     for &v in stream {
         let t = Instant::now();
         let out = reader
-            .checkout(g, stored, &[v])
+            .serve(g, stored, &[v])
             .expect("one-at-a-time checkout");
         lat_one.push(t.elapsed().as_secs_f64() * 1e3);
-        identical &= *out.payloads[0] == expected[v as usize];
+        identical &= matches!(&out.results[0], Ok(p) if **p == expected[v as usize]);
     }
     let oneshot_wall = t0.elapsed().as_secs_f64();
 
@@ -1396,11 +1394,11 @@ fn run_checkout_workload<S: dsv_delta::Store + Sync>(
     let t0 = Instant::now();
     for batch in stream.chunks(CHECKOUT_BATCH) {
         let t = Instant::now();
-        let out = reader.checkout(g, stored, batch).expect("batched checkout");
+        let out = reader.serve(g, stored, batch).expect("batched checkout");
         let per_version_ms = t.elapsed().as_secs_f64() * 1e3 / batch.len() as f64;
         hydrated_batched += out.stats.hydrated;
-        for (i, &v) in batch.iter().enumerate() {
-            identical &= *out.payloads[i] == expected[v as usize];
+        for (served, &v) in out.results.iter().zip(batch) {
+            identical &= matches!(served, Ok(p) if **p == expected[v as usize]);
             lat_batched.push(per_version_ms);
         }
     }

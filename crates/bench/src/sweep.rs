@@ -88,9 +88,8 @@ pub fn msr_sweep(g: &VersionGraph, budgets: &[Cost]) -> Vec<SweepPoint> {
     let sweep = engine.solve_sweep(g, budgets, &opts);
     let dp_ms = t0.elapsed().as_secs_f64() * 1e3;
     match sweep {
-        Ok(sweep) => {
-            debug_assert_eq!(sweep.dp_runs, 1, "sweep amortization regressed");
-            for (&b, sol) in budgets.iter().zip(&sweep.solutions) {
+        Ok(solutions) => {
+            for (&b, sol) in budgets.iter().zip(&solutions) {
                 out.push(SweepPoint {
                     algorithm: "DP-MSR",
                     budget: b,

@@ -12,28 +12,22 @@
 
 use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::arborescence::{min_arborescence, ArbEdge};
-use dsv_vgraph::dijkstra::{dijkstra_multi, EdgeWeight};
+use dsv_vgraph::dijkstra::dijkstra;
 use dsv_vgraph::{Cost, EdgeId, NodeId, VersionGraph};
 
 /// Build the extended-graph edge list (`G_aux` of the paper): all real
-/// edges with the selected weight, plus an auxiliary edge `v_aux → v` of
+/// edges weighted by storage cost `s_e`, plus an auxiliary edge `v_aux → v` of
 /// weight `s_v` for every version. Node `n` plays the role of `v_aux`.
 /// Returns the edge list; edge index `i < m` is real edge `i`, edge index
 /// `m + v` is the auxiliary (materialization) edge of node `v`.
-pub fn extended_edges(g: &VersionGraph, weight: EdgeWeight) -> Vec<ArbEdge> {
+pub fn extended_edges(g: &VersionGraph) -> Vec<ArbEdge> {
     let n = g.n();
     let mut edges: Vec<ArbEdge> = Vec::with_capacity(g.m() + n);
     for e in g.edges() {
-        edges.push(ArbEdge::new(
-            e.src.index(),
-            e.dst.index(),
-            weight.of(e) as i64,
-        ));
+        edges.push(ArbEdge::new(e.src.index(), e.dst.index(), e.storage as i64));
     }
     for v in g.node_ids() {
-        // Auxiliary edges cost s_v regardless of the weight selector: their
-        // retrieval cost is 0, so Storage and StoragePlusRetrieval agree,
-        // and Retrieval-weighted arborescences would be degenerate.
+        // The auxiliary edge of `v` stores the whole version: s_v.
         edges.push(ArbEdge::new(n, v.index(), g.node_storage(v) as i64));
     }
     edges
@@ -55,16 +49,7 @@ pub fn plan_from_extended(g: &VersionGraph, parent_edge: &[Option<usize>]) -> St
 /// Problem 1: the minimum-storage plan (minimum spanning arborescence of
 /// `G_aux` under storage weights).
 pub fn min_storage_plan(g: &VersionGraph) -> StoragePlan {
-    let edges = extended_edges(g, EdgeWeight::Storage);
-    let arb = min_arborescence(g.n() + 1, g.n(), &edges)
-        .expect("extended graph always has a spanning arborescence");
-    plan_from_extended(g, &arb.parent_edge)
-}
-
-/// Minimum spanning arborescence of `G_aux` under `s_e + r_e` weights — the
-/// skeleton the Section 6.2 tree extraction uses.
-pub fn min_storage_plus_retrieval_plan(g: &VersionGraph) -> StoragePlan {
-    let edges = extended_edges(g, EdgeWeight::StoragePlusRetrieval);
+    let edges = extended_edges(g);
     let arb = min_arborescence(g.n() + 1, g.n(), &edges)
         .expect("extended graph always has a spanning arborescence");
     plan_from_extended(g, &arb.parent_edge)
@@ -74,7 +59,7 @@ pub fn min_storage_plus_retrieval_plan(g: &VersionGraph) -> StoragePlan {
 /// version over retrieval-shortest paths. Returns `None` if some version is
 /// unreachable from `root`.
 pub fn shortest_path_plan(g: &VersionGraph, root: NodeId) -> Option<StoragePlan> {
-    let sp = dijkstra_multi(g, [(root, 0)], EdgeWeight::Retrieval);
+    let sp = dijkstra(g, root);
     let mut parent = vec![Parent::Materialized; g.n()];
     for v in g.node_ids() {
         if v == root {
@@ -178,7 +163,7 @@ mod tests {
     #[test]
     fn extended_edges_shape() {
         let g = random_tree(5, &CostModel::default(), 5);
-        let edges = extended_edges(&g, EdgeWeight::Storage);
+        let edges = extended_edges(&g);
         assert_eq!(edges.len(), g.m() + g.n());
         // Aux edges come last and originate from node n.
         for (i, v) in g.node_ids().enumerate() {

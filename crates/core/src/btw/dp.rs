@@ -603,14 +603,6 @@ pub fn btw_msr_plan(g: &VersionGraph, storage_budget: Cost) -> Option<(StoragePl
     btw_msr(g, &cfg, &CancelToken::inert())?.plan_under(g, storage_budget)
 }
 
-/// A trivially feasible witness plan used by tests to sanity-check frontier
-/// end points (materializing everything realizes `(Σ s_v, 0)`).
-pub fn materialize_all_point(g: &VersionGraph) -> (StoragePlan, Pair) {
-    let plan = StoragePlan::materialize_all(g);
-    let s = plan.storage_cost(g);
-    (plan, (s, 0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,7 +681,7 @@ mod tests {
         let smin = crate::baselines::min_storage_value(&g);
         assert_eq!(frontier.first().expect("non-empty").0, smin);
         // High end: materializing everything gives zero retrieval.
-        let (_, (s_all, _)) = materialize_all_point(&g);
+        let s_all = StoragePlan::materialize_all(&g).storage_cost(&g);
         assert!(frontier.iter().any(|&(s, rho)| rho == 0 && s <= s_all));
         // Every frontier point reconstructs into a plan realizing it.
         for &(s, rho) in &frontier {

@@ -7,10 +7,12 @@
 //! * [`Checkout`] takes `&self` over any [`Store`] — the read path is
 //!   shareable, so many checkouts can run against one store (and one
 //!   executor, via [`PlanExecutor::reader`](crate::executor::PlanExecutor::reader)).
-//! * [`Checkout::checkout`] serves a *batch*: it plans the union of the
+//! * [`Checkout::serve`] serves a *batch*: it plans the union of the
 //!   requested versions' retrieval chains, hydrates shared ancestor
 //!   prefixes exactly once, and reconstructs the independent subtrees of
-//!   that union in parallel on the rayon pool.
+//!   that union in parallel on the rayon pool. Every requested version
+//!   gets its own `Result`, so a poisoned object fails only the versions
+//!   whose chains cross it.
 //! * Object bytes come from [`Store::get_ref`] — borrowed slices out of
 //!   `PackStore`'s resident pack map (or `MemStore`'s buffers), no
 //!   per-object allocation on the packed path. Large loose objects come
@@ -44,6 +46,7 @@
 
 use crate::executor::{ExecError, StoredPlan};
 use crate::plan::Parent;
+use crate::retry::RetryPolicy;
 use dsv_delta::store::codec::{self, Payload};
 use dsv_delta::store::{hash_object, ObjectId, ObjectKind, Store, StoreError, VersionSource};
 use dsv_vgraph::{cost_add, Cost, VersionGraph};
@@ -292,8 +295,6 @@ impl CheckoutCache {
     }
 }
 
-pub use crate::retry::RetryPolicy;
-
 /// A pending store repair produced by the self-healing read path.
 ///
 /// The read path is `&S` and cannot mutate the store, so when it
@@ -338,19 +339,13 @@ impl RepairStats {
         self.rederived += other.rederived;
         self.unrepairable += other.unrepairable;
     }
-
-    /// Whether every detected fault was healed.
-    pub fn fully_healed(&self) -> bool {
-        self.detected == self.rederived && self.unrepairable == 0
-    }
 }
 
-/// The per-version results of one lenient [`Checkout::serve`] batch.
+/// The per-version results of one [`Checkout::serve`] batch.
 ///
-/// Unlike [`Checkout::checkout`], one poisoned version does not fail the
-/// batch: every request gets its own `Result`, and versions whose
-/// retrieval chain crossed an unrepairable object report the failing
-/// ancestor's error.
+/// One poisoned version does not fail the batch: every request gets its
+/// own `Result`, and versions whose retrieval chain crossed an
+/// unrepairable object report the failing ancestor's error.
 #[derive(Clone, Debug)]
 pub struct ServeOutcome {
     /// One result per requested version, in request order.
@@ -370,7 +365,7 @@ impl ServeOutcome {
     }
 }
 
-/// What one [`Checkout::checkout`] call did.
+/// What one [`Checkout::serve`] call did.
 #[derive(Clone, Debug, Default)]
 pub struct CheckoutStats {
     /// Versions requested (duplicates counted).
@@ -391,21 +386,6 @@ pub struct CheckoutStats {
     pub bytes_materialized: u64,
     /// Wall-clock time of the call.
     pub wall: Duration,
-}
-
-/// The payloads of one served batch, in request order, plus what serving
-/// them cost.
-#[derive(Clone, Debug)]
-pub struct CheckoutOutcome {
-    /// One reconstructed payload per requested version, in request order.
-    /// Payloads are shared (`Arc`) with the cache and with duplicate
-    /// requests in the same batch.
-    pub payloads: Vec<Arc<Payload>>,
-    /// Work accounting for the batch.
-    pub stats: CheckoutStats,
-    /// Fault-handling counters for the batch (all zero on a clean
-    /// store).
-    pub repair: RepairStats,
 }
 
 /// Measured costs from a full verification walk (executor use).
@@ -431,8 +411,8 @@ struct Entry {
     seed: Option<(Arc<Payload>, u32)>,
 }
 
-/// Everything one walk produced; strict and lenient callers slice it
-/// differently.
+/// Everything one walk produced; the serving and verifying callers slice
+/// it differently.
 struct WalkOut {
     /// Per-node payload for every requested-and-hydrated version.
     payload_of: Vec<Option<Arc<Payload>>>,
@@ -486,7 +466,8 @@ impl<'a, S: Store + ?Sized> Checkout<'a, S> {
         self
     }
 
-    /// Override the transient-error retry policy.
+    /// Set the transient-error retry policy (default:
+    /// [`RetryPolicy::default`]).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -499,8 +480,10 @@ impl<'a, S: Store + ?Sized> Checkout<'a, S> {
 }
 
 impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
-    /// Reconstruct a batch of versions, returning their payloads in
-    /// request order.
+    /// Reconstruct a batch of versions. Every requested version gets its
+    /// own `Result`, in request order, so one poisoned object degrades
+    /// exactly the versions whose retrieval chains cross it instead of
+    /// failing the batch.
     ///
     /// The union of the requested versions' retrieval chains is planned
     /// first: shared ancestor prefixes hydrate exactly once, chains stop
@@ -508,42 +491,6 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
     /// reconstruct in parallel. Every hydrated payload is verified
     /// against the plan's recorded `source_hashes` by hashing the decoded
     /// content directly; a mismatch is a typed error, never silent.
-    pub fn checkout(
-        &self,
-        g: &VersionGraph,
-        stored: &StoredPlan,
-        requests: &[u32],
-    ) -> Result<CheckoutOutcome, ExecError> {
-        let started = Instant::now();
-        let mut out = self.walk(g, stored, requests, false)?;
-        // Strict mode: the first hydration failure (in deterministic
-        // entry/DFS order) fails the whole batch.
-        if let Some((_, err)) = out.failed.into_iter().next() {
-            return Err(err);
-        }
-        let payloads = requests
-            .iter()
-            .map(|&v| {
-                out.payload_of[v as usize]
-                    .clone()
-                    .ok_or_else(|| ExecError::Mismatch {
-                        detail: format!("requested version v{v} was never hydrated"),
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        out.stats.bytes_materialized = payloads.iter().map(|p| p.content_size()).sum();
-        out.stats.wall = started.elapsed();
-        Ok(CheckoutOutcome {
-            payloads,
-            stats: out.stats,
-            repair: out.repair,
-        })
-    }
-
-    /// Reconstruct a batch leniently: every requested version gets its
-    /// own `Result`, so one poisoned object degrades exactly the
-    /// versions whose retrieval chains cross it instead of failing the
-    /// batch.
     ///
     /// Combine with [`with_source`](Checkout::with_source) for
     /// self-healing: detected faults are re-derived, hash-verified,
@@ -768,9 +715,9 @@ struct SubtreeOut {
 
 /// Read one node's stored object with retry and repair.
 ///
-/// Transient I/O errors are retried per the [`RetryPolicy`]; `Corrupt`
-/// and `Missing` (and exhausted retries) fall through to repair: the
-/// bytes are re-derived from the attached [`VersionSource`] (a chunk
+/// Transient I/O errors are retried immediately per the [`RetryPolicy`];
+/// `Corrupt` and `Missing` (and exhausted retries) fall through to repair:
+/// the bytes are re-derived from the attached [`VersionSource`] (a chunk
 /// from the version's payload, a delta from its edge endpoints),
 /// verified to hash to the stored object id, served, and recorded as a
 /// [`RepairTicket`]. With no source (or a disagreeing one) the original
@@ -787,9 +734,6 @@ fn fetch_object<'x, S: Store + ?Sized>(
     for attempt in 0..attempts {
         if attempt > 0 {
             repair.retries += 1;
-            // Salted by object id: concurrent retries of different
-            // objects decorrelate, replays wait identically.
-            ctx.retry.wait(attempt, id.0 ^ id.1);
         }
         match ctx.store.get_ref(id) {
             Ok(bytes) => return Ok(bytes),

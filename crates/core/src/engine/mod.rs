@@ -480,11 +480,6 @@ impl Engine {
         self
     }
 
-    /// Names of all registered solvers, in preference order.
-    pub fn solver_names(&self) -> Vec<&'static str> {
-        self.solvers.iter().map(|s| s.name()).collect()
-    }
-
     /// Registered solvers supporting `problem`, in preference order.
     pub fn solvers_for(&self, problem: ProblemKind) -> Vec<&dyn Solver> {
         self.solvers
@@ -719,15 +714,18 @@ impl Engine {
     /// so an `N`-budget sweep costs one DP instead of `N` solves (how the
     /// paper reports DP-MSR's runtime in Figures 10–12).
     ///
-    /// Every returned [`Solution`] is validated and budget-checked like any
-    /// other engine output; `None` entries are budgets below the frontier.
-    /// The deadline/cancellation in `opts` preempts the underlying DP.
+    /// Returns one entry per budget, aligned with `budgets`. Every returned
+    /// [`Solution`] is validated and budget-checked like any other engine
+    /// output, and all carry the one run's state count in
+    /// [`SolverMeta::iterations`]; `None` entries are budgets below the
+    /// frontier. The deadline/cancellation in `opts` preempts the
+    /// underlying DP.
     pub fn solve_sweep(
         &self,
         g: &VersionGraph,
         budgets: &[Cost],
         opts: &SolveOptions,
-    ) -> Result<MsrSweep, SolveError> {
+    ) -> Result<Vec<Option<Solution>>, SolveError> {
         const SOLVER: &str = "DP-MSR";
         let started = Instant::now();
         let eff = self.prepare_call(g, opts);
@@ -766,99 +764,8 @@ impl Engine {
                 }
             }
         }
-        Ok(MsrSweep {
-            solutions,
-            dp_runs: 1,
-        })
+        Ok(solutions)
     }
-}
-
-/// Result of [`Engine::solve_and_execute`]: the plan, where its bytes
-/// live, and how the measured costs compare to the predictions.
-#[derive(Clone, Debug)]
-pub struct Execution {
-    /// The validated solution the engine produced.
-    pub solution: Solution,
-    /// The plan's objects in the store (release via
-    /// [`PlanExecutor::release`](crate::executor::PlanExecutor::release)
-    /// when retiring the plan).
-    pub stored: crate::executor::StoredPlan,
-    /// Hash-verification and measured-vs-predicted cost report.
-    pub report: crate::executor::ExecutionReport,
-}
-
-/// Failure of the solve → store → verify chain.
-#[derive(Clone, Debug)]
-pub enum ExecuteError {
-    /// No feasible plan was produced.
-    Solve(SolveError),
-    /// The plan could not be stored, reconstructed, or verified.
-    Exec(crate::executor::ExecError),
-}
-
-impl std::fmt::Display for ExecuteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecuteError::Solve(e) => write!(f, "solve failed: {e}"),
-            ExecuteError::Exec(e) => write!(f, "execution failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ExecuteError {}
-
-impl From<SolveError> for ExecuteError {
-    fn from(e: SolveError) -> Self {
-        ExecuteError::Solve(e)
-    }
-}
-
-impl From<crate::executor::ExecError> for ExecuteError {
-    fn from(e: crate::executor::ExecError) -> Self {
-        ExecuteError::Exec(e)
-    }
-}
-
-impl Engine {
-    /// Solve `problem`, then immediately execute the winning plan against
-    /// `store`: ingest its objects, reconstruct every version from the
-    /// stored bytes, hash-verify each reconstruction against `source`, and
-    /// measure real storage/retrieval costs next to the predictions.
-    ///
-    /// This is the end-to-end pipeline the planning layers feed:
-    /// solver → [`Solution`] → [`PlanExecutor`](crate::executor::PlanExecutor)
-    /// → verified bytes. The stored objects stay referenced until the
-    /// caller releases the returned [`Execution::stored`].
-    pub fn solve_and_execute<S: dsv_delta::Store + Sync + ?Sized>(
-        &self,
-        g: &VersionGraph,
-        problem: ProblemKind,
-        opts: &SolveOptions,
-        store: &mut S,
-        source: &dyn dsv_delta::VersionSource,
-    ) -> Result<Execution, ExecuteError> {
-        let solution = self.solve(g, problem, opts)?;
-        let mut executor = crate::executor::PlanExecutor::new(store);
-        let (stored, report) = executor.run(g, &solution.plan, source)?;
-        Ok(Execution {
-            solution,
-            stored,
-            report,
-        })
-    }
-}
-
-/// Result of [`Engine::solve_sweep`]: one validated solution per requested
-/// budget, all answered from a single DP run.
-#[derive(Clone, Debug)]
-pub struct MsrSweep {
-    /// Per-budget solutions, aligned with the input budgets (`None` =
-    /// infeasible at that budget). All share one DP run: their
-    /// [`SolverMeta::iterations`] carry the same single-run state count.
-    pub solutions: Vec<Option<Solution>>,
-    /// Number of DP-MSR runs the sweep performed — always `1`, surfaced so
-    /// callers and tests can assert the amortization holds.
-    pub dp_runs: usize,
 }
 
 #[cfg(test)]

@@ -53,13 +53,6 @@ pub fn modified_prims(g: &VersionGraph, retrieval_budget: Cost) -> StoragePlan {
     plan
 }
 
-/// Convenience: MP plus resulting costs.
-pub fn modified_prims_cost(g: &VersionGraph, retrieval_budget: Cost) -> (StoragePlan, Cost) {
-    let plan = modified_prims(g, retrieval_budget);
-    let storage = plan.storage_cost(g);
-    (plan, storage)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +87,7 @@ mod tests {
         let g = bidirectional_path(30, &CostModel::default(), 3);
         let mut last = u64::MAX;
         for budget in [0u64, 200, 1_000, 5_000, 50_000] {
-            let (_, storage) = modified_prims_cost(&g, budget);
+            let storage = modified_prims(&g, budget).storage_cost(&g);
             assert!(storage <= last, "storage must be monotone in the budget");
             last = storage;
         }
@@ -103,7 +96,7 @@ mod tests {
     #[test]
     fn large_budget_approaches_min_storage() {
         let g = bidirectional_path(20, &CostModel::default(), 4);
-        let (_, storage) = modified_prims_cost(&g, u64::MAX / 8);
+        let storage = modified_prims(&g, u64::MAX / 8).storage_cost(&g);
         let smin = crate::baselines::min_storage_value(&g);
         // Prim's greedy is not optimal on directed graphs, but with an
         // unconstrained budget on a bidirectional tree it should land close.

@@ -9,9 +9,8 @@
 //! compare the two move sequences (`tests/lmg_incremental.rs`).
 //!
 //! The from-scratch loops cost `O(n + m)` per move; nothing outside tests
-//! and benchmarks (the `repro --experiment lmg` speedup table and the
-//! `lmg_scaling` bench time them against the incremental loop) should
-//! call them.
+//! and benchmarks (the `repro --experiment lmg` speedup table times them
+//! against the incremental loop) should call them.
 
 use super::lmg::{self, LmgStats};
 use super::lmg_all::{self, LmgAllStats, Move};

@@ -33,9 +33,9 @@
 //! any engine [`engine::Solution`] and materializes it against a
 //! content-addressed store (`dsv_delta::store`), reconstructing and
 //! hash-verifying every version and measuring real storage/retrieval costs
-//! next to the plan's predictions —
-//! [`Engine::solve_and_execute`](engine::Engine::solve_and_execute) runs
-//! the whole solve → store → verify chain in one call. The [`checkout`]
+//! next to the plan's predictions: [`Engine::solve`](engine::Engine::solve)
+//! followed by [`PlanExecutor::run`](executor::PlanExecutor::run) is the
+//! whole solve → store → verify chain. The [`checkout`]
 //! module is the *serving* side of the same machinery: a shareable
 //! (`&self`) batched reader that hydrates shared retrieval-chain prefixes
 //! once, reconstructs independent subtrees in parallel, and keeps hot
@@ -61,8 +61,7 @@ pub mod tree;
 
 pub use cancel::CancelToken;
 pub use checkout::{
-    CacheStats, Checkout, CheckoutCache, CheckoutOutcome, CheckoutStats, RepairStats, RepairTicket,
-    ServeOutcome,
+    CacheStats, Checkout, CheckoutCache, CheckoutStats, RepairStats, RepairTicket, ServeOutcome,
 };
 pub use engine::{
     sharded_msr, Engine, Portfolio, ShardConfig, ShardStats, ShardedSolver, Solution, SolveError,

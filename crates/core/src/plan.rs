@@ -92,14 +92,6 @@ impl StoragePlan {
             .count()
     }
 
-    /// The node a version is retrieved from, or `None` if materialized.
-    pub fn parent_node(&self, g: &VersionGraph, v: NodeId) -> Option<NodeId> {
-        match self.parent[v.index()] {
-            Parent::Materialized => None,
-            Parent::Delta(e) => Some(g.edge(e).src),
-        }
-    }
-
     /// Parent function in the forest sense (for Euler tours etc.).
     pub fn parent_fn(&self, g: &VersionGraph) -> Vec<Option<NodeId>> {
         self.parent
@@ -286,12 +278,5 @@ mod tests {
             parent: vec![Parent::Delta(e2), Parent::Delta(e1)],
         };
         assert!(plan.validate(&g).unwrap_err().contains("cycle"));
-    }
-
-    #[test]
-    fn parent_node_resolution() {
-        let (g, plan) = chain();
-        assert_eq!(plan.parent_node(&g, NodeId(0)), None);
-        assert_eq!(plan.parent_node(&g, NodeId(2)), Some(NodeId(1)));
     }
 }

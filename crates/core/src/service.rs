@@ -16,11 +16,11 @@
 //! * **Deadline propagation** — every admitted request carries a
 //!   deadline. At dispatch it becomes a [`CancelToken`] child of the
 //!   service root token (min-of-chain semantics, see [`crate::cancel`]),
-//!   which the DPs and branch & bound already poll mid-run — expired
-//!   work is preempted and surfaces as [`ServiceError::Cancelled`],
-//!   **never** as a late or truncated result: even a reply computed
-//!   successfully is converted to `Cancelled` if its deadline passed
-//!   while computing.
+//!   which the DPs, the brute-force enumeration and the sharded solve
+//!   already poll mid-run — expired work is preempted and surfaces as
+//!   [`ServiceError::Cancelled`], **never** as a late or truncated
+//!   result: even a reply computed successfully is converted to
+//!   `Cancelled` if its deadline passed while computing.
 //! * **Graceful degradation** — a `Solve` under deadline pressure walks
 //!   a ladder instead of failing: with comfortable time left it runs the
 //!   full portfolio ([`ServeTier::Full`]); with little time it answers
@@ -33,11 +33,11 @@
 //!   never correctness.
 //! * **Fault-tolerant reads** — `Checkout` requests go through the
 //!   batched self-healing reader ([`Checkout::serve`] with a
-//!   [`VersionSource`] and the shared [`RetryPolicy`]): transient store
-//!   faults are retried with deterministic jitter, corrupt objects are
-//!   re-derived from the source, hash-verified, served, and written back
-//!   via [`PlanExecutor::apply_repairs`] — a fault under concurrent
-//!   traffic heals instead of failing the request.
+//!   [`VersionSource`]): transient store faults are retried
+//!   immediately, corrupt objects are re-derived from the source,
+//!   hash-verified, served, and written back via
+//!   [`PlanExecutor::apply_repairs`] — a fault under concurrent traffic
+//!   heals instead of failing the request.
 //!
 //! The service is deliberately synchronous-over-threads (no async
 //! runtime): workers are plain OS threads sized to the pool width, and
@@ -55,7 +55,6 @@ use crate::executor::{ExecError, MigrationStats, PlanExecutor, StoredPlan};
 use crate::online::OnlinePlanner;
 use crate::plan::StoragePlan;
 use crate::problem::ProblemKind;
-use crate::retry::RetryPolicy;
 use dsv_delta::store::codec::Payload;
 use dsv_delta::store::{Store, VersionSource};
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
@@ -306,9 +305,6 @@ pub struct ServiceConfig {
     /// `Solve` is answered from the memo ([`ServeTier::Cached`]) when a
     /// previously-seen fingerprint has one.
     pub heuristic_tier_min: Duration,
-    /// Retry policy for checkout reads (shared with the batched
-    /// reader — one backoff implementation, see [`crate::retry`]).
-    pub retry: RetryPolicy,
     /// How many graph fingerprints keep a live [`SharedWork`] memo
     /// (LRU) for cross-request reuse and the cached tier.
     pub graph_memos: usize,
@@ -322,7 +318,6 @@ impl Default for ServiceConfig {
             default_deadline: Duration::from_secs(1),
             full_tier_min: Duration::from_millis(250),
             heuristic_tier_min: Duration::from_millis(20),
-            retry: RetryPolicy::default(),
             graph_memos: 32,
         }
     }
@@ -708,7 +703,22 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
     }
 
     /// Drop a committed plan from the registry and release its objects.
+    ///
+    /// Waits for an absorb in flight on the plan: retiring takes the
+    /// plan's online lock before removing the entry (lock order online →
+    /// plans → store, as in an absorb), so it always releases the newest
+    /// published plan, never one an absorb's `migrate` has consumed.
     pub fn retire_plan(&self, plan: PlanId) -> Result<(), ServiceError> {
+        let online = self
+            .shared
+            .plans
+            .read()
+            .expect("service plans")
+            .get(&plan.0)
+            .ok_or(ServiceError::UnknownPlan(plan))?
+            .online
+            .clone();
+        let _absorbs = online.lock().expect("online planner");
         let committed = self
             .shared
             .plans
@@ -938,7 +948,6 @@ fn handle_checkout<S: Store + Send + Sync + 'static>(
         let store = shared.store.read().expect("service store");
         Checkout::new(&*store)
             .with_source(&*committed.source)
-            .with_retry(shared.cfg.retry)
             .serve(&committed.graph, &committed.stored, versions)
             .map_err(ServiceError::Exec)?
     };
@@ -1028,9 +1037,9 @@ fn handle_absorb<S: Store + Send + Sync + 'static>(
     if token.is_cancelled() {
         return Err(ServiceError::Cancelled { stage: "absorb" });
     }
-    // The per-plan online state; its mutex serializes absorbs on the
-    // same plan (checkouts are unaffected — they read the published
-    // snapshots).
+    // The per-plan online state; its mutex serializes absorbs and
+    // retirement on the same plan (checkouts are unaffected — they read
+    // the published snapshots).
     let online = shared
         .plans
         .read()
@@ -1100,7 +1109,7 @@ fn handle_absorb<S: Store + Send + Sync + 'static>(
     // releasing the superseded ones, so no live version is ever
     // unreadable. (The lock is dropped before republishing — the plans
     // lock is always taken without the store lock held, matching
-    // `retire_plan`'s plans → store order.)
+    // `retire_plan`'s online → plans → store order.)
     let (new_stored, migration) = {
         let mut store = shared.store.write().expect("service store");
         PlanExecutor::new(&mut *store)
@@ -1109,27 +1118,19 @@ fn handle_absorb<S: Store + Send + Sync + 'static>(
     };
     let versions = planner.graph().n();
     let graph = Arc::new(planner.graph().clone());
-    {
-        let mut plans = shared.plans.write().expect("service plans");
-        match plans.get_mut(&plan_id.0) {
-            Some(entry) => {
-                *entry = CommittedPlan {
-                    graph,
-                    stored: Arc::new(new_stored),
-                    source,
-                    online: online.clone(),
-                };
-            }
-            None => {
-                // Retired while absorbing: do not resurrect the entry;
-                // drop the migrated plan's references instead.
-                drop(plans);
-                let mut store = shared.store.write().expect("service store");
-                let _ = PlanExecutor::new(&mut *store).release(&new_stored);
-                return Err(ServiceError::UnknownPlan(plan_id));
-            }
-        }
-    }
+    // The entry is still there: `retire_plan` waits for the online lock
+    // this absorb holds.
+    *shared
+        .plans
+        .write()
+        .expect("service plans")
+        .get_mut(&plan_id.0)
+        .expect("retirement waits for the online lock") = CommittedPlan {
+        graph,
+        stored: Arc::new(new_stored),
+        source,
+        online: online.clone(),
+    };
     let c = &shared.counters;
     c.absorbed.fetch_add(1, Ordering::Relaxed);
     if resolved {

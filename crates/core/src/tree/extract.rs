@@ -6,9 +6,8 @@
 //! `G'` from `A`."
 //!
 //! The extracted tree keeps edge ids into the original graph so DP results
-//! translate directly back into [`StoragePlan`]s.
+//! translate directly back into [`StoragePlan`](crate::plan::StoragePlan)s.
 
-use crate::plan::StoragePlan;
 use dsv_vgraph::arborescence::{min_arborescence, ArbEdge};
 use dsv_vgraph::{Cost, EdgeId, NodeId, VersionGraph, INF};
 
@@ -73,19 +72,6 @@ impl BidirTree {
     /// Nodes in post order (children before parents).
     pub fn post_order(&self) -> Vec<NodeId> {
         dsv_vgraph::topo::forest_post_order(&self.parent)
-    }
-
-    /// Check a plan only uses tree edges / materializations (for tests).
-    pub fn plan_uses_tree_edges(&self, g: &VersionGraph, plan: &StoragePlan) -> bool {
-        plan.parent.iter().enumerate().all(|(v, p)| match p {
-            crate::plan::Parent::Materialized => true,
-            crate::plan::Parent::Delta(e) => {
-                let d = g.edge(*e);
-                let v = NodeId::new(v);
-                debug_assert_eq!(d.dst, v);
-                self.parent[v.index()] == Some(d.src) || self.parent[d.src.index()] == Some(v)
-            }
-        })
     }
 }
 

@@ -75,11 +75,6 @@ impl Snapshot {
             .sum()
     }
 
-    /// Total number of lines across files.
-    pub fn line_count(&self) -> usize {
-        self.files.values().map(|l| l.len()).sum()
-    }
-
     /// Compute the whole-version delta `self → other` by diffing each file.
     pub fn delta_to(&self, other: &Snapshot, store: &LineStore) -> crate::script::EditScript {
         let mut scripts = Vec::new();
@@ -106,7 +101,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::script::CostParams;
 
     fn snap(store: &mut LineStore, files: &[(&str, &[&str])]) -> Snapshot {
         let mut s = Snapshot::default();
@@ -133,7 +127,6 @@ mod tests {
         let mut store = LineStore::new();
         let s = snap(&mut store, &[("a.txt", &["xx", "yyy"])]);
         assert_eq!(s.byte_size(&store), 3 + 4);
-        assert_eq!(s.line_count(), 2);
     }
 
     #[test]
@@ -156,8 +149,7 @@ mod tests {
         // Reverse direction deletes the file: cheap.
         let rd = s2.delta_to(&s1, &store);
         assert_eq!(rd.inserted_bytes, 0);
-        let p = CostParams::default();
-        assert!(rd.storage_cost(&p) < d.storage_cost(&p));
+        assert!(rd.storage_cost() < d.storage_cost());
     }
 
     #[test]

@@ -33,7 +33,6 @@
 
 use crate::chunks::ChunkSketch;
 use crate::dataset::{LineStore, Snapshot};
-use crate::script::CostParams;
 use crate::store::{splitmix64, CorpusContent};
 use dsv_vgraph::{NodeId, VersionGraph};
 use rand::rngs::SmallRng;
@@ -172,7 +171,6 @@ fn random_line(rng: &mut SmallRng, len: usize) -> String {
 fn evolve_text(params: &EvolveParams, tp: &TextParams) -> Evolution {
     let mut topo = topology_rng(params.seed);
     let mut store = LineStore::new();
-    let cost = CostParams::default();
 
     // Initial snapshot — commit 0's content stream.
     let mut init_rng = content_rng(params.seed, 0);
@@ -207,18 +205,8 @@ fn evolve_text(params: &EvolveParams, tp: &TextParams) -> Evolution {
                    child_snap: &Snapshot| {
         let fwd = parent_snap.delta_to(child_snap, store);
         let bwd = child_snap.delta_to(parent_snap, store);
-        g.add_edge(
-            parent,
-            child,
-            fwd.storage_cost(&cost),
-            fwd.retrieval_cost(&cost),
-        );
-        g.add_edge(
-            child,
-            parent,
-            bwd.storage_cost(&cost),
-            bwd.retrieval_cost(&cost),
-        );
+        g.add_edge(parent, child, fwd.storage_cost(), fwd.retrieval_cost());
+        g.add_edge(child, parent, bwd.storage_cost(), bwd.retrieval_cost());
     };
 
     while g.n() < params.commits {

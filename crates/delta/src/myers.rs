@@ -163,16 +163,6 @@ fn coalesce(ops: Vec<DiffOp>) -> Vec<DiffOp> {
     out
 }
 
-/// Number of edited items (insertions + deletions) in a script — Myers' D.
-pub fn edit_distance(ops: &[DiffOp]) -> usize {
-    ops.iter()
-        .map(|op| match op {
-            DiffOp::Equal { .. } => 0,
-            DiffOp::Delete { len } | DiffOp::Insert { len, .. } => *len,
-        })
-        .sum()
-}
-
 /// Apply a script produced by [`diff`] to `a`, reading inserted items from
 /// `b`. Returns the reconstructed sequence (clones items).
 pub fn apply<T: Clone>(a: &[T], b: &[T], ops: &[DiffOp]) -> Vec<T> {
@@ -194,6 +184,17 @@ pub fn apply<T: Clone>(a: &[T], b: &[T], ops: &[DiffOp]) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of edited items (insertions + deletions) in a script —
+    /// Myers' D.
+    fn edit_distance(ops: &[DiffOp]) -> usize {
+        ops.iter()
+            .map(|op| match op {
+                DiffOp::Equal { .. } => 0,
+                DiffOp::Delete { len } | DiffOp::Insert { len, .. } => *len,
+            })
+            .sum()
+    }
 
     fn check(a: &[u32], b: &[u32]) -> Vec<DiffOp> {
         let ops = diff(a, b);

@@ -10,31 +10,17 @@
 
 use crate::myers::DiffOp;
 
-/// Cost-model constants (bytes). Chosen to mimic a unified-diff-like
-/// encoding: each hunk costs a header, deletions cost a range record,
-/// insertions cost their content.
-#[derive(Clone, Copy, Debug)]
-pub struct CostParams {
-    /// Per-script fixed overhead.
-    pub script_header: u64,
-    /// Per-op record overhead.
-    pub op_header: u64,
-    /// Extra retrieval work per op replayed (seek + splice), in cost units.
-    pub op_replay: u64,
-}
-
-impl Default for CostParams {
-    fn default() -> Self {
-        CostParams {
-            script_header: 16,
-            op_header: 8,
-            op_replay: 4,
-        }
-    }
-}
+/// Per-script fixed overhead of the cost model (bytes). The three
+/// constants mimic a unified-diff-like encoding: each hunk costs a header,
+/// deletions cost a range record, insertions cost their content.
+const SCRIPT_HEADER: u64 = 16;
+/// Per-op record overhead (bytes).
+const OP_HEADER: u64 = 8;
+/// Extra retrieval work per op replayed (seek + splice), in cost units.
+const OP_REPLAY: u64 = 4;
 
 /// An edit script between two versions, with the byte sizes needed to price
-/// it under [`CostParams`].
+/// it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EditScript {
     /// Number of edit ops (non-`Equal` runs).
@@ -75,15 +61,15 @@ impl EditScript {
 
     /// Storage cost in bytes: headers plus inserted content. Deletions cost
     /// only their op header — this is the asymmetry the paper calls out.
-    pub fn storage_cost(&self, p: &CostParams) -> u64 {
-        p.script_header + self.ops as u64 * p.op_header + self.inserted_bytes
+    pub fn storage_cost(&self) -> u64 {
+        SCRIPT_HEADER + self.ops as u64 * OP_HEADER + self.inserted_bytes
     }
 
     /// Retrieval cost: proportional to the bytes spliced in plus replay
-    /// overhead per op. With default parameters this is proportional to the
-    /// storage cost, matching the "simple diff" setting of Section 7.1.
-    pub fn retrieval_cost(&self, p: &CostParams) -> u64 {
-        p.script_header + self.ops as u64 * p.op_replay + self.inserted_bytes
+    /// overhead per op. This is proportional to the storage cost, matching
+    /// the "simple diff" setting of Section 7.1.
+    pub fn retrieval_cost(&self) -> u64 {
+        SCRIPT_HEADER + self.ops as u64 * OP_REPLAY + self.inserted_bytes
     }
 
     /// Merge the scripts of several files into a whole-version delta.
@@ -106,9 +92,8 @@ mod tests {
     #[test]
     fn empty_script_costs_only_header() {
         let s = EditScript::default();
-        let p = CostParams::default();
-        assert_eq!(s.storage_cost(&p), p.script_header);
-        assert_eq!(s.retrieval_cost(&p), p.script_header);
+        assert_eq!(s.storage_cost(), SCRIPT_HEADER);
+        assert_eq!(s.retrieval_cost(), SCRIPT_HEADER);
     }
 
     #[test]
@@ -117,9 +102,8 @@ mod tests {
         let b: Vec<u32> = vec![0, 1, 2, 3, 4];
         let ops = diff(&a, &b);
         let s = EditScript::from_ops(&ops, &b, |_| 100);
-        let p = CostParams::default();
         assert_eq!(s.inserted_bytes, 200);
-        assert_eq!(s.storage_cost(&p), 16 + 8 + 200);
+        assert_eq!(s.storage_cost(), 16 + 8 + 200);
     }
 
     #[test]
@@ -128,10 +112,9 @@ mod tests {
         let b: Vec<u32> = vec![0, 4];
         let ops = diff(&a, &b);
         let s = EditScript::from_ops(&ops, &b, |_| 100);
-        let p = CostParams::default();
         // No inserted content: storage is headers only.
         assert_eq!(s.inserted_bytes, 0);
-        assert!(s.storage_cost(&p) < 100);
+        assert!(s.storage_cost() < 100);
         assert!(s.deleted_bytes > 0);
     }
 
@@ -158,9 +141,8 @@ mod tests {
         // Adding content is expensive forward, cheap backward.
         let a: Vec<u32> = vec![0, 1];
         let b: Vec<u32> = vec![0, 1, 2, 3, 4, 5];
-        let p = CostParams::default();
         let fwd = EditScript::from_ops(&diff(&a, &b), &b, |_| 50);
         let bwd = EditScript::from_ops(&diff(&b, &a), &a, |_| 50);
-        assert!(fwd.storage_cost(&p) > bwd.storage_cost(&p));
+        assert!(fwd.storage_cost() > bwd.storage_cost());
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! Decoding a delta yields [`DeltaCosts`] — the *measured* storage and
 //! retrieval cost of the delta, priced by exactly the models that priced
-//! the version-graph edges at synthesis time ([`crate::script::CostParams`]
+//! the version-graph edges at synthesis time ([`EditScript`]
 //! for text, [`crate::chunks::SketchDelta`] for sketches). This is what
 //! lets the executor check a plan's predicted costs against real stored
 //! bytes and demand *exact* agreement.
@@ -30,7 +30,7 @@
 
 use super::{ObjectHasher, ObjectId, ObjectKind, StoreError};
 use crate::chunks::SketchDelta;
-use crate::script::{CostParams, EditScript};
+use crate::script::EditScript;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -363,7 +363,7 @@ pub struct FileDelta {
 /// graph edges.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DeltaCosts {
-    /// Text delta, priced by [`EditScript`] under [`CostParams::default`].
+    /// Text delta, priced by [`EditScript`].
     Text(EditScript),
     /// Sketch delta, priced by [`SketchDelta`].
     Sketch(SketchDelta),
@@ -373,7 +373,7 @@ impl DeltaCosts {
     /// Storage cost of the delta in bytes (the edge cost `s_e`).
     pub fn storage_cost(&self) -> u64 {
         match self {
-            DeltaCosts::Text(s) => s.storage_cost(&CostParams::default()),
+            DeltaCosts::Text(s) => s.storage_cost(),
             DeltaCosts::Sketch(d) => d.storage_cost(),
         }
     }
@@ -381,7 +381,7 @@ impl DeltaCosts {
     /// Retrieval cost of replaying the delta (the edge cost `r_e`).
     pub fn retrieval_cost(&self) -> u64 {
         match self {
-            DeltaCosts::Text(s) => s.retrieval_cost(&CostParams::default()),
+            DeltaCosts::Text(s) => s.retrieval_cost(),
             DeltaCosts::Sketch(d) => d.retrieval_cost(),
         }
     }

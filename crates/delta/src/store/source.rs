@@ -207,7 +207,6 @@ impl VersionSource for CorpusContent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::script::CostParams;
     use crate::store::codec::{apply_delta, delta_costs, DeltaCosts};
 
     fn text_content() -> CorpusContent {
@@ -246,9 +245,8 @@ mod tests {
         assert_eq!(dst, content.payload(1));
         // Decoded costs equal the delta_to pricing used at synthesis time.
         let script = s0.0.delta_to(&s1, &s0.1);
-        let p = CostParams::default();
-        assert_eq!(costs.storage_cost(), script.storage_cost(&p));
-        assert_eq!(costs.retrieval_cost(), script.retrieval_cost(&p));
+        assert_eq!(costs.storage_cost(), script.storage_cost());
+        assert_eq!(costs.retrieval_cost(), script.retrieval_cost());
     }
 
     #[test]

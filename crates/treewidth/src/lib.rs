@@ -1,17 +1,17 @@
 //! # dsv-treewidth — tree decompositions for version graphs
 //!
 //! Section 5.3 of the paper generalizes the tree DP for MinSum Retrieval to
-//! graphs of bounded treewidth via *nice tree decompositions*. This crate
-//! provides the machinery:
+//! graphs of bounded treewidth via nice tree decompositions. This crate
+//! provides the decomposition machinery the rest of the system uses; the
+//! DP-BTW solver in `dsv-core` sweeps its own separation order (a path
+//! decomposition) instead of consuming a nice decomposition, see
+//! `DESIGN.md`:
 //!
 //! * [`elimination`] — min-degree / min-fill elimination orderings, the
 //!   standard practical route to good tree decompositions;
 //! * [`decomposition`] — building a [`TreeDecomposition`] from an
 //!   elimination order, plus full validation of the three tree-decomposition
 //!   conditions (Definition 11);
-//! * [`nice`] — conversion into a *nice* tree decomposition (Definition 12)
-//!   with leaf/introduce/forget/join nodes, the input shape the DP-BTW
-//!   algorithm consumes;
 //! * [`separator`] — balanced vertex splits (decomposition bags are
 //!   separators) used by the sharded solving pipeline to cut oversized
 //!   components along their branch structure;
@@ -23,12 +23,10 @@
 
 pub mod decomposition;
 pub mod elimination;
-pub mod nice;
 pub mod separator;
 pub mod width;
 
 pub use decomposition::TreeDecomposition;
 pub use elimination::{elimination_order, EliminationHeuristic};
-pub use nice::{NiceDecomposition, NiceNode};
 pub use separator::split_component;
 pub use width::treewidth_upper_bound;

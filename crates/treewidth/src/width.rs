@@ -6,7 +6,6 @@
 //! same technique used in practice, and exact on trees/series-parallel
 //! graphs where the bounds are tight.
 
-use crate::decomposition::{decomposition_from_order, TreeDecomposition};
 use crate::elimination::{elimination_order, EliminationHeuristic};
 use dsv_vgraph::VersionGraph;
 
@@ -35,15 +34,6 @@ pub fn treewidth_upper_bound(g: &VersionGraph) -> usize {
     w1.min(w2)
 }
 
-/// Best decomposition between min-degree and min-fill orderings.
-pub fn best_decomposition(g: &VersionGraph) -> TreeDecomposition {
-    let edges = undirected_edges(g);
-    let (o1, w1) = elimination_order(g.n(), &edges, EliminationHeuristic::MinDegree);
-    let (o2, w2) = elimination_order(g.n(), &edges, EliminationHeuristic::MinFill);
-    let order = if w1 <= w2 { o1 } else { o2 };
-    decomposition_from_order(g.n(), &edges, &order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,12 +59,5 @@ mod tests {
         let g = erdos_renyi_bidirectional(24, 0.4, &CostModel::default(), 4);
         // Dense ER graphs have treewidth Θ(n) whp (paper footnote 18).
         assert!(treewidth_upper_bound(&g) > 4);
-    }
-
-    #[test]
-    fn best_decomposition_validates() {
-        let g = series_parallel(20, &CostModel::default(), 5);
-        let td = best_decomposition(&g);
-        td.validate(g.n(), &undirected_edges(&g)).expect("valid");
     }
 }

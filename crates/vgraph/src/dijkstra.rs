@@ -27,30 +27,8 @@ impl ShortestPaths {
     }
 }
 
-/// Weight to use for Dijkstra runs over a [`VersionGraph`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeWeight {
-    /// Use the retrieval cost `r_e` (the common case).
-    Retrieval,
-    /// Use the storage cost `s_e`.
-    Storage,
-    /// Use `s_e + r_e` (the tree-extraction weight of Section 6.2).
-    StoragePlusRetrieval,
-}
-
-impl EdgeWeight {
-    /// Extract the configured weight from an edge.
-    #[inline]
-    pub fn of(self, e: &crate::graph::EdgeData) -> Cost {
-        match self {
-            EdgeWeight::Retrieval => e.retrieval,
-            EdgeWeight::Storage => e.storage,
-            EdgeWeight::StoragePlusRetrieval => e.storage.saturating_add(e.retrieval),
-        }
-    }
-}
-
-/// Multi-source Dijkstra over the out-edges of `g`.
+/// Multi-source Dijkstra over the out-edges of `g`, weighted by retrieval
+/// cost `r_e`.
 ///
 /// `sources` yields `(node, initial distance)` pairs; passing every node of
 /// the graph with its materialization cost as the initial distance computes
@@ -58,7 +36,6 @@ impl EdgeWeight {
 pub fn dijkstra_multi(
     g: &VersionGraph,
     sources: impl IntoIterator<Item = (NodeId, Cost)>,
-    weight: EdgeWeight,
 ) -> ShortestPaths {
     let n = g.n();
     let mut dist = vec![INF; n];
@@ -73,7 +50,7 @@ pub fn dijkstra_multi(
     while let Some((u, Reverse(du))) = heap.pop() {
         for &eid in g.out_edges(NodeId::new(u)) {
             let e = g.edge(eid);
-            let nd = du.saturating_add(weight.of(e));
+            let nd = du.saturating_add(e.retrieval);
             let v = e.dst.index();
             if nd < dist[v] {
                 dist[v] = nd;
@@ -86,8 +63,8 @@ pub fn dijkstra_multi(
 }
 
 /// Single-source Dijkstra from `src` with initial distance 0.
-pub fn dijkstra(g: &VersionGraph, src: NodeId, weight: EdgeWeight) -> ShortestPaths {
-    dijkstra_multi(g, [(src, 0)], weight)
+pub fn dijkstra(g: &VersionGraph, src: NodeId) -> ShortestPaths {
+    dijkstra_multi(g, [(src, 0)])
 }
 
 #[cfg(test)]
@@ -107,25 +84,16 @@ mod tests {
     #[test]
     fn single_source_distances() {
         let g = grid();
-        let sp = dijkstra(&g, NodeId(0), EdgeWeight::Retrieval);
+        let sp = dijkstra(&g, NodeId(0));
         assert_eq!(sp.dist, vec![0, 2, 5, 6]);
         assert_eq!(sp.parent_edge[2], Some(EdgeId(1)));
-    }
-
-    #[test]
-    fn storage_weight_changes_paths() {
-        let g = grid();
-        let sp = dijkstra(&g, NodeId(0), EdgeWeight::Storage);
-        // All storage weights are 1, so 0 -> 2 direct (cost 1) wins.
-        assert_eq!(sp.dist[2], 1);
-        assert_eq!(sp.parent_edge[2], Some(EdgeId(2)));
     }
 
     #[test]
     fn unreachable_nodes_get_inf() {
         let mut g = grid();
         let iso = g.add_node(7);
-        let sp = dijkstra(&g, NodeId(0), EdgeWeight::Retrieval);
+        let sp = dijkstra(&g, NodeId(0));
         assert!(!sp.reachable(iso));
         assert_eq!(sp.dist[iso.index()], INF);
     }
@@ -133,18 +101,7 @@ mod tests {
     #[test]
     fn multi_source_takes_minimum_envelope() {
         let g = grid();
-        let sp = dijkstra_multi(
-            &g,
-            [(NodeId(0), 100), (NodeId(2), 0)],
-            EdgeWeight::Retrieval,
-        );
+        let sp = dijkstra_multi(&g, [(NodeId(0), 100), (NodeId(2), 0)]);
         assert_eq!(sp.dist, vec![100, 102, 0, 1]);
-    }
-
-    #[test]
-    fn combined_weight() {
-        let g = grid();
-        let sp = dijkstra(&g, NodeId(0), EdgeWeight::StoragePlusRetrieval);
-        assert_eq!(sp.dist[2], 7); // (1+2)+(1+3) beats (1+10)
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! These generators back the property tests and several experiments:
 //!
-//! * [`directed_path`] — the adversarial family of Theorem 1 lives on paths;
+//! * [`bidirectional_path`] — the chains of version histories without
+//!   branches;
 //! * [`star`], [`caterpillar`], [`random_tree`] — tree-shaped inputs for the
 //!   Section 4/5 DPs;
 //! * [`series_parallel`] — treewidth-2 graphs, the class the paper calls out
@@ -71,20 +72,6 @@ fn sample(rng: &mut SmallRng, (lo, hi): (Cost, Cost)) -> Cost {
     } else {
         rng.gen_range(lo..hi)
     }
-}
-
-/// A directed path `v0 → v1 → … → v_{n-1}` with random costs.
-pub fn directed_path(n: usize, model: &CostModel, seed: u64) -> VersionGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = VersionGraph::new();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|_| g.add_node(model.sample_node(&mut rng)))
-        .collect();
-    for w in nodes.windows(2) {
-        let (s, r) = model.sample_edge(&mut rng);
-        g.add_edge(w[0], w[1], s, r);
-    }
-    g
 }
 
 /// A bidirectional path (both deltas available between consecutive versions).
@@ -290,14 +277,6 @@ pub fn shard_forest(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn path_shape() {
-        let g = directed_path(5, &CostModel::default(), 1);
-        assert_eq!(g.n(), 5);
-        assert_eq!(g.m(), 4);
-        assert!(!g.is_bidirectional());
-    }
 
     #[test]
     fn bidirectional_generators_are_bidirectional_trees() {

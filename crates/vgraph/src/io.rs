@@ -112,6 +112,25 @@ mod tests {
     }
 
     #[test]
+    fn duplicated_adjacency_entries_are_rejected() {
+        // A graph whose out-adjacency lists edge 0 twice and edge 1 never:
+        // per-entry checks and degree sums both pass, so only the
+        // exactly-once check can catch it.
+        let mut g = VersionGraph::with_nodes(2);
+        *g.node_storage_mut(NodeId(0)) = 1;
+        *g.node_storage_mut(NodeId(1)) = 1;
+        g.add_edge(NodeId(0), NodeId(1), 1, 1); // edge 0
+        g.add_edge(NodeId(0), NodeId(1), 2, 2); // edge 1 (parallel)
+
+        // Corrupt via the JSON surface: out_adj [[0,1],[]] -> [[0,0],[]].
+        let clean = to_json(&g);
+        let json = clean.replace("\"out_adj\":[[0,1],[]]", "\"out_adj\":[[0,0],[]]");
+        assert_ne!(json, clean, "corruption must apply");
+        let err = from_json(&json).expect_err("duplicate adjacency must be rejected");
+        assert!(err.contains("twice"), "{err}");
+    }
+
+    #[test]
     fn text_roundtrip() {
         let g = random_tree(8, &CostModel::default(), 4);
         let g2 = from_text(&to_text(&g)).expect("parses");

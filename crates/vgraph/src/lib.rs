@@ -18,8 +18,8 @@
 //!   fast Gabow/Tarjan `O(E log V)` implementation and a naive Chu–Liu
 //!   reference used for cross-checking,
 //! * [`dijkstra`] — shortest-path arborescences (Problem 2 of the paper),
-//! * [`mst`] — undirected minimum spanning trees (Problem 1),
-//! * [`traversal`], [`topo`] — BFS/DFS/Euler tours and topological orders,
+//! * [`traversal`], [`topo`] — Euler tours and forest post-orders of
+//!   storage plans,
 //! * [`unionfind`], [`skew_heap`], [`indexed_heap`] — data-structure
 //!   substrates,
 //! * [`partition`] — connected components and bounded-size shard
@@ -38,13 +38,11 @@ pub mod graph;
 pub mod ids;
 pub mod indexed_heap;
 pub mod io;
-pub mod mst;
 pub mod partition;
 pub mod skew_heap;
 pub mod topo;
 pub mod traversal;
 pub mod unionfind;
-pub mod validate;
 
 pub use graph::{EdgeData, VersionGraph};
 pub use ids::{EdgeId, NodeId};

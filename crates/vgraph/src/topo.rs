@@ -1,44 +1,9 @@
-//! Topological orderings.
+//! Post-orders of rooted forests.
 //!
-//! Commit DAGs produced by the corpus generator are topologically ordered
-//! for deterministic replays, and the tree DPs of Sections 4 and 5 process
-//! nodes in reverse topological order of the rooted tree.
+//! The tree DPs of Sections 4 and 5 process nodes children-first, and the
+//! greedy heuristics walk storage plans the same way.
 
-use crate::graph::VersionGraph;
 use crate::ids::NodeId;
-
-/// Kahn topological sort over the directed edges of `g`.
-///
-/// Returns `None` if the graph has a directed cycle. Ties are broken by node
-/// id so the order is deterministic.
-pub fn topological_order(g: &VersionGraph) -> Option<Vec<NodeId>> {
-    let n = g.n();
-    let mut indeg: Vec<usize> = (0..n).map(|v| g.in_degree(NodeId::new(v))).collect();
-    // A BinaryHeap of Reverse(ids) gives the smallest-id-first tie break.
-    let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<u32>> = indeg
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(v, _)| std::cmp::Reverse(v as u32))
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(std::cmp::Reverse(v)) = ready.pop() {
-        let v = NodeId(v);
-        order.push(v);
-        for &eid in g.out_edges(v) {
-            let w = g.edge(eid).dst;
-            indeg[w.index()] -= 1;
-            if indeg[w.index()] == 0 {
-                ready.push(std::cmp::Reverse(w.0));
-            }
-        }
-    }
-    if order.len() == n {
-        Some(order)
-    } else {
-        None
-    }
-}
 
 /// Post-order of a rooted forest given by a parent function (children before
 /// parents). Panics if the parent function has a cycle.
@@ -74,33 +39,6 @@ pub fn forest_post_order(parent: &[Option<NodeId>]) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn orders_a_dag() {
-        let mut g = VersionGraph::with_nodes(4);
-        g.add_edge(NodeId(2), NodeId(3), 1, 1);
-        g.add_edge(NodeId(0), NodeId(2), 1, 1);
-        g.add_edge(NodeId(1), NodeId(2), 1, 1);
-        let order = topological_order(&g).expect("acyclic");
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 4];
-            for (i, v) in order.iter().enumerate() {
-                p[v.index()] = i;
-            }
-            p
-        };
-        assert!(pos[0] < pos[2] && pos[1] < pos[2] && pos[2] < pos[3]);
-        // Deterministic tie-break: 0 before 1.
-        assert!(pos[0] < pos[1]);
-    }
-
-    #[test]
-    fn detects_cycles() {
-        let mut g = VersionGraph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1), 1, 1);
-        g.add_edge(NodeId(1), NodeId(0), 1, 1);
-        assert!(topological_order(&g).is_none());
-    }
 
     #[test]
     fn forest_post_order_children_first() {

@@ -1,56 +1,10 @@
-//! Graph traversal helpers: BFS, iterative DFS, Euler tours, reachability.
+//! Euler tours of rooted forests and the ancestor test on them.
 //!
 //! These are used throughout the heuristics, e.g. LMG-All's "is `u` a
 //! descendant of `v`" test (Algorithm 7 line 7) runs on an Euler tour of the
 //! current storage plan.
 
-use crate::graph::VersionGraph;
 use crate::ids::NodeId;
-
-/// Nodes reachable from `start` following out-edges, in BFS order.
-pub fn bfs_order(g: &VersionGraph, start: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.n()];
-    let mut queue = std::collections::VecDeque::new();
-    let mut order = Vec::new();
-    seen[start.index()] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &eid in g.out_edges(u) {
-            let v = g.edge(eid).dst;
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Nodes reachable from `start` following out-edges, in DFS preorder.
-pub fn dfs_preorder(g: &VersionGraph, start: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.n()];
-    let mut stack = vec![start];
-    let mut order = Vec::new();
-    seen[start.index()] = true;
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        // Reverse push to visit in adjacency order.
-        for &eid in g.out_edges(u).iter().rev() {
-            let v = g.edge(eid).dst;
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
-/// Whether every node is reachable from `start` following out-edges.
-pub fn all_reachable_from(g: &VersionGraph, start: NodeId) -> bool {
-    bfs_order(g, start).len() == g.n()
-}
 
 /// Euler-tour (entry/exit) timestamps of a rooted forest given as a parent
 /// function. `parent[v] == None` marks roots. Children are visited in node
@@ -104,23 +58,6 @@ pub fn is_ancestor(tin: &[u32], tout: &[u32], anc: NodeId, v: NodeId) -> bool {
 mod tests {
     use super::*;
 
-    fn chain4() -> VersionGraph {
-        let mut g = VersionGraph::with_nodes(4);
-        for i in 0..3 {
-            g.add_edge(NodeId(i), NodeId(i + 1), 1, 1);
-        }
-        g
-    }
-
-    #[test]
-    fn bfs_and_dfs_cover_reachable_set() {
-        let g = chain4();
-        assert_eq!(bfs_order(&g, NodeId(0)).len(), 4);
-        assert_eq!(dfs_preorder(&g, NodeId(1)).len(), 3);
-        assert!(all_reachable_from(&g, NodeId(0)));
-        assert!(!all_reachable_from(&g, NodeId(1)));
-    }
-
     #[test]
     fn euler_tour_ancestor_queries() {
         // Forest: 0 -> {1, 2}, 1 -> {3}; 4 is its own root.
@@ -145,15 +82,5 @@ mod tests {
     fn euler_tour_rejects_cycles() {
         let parent = vec![Some(NodeId(1)), Some(NodeId(0))];
         euler_tour(&parent);
-    }
-
-    #[test]
-    fn dfs_preorder_respects_adjacency_order() {
-        let mut g = VersionGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(2), 1, 1);
-        g.add_edge(NodeId(0), NodeId(1), 1, 1);
-        g.add_edge(NodeId(1), NodeId(3), 1, 1);
-        let order = dfs_preorder(&g, NodeId(0));
-        assert_eq!(order, vec![NodeId(0), NodeId(2), NodeId(1), NodeId(3)]);
     }
 }

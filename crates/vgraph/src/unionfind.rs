@@ -1,16 +1,16 @@
 //! Union–find (disjoint set union) structures.
 //!
 //! Two variants are provided: a plain path-compressing [`UnionFind`] used by
-//! Kruskal's MST and cycle checks, and a [`RollbackUnionFind`] (union by
-//! size, no compression, with an undo journal) required by the
-//! reconstruction phase of the Gabow/Tarjan minimum-arborescence algorithm.
+//! the connected-components pass of the partitioner, and a
+//! [`RollbackUnionFind`] (union by size, no compression, with an undo
+//! journal) required by the reconstruction phase of the Gabow/Tarjan
+//! minimum-arborescence algorithm.
 
 /// Classic union–find with path halving and union by size.
 #[derive(Clone, Debug)]
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    components: usize,
 }
 
 impl UnionFind {
@@ -19,7 +19,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            components: n,
         }
     }
 
@@ -44,24 +43,7 @@ impl UnionFind {
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
-        self.components -= 1;
         true
-    }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn same(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn components(&self) -> usize {
-        self.components
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
     }
 }
 
@@ -133,17 +115,14 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.components(), 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(2, 3));
         assert!(!uf.union(1, 0));
-        assert!(uf.same(0, 1));
-        assert!(!uf.same(0, 2));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
         assert!(uf.union(1, 2));
-        assert!(uf.same(0, 3));
-        assert_eq!(uf.components(), 2);
-        assert_eq!(uf.set_size(3), 4);
-        assert_eq!(uf.set_size(4), 1);
+        assert_eq!(uf.find(0), uf.find(3));
+        assert_ne!(uf.find(0), uf.find(4));
     }
 
     #[test]
@@ -204,7 +183,10 @@ mod tests {
         }
         for i in 0..32 {
             for j in 0..32 {
-                assert_eq!(uf.find(i) == uf.find(j), reference.same(i, j));
+                assert_eq!(
+                    uf.find(i) == uf.find(j),
+                    reference.find(i) == reference.find(j)
+                );
             }
         }
     }

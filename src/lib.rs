@@ -47,11 +47,13 @@
 //!   the plan's predictions exactly (asserted in tests and gated in CI by
 //!   `repro --experiment store`).
 //!
-//! [`solve_and_execute`](core::engine::Engine::solve_and_execute) runs the
-//! whole solve → store → verify chain in one call.
+//! [`Engine::solve`](core::engine::Engine::solve) followed by
+//! [`PlanExecutor::run`](core::executor::PlanExecutor::run) is the whole
+//! solve → store → verify chain.
 //!
-//! Serving reads is its own layer: [`Checkout`](core::checkout::Checkout)
-//! is a `&self`-shareable batched reader that plans the union of a
+//! Serving reads is its own layer:
+//! [`Checkout::serve`](core::checkout::Checkout::serve) is a
+//! `&self`-shareable batched reader that plans the union of a
 //! request batch's retrieval chains, hydrates shared prefixes once,
 //! reconstructs independent subtrees in parallel over borrowed
 //! (`Store::get_ref`) bytes, and keeps hot payloads in a depth-aware
@@ -145,9 +147,9 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`dsv_vgraph`] | graph container + arborescences, Dijkstra, MST, generators |
+//! | [`dsv_vgraph`] | graph container + arborescences, Dijkstra, partitioning, generators |
 //! | [`dsv_delta`] | Myers diff, chunk sketches, synthetic corpora (Table 4), and the content-addressed [`store`](delta::store) (Mem/Pack backends, codecs, GC) |
-//! | [`dsv_treewidth`] | tree decompositions, nice decompositions |
+//! | [`dsv_treewidth`] | elimination orders, tree decompositions, treewidth bounds, separators |
 //! | [`dsv_core`] | the [`Engine`](core::engine::Engine) + the algorithms under it: LMG, LMG-All, MP, DP-BMR, DP-MSR, FPTAS, DP-BTW (the exact MSR solver), reductions, brute force — and the [`executor`](core::executor) that materializes plans against a store |
 //!
 //! The free algorithm functions ([`fn@prelude::lmg_all`],
@@ -171,13 +173,12 @@ pub mod prelude {
     pub use dsv_core::btw::{btw_msr, btw_msr_plan, btw_msr_value, BtwConfig, BtwResult};
     pub use dsv_core::cancel::CancelToken;
     pub use dsv_core::checkout::{
-        CacheStats, Checkout, CheckoutCache, CheckoutOutcome, CheckoutStats, RepairStats,
-        RepairTicket, ServeOutcome,
+        CacheStats, Checkout, CheckoutCache, CheckoutStats, RepairStats, RepairTicket, ServeOutcome,
     };
     pub use dsv_core::engine::{
-        sharded_msr, AttemptOutcome, Engine, ExecuteError, Execution, MsrSweep, Portfolio,
-        PortfolioAttempt, ShardConfig, ShardStats, ShardedSolver, SharedWork, Solution, SolveError,
-        SolveOptions, Solver, SolverMeta, SHARD_REGRET_BOUND,
+        sharded_msr, AttemptOutcome, Engine, Portfolio, PortfolioAttempt, ShardConfig, ShardStats,
+        ShardedSolver, SharedWork, Solution, SolveError, SolveOptions, Solver, SolverMeta,
+        SHARD_REGRET_BOUND,
     };
     pub use dsv_core::exact::brute_force;
     pub use dsv_core::executor::{

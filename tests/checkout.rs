@@ -25,6 +25,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -50,6 +51,24 @@ fn fixtures() -> Vec<(&'static str, VersionGraph, CorpusContent)> {
     let g = erdos_renyi_from_sketches(&sketches, 0.3, 34);
     out.push(("leetcode-er", g, CorpusContent::Sketch { sketches }));
     out
+}
+
+/// Serve `batch` and unwrap every per-version result, naming the first
+/// version that failed.
+fn serve_ok<S: Store + Sync>(
+    reader: &Checkout<'_, S>,
+    g: &VersionGraph,
+    stored: &StoredPlan,
+    batch: &[u32],
+) -> (Vec<Arc<Payload>>, CheckoutStats) {
+    let out = reader.serve(g, stored, batch).expect("serve");
+    let payloads = out
+        .results
+        .into_iter()
+        .zip(batch)
+        .map(|(served, v)| served.unwrap_or_else(|e| panic!("v{v} not served: {e}")))
+        .collect();
+    (payloads, out.stats)
 }
 
 fn msr_plan(g: &VersionGraph, solver: &str) -> StoragePlan {
@@ -87,32 +106,23 @@ fn batched_checkout_matches_one_at_a_time_and_source() {
             // MemStore backend.
             {
                 let reader = Checkout::new(&mem);
-                let batch = reader.checkout(&g, &stored_mem, &all).expect("batched");
-                assert_eq!(batch.payloads.len(), n);
+                let (batch, stats) = serve_ok(&reader, &g, &stored_mem, &all);
+                assert_eq!(batch.len(), n);
                 for (v, exp) in expected.iter().enumerate() {
+                    assert_eq!(*batch[v], *exp, "{solver} on {label} (mem): batched v{v}");
+                    let (one, _) = serve_ok(&reader, &g, &stored_mem, &[v as u32]);
                     assert_eq!(
-                        *batch.payloads[v], *exp,
-                        "{solver} on {label} (mem): batched v{v}"
-                    );
-                    let one = reader
-                        .checkout(&g, &stored_mem, &[v as u32])
-                        .expect("one at a time");
-                    assert_eq!(
-                        one.payloads[0], batch.payloads[v],
+                        one[0], batch[v],
                         "{solver} on {label} (mem): one-at-a-time v{v}"
                     );
                 }
-                assert_eq!(batch.stats.hydrated, n, "union of all chains is all nodes");
+                assert_eq!(stats.hydrated, n, "union of all chains is all nodes");
             }
             // PackStore backend.
             {
-                let reader = Checkout::new(&pack);
-                let batch = reader.checkout(&g, &stored_pack, &all).expect("batched");
+                let (batch, _) = serve_ok(&Checkout::new(&pack), &g, &stored_pack, &all);
                 for (v, exp) in expected.iter().enumerate() {
-                    assert_eq!(
-                        *batch.payloads[v], *exp,
-                        "{solver} on {label} (pack): batched v{v}"
-                    );
+                    assert_eq!(*batch[v], *exp, "{solver} on {label} (pack): batched v{v}");
                 }
             }
 
@@ -165,18 +175,12 @@ fn cached_checkouts_identical_to_cold_property_loop() {
     for round in 0..40 {
         let len = rng.gen_range(1..=24usize);
         let batch: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-        let warm = cached.checkout(&g, &stored, &batch).expect("cached");
-        let chill = cold.checkout(&g, &stored, &batch).expect("cold");
-        assert_eq!(warm.payloads.len(), batch.len());
+        let (warm, _) = serve_ok(&cached, &g, &stored, &batch);
+        let (chill, _) = serve_ok(&cold, &g, &stored, &batch);
+        assert_eq!(warm.len(), batch.len());
         for (i, &v) in batch.iter().enumerate() {
-            assert_eq!(
-                *warm.payloads[i], expected[v as usize],
-                "round {round}: cached v{v}"
-            );
-            assert_eq!(
-                warm.payloads[i], chill.payloads[i],
-                "round {round}: cached vs cold v{v}"
-            );
+            assert_eq!(*warm[i], expected[v as usize], "round {round}: cached v{v}");
+            assert_eq!(warm[i], chill[i], "round {round}: cached vs cold v{v}");
         }
     }
     let stats = cache.stats();
@@ -208,12 +212,10 @@ fn pack_resident_map_never_serves_stale_slices() {
         .expect("ingest A");
 
     // Serve A: this faults in the resident pack map.
-    let out = Checkout::new(&pack)
-        .checkout(&g, &stored_a, &all)
-        .expect("serve A");
+    let (out, _) = serve_ok(&Checkout::new(&pack), &g, &stored_a, &all);
     assert!(pack.resident_loaded(), "first batched read loads the map");
     for (v, exp) in expected.iter().enumerate() {
-        assert_eq!(*out.payloads[v], *exp);
+        assert_eq!(*out[v], *exp);
     }
 
     // Append plan B (different forest, overlapping objects): the packed
@@ -227,11 +229,9 @@ fn pack_resident_map_never_serves_stale_slices() {
         "appends extend the map, not drop it"
     );
     for (tag, stored) in [("A", &stored_a), ("B", &stored_b)] {
-        let out = Checkout::new(&pack)
-            .checkout(&g, stored, &all)
-            .expect("serve after append");
+        let (out, _) = serve_ok(&Checkout::new(&pack), &g, stored, &all);
         for (v, exp) in expected.iter().enumerate() {
-            assert_eq!(*out.payloads[v], *exp, "plan {tag} v{v} after append");
+            assert_eq!(*out[v], *exp, "plan {tag} v{v} after append");
         }
     }
 
@@ -241,11 +241,9 @@ fn pack_resident_map_never_serves_stale_slices() {
         .release(&stored_a)
         .expect("release A");
     pack.gc().expect("gc");
-    let out = Checkout::new(&pack)
-        .checkout(&g, &stored_b, &all)
-        .expect("serve B after gc");
+    let (out, _) = serve_ok(&Checkout::new(&pack), &g, &stored_b, &all);
     for (v, exp) in expected.iter().enumerate() {
-        assert_eq!(*out.payloads[v], *exp, "plan B v{v} after gc");
+        assert_eq!(*out[v], *exp, "plan B v{v} after gc");
     }
 
     drop(pack);
@@ -278,9 +276,9 @@ fn concurrent_checkouts_share_one_reader_and_cache() {
                 let mut rng = SmallRng::seed_from_u64(1000 + t);
                 for _ in 0..10 {
                     let batch: Vec<u32> = (0..16).map(|_| rng.gen_range(0..n as u32)).collect();
-                    let out = reader.checkout(g, stored, &batch).expect("checkout");
+                    let (out, _) = serve_ok(reader, g, stored, &batch);
                     for (i, &v) in batch.iter().enumerate() {
-                        assert_eq!(*out.payloads[i], expected[v as usize]);
+                        assert_eq!(*out[i], expected[v as usize]);
                     }
                 }
             });
@@ -378,26 +376,34 @@ fn mid_chain_hash_mismatch_fails_only_the_subtree_below_it() {
             if *node == MID && *expected == bogus && *actual == genuine[MID as usize])
     };
 
-    // Strict: any request crossing `mid` fails the batch with its error.
+    // Every request crossing `mid` fails with its error; the rest of the
+    // batch is served.
     let reader = Checkout::new(&mem);
     for batch in [vec![4u32], vec![0, 6, 5], (0..BranchySource::N).collect()] {
-        let err = reader
-            .checkout(&g, &stored, &batch)
-            .expect_err("strict checkout crosses mid");
-        assert!(is_mid_mismatch(&err), "batch {batch:?}: {err}");
+        let out = reader.serve(&g, &stored, &batch).expect("serve");
+        for (v, served) in batch.iter().zip(&out.results) {
+            match served {
+                Err(err) => assert!(
+                    below_mid.contains(v) && is_mid_mismatch(err),
+                    "batch {batch:?}: v{v}: {err}"
+                ),
+                Ok(payload) => assert!(
+                    above_mid.contains(v) && **payload == BranchySource.payload(*v),
+                    "batch {batch:?}: v{v} served"
+                ),
+            }
+        }
     }
-    let clean = reader
-        .checkout(&g, &stored, &above_mid)
-        .expect("ancestors and the side branch do not cross mid");
-    assert_eq!(clean.stats.hydrated, 3);
+    let (_, clean) = serve_ok(&reader, &g, &stored, &above_mid);
+    assert_eq!(clean.hydrated, 3);
 
-    // Lenient, with a cache that would admit anything verified.
+    // With a cache that would admit anything verified.
     let cache = CheckoutCache::new(1 << 20).with_admit_min_depth(0);
     let all: Vec<u32> = (0..BranchySource::N).collect();
     let out = Checkout::new(&mem)
         .with_cache(&cache)
         .serve(&g, &stored, &all)
-        .expect("lenient serve");
+        .expect("serve");
     for v in above_mid {
         let payload = out.results[v as usize].as_ref().expect("ancestor served");
         assert_eq!(**payload, BranchySource.payload(v), "v{v}");

@@ -65,31 +65,52 @@ fn msr(g: &VersionGraph) -> ProblemKind {
 }
 
 /// A [`VersionSource`] delegate whose reads block until a gate opens —
-/// wedges a service worker deterministically inside `Commit`'s ingest.
+/// wedges a service worker deterministically inside whatever reads it
+/// (a `Commit`'s ingest, an `Absorb`'s migrate). The first read signals
+/// [`wait_entered`](Self::wait_entered).
 struct GatedSource {
     inner: Arc<CorpusContent>,
-    open: Mutex<bool>,
-    gate: Condvar,
+    /// `(entered, open)`.
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
 }
 
 impl GatedSource {
     fn new(inner: Arc<CorpusContent>) -> Arc<Self> {
         Arc::new(GatedSource {
             inner,
-            open: Mutex::new(false),
-            gate: Condvar::new(),
+            state: Mutex::new((false, false)),
+            changed: Condvar::new(),
         })
     }
 
     fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.gate.notify_all();
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+
+    /// Block until some read has entered the source (and is wedged there
+    /// unless the gate is open).
+    fn wait_entered(&self) {
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(
+                self.state.lock().unwrap(),
+                Duration::from_secs(60),
+                |state| !state.0,
+            )
+            .unwrap();
+        assert!(state.0, "nothing read the source");
     }
 
     fn block_until_open(&self) {
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.gate.wait(open).unwrap();
+        let mut state = self.state.lock().unwrap();
+        if !state.0 {
+            state.0 = true;
+            self.changed.notify_all();
+        }
+        while !state.1 {
+            state = self.changed.wait(state).unwrap();
         }
     }
 }
@@ -481,6 +502,93 @@ fn bad_absorb_batch_is_rejected_and_the_plan_keeps_serving() {
     let Ok(Reply::CheckedOut { payloads, .. }) = reply(checkout) else {
         panic!("expected the checkout to serve");
     };
+    for (v, served) in all.iter().zip(&payloads) {
+        assert_eq!(**served.as_ref().expect("served"), content.payload(*v));
+    }
+}
+
+/// Retiring a plan while an absorb on it is wedged inside `migrate` must
+/// wait for the absorb and then release the plan the absorb published,
+/// never the one `migrate` consumed. Plan 1 is the same plan committed a
+/// second time, so it holds a second reference to every object: a retire
+/// that released plan 0's objects twice would take plan 1's references
+/// with them, GC would collect plan 1's live objects, and plan 1's next
+/// checkout would detect every one of them missing.
+#[test]
+fn retire_during_absorb_releases_every_reference_once() {
+    let (g, content) = fixture(16, 21);
+    let n = g.n() as u32;
+    let budget = min_storage_value(&g) * 2;
+    let plan = min_storage_plan(&g);
+    let cfg = ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    };
+    let svc = VersioningService::with_config(MemStore::new(), cfg);
+    let submit = |request| {
+        svc.submit_with_deadline(request, Duration::from_secs(60))
+            .expect("admitted")
+    };
+    for id in 0..2 {
+        let committed = submit(Request::Commit {
+            graph: g.clone(),
+            plan: plan.clone(),
+            source: content.clone(),
+        })
+        .wait();
+        assert!(
+            matches!(committed, Ok(Reply::Committed { plan, .. }) if plan == PlanId(id)),
+            "{committed:?}"
+        );
+    }
+    // The objects one copy of the plan holds.
+    let mut reference = MemStore::new();
+    PlanExecutor::new(&mut reference)
+        .ingest(&g, &plan, &*content)
+        .expect("reference ingest");
+    let live = reference.object_count();
+
+    // Retiring the last version changes its stored object, so the absorb
+    // reads the gated source inside `migrate` and wedges there.
+    let gated = GatedSource::new(content.clone());
+    let absorb = submit(Request::Absorb {
+        plan: PlanId(0),
+        mutations: vec![Mutation::Retire { version: n - 1 }],
+        budget,
+        source: gated.clone(),
+    });
+    gated.wait_entered();
+    std::thread::scope(|scope| {
+        let retire = scope.spawn(|| svc.retire_plan(PlanId(0)));
+        // Let the retire get as far as it can before the absorb resumes.
+        std::thread::sleep(Duration::from_millis(100));
+        gated.open();
+        let absorbed = absorb.wait();
+        assert!(
+            matches!(absorbed, Ok(Reply::Absorbed { .. })),
+            "the retire waits for the absorb: {absorbed:?}"
+        );
+        retire.join().expect("retire thread").expect("retired");
+    });
+
+    svc.with_store_mut(|s| s.gc()).expect("gc");
+    assert_eq!(
+        svc.with_store(|s| s.object_count()),
+        live,
+        "plan 1 still holds exactly its objects"
+    );
+    let all: Vec<u32> = (0..n).collect();
+    let Ok(Reply::CheckedOut {
+        payloads, repair, ..
+    }) = submit(Request::Checkout {
+        plan: PlanId(1),
+        versions: all.clone(),
+    })
+    .wait()
+    else {
+        panic!("expected plan 1 to serve");
+    };
+    assert_eq!(repair.detected, 0, "plan 1 lost objects: {repair:?}");
     for (v, served) in all.iter().zip(&payloads) {
         assert_eq!(**served.as_ref().expect("served"), content.payload(*v));
     }

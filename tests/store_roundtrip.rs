@@ -104,7 +104,8 @@ fn solver_plans_roundtrip_exactly_on_both_backends() {
     }
 }
 
-/// A constructive DP-BTW plan goes through `solve_and_execute`:
+/// A constructive DP-BTW plan goes through `Engine::solve` and
+/// `PlanExecutor::run`:
 /// reconstruction from the provenance arena produces an executor-legal
 /// forest whose **measured** costs equal the plan's predictions — and the
 /// predictions are the certified optimum, so the exact solver's gain is
@@ -123,22 +124,25 @@ fn btw_exact_plan_roundtrips_through_the_store() {
     };
     let dir = temp_dir("btw");
     let mut store = PackStore::open(&dir).expect("open pack");
-    let exec = engine
-        .solve_and_execute(g, problem, &SolveOptions::default(), &mut store, content)
-        .expect("solve and execute");
-    assert_eq!(exec.solution.meta.solver, "DP-BTW");
-    assert!(exec.solution.meta.proven_optimal);
+    let solution = engine
+        .solve(g, problem, &SolveOptions::default())
+        .expect("solve");
+    let (stored, report) = PlanExecutor::new(&mut store)
+        .run(g, &solution.plan, content)
+        .expect("execute");
+    assert_eq!(solution.meta.solver, "DP-BTW");
+    assert!(solution.meta.proven_optimal);
     // The executor-measured costs equal the certificate the DP proved.
     assert_eq!(
-        exec.solution.meta.lower_bound,
-        Some(exec.report.measured.total_retrieval)
+        solution.meta.lower_bound,
+        Some(report.measured.total_retrieval)
     );
-    assert_eq!(exec.report.verified, g.n());
-    assert!(exec.report.agreement());
-    assert_eq!(exec.report.measured, exec.solution.costs);
+    assert_eq!(report.verified, g.n());
+    assert!(report.agreement());
+    assert_eq!(report.measured, solution.costs);
     // Retire the plan: GC must drain the store.
     PlanExecutor::new(&mut store)
-        .release(&exec.stored)
+        .release(&stored)
         .expect("release");
     store.gc().expect("gc");
     assert_eq!(store.object_count(), 0);
@@ -146,7 +150,8 @@ fn btw_exact_plan_roundtrips_through_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Engine::solve_and_execute` runs the whole chain in one call.
+/// `Engine::solve` followed by `PlanExecutor::run` is the whole
+/// solve → store → verify chain.
 #[test]
 fn solve_and_execute_end_to_end() {
     let c = corpus_with_content(CorpusName::Datasharing, 1.0, 23, true);
@@ -158,16 +163,19 @@ fn solve_and_execute_end_to_end() {
     };
     let dir = temp_dir("sae");
     let mut store = PackStore::open(&dir).expect("open pack");
-    let exec = engine
-        .solve_and_execute(g, problem, &SolveOptions::default(), &mut store, content)
-        .expect("solve and execute");
-    assert!(exec.solution.costs.storage <= problem.budget());
-    assert_eq!(exec.report.verified, g.n());
-    assert!(exec.report.agreement());
-    assert_eq!(exec.stored.objects.len(), g.n());
+    let solution = engine
+        .solve(g, problem, &SolveOptions::default())
+        .expect("solve");
+    let (stored, report) = PlanExecutor::new(&mut store)
+        .run(g, &solution.plan, content)
+        .expect("execute");
+    assert!(solution.costs.storage <= problem.budget());
+    assert_eq!(report.verified, g.n());
+    assert!(report.agreement());
+    assert_eq!(stored.objects.len(), g.n());
     // Retire the plan: GC must return the store to empty.
     PlanExecutor::new(&mut store)
-        .release(&exec.stored)
+        .release(&stored)
         .expect("release");
     store.gc().expect("gc");
     assert_eq!(store.object_count(), 0);
