@@ -1344,13 +1344,19 @@ struct WorkloadOut {
     batched_p99_ms: f64,
     cache: dsv_core::CacheStats,
     hydrated_batched: usize,
+    /// Content hashes per request of the one-at-a-time pass, which
+    /// starts from an empty verification memo.
+    cold_hashed_per_version: f64,
+    /// The same for a repeat of that pass, once every chain has verified.
+    warm_hashed_per_version: f64,
     identical: bool,
 }
 
-/// Serve one request stream twice — one version at a time with no cache
-/// (the old read path), then in batches through a shared
-/// [`CheckoutCache`](dsv_core::CheckoutCache) — asserting every payload
-/// byte-identical to the source content both times.
+/// Serve one request stream three times — one version at a time with no
+/// cache, from a stored plan whose verification memo starts empty; the
+/// same again, now with every chain verified; then in batches through a
+/// shared [`CheckoutCache`](dsv_core::CheckoutCache) — asserting every
+/// payload byte-identical to the source content each time.
 fn run_checkout_workload<S: dsv_delta::Store + Sync>(
     g: &VersionGraph,
     stored: &dsv_core::StoredPlan,
@@ -1362,21 +1368,33 @@ fn run_checkout_workload<S: dsv_delta::Store + Sync>(
     use std::time::Instant;
 
     let mut identical = true;
+    // A clone starts with an empty memo, so the first pass hashes every
+    // chain it reaches whatever earlier workloads served.
+    let stored = &stored.clone();
 
-    // One at a time, cold every request: each checkout walks the full
-    // retrieval chain of its single version.
+    // One at a time, no cache: each checkout walks the full retrieval
+    // chain of its single version.
     let reader = Checkout::new(store);
+    let mut one_at_a_time = |lat: &mut Vec<f64>| {
+        let mut hashed = 0;
+        let t0 = Instant::now();
+        for &v in stream {
+            let t = Instant::now();
+            let out = reader
+                .serve(g, stored, &[v])
+                .expect("one-at-a-time checkout");
+            lat.push(t.elapsed().as_secs_f64() * 1e3);
+            hashed += out.stats.hashed;
+            identical &= matches!(&out.results[0], Ok(p) if **p == expected[v as usize]);
+        }
+        (
+            t0.elapsed().as_secs_f64(),
+            hashed as f64 / stream.len() as f64,
+        )
+    };
     let mut lat_one = Vec::with_capacity(stream.len());
-    let t0 = Instant::now();
-    for &v in stream {
-        let t = Instant::now();
-        let out = reader
-            .serve(g, stored, &[v])
-            .expect("one-at-a-time checkout");
-        lat_one.push(t.elapsed().as_secs_f64() * 1e3);
-        identical &= matches!(&out.results[0], Ok(p) if **p == expected[v as usize]);
-    }
-    let oneshot_wall = t0.elapsed().as_secs_f64();
+    let (oneshot_wall, cold_hashed_per_version) = one_at_a_time(&mut lat_one);
+    let (_, warm_hashed_per_version) = one_at_a_time(&mut Vec::new());
 
     // Batched through a cache sized to a quarter of the corpus content:
     // shared chain prefixes hydrate once per batch, hot versions are
@@ -1413,6 +1431,8 @@ fn run_checkout_workload<S: dsv_delta::Store + Sync>(
         batched_p99_ms: percentile(&mut lat_batched, 0.99),
         cache: cache.stats(),
         hydrated_batched,
+        cold_hashed_per_version,
+        warm_hashed_per_version,
         identical,
     }
 }
@@ -1426,8 +1446,10 @@ fn run_checkout_workload<S: dsv_delta::Store + Sync>(
 /// Every payload served — one at a time and batched, cold and cached —
 /// is compared byte-for-byte against the source content in-run; the
 /// aggregate skewed-workload speedup (total one-at-a-time wall over total
-/// batched wall) is gated. `work_dir` receives one pack-store directory
-/// per fixture; the caller owns cleanup.
+/// batched wall) is gated, and so is a repeat of the one-at-a-time pass
+/// that hashes nothing (`checkout.warm_repeat_hashes_nothing`: every
+/// chain verified on the first pass). `work_dir` receives one pack-store
+/// directory per fixture; the caller owns cleanup.
 pub fn checkout_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
     use dsv_core::baselines::min_storage_value;
     use dsv_core::engine::{Engine, SolveOptions};
@@ -1463,6 +1485,8 @@ pub fn checkout_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
             "cache_misses",
             "cache_evictions",
             "hydrated_batched",
+            "cold_hashed_per_version",
+            "warm_hashed_per_version",
             "identical",
         ],
     );
@@ -1512,6 +1536,10 @@ pub fn checkout_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
                 ];
                 for (backend, out) in served {
                     bench.check("checkout.payloads_identical", out.identical);
+                    bench.check(
+                        "checkout.warm_repeat_hashes_nothing",
+                        out.warm_hashed_per_version == 0.0,
+                    );
                     if *workload == "zipf" {
                         skewed_oneshot_wall += out.oneshot_wall;
                         skewed_batched_wall += out.batched_wall;
@@ -1536,6 +1564,8 @@ pub fn checkout_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
                         out.cache.misses,
                         out.cache.evictions,
                         out.hydrated_batched,
+                        out.cold_hashed_per_version,
+                        out.warm_hashed_per_version,
                         out.identical,
                     ]);
                 }
@@ -1552,7 +1582,9 @@ pub fn checkout_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
 
     r.note(format!(
         "batched ({CHECKOUT_BATCH} per batch) + cached checkout vs one-at-a-time cold \
-         reconstruction; every served payload compared byte-for-byte against the source in-run"
+         reconstruction; the one-at-a-time pass runs twice, from an empty verification memo \
+         (cold) and then with every chain verified (warm); every served payload compared \
+         byte-for-byte against the source in-run"
     ));
     bench.tables = vec![r];
     bench.floor(

@@ -24,14 +24,24 @@
 //!   lines and runs of its delta's bytes for inserted ones, so a replay
 //!   costs per delta op, not per line);
 //!   then it walks the reconstructions in DFS order on the same thread,
-//!   hashing each one's *decoded* content directly
-//!   ([`codec::hash_payload`]) against the plan's recorded
-//!   `source_hashes` with no `encode_payload` round-trip, and publishes
-//!   it. Independent subtrees run in parallel; one chain's hashes do
-//!   not, so a checkout's latency does not hinge on a second CPU being
-//!   free. Nothing is served,
-//!   counted, measured or cached before its own hash and every
-//!   ancestor's have verified; below a failed node nothing is reported.
+//!   verifies each one against the plan's recorded `source_hashes`, and
+//!   publishes it. Independent subtrees run in parallel; one chain's
+//!   verifications do not, so a checkout's latency does not hinge on a
+//!   second CPU being free. Nothing is served, counted, measured or
+//!   cached before it and every ancestor have verified; below a failed
+//!   node nothing is reported.
+//! * A reconstruction is hashed ([`codec::hash_payload`], over the
+//!   *decoded* content, no `encode_payload` round-trip) until it has
+//!   verified once against an unchanged chain. The [`StoredPlan`] keeps a
+//!   slot per node naming the ids it verified against, and a node whose
+//!   parent is trusted in the same walk and whose slot still names its
+//!   current ids is trusted without a hash; a materialized root is
+//!   trusted when its object id equals its recorded hash. Both rest on
+//!   the [`Store::get_ref`] contract: the returned bytes hash to the
+//!   requested id, or the read fails with [`StoreError::Corrupt`]. A
+//!   node hashed in a walk makes its children hash too, so an edit to a
+//!   plan's objects, hashes or parents re-arms the check from the edited
+//!   node down. [`CheckoutStats::hashed`] counts the hashes of a call.
 //! * A [`CheckoutCache`] holds hot reconstructed payloads keyed by their
 //!   content hash. Admission is informed by the plan: a payload's
 //!   retrieval depth (deltas between it and its materialized root) is its
@@ -44,7 +54,7 @@
 //! measure mode: cache off, every version requested), so the verification
 //! path inherits the batched walk, borrowed reads, and direct hashing.
 
-use crate::executor::{ExecError, StoredPlan};
+use crate::executor::{ExecError, StoredPlan, Verified};
 use crate::plan::Parent;
 use crate::retry::RetryPolicy;
 use dsv_delta::store::codec::{self, Payload};
@@ -377,6 +387,10 @@ pub struct CheckoutStats {
     pub hydrated: usize,
     /// Deltas replayed during this call.
     pub delta_applies: usize,
+    /// Reconstructions content-hashed during this call: the first
+    /// checkout through a chain, and every node at or below an edit to
+    /// it. The store's own check of the bytes it returns is not counted.
+    pub hashed: usize,
     /// Retrieval chains cut short by a cache hit.
     pub cache_hits: u64,
     /// Cache lookups that missed (0 when no cache is attached).
@@ -435,6 +449,9 @@ struct WalkCtx<'x, S: Store + ?Sized> {
     stored: &'x StoredPlan,
     children: &'x [Vec<u32>],
     requested: &'x [bool],
+    /// Nodes whose memo slot names their current ids; always false in
+    /// the verification walk.
+    memo_holds: &'x [bool],
     /// Verification walk: cache off, costs measured, payloads not kept.
     verify: bool,
 }
@@ -489,8 +506,10 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
     /// first: shared ancestor prefixes hydrate exactly once, chains stop
     /// early at cache hits, and the independent subtrees of the union
     /// reconstruct in parallel. Every hydrated payload is verified
-    /// against the plan's recorded `source_hashes` by hashing the decoded
-    /// content directly; a mismatch is a typed error, never silent.
+    /// against the plan's recorded `source_hashes`: by hashing its
+    /// decoded content, or, for a node whose unchanged chain has already
+    /// verified against this stored plan, by the plan's memo of that hash
+    /// (see [`StoredPlan`]). A mismatch is a typed error, never silent.
     ///
     /// Combine with [`with_source`](Checkout::with_source) for
     /// self-healing: detected faults are re-derived, hash-verified,
@@ -629,14 +648,19 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         // needed set. A seeded node's own delta is never replayed — its
         // payload came from the cache.
         let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut slots = Vec::new();
         for v in 0..n {
             if !needed[v] || seeded[v] {
                 continue;
             }
             if let Parent::Delta(e) = stored.plan.parent[v] {
                 children[g.edge(e).src.index()].push(v as u32);
+                if !verify {
+                    slots.extend(stored.slot_of(g, v as u32).map(|slot| (v as u32, slot)));
+                }
             }
         }
+        let memo_holds = stored.memo.holds(n, &slots);
 
         // Each entry roots an independent subtree of the union; hydrate
         // them in parallel.
@@ -649,6 +673,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
             stored,
             children: &children,
             requested: &requested,
+            memo_holds: &memo_holds,
             verify,
         };
         let outs: Vec<SubtreeOut> = entries
@@ -672,9 +697,12 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         let mut failed: Vec<(u32, ExecError)> = Vec::new();
         let mut repair = RepairStats::default();
         let mut tickets: Vec<RepairTicket> = Vec::new();
+        let mut fills = Vec::new();
         for out in outs {
             stats.hydrated += out.hydrated;
             stats.delta_applies += out.delta_applies;
+            stats.hashed += out.hashed;
+            fills.extend(out.fills);
             repair.absorb(&out.repair);
             failed.extend(out.failed);
             tickets.extend(out.tickets);
@@ -689,6 +717,7 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
                 payload_of[v as usize] = Some(p);
             }
         }
+        stored.memo.record(&fills);
         Ok(WalkOut {
             payload_of,
             stats,
@@ -705,6 +734,9 @@ struct SubtreeOut {
     served: Vec<(u32, Arc<Payload>)>,
     hydrated: usize,
     delta_applies: usize,
+    hashed: usize,
+    /// Memo slots of the nodes hashed and verified in this subtree.
+    fills: Vec<(u32, Verified)>,
     storage: Cost,
     retrievals: Vec<(u32, Cost)>,
     bytes: u64,
@@ -792,6 +824,11 @@ struct Recon {
 
 fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> SubtreeOut {
     let mut out = SubtreeOut::default();
+    // A materialized root that reaches the replay below is trusted: its
+    // object id is its recorded hash, and the store verified its bytes.
+    // A cache seed is not, so its subtree hashes as if the memo were
+    // empty.
+    let root_trusted = entry.seed.is_none();
     let (payload, depth) = match entry.seed {
         // Cache hit: the payload is already byte-verified (keyed by its
         // content hash). Nothing hydrated, nothing measured.
@@ -866,24 +903,26 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
         }
     }
 
-    // Verify and publish in DFS order: hash each reconstruction's decoded
-    // content directly (no encode_payload round-trip) on this thread,
-    // while its lines are still in this core's cache. Handing the hashes
-    // of one chain to the pool cost a wakeup and a cache transfer per
-    // payload, and made a single checkout's latency depend on whether a
-    // second CPU was free; subtrees still run in parallel. A node counts,
-    // is measured, cached and served only if its own hash and every
-    // ancestor's verified. The first failure on a branch is reported; its
-    // descendants are dropped unreported and unhashed, their repairs
-    // included, exactly as if never reached. `verified[i]` is recons[i]'s
-    // (depth, retrieval) once it passed.
-    let mut verified: Vec<Option<(u32, Cost)>> = Vec::with_capacity(recons.len());
+    // Verify and publish in DFS order. A node is trusted when its parent
+    // is trusted in this walk and its memo slot names its current ids;
+    // every other node's decoded content is hashed directly (no
+    // encode_payload round-trip) on this thread, while its lines are
+    // still in this core's cache. Handing the hashes of one chain to the
+    // pool cost a wakeup and a cache transfer per payload, and made a
+    // single checkout's latency depend on whether a second CPU was free;
+    // subtrees still run in parallel. A node counts, is measured, cached
+    // and served only if it and every ancestor verified. The first
+    // failure on a branch is reported; its descendants are dropped
+    // unreported and unhashed, their repairs included, exactly as if
+    // never reached. `verified[i]` is recons[i]'s (depth, retrieval,
+    // trusted) once it passed.
+    let mut verified: Vec<Option<(u32, Cost, bool)>> = Vec::with_capacity(recons.len());
     for r in recons {
         let parent = match r.parent {
-            ENTRY => Some((depth, 0)),
+            ENTRY => Some((depth, 0, root_trusted)),
             i => verified[i],
         };
-        let Some((parent_depth, parent_retr)) = parent else {
+        let Some((parent_depth, parent_retr, parent_trusted)) = parent else {
             verified.push(None);
             continue;
         };
@@ -899,18 +938,25 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
                 continue;
             }
         };
-        let actual = codec::hash_payload(&child);
-        if actual != expected {
-            out.failed.push((
-                c,
-                ExecError::HashMismatch {
-                    node: c,
-                    expected,
-                    actual,
-                },
-            ));
-            verified.push(None);
-            continue;
+        let trusted = parent_trusted && ctx.memo_holds[c as usize];
+        if !trusted {
+            out.hashed += 1;
+            let actual = codec::hash_payload(&child);
+            if actual != expected {
+                out.failed.push((
+                    c,
+                    ExecError::HashMismatch {
+                        node: c,
+                        expected,
+                        actual,
+                    },
+                ));
+                verified.push(None);
+                continue;
+            }
+            if let Some(slot) = ctx.stored.slot_of(ctx.g, c) {
+                out.fills.push((c, slot));
+            }
         }
         out.hydrated += 1;
         out.delta_applies += 1;
@@ -927,7 +973,7 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
         if !ctx.verify && ctx.requested[c as usize] {
             out.served.push((c, child));
         }
-        verified.push(Some((child_depth, child_retr)));
+        verified.push(Some((child_depth, child_retr, trusted)));
     }
     out
 }

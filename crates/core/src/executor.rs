@@ -26,7 +26,9 @@
 //! every version requested), which reconstructs independent subtrees of
 //! the retrieval forest in parallel over borrowed
 //! [`Store::get_ref`] bytes. [`PlanExecutor::reader`] hands out the same
-//! walker for serving arbitrary version batches.
+//! walker for serving arbitrary version batches. `execute` hashes every
+//! reconstruction; serving hashes a reconstruction only until it has
+//! verified once against an unchanged chain (see [`StoredPlan`]).
 //!
 //! Execution also *measures*: the storage cost of the actual stored
 //! objects and the retrieval cost of the actually replayed deltas, priced
@@ -44,6 +46,7 @@ use crate::checkout::{Checkout, RepairTicket};
 use crate::plan::{Parent, PlanCosts, StoragePlan};
 use dsv_delta::store::{codec, ObjectId, ObjectKind, Store, StoreError, VersionSource};
 use dsv_vgraph::{cost_add, VersionGraph};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Typed failure modes of plan execution.
@@ -101,6 +104,31 @@ impl From<StoreError> for ExecError {
 /// The stored plan owns one store reference per object entry; release them
 /// via [`PlanExecutor::release`] when the plan is retired so
 /// [`Store::gc`] can reclaim the bytes.
+///
+/// A stored plan also remembers, in memory, which delta reconstructions
+/// have already hash-verified, so that serving a version does not hash
+/// the same chain again on every checkout. Each delta-stored node has one
+/// slot holding the full 128-bit ids it last verified against: its
+/// `objects` entry, its `source_hashes` entry, its `plan.parent` entry,
+/// and the `source_hashes` entry of the parent it was replayed on. A
+/// [`Checkout`] walk *trusts* a node, and skips its hash, when
+///
+/// * it is a materialized root whose object id equals its recorded hash
+///   (the store returns only bytes that hash to the id, or
+///   [`StoreError::Corrupt`]), or
+/// * its parent is trusted in the same walk and its slot equals the
+///   node's current ids.
+///
+/// Every other node is hashed, and fills its slot only when the hash
+/// matched and every ancestor in the walk verified. So a node hashed in a
+/// walk makes its children hash too, and an edit to any of these public
+/// fields re-arms the check from the edited node down. The slot names
+/// the parent's recorded hash as well: the same delta object replayed on
+/// the same verified content gives the same bytes, so a slot stays true
+/// whatever else changes. [`PlanExecutor::execute`] always hashes.
+///
+/// The memo is not part of the store format. [`PlanExecutor::migrate`]
+/// hands it on to the migrated plan; a clone starts with an empty one.
 #[derive(Clone, Debug)]
 pub struct StoredPlan {
     /// The plan that was ingested.
@@ -114,6 +142,8 @@ pub struct StoredPlan {
     pub ingest_bytes: u64,
     /// Wall-clock time of the ingest.
     pub ingest_wall: Duration,
+    /// Verified reconstructions; see the type docs.
+    pub(crate) memo: VerifyMemo,
 }
 
 impl StoredPlan {
@@ -126,7 +156,92 @@ impl StoredPlan {
             source_hashes: Vec::new(),
             ingest_bytes: 0,
             ingest_wall: Duration::ZERO,
+            memo: VerifyMemo::default(),
         }
+    }
+
+    /// The slot value that delta-stored node `v` verifies against in `g`
+    /// (`None` for a materialized node, which the store verifies).
+    pub(crate) fn slot_of(&self, g: &VersionGraph, v: u32) -> Option<Verified> {
+        let v = v as usize;
+        match self.plan.parent[v] {
+            Parent::Materialized => None,
+            Parent::Delta(e) => Some(Verified {
+                object: self.objects[v],
+                hash: self.source_hashes[v],
+                parent: e.0,
+                base: self.source_hashes[g.edge(e).src.index()],
+            }),
+        }
+    }
+}
+
+/// One delta-stored node's verified reconstruction: the stored delta
+/// `object`, replayed along plan edge `parent` onto content hashing to
+/// `base`, gave content hashing to `hash`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Verified {
+    object: ObjectId,
+    hash: ObjectId,
+    parent: u32,
+    base: ObjectId,
+}
+
+/// A stored plan's per-node [`Verified`] slots, shared by the concurrent
+/// checkouts of one plan. A walk takes the lock twice, to read its slots
+/// before it replays anything and to fill the new ones after it has
+/// hashed everything, and never holds it across a replay or a hash.
+#[derive(Default)]
+pub(crate) struct VerifyMemo(Arc<RwLock<Vec<Option<Verified>>>>);
+
+impl VerifyMemo {
+    /// Per node of an `n`-node graph: whether the memo holds the node's
+    /// current slot value, given for some nodes in `slots`.
+    pub(crate) fn holds(&self, n: usize, slots: &[(u32, Verified)]) -> Vec<bool> {
+        let mut holds = vec![false; n];
+        let memo = self.0.read().expect("verify memo");
+        for &(v, slot) in slots {
+            holds[v as usize] = memo.get(v as usize) == Some(&Some(slot));
+        }
+        holds
+    }
+
+    /// Fill the slots of nodes that just verified.
+    pub(crate) fn record(&self, fills: &[(u32, Verified)]) {
+        if fills.is_empty() {
+            return;
+        }
+        let mut memo = self.0.write().expect("verify memo");
+        for &(v, slot) in fills {
+            let v = v as usize;
+            if v >= memo.len() {
+                memo.resize(v + 1, None);
+            }
+            memo[v] = Some(slot);
+        }
+    }
+
+    /// The same memo, for a plan migrated from this one. Slots name every
+    /// id they verified against, so the new plan re-hashes exactly its
+    /// changed delta-stored nodes and the subtrees below them.
+    fn carry(&self) -> Self {
+        VerifyMemo(Arc::clone(&self.0))
+    }
+}
+
+impl Clone for VerifyMemo {
+    /// An empty memo: a clone re-verifies on its first checkouts.
+    fn clone(&self) -> Self {
+        VerifyMemo::default()
+    }
+}
+
+impl std::fmt::Debug for VerifyMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let memo = self.0.read().expect("verify memo");
+        f.debug_struct("VerifyMemo")
+            .field("verified", &memo.iter().flatten().count())
+            .finish()
     }
 }
 
@@ -230,7 +345,10 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
     /// hashes are plan-independent and carried over; only added nodes are
     /// hashed fresh. The new plan's `ingest_bytes`/`ingest_wall`
     /// accumulate the migration's traffic on top of the old plan's, so
-    /// they stay "total bytes/time this stored plan ever cost".
+    /// they stay "total bytes/time this stored plan ever cost". The new
+    /// plan shares the old one's verification memo, so checkouts of
+    /// unchanged chains stay hash-free and every changed delta-stored
+    /// node, with the subtree below it, is hashed on its next checkout.
     pub fn migrate(
         &mut self,
         g: &VersionGraph,
@@ -334,6 +452,7 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
                 source_hashes,
                 ingest_bytes: old.ingest_bytes + stats.bytes_moved,
                 ingest_wall: old.ingest_wall + stats.wall,
+                memo: old.memo.carry(),
             },
             stats,
         ))

@@ -15,7 +15,13 @@
 //!   one reader and one cache agree with the source;
 //! * a hash mismatch in the middle of a chain fails that node and every
 //!   descendant, while its ancestors are still served, counted and
-//!   cached.
+//!   cached;
+//! * a warm checkout hashes nothing, yet tampering with a stored plan's
+//!   objects, hashes or parents after it re-arms the check at the edited
+//!   node; after a migration only changed nodes and the subtrees below
+//!   them are hashed again;
+//! * parallel checkouts of one shared stored plan, from a cold
+//!   verification memo, serve source-identical bytes on both backends.
 
 use dataset_versioning::prelude::*;
 use dsv_core::checkout::{Checkout, CheckoutCache};
@@ -430,4 +436,225 @@ fn mid_chain_hash_mismatch_fails_only_the_subtree_below_it() {
     for v in above_mid {
         assert!(cache.get(genuine[v as usize]).is_some(), "v{v} cached");
     }
+}
+
+/// Ingest the `BranchySource` plan into `mem` and serve every version
+/// twice: the first pass hashes each delta-stored node once, the repeat
+/// hashes none.
+fn warm_branchy(mem: &mut MemStore) -> (VersionGraph, StoredPlan) {
+    let (g, plan) = BranchySource::graph_and_plan();
+    let stored = PlanExecutor::new(mem)
+        .ingest(&g, &plan, &BranchySource)
+        .expect("ingest");
+    let all: Vec<u32> = (0..BranchySource::N).collect();
+    let reader = Checkout::new(&*mem);
+    let (_, cold) = serve_ok(&reader, &g, &stored, &all);
+    assert_eq!(
+        cold.hashed,
+        BranchySource::N as usize - 1,
+        "one hash per delta"
+    );
+    let (_, warm) = serve_ok(&reader, &g, &stored, &all);
+    assert_eq!(warm.hashed, 0, "a verified chain is not hashed again");
+    assert_eq!(warm.hydrated, BranchySource::N as usize);
+    (g, stored)
+}
+
+/// Serve every `BranchySource` version: the versions in `failing` must
+/// all fail with one and the same error, which is returned, and every
+/// other version must be served with the source's bytes.
+fn serve_branchy_failing(
+    mem: &MemStore,
+    g: &VersionGraph,
+    stored: &StoredPlan,
+    failing: &[u32],
+) -> ExecError {
+    let all: Vec<u32> = (0..BranchySource::N).collect();
+    let out = Checkout::new(mem).serve(g, stored, &all).expect("serve");
+    let mut error: Option<ExecError> = None;
+    for (v, served) in all.iter().zip(&out.results) {
+        match served {
+            Ok(payload) => assert!(
+                !failing.contains(v) && **payload == BranchySource.payload(*v),
+                "v{v} served"
+            ),
+            Err(err) => {
+                assert!(failing.contains(v), "v{v}: {err}");
+                assert_eq!(error.get_or_insert_with(|| err.clone()), err, "v{v}");
+            }
+        }
+    }
+    error.expect("some version failed")
+}
+
+/// After a successful warm checkout, editing a stored plan's recorded
+/// hash, stored object or parent edge at one node fails that node and
+/// every node below it on the next checkout, and the nodes above it are
+/// still served: the verification memo never outlives an edit.
+#[test]
+fn edits_after_a_warm_checkout_rearm_verification() {
+    const MID: u32 = 2;
+    let mut mem = MemStore::new();
+
+    // Recorded hash of `MID` tampered.
+    let (g, mut stored) = warm_branchy(&mut mem);
+    let genuine = stored.source_hashes[MID as usize];
+    let bogus = ObjectId(genuine.0 ^ 1, genuine.1);
+    stored.source_hashes[MID as usize] = bogus;
+    let err = serve_branchy_failing(&mem, &g, &stored, &[2, 3, 4, 5]);
+    assert_eq!(
+        err,
+        ExecError::HashMismatch {
+            node: MID,
+            expected: bogus,
+            actual: genuine,
+        }
+    );
+
+    // v3's delta swapped for its sibling v5's (also a delta off v2): the
+    // object is valid in the store, but replays to v5's content.
+    let (g, mut stored) = warm_branchy(&mut mem);
+    stored.objects[3] = stored.objects[5];
+    let err = serve_branchy_failing(&mem, &g, &stored, &[3, 4]);
+    assert_eq!(
+        err,
+        ExecError::HashMismatch {
+            node: 3,
+            expected: stored.source_hashes[3],
+            actual: stored.source_hashes[5],
+        }
+    );
+
+    // v3 re-pointed at v6's edge (v1 → v6): its delta now replays onto v1.
+    let (g, mut stored) = warm_branchy(&mut mem);
+    stored.plan.parent[3] = stored.plan.parent[6];
+    let err = serve_branchy_failing(&mem, &g, &stored, &[3, 4]);
+    assert!(
+        matches!(err, ExecError::HashMismatch { node: 3, .. }),
+        "{err}"
+    );
+
+    // An edit that still verifies: `MID` re-pointed at v6's delta object
+    // and hash, so it reconstructs to v6's content. Serving `MID` alone
+    // re-verifies it; its children, never reached then, must not be
+    // trusted on their old slots, which named `MID`'s old hash.
+    let (g, mut stored) = warm_branchy(&mut mem);
+    stored.objects[MID as usize] = stored.objects[6];
+    stored.source_hashes[MID as usize] = stored.source_hashes[6];
+    let reader = Checkout::new(&mem);
+    let (served, stats) = serve_ok(&reader, &g, &stored, &[MID]);
+    assert_eq!(*served[0], BranchySource.payload(6));
+    assert_eq!(stats.hashed, 1);
+    let out = reader.serve(&g, &stored, &[3, 5]).expect("serve");
+    for (v, served) in [3u32, 5].iter().zip(&out.results) {
+        assert!(
+            matches!(served, Err(ExecError::HashMismatch { node, .. }) if node == v),
+            "v{v} replayed onto v6's content must not be served: {served:?}"
+        );
+    }
+}
+
+/// Four threads serve overlapping batches from one shared stored plan
+/// whose verification memo starts empty, on both backends: every thread
+/// sees source-identical bytes while the memo fills under it.
+#[test]
+fn concurrent_checkouts_fill_one_shared_memo() {
+    let (_, g, content) = fixtures().swap_remove(0);
+    let n = g.n();
+    let expected: Vec<_> = (0..n as u32).map(|v| content.payload(v)).collect();
+    let plan = msr_plan(&g, "LMG");
+
+    let mut mem = MemStore::new();
+    let stored_mem = PlanExecutor::new(&mut mem)
+        .ingest(&g, &plan, &content)
+        .expect("mem ingest");
+    let dir = temp_dir("shared-memo");
+    let mut pack = PackStore::open(&dir).expect("open pack");
+    let stored_pack = PlanExecutor::new(&mut pack)
+        .ingest(&g, &plan, &content)
+        .expect("pack ingest");
+
+    fn hammer<S: Store + Sync>(
+        store: &S,
+        g: &VersionGraph,
+        stored: Arc<StoredPlan>,
+        expected: &[Payload],
+    ) -> usize {
+        let n = g.n() as u32;
+        // All four start together, so their first walks, which hash and
+        // fill the same slots, overlap.
+        let start = std::sync::Barrier::new(4);
+        let hashed: usize = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let stored = Arc::clone(&stored);
+                    let start = &start;
+                    scope.spawn(move || {
+                        let reader = Checkout::new(store);
+                        start.wait();
+                        let mut rng = SmallRng::seed_from_u64(2000 + t);
+                        let mut hashed = 0;
+                        for _ in 0..12 {
+                            let batch: Vec<u32> = (0..8).map(|_| rng.gen_range(0..n)).collect();
+                            let (out, stats) = serve_ok(&reader, g, &stored, &batch);
+                            for (i, &v) in batch.iter().enumerate() {
+                                assert_eq!(*out[i], expected[v as usize], "v{v}");
+                            }
+                            hashed += stats.hashed;
+                        }
+                        hashed
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("thread")).sum()
+        });
+        // Once every chain has verified, a full pass hashes nothing.
+        let all: Vec<u32> = (0..n).collect();
+        let reader = Checkout::new(store);
+        serve_ok(&reader, g, &stored, &all);
+        let (out, stats) = serve_ok(&reader, g, &stored, &all);
+        for (v, payload) in out.iter().enumerate() {
+            assert_eq!(**payload, expected[v], "v{v}");
+        }
+        assert_eq!(stats.hashed, 0);
+        hashed
+    }
+
+    let hashed_mem = hammer(&mem, &g, Arc::new(stored_mem), &expected);
+    let hashed_pack = hammer(&pack, &g, Arc::new(stored_pack), &expected);
+    assert!(hashed_mem > 0 && hashed_pack > 0, "the memo started empty");
+
+    drop(pack);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A migrated stored plan keeps its predecessor's verified chains:
+/// versions whose chain is unchanged serve without a hash, a node given
+/// a new delta parent is hashed with every node below it, and a node
+/// that became materialized is verified by the store alone.
+#[test]
+fn migrate_rehashes_only_changed_nodes_and_their_subtrees() {
+    let mut mem = MemStore::new();
+    let (mut g, stored) = warm_branchy(&mut mem);
+    // v2 re-parented from v1 onto a new v0 → v2 edge; v6 materialized.
+    let e02 = g.add_edge(NodeId(0), NodeId(2), 23 + 12 * 2, 23 + 6 * 2);
+    let mut plan = stored.plan.clone();
+    plan.parent[2] = Parent::Delta(e02);
+    plan.parent[6] = Parent::Materialized;
+    let (migrated, stats) = PlanExecutor::new(&mut mem)
+        .migrate(&g, &stored, &plan, &BranchySource)
+        .expect("migrate");
+    assert_eq!(stats.changed, 2);
+
+    let reader = Checkout::new(&mem);
+    let (_, reused) = serve_ok(&reader, &g, &migrated, &[0, 1, 6]);
+    assert_eq!(reused.hashed, 0, "v1's chain is unchanged; v6 is a root");
+    let all: Vec<u32> = (0..BranchySource::N).collect();
+    let (served, changed) = serve_ok(&reader, &g, &migrated, &all);
+    for (v, payload) in served.iter().enumerate() {
+        assert_eq!(**payload, BranchySource.payload(v as u32), "v{v}");
+    }
+    assert_eq!(changed.hashed, 4, "v2 and v3, v4, v5 below it");
+    let (_, warm) = serve_ok(&reader, &g, &migrated, &all);
+    assert_eq!(warm.hashed, 0);
 }
