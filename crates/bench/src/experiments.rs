@@ -844,13 +844,18 @@ const SHARD_WARM_STEPS: [u64; 4] = [1, 2, 3, 4];
 
 /// Time whole-graph LMG-All vs the sharded hierarchical pipeline on large
 /// multi-cluster forests (`shard_forest`: clusters merged into one
-/// component by cross links, so the separator splitter is actually
-/// exercised). Budget = half the materialize-all cost. Asserts that the
-/// sharded plan is **byte-identical across pool widths 1 and 4** and that
-/// its objective stays within the declared regret bound of the whole-graph
-/// plan, so the reported speedup is a like-for-like measurement under the
-/// quality gate. The engine path is timed too, on forests the default
-/// engine shards, and gated against the direct call; per-stage timings
+/// component by cross links, so oversized components are actually cut).
+/// At the 4,096-node shard size every cut group is above
+/// [`SEPARATOR_EXACT_LIMIT`](dsv_treewidth::separator::SEPARATOR_EXACT_LIMIT),
+/// so [`split_component`](dsv_treewidth::split_component) bisects each in
+/// BFS order; the tree-decomposition separator runs only at small shard
+/// sizes (`tests/shard.rs`). Budget = half the materialize-all cost.
+/// Asserts that the sharded plan is **byte-identical across pool widths 1
+/// and 4** and that its objective stays within the declared regret bound
+/// of the whole-graph plan, so the reported speedup is a like-for-like
+/// measurement under the quality gate. The engine path is timed too, on
+/// forests the default engine shards, and gated against the direct call;
+/// per-stage timings
 /// ([`ShardStats`](dsv_core::engine::ShardStats)) name the stage that
 /// moved. `engine_ms` is cold (fresh [`SolveOptions`] per call);
 /// `warm_ms` reuses one [`SolveOptions`] across budgets the way the
@@ -2067,6 +2072,7 @@ pub fn service_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
     use dsv_core::problem::ProblemKind;
     use dsv_core::service::{
         Reply, Request, ServeTier, ServiceConfig, ServiceError, Ticket, VersioningService,
+        FULL_TIER_MIN, HEURISTIC_TIER_MIN,
     };
     use dsv_delta::store::{PackStore, VersionSource};
     use dsv_delta::{FaultPlan, FaultStore, Store};
@@ -2100,8 +2106,6 @@ pub fn service_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
         ..ServiceConfig::default()
     };
     let queue_capacity = cfg.queue_capacity;
-    let full_tier_min = cfg.full_tier_min;
-    let heuristic_tier_min = cfg.heuristic_tier_min;
     let store = FaultStore::transparent(
         PackStore::open(work_dir.join("service-pack")).expect("open pack store"),
     );
@@ -2274,8 +2278,8 @@ pub fn service_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
         };
         tier
     };
-    let heuristic_tier = probe(full_tier_min.mul_f64(0.5).max(heuristic_tier_min * 2));
-    let cached_tier = probe(heuristic_tier_min.mul_f64(0.5));
+    let heuristic_tier = probe(FULL_TIER_MIN.mul_f64(0.5).max(HEURISTIC_TIER_MIN * 2));
+    let cached_tier = probe(HEURISTIC_TIER_MIN.mul_f64(0.5));
     *tiers.entry(heuristic_tier.label()).or_default() += 1;
     *tiers.entry(cached_tier.label()).or_default() += 1;
 

@@ -142,8 +142,8 @@ mod tests {
     #[test]
     fn spt_none_when_unreachable() {
         let mut g = VersionGraph::with_nodes(2);
-        *g.node_storage_mut(NodeId(0)) = 5;
-        *g.node_storage_mut(NodeId(1)) = 5;
+        g.set_node_storage(NodeId(0), 5);
+        g.set_node_storage(NodeId(1), 5);
         // No edges: node 1 unreachable from node 0.
         assert!(shortest_path_plan(&g, NodeId(0)).is_none());
     }

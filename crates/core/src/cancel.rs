@@ -112,11 +112,6 @@ impl CancelToken {
         }
     }
 
-    /// Whether this token carries no state at all (cannot ever fire).
-    pub fn is_inert(&self) -> bool {
-        self.inner.is_none()
-    }
-
     /// Fire the token. Inert tokens ignore this (there is nothing to
     /// share); descendants of this token observe the cancellation.
     pub fn cancel(&self) {
@@ -161,7 +156,7 @@ mod tests {
     #[test]
     fn inert_token_never_fires() {
         let t = CancelToken::default();
-        assert!(t.is_inert());
+        assert_eq!(t.deadline_instant(), None);
         t.cancel();
         assert!(!t.is_cancelled());
         assert!(!t.deadline_exceeded());

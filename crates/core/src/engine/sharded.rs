@@ -9,10 +9,15 @@
 //! 1. **Partition** — [`dsv_vgraph::partition_graph`] cuts the graph into
 //!    shards of at most [`ShardConfig::max_shard_nodes`] nodes: connected
 //!    components first (free parallelism), then oversized components are
-//!    split along their branch structure by the treewidth-separator
-//!    splitter ([`dsv_treewidth::split_component`]). Each shard becomes its
-//!    own [`VersionGraph`] together with its minimum-storage arborescence,
-//!    in one parallel pass over the shards.
+//!    cut by [`dsv_treewidth::split_component`]. That splitter bisects a
+//!    group above
+//!    [`SEPARATOR_EXACT_LIMIT`](dsv_treewidth::separator::SEPARATOR_EXACT_LIMIT)
+//!    (768) nodes in BFS order; only smaller groups are split along their
+//!    branch structure by a tree-decomposition separator. Only groups above
+//!    `max_shard_nodes` are cut, so at the default 4,096 every cut is a BFS
+//!    bisection, and the separator runs only at small shard sizes. Each
+//!    shard becomes its own [`VersionGraph`] together with its
+//!    minimum-storage arborescence, in one parallel pass over the shards.
 //! 2. **Parallel shard solves** — each shard gets an independent LMG-All
 //!    run, started from its arborescence, under a deterministic slice of
 //!    the storage budget. Shards solve on the thread pool with an
@@ -51,8 +56,7 @@
 //! Memory: a prep is about one more copy of the graph (sub-graphs with
 //! their adjacency, edge maps, start plans and the partition's three `u32`
 //! arrays), held as long as its memo lives. The service's memo LRU keeps
-//! up to 32 graphs by default (`ServiceConfig::graph_memos`), so up to 32
-//! preps.
+//! up to 32 graphs (`service::GRAPH_MEMOS`), so up to 32 preps.
 //!
 //! Setting [`ShardConfig::min_graph_nodes`] to `usize::MAX` disables the
 //! path entirely (the solver reports a deterministic

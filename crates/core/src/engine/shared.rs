@@ -77,21 +77,12 @@ pub struct SharedWork {
     inner: Arc<Inner>,
 }
 
-/// Graph identity for memo keys: the graph's **rolling fingerprint**
-/// ([`VersionGraph::fingerprint`]), maintained in O(1) per mutation by the
-/// graph itself rather than recomputed O(n + m) here on every lookup — the
-/// online commit path consults memo keys once per absorbed mutation. Also
-/// used by the service layer to key its per-graph memo LRU.
-pub(crate) fn fingerprint(g: &VersionGraph) -> u64 {
-    g.fingerprint()
-}
-
 impl SharedWork {
     /// The memo to use for a call on `g`: `self` if it is unclaimed or
     /// already claimed by `g`'s fingerprint, otherwise a fresh memo (the
     /// caller reused options across graphs).
     pub(crate) fn for_graph(&self, g: &VersionGraph) -> SharedWork {
-        let fp = fingerprint(g);
+        let fp = g.fingerprint();
         if *self.inner.fingerprint.get_or_init(|| fp) == fp {
             self.clone()
         } else {

@@ -21,11 +21,12 @@
 //! iteration) is the differential oracle
 //! [`oracle::lmg_all_scratch`](super::oracle::lmg_all_scratch); both pick
 //! **byte-identical move sequences** (asserted by
-//! `tests/lmg_incremental.rs`). Its candidate scan covers edges *and*
-//! materializations in one data-parallel pass on rayon when the graph is
-//! large enough to amortize the fork — the "parallelizable heuristics"
-//! point the paper makes when comparing against the inherently sequential
-//! LMG.
+//! `tests/lmg_incremental.rs`). The oracle's candidate scan covers edges
+//! *and* materializations in one data-parallel pass on rayon once the graph
+//! has at least 8,192 of them — the "parallelizable heuristics" point the
+//! paper makes when comparing against the inherently sequential LMG. The
+//! incremental loop makes no rayon call: it seeds its heap sequentially and
+//! re-scores only dirty regions.
 //!
 //! Selection tie-breaking (identical in both loops): higher `Ratio`
 //! first, then edge replacements beat materializations, then the higher

@@ -7,7 +7,6 @@
 //! `G_aux` of the paper.
 
 use dsv_vgraph::{cost_add, Cost, EdgeId, NodeId, VersionGraph};
-use serde::{object, Deserialize, Error, Serialize, Value};
 
 /// How one version is stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,50 +18,11 @@ pub enum Parent {
     Delta(EdgeId),
 }
 
-// Hand-written (the serde shim has no derive), using the same externally
-// tagged enum encoding a derived impl would emit: `"Materialized"` or
-// `{"Delta": <edge>}`.
-impl Serialize for Parent {
-    fn to_value(&self) -> Value {
-        match self {
-            Parent::Materialized => Value::Str("Materialized".into()),
-            Parent::Delta(e) => object([("Delta", e.to_value())]),
-        }
-    }
-}
-
-impl Deserialize for Parent {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s == "Materialized" => Ok(Parent::Materialized),
-            Value::Map(_) => EdgeId::from_value(v.field("Delta")?).map(Parent::Delta),
-            other => Err(Error::new(format!(
-                "expected Parent variant, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
 /// A complete storage plan for a version graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoragePlan {
     /// Per-node decision.
     pub parent: Vec<Parent>,
-}
-
-impl Serialize for StoragePlan {
-    fn to_value(&self) -> Value {
-        object([("parent", self.parent.to_value())])
-    }
-}
-
-impl Deserialize for StoragePlan {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(StoragePlan {
-            parent: Vec::from_value(v.field("parent")?)?,
-        })
-    }
 }
 
 /// Cost summary of a plan.

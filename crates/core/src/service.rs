@@ -49,7 +49,7 @@
 
 use crate::cancel::CancelToken;
 use crate::checkout::Checkout;
-use crate::engine::shared::{self, SharedWork};
+use crate::engine::shared::SharedWork;
 use crate::engine::{Engine, Solution, SolveError, SolveOptions, SolverMeta};
 use crate::executor::{ExecError, MigrationStats, PlanExecutor, StoredPlan};
 use crate::online::OnlinePlanner;
@@ -298,17 +298,20 @@ pub struct ServiceConfig {
     /// Deadline for [`VersioningService::submit`] (requests without an
     /// explicit deadline).
     pub default_deadline: Duration,
-    /// Minimum time remaining at dispatch for the full-portfolio tier;
-    /// below it a `Solve` degrades to the heuristic tier.
-    pub full_tier_min: Duration,
-    /// Minimum time remaining for the heuristic tier; below it a
-    /// `Solve` is answered from the memo ([`ServeTier::Cached`]) when a
-    /// previously-seen fingerprint has one.
-    pub heuristic_tier_min: Duration,
-    /// How many graph fingerprints keep a live [`SharedWork`] memo
-    /// (LRU) for cross-request reuse and the cached tier.
-    pub graph_memos: usize,
 }
+
+/// Minimum time remaining at dispatch for the full-portfolio tier; below
+/// it a `Solve` degrades to the heuristic tier.
+pub const FULL_TIER_MIN: Duration = Duration::from_millis(250);
+
+/// Minimum time remaining for the heuristic tier; below it a `Solve` is
+/// answered from the memo ([`ServeTier::Cached`]) when a previously-seen
+/// fingerprint has one.
+pub const HEURISTIC_TIER_MIN: Duration = Duration::from_millis(20);
+
+/// How many graph fingerprints keep a live [`SharedWork`] memo (LRU) for
+/// cross-request reuse and the cached tier.
+const GRAPH_MEMOS: usize = 32;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -316,9 +319,6 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_capacity: 64,
             default_deadline: Duration::from_secs(1),
-            full_tier_min: Duration::from_millis(250),
-            heuristic_tier_min: Duration::from_millis(20),
-            graph_memos: 32,
         }
     }
 }
@@ -446,14 +446,13 @@ struct QueueInner {
 /// LRU of per-graph-fingerprint [`SharedWork`] memos: the warm cache
 /// behind cross-request solver reuse and the cached degradation tier.
 struct MemoLru {
-    cap: usize,
     /// Most-recently-used at the back.
     entries: Vec<(u64, SharedWork)>,
 }
 
 impl MemoLru {
     fn get_or_insert(&mut self, g: &VersionGraph) -> SharedWork {
-        let fp = shared::fingerprint(g);
+        let fp = g.fingerprint();
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == fp) {
             let entry = self.entries.remove(pos);
             self.entries.push(entry);
@@ -461,7 +460,7 @@ impl MemoLru {
             let memo = SharedWork::default().for_graph(g);
             debug_assert_eq!(memo.claimed_fingerprint(), Some(fp));
             self.entries.push((fp, memo));
-            if self.entries.len() > self.cap.max(1) {
+            if self.entries.len() > GRAPH_MEMOS {
                 self.entries.remove(0);
             }
         }
@@ -564,7 +563,6 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
         } else {
             cfg.workers
         };
-        let memo_cap = cfg.graph_memos.max(1);
         let shared = Arc::new(Shared {
             cfg,
             workers,
@@ -579,7 +577,6 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
             available: Condvar::new(),
             root: CancelToken::new(),
             memos: Mutex::new(MemoLru {
-                cap: memo_cap,
                 entries: Vec::new(),
             }),
             counters: Counters::new(),
@@ -871,11 +868,10 @@ fn handle_solve<S: Store + Send + Sync + 'static>(
         ProblemKind::Msr { storage_budget } => Some(storage_budget),
         _ => None,
     };
-    let cfg = &shared.cfg;
     // Degradation ladder. Only MSR has heuristic/cached rungs (LMG-All
     // is an MSR algorithm); other problems always run the portfolio,
     // bounded by the deadline token.
-    if remaining >= cfg.full_tier_min || msr_budget.is_none() {
+    if remaining >= FULL_TIER_MIN || msr_budget.is_none() {
         let opts = SolveOptions {
             time_limit: Some(remaining),
             cancel: token.clone(),
@@ -895,7 +891,7 @@ fn handle_solve<S: Store + Send + Sync + 'static>(
     }
     let budget = msr_budget.expect("non-MSR handled above");
     let started = Instant::now();
-    if remaining < cfg.heuristic_tier_min {
+    if remaining < HEURISTIC_TIER_MIN {
         // Cached rung: answer from the memo without computing. A miss
         // falls through to the heuristic rung as a best effort — the
         // final deadline check converts any late success to Cancelled.
@@ -1290,24 +1286,21 @@ mod tests {
     fn degraded_tiers_validate_and_label() {
         let g = Arc::new(random_tree(40, &CostModel::default(), 3));
         let budget = msr_budget(&g);
-        // Thresholds high enough that any positive deadline degrades.
-        let cfg = ServiceConfig {
-            full_tier_min: Duration::from_secs(3600),
-            heuristic_tier_min: Duration::from_secs(1800),
-            ..ServiceConfig::default()
-        };
-        let svc = VersioningService::with_config(MemStore::new(), cfg);
+        let svc: VersioningService<MemStore> = VersioningService::new(MemStore::new());
         let problem = ProblemKind::Msr {
             storage_budget: budget,
         };
-        // First request computes on the heuristic rung (and warms the memo)…
+        // Each deadline sits just below its rung's minimum, so the time
+        // left at dispatch picks that rung. First request computes on the
+        // heuristic rung (and warms the memo)…
+        let just_below = |min: Duration| min - Duration::from_millis(1);
         let Reply::Solved { solution, tier } = svc
             .submit_with_deadline(
                 Request::Solve {
                     graph: g.clone(),
                     problem,
                 },
-                Duration::from_secs(60),
+                just_below(FULL_TIER_MIN),
             )
             .expect("admitted")
             .wait()
@@ -1318,16 +1311,14 @@ mod tests {
         assert_eq!(tier, ServeTier::Heuristic);
         assert!(solution.costs.storage <= budget, "budget respected");
         let heuristic_plan = solution.plan.clone();
-        // …later identical requests are served from the memo. (The
-        // cached rung needs remaining < heuristic_tier_min, which the
-        // huge threshold guarantees.)
+        // …later identical requests are served from the memo.
         let Reply::Solved { solution, tier } = svc
             .submit_with_deadline(
                 Request::Solve {
                     graph: g.clone(),
                     problem,
                 },
-                Duration::from_secs(60),
+                just_below(HEURISTIC_TIER_MIN),
             )
             .expect("admitted")
             .wait()

@@ -295,7 +295,7 @@ mod tests {
     fn retrieval_ball_respects_budget_and_directions() {
         let mut g = VersionGraph::with_nodes(3);
         for v in 0..3 {
-            *g.node_storage_mut(NodeId(v)) = 100;
+            g.set_node_storage(NodeId(v), 100);
         }
         // 0 -> 1 cheap, 1 -> 0 expensive; 1 -> 2 cheap, 2 -> 1 cheap.
         g.add_edge(NodeId(0), NodeId(1), 1, 2);

@@ -187,8 +187,8 @@ mod tests {
         let g = bidirectional_path(5, &CostModel::default(), 4);
         assert!(dp_msr_on_graph(&g, NodeId(0), 0, &CancelToken::inert()).is_none());
         let mut g2 = VersionGraph::with_nodes(2);
-        *g2.node_storage_mut(NodeId(0)) = 1;
-        *g2.node_storage_mut(NodeId(1)) = 1;
+        g2.set_node_storage(NodeId(0), 1);
+        g2.set_node_storage(NodeId(1), 1);
         assert!(dp_msr_on_graph(&g2, NodeId(0), 100, &CancelToken::inert()).is_none());
     }
 

@@ -179,8 +179,8 @@ mod tests {
     #[test]
     fn missing_reverse_edges_cost_inf() {
         let mut g = VersionGraph::with_nodes(2);
-        *g.node_storage_mut(NodeId(0)) = 10;
-        *g.node_storage_mut(NodeId(1)) = 10;
+        g.set_node_storage(NodeId(0), 10);
+        g.set_node_storage(NodeId(1), 10);
         g.add_edge(NodeId(0), NodeId(1), 2, 3);
         let t = extract_tree(&g, NodeId(0)).expect("connected");
         assert_eq!(t.edge_retrieval(&g, NodeId(0), NodeId(1)), 3);

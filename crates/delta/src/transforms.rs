@@ -25,13 +25,13 @@ pub fn random_compression(g: &VersionGraph, seed: u64) -> VersionGraph {
     for v in g.node_ids() {
         let f: f64 = rng.gen_range(0.3..1.0);
         let s = g.node_storage(v);
-        *out.node_storage_mut(v) = ((s as f64 * f).round() as u64).max(1);
+        out.set_node_storage(v, ((s as f64 * f).round() as u64).max(1));
     }
-    for e in g.edge_ids() {
+    for (e, data) in g.edge_refs() {
         let f: f64 = rng.gen_range(0.3..1.0);
-        let data = out.edge_mut(e);
-        data.storage = ((data.storage as f64 * f).round() as u64).max(1);
-        data.retrieval = ((data.retrieval as f64 * 1.2).round() as u64).max(1);
+        let storage = ((data.storage as f64 * f).round() as u64).max(1);
+        let retrieval = ((data.retrieval as f64 * 1.2).round() as u64).max(1);
+        out.set_edge_costs(e, storage, retrieval);
     }
     out
 }

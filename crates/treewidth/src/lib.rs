@@ -12,9 +12,10 @@
 //! * [`decomposition`] — building a [`TreeDecomposition`] from an
 //!   elimination order, plus full validation of the three tree-decomposition
 //!   conditions (Definition 11);
-//! * [`separator`] — balanced vertex splits (decomposition bags are
-//!   separators) used by the sharded solving pipeline to cut oversized
-//!   components along their branch structure;
+//! * [`separator`] — the balanced two-way splits the sharded solving
+//!   pipeline cuts oversized components with: along their branch
+//!   structure by a tree-decomposition separator (decomposition bags are
+//!   separators) up to 768 nodes, by BFS-order bisection above that;
 //! * [`width`] — treewidth upper-bound estimation for arbitrary
 //!   [`dsv_vgraph::VersionGraph`]s (used to reproduce footnote 7: the
 //!   GitHub-derived graphs all have low treewidth).

@@ -5,16 +5,12 @@
 //! of the paper. Edge payloads live in a single arena so that algorithms can
 //! index edges by [`EdgeId`] without pointer chasing; adjacency is served
 //! from a **CSR index** (offset + arena arrays, one pair per direction)
-//! built lazily from the edge arena on first query and invalidated by
-//! mutation. `out_edges`/`in_edges` therefore hand out contiguous slices —
+//! built lazily from the edge arena on first query and maintained in place
+//! by mutation. `out_edges`/`in_edges` therefore hand out contiguous slices —
 //! "all edges incident to this node set" is a cache-friendly linear scan,
 //! which the incremental LMG-All dirty-region rescans rely on. Within one
 //! node's slice, edges appear in edge-id order (the same order the old
 //! per-node `Vec<EdgeId>` lists had), so traversal order is unchanged.
-//!
-//! The JSON wire format still carries explicit `out_adj`/`in_adj` lists for
-//! compatibility; they are validated on input (exactly-once, endpoint
-//! agreement) and re-derived canonically, not stored.
 //!
 //! **Online mutation support.** Two pieces of derived state are maintained
 //! incrementally so a commit burst does not pay O(n + m) per mutation:
@@ -25,12 +21,12 @@
 //!   (with fresh slack, so a stream of appends settles into amortized O(1));
 //! * a **rolling fingerprint** ([`VersionGraph::fingerprint`]) is kept as a
 //!   commutative sum of per-node / per-edge contributions, updated in O(1)
-//!   by `add_node`/`add_edge` and in O(degree) by [`VersionGraph::retire_version`],
+//!   by `add_node`/`add_edge` and the cost setters, and in O(m) by
+//!   [`VersionGraph::retire_version`],
 //!   so memoization keys over mutating graphs never recompute O(n + m).
 
 use crate::ids::{EdgeId, NodeId};
 use crate::{Cost, INF};
-use serde::{object, Deserialize, Error, Serialize, Value};
 use std::sync::OnceLock;
 
 /// splitmix64 finalizer: the per-item mixer behind the rolling fingerprint.
@@ -66,16 +62,6 @@ fn edge_contrib(e: usize, data: &EdgeData) -> u64 {
     mix64(h ^ data.retrieval)
 }
 
-/// An item handed out by value-returning `&mut` accessors whose fingerprint
-/// contribution has been subtracted but not yet re-added (the caller may
-/// still be writing through the reference). Settled by the next mutation or
-/// folded in on the fly by reads.
-#[derive(Clone, Copy, Debug)]
-enum Unsettled {
-    Node(NodeId),
-    Edge(EdgeId),
-}
-
 /// Payload of a directed delta edge `src → dst`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EdgeData {
@@ -87,30 +73,6 @@ pub struct EdgeData {
     pub storage: Cost,
     /// Cost of applying the delta during retrieval (`r_e`).
     pub retrieval: Cost,
-}
-
-// Hand-written (the serde shim has no derive); field names match what a
-// derived impl would emit, so dumps stay stable if real serde returns.
-impl Serialize for EdgeData {
-    fn to_value(&self) -> Value {
-        object([
-            ("src", self.src.to_value()),
-            ("dst", self.dst.to_value()),
-            ("storage", self.storage.to_value()),
-            ("retrieval", self.retrieval.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for EdgeData {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(EdgeData {
-            src: NodeId::from_value(v.field("src")?)?,
-            dst: NodeId::from_value(v.field("dst")?)?,
-            storage: Cost::from_value(v.field("storage")?)?,
-            retrieval: Cost::from_value(v.field("retrieval")?)?,
-        })
-    }
 }
 
 /// One direction of the CSR adjacency index. `offsets` has `n + 1` entries
@@ -245,8 +207,8 @@ impl AdjCsr {
 pub struct VersionGraph {
     node_storage: Vec<Cost>,
     edges: Vec<EdgeData>,
-    /// Lazily-built CSR adjacency; maintained in place by appends, reset
-    /// only by mutations that can rewrite arbitrary edges (`edge_mut`).
+    /// Lazily-built CSR adjacency; maintained in place by appends. No
+    /// mutation moves an edge endpoint, so it is never reset.
     adj: OnceLock<AdjCsr>,
     /// Optional human-readable node labels (commit ids in the corpora).
     labels: Vec<String>,
@@ -255,116 +217,6 @@ pub struct VersionGraph {
     /// Rolling fingerprint accumulator: wrapping sum of per-node and
     /// per-edge contributions, updated by every mutation.
     fp_acc: u64,
-    /// Item whose contribution was subtracted pending a write through a
-    /// live `&mut` handed out by `edge_mut` / `node_storage_mut`.
-    fp_unsettled: Option<Unsettled>,
-}
-
-impl Serialize for VersionGraph {
-    fn to_value(&self) -> Value {
-        // The wire format keeps explicit adjacency lists (stable across the
-        // internal move to CSR); they are derived from the CSR slices.
-        let nested = |dir: &AdjDir| -> Vec<Vec<EdgeId>> {
-            (0..self.n()).map(|v| dir.slice(v).to_vec()).collect()
-        };
-        let adj = self.adj();
-        object([
-            ("node_storage", self.node_storage.to_value()),
-            ("edges", self.edges.to_value()),
-            ("out_adj", nested(&adj.out).to_value()),
-            ("in_adj", nested(&adj.inn).to_value()),
-            ("labels", self.labels.to_value()),
-            ("retired", self.retired.to_value()),
-        ])
-    }
-}
-
-/// Exactly-once / endpoint-agreement check of one direction's explicit
-/// adjacency lists against the edge arena (deserialization only — the CSR
-/// built from the arena satisfies this by construction).
-fn check_adj_lists(edges: &[EdgeData], adj: &[Vec<EdgeId>], outgoing: bool) -> Result<(), String> {
-    let dir = if outgoing { "out" } else { "in" };
-    let mut seen = vec![false; edges.len()];
-    for (v, list) in adj.iter().enumerate() {
-        for &e in list {
-            let endpoint = if outgoing {
-                edges[e.index()].src
-            } else {
-                edges[e.index()].dst
-            };
-            if endpoint.index() != v {
-                let verb = if outgoing { "leaving" } else { "entering" };
-                return Err(format!(
-                    "{dir}-adjacency of v{v} lists edge {e} not {verb} it"
-                ));
-            }
-            if std::mem::replace(&mut seen[e.index()], true) {
-                return Err(format!("edge {e} listed twice in {dir}-adjacency"));
-            }
-        }
-    }
-    if let Some(e) = seen.iter().position(|&s| !s) {
-        return Err(format!("edge e{e} missing from {dir}-adjacency"));
-    }
-    Ok(())
-}
-
-impl Deserialize for VersionGraph {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let node_storage: Vec<Cost> = Vec::from_value(v.field("node_storage")?)?;
-        let edges: Vec<EdgeData> = Vec::from_value(v.field("edges")?)?;
-        let out_adj: Vec<Vec<EdgeId>> = Vec::from_value(v.field("out_adj")?)?;
-        let in_adj: Vec<Vec<EdgeId>> = Vec::from_value(v.field("in_adj")?)?;
-        let labels: Vec<String> = Vec::from_value(v.field("labels")?)?;
-        // Reject structurally inconsistent input instead of panicking
-        // later. Range checks first (the list checks index the edge arena),
-        // then the full adjacency/arena agreement check; the validated
-        // lists are then dropped and the canonical CSR serves queries.
-        let n = node_storage.len();
-        if edges.len() >= MAX_EDGES {
-            return Err(Error::new("edge count exceeds the u32 CSR offset range"));
-        }
-        if out_adj.len() != n || in_adj.len() != n {
-            return Err(Error::new("adjacency lists do not match node count"));
-        }
-        // Labels are resized to the node count on each labelled add, so an
-        // honest dump never has more labels than nodes.
-        if labels.len() > n {
-            return Err(Error::new("more labels than nodes"));
-        }
-        for e in &edges {
-            if e.src.index() >= n || e.dst.index() >= n {
-                return Err(Error::new("edge endpoint out of range"));
-            }
-        }
-        for id in out_adj.iter().chain(in_adj.iter()).flatten() {
-            if id.index() >= edges.len() {
-                return Err(Error::new("adjacency references missing edge"));
-            }
-        }
-        check_adj_lists(&edges, &out_adj, true).map_err(Error::new)?;
-        check_adj_lists(&edges, &in_adj, false).map_err(Error::new)?;
-        // `retired` is optional on the wire for compatibility with dumps
-        // written before online mutation existed.
-        let retired: Vec<bool> = match v.field("retired") {
-            Ok(f) => Vec::from_value(f)?,
-            Err(_) => vec![false; n],
-        };
-        if retired.len() != n {
-            return Err(Error::new("retired flags do not match node count"));
-        }
-        let mut g = VersionGraph {
-            node_storage,
-            edges,
-            adj: OnceLock::new(),
-            labels,
-            retired,
-            fp_acc: 0,
-            fp_unsettled: None,
-        };
-        g.fp_acc = g.fp_scratch_acc();
-        Ok(g)
-    }
 }
 
 impl VersionGraph {
@@ -382,7 +234,6 @@ impl VersionGraph {
             labels: Vec::new(),
             retired: vec![false; n],
             fp_acc: 0,
-            fp_unsettled: None,
         };
         g.fp_acc = g.fp_scratch_acc();
         g
@@ -393,34 +244,6 @@ impl VersionGraph {
     fn adj(&self) -> &AdjCsr {
         self.adj
             .get_or_init(|| AdjCsr::build(self.n(), &self.edges, false))
-    }
-
-    /// Drop the cached CSR (only mutations that can rewrite arbitrary edge
-    /// endpoints need this; appends maintain the index in place).
-    #[inline]
-    fn invalidate_adj(&mut self) {
-        self.adj = OnceLock::new();
-    }
-
-    /// Fold the pending contribution of an item handed out via `&mut` back
-    /// into the rolling accumulator. Every mutation entry point calls this
-    /// first, so at most one item is ever unsettled.
-    fn settle_fp(&mut self) {
-        match self.fp_unsettled.take() {
-            None => {}
-            Some(Unsettled::Node(v)) => {
-                self.fp_acc = self.fp_acc.wrapping_add(node_contrib(
-                    v.index(),
-                    self.node_storage[v.index()],
-                    self.retired[v.index()],
-                ));
-            }
-            Some(Unsettled::Edge(e)) => {
-                self.fp_acc = self
-                    .fp_acc
-                    .wrapping_add(edge_contrib(e.index(), &self.edges[e.index()]));
-            }
-        }
     }
 
     /// Recompute the fingerprint accumulator from scratch (O(n + m)).
@@ -436,19 +259,7 @@ impl VersionGraph {
     }
 
     #[inline]
-    fn fp_finalize(&self, mut acc: u64) -> u64 {
-        if let Some(u) = self.fp_unsettled {
-            // A read between `edge_mut`/`node_storage_mut` and the next
-            // mutation: fold the item's current contribution in on the fly.
-            acc = acc.wrapping_add(match u {
-                Unsettled::Node(v) => node_contrib(
-                    v.index(),
-                    self.node_storage[v.index()],
-                    self.retired[v.index()],
-                ),
-                Unsettled::Edge(e) => edge_contrib(e.index(), &self.edges[e.index()]),
-            });
-        }
+    fn fp_finalize(&self, acc: u64) -> u64 {
         mix64(acc ^ mix64(self.n() as u64) ^ mix64((self.m() as u64).wrapping_add(EDGE_SALT)))
     }
 
@@ -466,9 +277,7 @@ impl VersionGraph {
     /// From-scratch O(n + m) recomputation of [`VersionGraph::fingerprint`];
     /// the differential oracle that pins the rolling value in tests.
     pub fn fingerprint_recomputed(&self) -> u64 {
-        let mut g = self.clone();
-        g.settle_fp();
-        g.fp_finalize(g.fp_scratch_acc())
+        self.fp_finalize(self.fp_scratch_acc())
     }
 
     /// Number of nodes.
@@ -488,7 +297,6 @@ impl VersionGraph {
     /// O(1): the CSR index (if built) is extended in place and the rolling
     /// fingerprint absorbs the node's contribution.
     pub fn add_node(&mut self, storage: Cost) -> NodeId {
-        self.settle_fp();
         let id = NodeId::new(self.node_storage.len());
         self.fp_acc = self
             .fp_acc
@@ -528,7 +336,6 @@ impl VersionGraph {
             self.edges.len() < MAX_EDGES,
             "edge count would exceed the u32 CSR offset range ({MAX_EDGES} max)"
         );
-        self.settle_fp();
         // Preserve the retirement invariant: every edge incident to a
         // retired version carries INF costs, whether it existed at
         // retirement time or was added afterwards.
@@ -574,16 +381,15 @@ impl VersionGraph {
         self.node_storage[v.index()]
     }
 
-    /// Mutable access to a node's materialization cost.
-    pub fn node_storage_mut(&mut self, v: NodeId) -> &mut Cost {
-        self.settle_fp();
-        self.fp_acc = self.fp_acc.wrapping_sub(node_contrib(
-            v.index(),
-            self.node_storage[v.index()],
-            self.retired[v.index()],
-        ));
-        self.fp_unsettled = Some(Unsettled::Node(v));
-        &mut self.node_storage[v.index()]
+    /// Set a node's materialization cost. O(1): the node's fingerprint
+    /// contribution is rolled out and back in.
+    pub fn set_node_storage(&mut self, v: NodeId, storage: Cost) {
+        let (i, retired) = (v.index(), self.retired[v.index()]);
+        self.fp_acc = self
+            .fp_acc
+            .wrapping_sub(node_contrib(i, self.node_storage[i], retired))
+            .wrapping_add(node_contrib(i, storage, retired));
+        self.node_storage[i] = storage;
     }
 
     /// True if the version has been retired via
@@ -608,7 +414,6 @@ impl VersionGraph {
     /// untouched). Idempotent.
     pub fn retire_version(&mut self, v: NodeId) {
         assert!(v.index() < self.n(), "retired version out of bounds");
-        self.settle_fp();
         if self.retired[v.index()] {
             return;
         }
@@ -642,20 +447,17 @@ impl VersionGraph {
         &self.edges[e.index()]
     }
 
-    /// Mutable edge payload by id (used by the cost transforms). The CSR
-    /// index is invalidated because endpoints are reachable through the
-    /// returned reference; the edge's fingerprint contribution is rolled
-    /// out now and back in (with whatever the caller wrote) on the next
-    /// mutation or fingerprint read.
-    #[inline]
-    pub fn edge_mut(&mut self, e: EdgeId) -> &mut EdgeData {
-        self.invalidate_adj();
-        self.settle_fp();
-        self.fp_acc = self
-            .fp_acc
-            .wrapping_sub(edge_contrib(e.index(), &self.edges[e.index()]));
-        self.fp_unsettled = Some(Unsettled::Edge(e));
-        &mut self.edges[e.index()]
+    /// Set an edge's storage and retrieval costs (used by the cost
+    /// transforms). O(1): endpoints are untouched, so the CSR index stays
+    /// valid, and the edge's fingerprint contribution is rolled out and
+    /// back in.
+    pub fn set_edge_costs(&mut self, e: EdgeId, storage: Cost, retrieval: Cost) {
+        let i = e.index();
+        self.fp_acc = self.fp_acc.wrapping_sub(edge_contrib(i, &self.edges[i]));
+        let data = &mut self.edges[i];
+        data.storage = storage;
+        data.retrieval = retrieval;
+        self.fp_acc = self.fp_acc.wrapping_add(edge_contrib(i, data));
     }
 
     /// All edge payloads, in id order.
@@ -692,12 +494,6 @@ impl VersionGraph {
             .iter()
             .enumerate()
             .map(|(i, e)| (EdgeId::new(i), e))
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_edges(v).len()
     }
 
     /// In-degree of `v`.
@@ -807,7 +603,7 @@ mod tests {
         let g = diamond();
         assert_eq!(g.n(), 4);
         assert_eq!(g.m(), 4);
-        assert_eq!(g.out_degree(NodeId(0)), 2);
+        assert_eq!(g.out_edges(NodeId(0)).len(), 2);
         assert_eq!(g.in_degree(NodeId(3)), 2);
         assert_eq!(g.node_storage(NodeId(2)), 120);
         let e = g.edge(EdgeId(2));
@@ -884,7 +680,7 @@ mod tests {
         let e = g.add_edge(NodeId(0), v4, 1, 2);
         assert_eq!(g.out_edges(NodeId(0)), &[EdgeId(0), EdgeId(1), e]);
         assert_eq!(g.in_edges(v4), &[e]);
-        assert_eq!(g.out_degree(NodeId(0)), 3);
+        assert_eq!(g.out_edges(NodeId(0)).len(), 3);
         // Slices stay in edge-id order per node.
         for v in g.node_ids() {
             assert!(g.out_edges(v).windows(2).all(|w| w[0] < w[1]));
@@ -913,7 +709,7 @@ mod tests {
             let fresh: VersionGraph = {
                 let mut f = VersionGraph::with_nodes(g.n());
                 for (i, &s) in g.node_storage.iter().enumerate() {
-                    *f.node_storage_mut(NodeId::new(i)) = s;
+                    f.set_node_storage(NodeId::new(i), s);
                 }
                 for e in g.edges() {
                     f.add_edge(e.src, e.dst, e.storage, e.retrieval);
@@ -935,10 +731,9 @@ mod tests {
         assert_eq!(g.fingerprint(), g.fingerprint_recomputed());
         let e = g.add_edge(NodeId(1), v4, 3, 4);
         assert_eq!(g.fingerprint(), g.fingerprint_recomputed());
-        // Reads interleaved with a live `&mut` from edge_mut.
-        g.edge_mut(e).retrieval = 9;
+        g.set_edge_costs(e, 3, 9);
         assert_eq!(g.fingerprint(), g.fingerprint_recomputed());
-        *g.node_storage_mut(NodeId(2)) = 500;
+        g.set_node_storage(NodeId(2), 500);
         assert_eq!(g.fingerprint(), g.fingerprint_recomputed());
         g.retire_version(NodeId(3));
         assert_eq!(g.fingerprint(), g.fingerprint_recomputed());
@@ -969,8 +764,11 @@ mod tests {
     fn fingerprint_distinguishes_shape_and_costs() {
         let a = diamond();
         let mut b = diamond();
-        *b.node_storage_mut(NodeId(0)) = 101;
+        b.set_node_storage(NodeId(0), 101);
         assert_ne!(a.fingerprint(), b.fingerprint());
+        let mut e = diamond();
+        e.set_edge_costs(EdgeId(1), 20, 22);
+        assert_ne!(a.fingerprint(), e.fingerprint());
         let mut c = diamond();
         c.add_version(1);
         assert_ne!(a.fingerprint(), c.fingerprint());
@@ -1003,137 +801,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_longer_than_nodes_are_rejected() {
-        let mut g = VersionGraph::new();
-        g.add_labelled_node(5, "commit-a");
-        let json = serde_json::to_string(&g).unwrap();
-        let back: VersionGraph = serde_json::from_str(&json).expect("honest dump");
-        assert_eq!(back.label(NodeId(0)), Some("commit-a"));
-        let bad = json.replace(r#"["commit-a"]"#, r#"["commit-a","commit-b"]"#);
-        assert!(serde_json::from_str::<VersionGraph>(&bad).is_err());
-    }
-
-    /// Valid `VersionGraph` JSON over `n` nodes: every third node
-    /// labelled, endpoints taken mod `n`, and node 1 retired.
-    fn valid_json(n: usize, edges: &[(u32, u32, u64)]) -> String {
-        let mut g = VersionGraph::new();
-        for v in 0..n as u64 {
-            if v % 3 == 0 {
-                g.add_labelled_node(10 + v, format!("c{v}"));
-            } else {
-                g.add_node(10 + v);
-            }
-        }
-        for &(a, b, c) in edges {
-            g.add_edge(NodeId(a % n as u32), NodeId(b % n as u32), c, c + 1);
-        }
-        if n > 1 {
-            g.retire_version(NodeId(1));
-        }
-        serde_json::to_string(&g).unwrap()
-    }
-
-    /// Inflated values spliced over one number of valid JSON: past the
-    /// node and edge counts, past `u32`, and far past `u64`.
-    const INFLATED: [&str; 5] = [
-        "64",
-        "4000000000",
-        "4294967295",
-        "4294967296",
-        "184467440737095516160",
-    ];
-
-    /// One extra element for each top-level array of the wire format.
-    const EXTRA: [(&str, &str); 6] = [
-        ("node_storage", "7"),
-        ("edges", r#"{"src":0,"dst":0,"storage":1,"retrieval":1}"#),
-        ("out_adj", "[]"),
-        ("in_adj", "[0]"),
-        ("labels", r#""x""#),
-        ("retired", "false"),
-    ];
-
-    /// Append `extra` `times` times to the top-level array `field`. Only
-    /// a top-level array closes before `,"` or at the closing `]}`.
-    fn inflate(json: &str, field: &str, extra: &str, times: usize) -> String {
-        let open = json.find(&format!("\"{field}\":[")).expect("field") + field.len() + 4;
-        let close = open + json[open..].find("],\"").unwrap_or(json.len() - 2 - open);
-        let mut items = vec![extra; times];
-        if close > open {
-            items.insert(0, &json[open..close]);
-        }
-        format!("{}{}{}", &json[..open], items.join(","), &json[close..])
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
-
-        /// The wire decoder is total: bit flips, inflated ids and
-        /// counts, truncation and splices of valid `VersionGraph` JSON
-        /// decode to a well-formed graph or a typed error, never a panic.
-        #[test]
-        fn mutated_graph_json_is_ok_or_typed_error(
-            n in 1usize..12,
-            other_n in 1usize..12,
-            edges in proptest::collection::vec((0u32..64, 0u32..64, 0u64..100), 0..20),
-            kind in 0u32..5,
-            (x, y, z) in (0usize..4096, 0usize..4096, 0usize..4096),
-        ) {
-            let json = valid_json(n, &edges);
-            let mut bytes = json.clone().into_bytes();
-            let len = bytes.len();
-            match kind {
-                0 => bytes[x % len] ^= 1 << (y % 8),
-                1 => {
-                    // Replace the (y mod count)-th number with an inflated one.
-                    let starts: Vec<usize> = (0..len)
-                        .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
-                        .collect();
-                    let a = starts[y % starts.len()];
-                    let b = a + json[a..].find(|c: char| !c.is_ascii_digit()).unwrap_or(len - a);
-                    bytes = format!("{}{}{}", &json[..a], INFLATED[z % INFLATED.len()], &json[b..])
-                        .into_bytes();
-                }
-                2 => {
-                    let (field, extra) = EXTRA[y % EXTRA.len()];
-                    bytes = inflate(&json, field, extra, 1 + z % 4).into_bytes();
-                }
-                3 => bytes.truncate(x % len),
-                _ => {
-                    // Copy a slice of another valid graph into this one.
-                    let other = valid_json(other_n, &edges[edges.len() / 2..]).into_bytes();
-                    let (a, b) = (x % other.len(), y % other.len());
-                    let at = z % (len + 1);
-                    bytes.splice(at..at, other[a.min(b)..a.max(b)].iter().copied());
-                }
-            }
-            let text = String::from_utf8_lossy(&bytes);
-            if let Ok(g) = serde_json::from_str::<VersionGraph>(&text) {
-                // Accepted: a self-consistent graph that round-trips.
-                proptest::prop_assert!(g.labels.len() <= g.n());
-                proptest::prop_assert_eq!(g.retired.len(), g.n());
-                for v in g.node_ids() {
-                    for &e in g.out_edges(v) {
-                        proptest::prop_assert_eq!(g.edge(e).src, v);
-                    }
-                    for &e in g.in_edges(v) {
-                        proptest::prop_assert_eq!(g.edge(e).dst, v);
-                    }
-                }
-                proptest::prop_assert_eq!(g.fingerprint(), g.fingerprint_recomputed());
-                let again = serde_json::to_string(&g).unwrap();
-                let back: VersionGraph = serde_json::from_str(&again).expect("re-decodes");
-                proptest::prop_assert_eq!(serde_json::to_string(&back).unwrap(), again);
-            }
-        }
-    }
-
-    #[test]
     fn multigraph_allows_parallel_edges() {
         let mut g = VersionGraph::with_nodes(2);
         g.add_edge(NodeId(0), NodeId(1), 1, 1);
         g.add_edge(NodeId(0), NodeId(1), 2, 2);
         assert_eq!(g.m(), 2);
-        assert_eq!(g.out_degree(NodeId(0)), 2);
+        assert_eq!(g.out_edges(NodeId(0)).len(), 2);
     }
 }

@@ -5,7 +5,6 @@
 //! halve the memory traffic of the hot algorithms (cf. the "Smaller
 //! Integers" advice in the Rust Performance Book).
 
-use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
 
 /// Identifier of a version (a node of the version graph).
@@ -15,32 +14,6 @@ pub struct NodeId(pub u32);
 /// Identifier of a delta (a directed edge of the version graph).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
-
-// The serde shim has no derive macro; ids serialize as bare integers,
-// which also matches what derived newtype serialization would emit.
-impl Serialize for NodeId {
-    fn to_value(&self) -> Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for NodeId {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        u32::from_value(v).map(NodeId)
-    }
-}
-
-impl Serialize for EdgeId {
-    fn to_value(&self) -> Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for EdgeId {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        u32::from_value(v).map(EdgeId)
-    }
-}
 
 impl NodeId {
     /// The index as a `usize`, for slice indexing.

@@ -26,8 +26,11 @@
 //!   partitioning (splitter-injected) for the sharded solve path,
 //! * [`generators`] — synthetic graph families (paths, stars, caterpillars,
 //!   series-parallel graphs, Erdős–Rényi digraphs, multi-component shard
-//!   forests) used by tests and the experiment harness,
-//! * [`io`] — (de)serialization of graphs.
+//!   forests) used by tests and the experiment harness.
+//!
+//! Graphs and partitions live in memory only (corpora are synthesized and
+//! the online planner mutates graphs in place), so the crate has no file
+//! format.
 
 #![warn(missing_docs)]
 
@@ -37,7 +40,6 @@ pub mod generators;
 pub mod graph;
 pub mod ids;
 pub mod indexed_heap;
-pub mod io;
 pub mod partition;
 pub mod skew_heap;
 pub mod topo;

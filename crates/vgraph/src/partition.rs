@@ -19,7 +19,6 @@
 use crate::graph::VersionGraph;
 use crate::ids::NodeId;
 use crate::unionfind::UnionFind;
-use serde::{object, Deserialize, Error, Serialize, Value};
 use std::fmt;
 
 /// Connected components of a graph's undirected closure, in CSR layout.
@@ -109,8 +108,8 @@ impl VersionGraph {
 }
 
 /// A structurally invalid [`Partition`] — the typed rejection used by both
-/// the wire format and [`Partition::validate`], replacing what would
-/// otherwise be panic-prone debug asserts downstream.
+/// [`Partition::from_shard_of`] and [`Partition::validate`], replacing what
+/// would otherwise be panic-prone debug asserts downstream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PartitionError {
     /// The partition covers a different number of nodes than the graph.
@@ -162,9 +161,9 @@ impl std::error::Error for PartitionError {}
 /// A partition of a graph's nodes into shards, in CSR layout.
 ///
 /// Shards are numbered by smallest member id; members of each shard are
-/// ascending node indices. Built by [`partition_graph`] or deserialized
-/// from the wire (`{"shard_of": [..]}`), in which case structural checks
-/// run on input and graph-dependent checks via [`Partition::validate`].
+/// ascending node indices. Built by [`partition_graph`] through
+/// [`Partition::from_shard_of`], which runs the structural checks;
+/// graph-dependent checks run via [`Partition::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
     /// Shard id of each node.
@@ -179,7 +178,7 @@ impl Partition {
     /// any shard id in `0..max(shard_of)+1` is unused (ids must be gap-free
     /// so shard indices can be array indices downstream).
     ///
-    /// Total on wire input: nothing is sized by a shard id. Gap-free ids
+    /// Total on any input: nothing is sized by a shard id. Gap-free ids
     /// over `n` nodes imply `k <= n`, so an id `>= n` is rejected, as the
     /// lowest unused id below `n`, before any id-sized allocation.
     pub fn from_shard_of(shard_of: Vec<u32>) -> Result<Partition, PartitionError> {
@@ -285,21 +284,6 @@ impl Partition {
             }
         }
         Ok(())
-    }
-}
-
-// Wire format: just the per-node assignment; the CSR view is re-derived and
-// the structural checks of `from_shard_of` run on input.
-impl Serialize for Partition {
-    fn to_value(&self) -> Value {
-        object([("shard_of", self.shard_of.to_value())])
-    }
-}
-
-impl Deserialize for Partition {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let shard_of: Vec<u32> = Vec::from_value(v.field("shard_of")?)?;
-        Partition::from_shard_of(shard_of).map_err(|e| Error::new(e.to_string()))
     }
 }
 
@@ -548,105 +532,5 @@ mod tests {
         );
         // Gap-free up to n - 1 is still fine.
         assert_eq!(Partition::from_shard_of(vec![2, 1, 0]).unwrap().len(), 3);
-        let bad = r#"{"shard_of":[4000000000]}"#;
-        assert!(serde_json::from_str::<Partition>(bad).is_err());
-    }
-
-    #[test]
-    fn wire_roundtrip_and_corruption_rejected() {
-        let g = erdos_renyi_bidirectional(20, 0.2, &CostModel::default(), 5);
-        let p = partition_graph(&g, 6, &halve_by_order);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Partition = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-        // A gap-introducing corruption must surface as a typed wire error.
-        let bad = r#"{"shard_of":[0,3,3]}"#;
-        assert!(serde_json::from_str::<Partition>(bad).is_err());
-    }
-
-    /// Valid `Partition` JSON over `n` nodes: ids assigned by first
-    /// appearance of `labels[v] % k`, so they are gap-free.
-    fn valid_json(labels: &[u32], k: u32) -> String {
-        let mut id_of = vec![u32::MAX; k as usize];
-        let mut next = 0;
-        let shard_of: Vec<u32> = labels
-            .iter()
-            .map(|&l| {
-                let id = &mut id_of[(l % k) as usize];
-                if *id == u32::MAX {
-                    *id = next;
-                    next += 1;
-                }
-                *id
-            })
-            .collect();
-        let p = Partition::from_shard_of(shard_of).expect("gap-free by construction");
-        serde_json::to_string(&p).unwrap()
-    }
-
-    /// Inflated ids spliced over one id of valid JSON: past `n`, past
-    /// `u32`, and far past `u64`.
-    const INFLATED: [&str; 5] = [
-        "64",
-        "4000000000",
-        "4294967295",
-        "4294967296",
-        "184467440737095516160",
-    ];
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
-
-        /// The wire decoder is total: bit flips, inflated ids, truncation
-        /// and splices of valid `Partition` JSON decode to a well-formed
-        /// partition or a typed error, never a panic or an id-sized
-        /// allocation.
-        #[test]
-        fn mutated_partition_json_is_ok_or_typed_error(
-            labels in proptest::collection::vec(0u32..64, 1..48),
-            k in 1u32..12,
-            kind in 0u32..4,
-            (x, y, z) in (0usize..4096, 0usize..4096, 0usize..4096),
-        ) {
-            let json = valid_json(&labels, k);
-            let mut bytes = json.clone().into_bytes();
-            let len = bytes.len();
-            match kind {
-                0 => bytes[x % len] ^= 1 << (y % 8),
-                1 => {
-                    // Replace the (y mod n)-th id with an inflated one.
-                    let open = json.find('[').expect("array") + 1;
-                    let close = json.rfind(']').expect("array");
-                    let mut ids: Vec<&str> = json[open..close].split(',').collect();
-                    let i = y % ids.len();
-                    ids[i] = INFLATED[z % INFLATED.len()];
-                    bytes = format!("{}{}{}", &json[..open], ids.join(","), &json[close..])
-                        .into_bytes();
-                }
-                2 => bytes.truncate(x % len),
-                _ => {
-                    // Copy a slice of the document to another position.
-                    let (a, b) = ((x % len).min(y % len), (x % len).max(y % len));
-                    let piece = bytes[a..b].to_vec();
-                    let at = z % (len + 1);
-                    bytes.splice(at..at, piece);
-                }
-            }
-            let text = String::from_utf8_lossy(&bytes);
-            if let Ok(p) = serde_json::from_str::<Partition>(&text) {
-                // Accepted: a well-formed partition of its own node count.
-                let n = p.shard_of.len();
-                proptest::prop_assert!(p.len() <= n);
-                let mut seen = vec![false; n];
-                for (s, members) in p.iter().enumerate() {
-                    proptest::prop_assert!(!members.is_empty());
-                    for &v in members {
-                        proptest::prop_assert_eq!(p.shard_of(NodeId(v)), s as u32);
-                        proptest::prop_assert!(!std::mem::replace(&mut seen[v as usize], true));
-                    }
-                }
-                proptest::prop_assert!(seen.iter().all(|&s| s));
-            }
-        }
     }
 }

@@ -101,7 +101,9 @@
 //! scaling. [`ShardedSolver`](core::engine::sharded::ShardedSolver) —
 //! registered first in the default engine — partitions the graph into
 //! bounded-size shards ([`vgraph::partition`]: connected components, then
-//! treewidth-separator cuts from [`treewidth::separator`]), solves the
+//! cuts by [`treewidth::split_component`], which bisects in BFS order at
+//! the default shard size and uses a tree-decomposition separator only
+//! below 768 nodes), solves the
 //! shards in parallel under a deterministic budget split, and stitches the
 //! local plans through a coarsened cross-shard solve. Results are
 //! byte-identical at any thread count, exactly budget-safe, and gated

@@ -78,7 +78,7 @@ fn cost_add_saturates_at_inf() {
 fn disconnected_graphs_fail_gracefully() {
     let mut g = VersionGraph::with_nodes(3);
     for v in 0..3 {
-        *g.node_storage_mut(NodeId(v)) = 10;
+        g.set_node_storage(NodeId(v), 10);
     }
     g.add_bidirectional_edge(NodeId(0), NodeId(1), 1, 1);
     // Tree-based pipelines need reachability from the root...
@@ -132,7 +132,7 @@ fn engine_falls_through_to_greedy_on_disconnected_graphs() {
     // LMG-All, which materializes the isolated node.
     let mut g = VersionGraph::with_nodes(3);
     for v in 0..3 {
-        *g.node_storage_mut(NodeId(v)) = 10;
+        g.set_node_storage(NodeId(v), 10);
     }
     g.add_bidirectional_edge(NodeId(0), NodeId(1), 1, 1);
     let engine = Engine::with_default_solvers();
@@ -147,22 +147,6 @@ fn engine_falls_through_to_greedy_on_disconnected_graphs() {
         .expect("greedy fallback succeeds");
     assert_eq!(sol.meta.solver, "LMG-All");
     assert_eq!(sol.plan.parent[2], Parent::Materialized);
-}
-
-#[test]
-fn malformed_text_graphs_are_rejected() {
-    use dsv_vgraph::io::from_text;
-    for (input, fragment) in [
-        ("n 2\ne 0 1 5", "missing retrieval"),
-        ("n x", "bad node count"),
-        ("n 1\nv 3 5", "out of range"),
-    ] {
-        let err = from_text(input).expect_err("must fail");
-        assert!(
-            err.contains(fragment) || !err.is_empty(),
-            "unexpected error for {input:?}: {err}"
-        );
-    }
 }
 
 #[test]

@@ -167,23 +167,6 @@ fn problem_enum_is_consistent_with_brute_force_on_corpus_subgraph() {
 }
 
 #[test]
-fn serialization_roundtrip_through_text_and_json() {
-    let c = corpus(CorpusName::Datasharing, 0.5, 16);
-    let g = &c.graph;
-    let text = dsv_vgraph::io::to_text(g);
-    let g2 = dsv_vgraph::io::from_text(&text).expect("parses");
-    assert_eq!(g.edges(), g2.edges());
-    let json = dsv_vgraph::io::to_json(g);
-    let g3 = dsv_vgraph::io::from_json(&json).expect("parses");
-    assert_eq!(g.edges(), g3.edges());
-    // Solving the round-tripped graph gives identical results.
-    let smin = min_storage_value(g);
-    let a = lmg_all(g, smin * 2).expect("feasible").costs(g);
-    let b = lmg_all(&g2, smin * 2).expect("feasible").costs(&g2);
-    assert_eq!(a, b);
-}
-
-#[test]
 fn treewidth_of_natural_corpora_is_small() {
     let c = corpus(CorpusName::Styleguide, 0.3, 17);
     let tw = dsv_treewidth::treewidth_upper_bound(&c.graph);
