@@ -99,11 +99,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "DP-BTW: reconstructed plan == certificate, vs tree-DP / LMG-All",
         |o, _| btw_bench(o),
     ),
-    (
-        "portfolio",
-        "engine portfolio winners + parallel-vs-sequential speedup",
-        |o, _| portfolio_bench(o),
-    ),
     ("lmg", "incremental vs from-scratch LMG-All", |o, _| {
         lmg_bench(o)
     }),
@@ -408,190 +403,6 @@ pub fn thm1() -> Report {
     }
     r.note("Expected shape (paper Thm. 1): LMG/OPT grows linearly with c/b — the greedy ratio is unbounded.");
     r
-}
-
-/// Engine showcase: every [`ProblemKind`](dsv_core::problem::ProblemKind)
-/// solved end-to-end through
-/// [`Engine::portfolio`](dsv_core::engine::Engine::portfolio) on one
-/// corpus — which solver wins each problem, at what objective, against how
-/// many feasible competitors. Not a paper figure; it exercises the serving path future
-/// PRs build on.
-pub fn portfolio_report(opts: &ExperimentOptions) -> Report {
-    use crate::sweep::portfolio_sweep;
-    use dsv_core::baselines::min_storage_value;
-    use dsv_core::problem::ProblemKind;
-
-    let c = corpus(
-        CorpusName::Datasharing,
-        opts.scale_for(CorpusName::Datasharing),
-        opts.seed,
-    );
-    let g = &c.graph;
-    let smin = min_storage_value(g);
-    let rmax = g.max_edge_retrieval();
-
-    let mut r = Report::new(
-        "engine-portfolio-datasharing",
-        &[
-            "problem",
-            "budget",
-            "winner",
-            "objective",
-            "feasible",
-            "attempted",
-            "time_ms",
-        ],
-    );
-    let problems = [
-        ProblemKind::Msr {
-            storage_budget: smin * 2,
-        },
-        ProblemKind::Mmr {
-            storage_budget: smin * 2,
-        },
-        ProblemKind::Bsr {
-            retrieval_budget: rmax.saturating_mul(g.n() as u64),
-        },
-        ProblemKind::Bmr {
-            retrieval_budget: rmax,
-        },
-    ];
-    for point in portfolio_sweep(g, &problems) {
-        r.push_row(row![
-            point.problem.name(),
-            point.problem.budget(),
-            point.winner.map(|(solver, _)| solver.to_string()),
-            point.winner.map(|(_, obj)| obj),
-            point.feasible,
-            point.attempted,
-            point.time_ms,
-        ]);
-    }
-    r.note("Engine portfolio: each row is one ProblemKind solved by every registered solver that supports it; the winner is the best feasible validated plan.");
-    r
-}
-
-/// Iterations per timing mode in [`portfolio_bench`] (best is reported).
-pub const PORTFOLIO_BENCH_ITERS: usize = 3;
-
-/// Floor of the parallel-vs-sequential portfolio speedup (applies only
-/// when the pool has more than one thread).
-pub const PORTFOLIO_SPEEDUP_FLOOR: f64 = 1.0;
-
-/// The portfolio experiment: the [`portfolio_report`] winners table, then
-/// `Engine::portfolio` timed parallel vs sequential on the **largest**
-/// corpus fixture at the configured scale, with every attempt's wall time
-/// and, for failed attempts, the error. Asserts that both modes return the
-/// same best plan (the determinism contract); gates the speedup.
-pub fn portfolio_bench(opts: &ExperimentOptions) -> Bench {
-    use dsv_core::baselines::min_storage_value;
-    use dsv_core::engine::{AttemptOutcome, Engine, SolveOptions};
-    use dsv_core::problem::ProblemKind;
-
-    // The winners table runs first, so the timed runs start on a warm pool.
-    let winners = portfolio_report(opts);
-
-    // Largest fixture by scaled node count (no need to build all corpora).
-    let name = CorpusName::ALL
-        .into_iter()
-        .max_by_key(|n| (n.paper_nodes() as f64 * opts.scale_for(*n)) as usize)
-        .expect("corpora exist");
-    let c = corpus(name, opts.scale_for(name), opts.seed);
-    let g = &c.graph;
-    let problem = ProblemKind::Msr {
-        storage_budget: min_storage_value(g) * 2,
-    };
-    let engine = Engine::with_default_solvers();
-    let threads = rayon::current_num_threads();
-
-    // Fresh options per run: no shared-work carry-over between timed
-    // iterations (sharing *within* one call still applies). The sequential
-    // mode runs on a one-thread pool, where the engine dispatches one
-    // solver at a time.
-    let time_mode = || {
-        best_of(PORTFOLIO_BENCH_ITERS, || {
-            engine.portfolio(g, problem, &SolveOptions::default())
-        })
-    };
-    let (parallel_ms, parallel_run) = time_mode();
-    let (sequential_ms, sequential_run) = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool")
-        .install(time_mode);
-    let speedup = sequential_ms / parallel_ms.max(1e-9);
-
-    let winner = match (&parallel_run, &sequential_run) {
-        (Ok(p), Ok(s)) => {
-            assert_eq!(
-                p.best.plan, s.best.plan,
-                "parallel and sequential portfolios must return the same best plan"
-            );
-            Some((p.best.meta.solver, p.best.costs.total_retrieval))
-        }
-        _ => None,
-    };
-
-    let mut summary = Report::new(
-        "portfolio-speedup",
-        &[
-            "corpus",
-            "nodes",
-            "edges",
-            "parallel_ms",
-            "sequential_ms",
-            "speedup",
-            "winner",
-            "objective",
-        ],
-    );
-    summary.push_row(row![
-        name.as_str(),
-        g.n(),
-        g.m(),
-        parallel_ms,
-        sequential_ms,
-        speedup,
-        winner.map(|(solver, _)| solver.to_string()),
-        winner.map(|(_, obj)| obj),
-    ]);
-    summary.note(format!(
-        "best of {PORTFOLIO_BENCH_ITERS} per mode on {threads} threads; \
-         parallel and sequential best plans byte-identical (asserted)"
-    ));
-
-    let mut attempts = Report::new(
-        "portfolio-bench",
-        &["solver", "wall_ms", "outcome", "reason"],
-    );
-    if let Ok(p) = &parallel_run {
-        for a in &p.attempts {
-            let (outcome, reason) = match &a.outcome {
-                AttemptOutcome::Solved(_) => ("solved", None),
-                AttemptOutcome::Failed(e) => ("failed", Some(e.to_string())),
-                AttemptOutcome::Skipped => ("skipped", None),
-            };
-            attempts.push_row(row![
-                a.solver,
-                a.wall_time.as_secs_f64() * 1e3,
-                outcome,
-                reason
-            ]);
-        }
-    }
-    attempts.note(
-        "per-solver attempts of the parallel portfolio; a failed attempt's wall time \
-         still counts toward the parallel wall",
-    );
-
-    let mut bench = Bench::tables(vec![winners, summary, attempts]);
-    if threads > 1 {
-        bench.floor("portfolio.speedup", speedup, PORTFOLIO_SPEEDUP_FLOOR);
-    } else {
-        bench.tables[1]
-            .note("speedup gate not applicable at pool width 1 (set DSV_NUM_THREADS > 1)");
-    }
-    bench
 }
 
 /// Iterations per timing mode in [`lmg_bench`] (best is reported).

@@ -167,51 +167,6 @@ pub fn opt_sweep(g: &VersionGraph, budgets: &[Cost]) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// One measured point of a [`portfolio_sweep`].
-#[derive(Clone, Debug)]
-pub struct PortfolioPoint {
-    /// The problem solved.
-    pub problem: ProblemKind,
-    /// Winning solver and its objective, or `None` when no registered
-    /// solver found a feasible plan.
-    pub winner: Option<(&'static str, Cost)>,
-    /// Solvers that produced a feasible plan.
-    pub feasible: usize,
-    /// Solvers attempted (supporting the problem).
-    pub attempted: usize,
-    /// Wall-clock milliseconds for the whole portfolio.
-    pub time_ms: f64,
-}
-
-/// Engine-portfolio sweep: for each problem, run every registered solver
-/// that supports it and report the best feasible objective plus the
-/// winning solver — the "one request, best answer" serving mode.
-pub fn portfolio_sweep(g: &VersionGraph, problems: &[ProblemKind]) -> Vec<PortfolioPoint> {
-    let engine = Engine::with_default_solvers();
-    let opts = SolveOptions::default();
-    problems
-        .iter()
-        .map(|&problem| {
-            let t0 = Instant::now();
-            let (winner, feasible, attempted) = match engine.portfolio(g, problem, &opts) {
-                Ok(p) => (
-                    Some((p.best.meta.solver, p.best.objective(problem))),
-                    p.attempts.iter().filter(|a| a.outcome.is_ok()).count(),
-                    p.attempts.len(),
-                ),
-                Err(_) => (None, 0, 0),
-            };
-            PortfolioPoint {
-                problem,
-                winner,
-                feasible,
-                attempted,
-                time_ms: t0.elapsed().as_secs_f64() * 1e3,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,29 +215,6 @@ mod tests {
         for (p, &b) in points.iter().zip(&budgets) {
             assert_eq!((p.algorithm, p.budget), ("OPT", b));
             assert_eq!(p.objective, dsv_core::exact::brute::msr_optimum(&g, b));
-        }
-    }
-
-    #[test]
-    fn portfolio_sweep_finds_winners_for_all_problems() {
-        let g = bidirectional_path(10, &CostModel::default(), 5);
-        let smin = min_storage_value(&g);
-        let problems = [
-            ProblemKind::Msr {
-                storage_budget: smin * 2,
-            },
-            ProblemKind::Mmr {
-                storage_budget: smin * 2,
-            },
-            ProblemKind::Bmr {
-                retrieval_budget: g.max_edge_retrieval(),
-            },
-        ];
-        let points = portfolio_sweep(&g, &problems);
-        assert_eq!(points.len(), problems.len());
-        for p in &points {
-            let (solver, _) = p.winner.expect("feasible");
-            assert!(!solver.is_empty());
         }
     }
 

@@ -13,31 +13,30 @@
 //!   optimality/lower-bound certificates, the solver's own running
 //!   objective);
 //! * [`Engine`] — a registry dispatching a [`ProblemKind`] to registered
-//!   solvers, in preference order, plus a [`Engine::portfolio`] mode that
-//!   runs every applicable solver and returns the best feasible plan, and
-//!   a batched [`Engine::solve_sweep`] that answers a whole MSR budget
-//!   sweep from **one** DP-MSR run (the paper's "whole spectrum of
-//!   solutions at once").
+//!   solvers: [`Engine::solve`] in preference order, [`Engine::solve_with`]
+//!   to one named solver, and a batched [`Engine::solve_sweep`] that
+//!   answers a whole MSR budget sweep from **one** DP-MSR run (the paper's
+//!   "whole spectrum of solutions at once").
 //!
 //! Every solution handed out is validated ([`StoragePlan::validate`]) and
 //! budget-checked against its problem before it leaves the engine, so a
 //! buggy or heuristic solver can never silently return an infeasible plan
 //! — it becomes a [`SolveError::BudgetExceeded`] instead.
 //!
-//! ## Parallel dispatch, preemption, and shared work
+//! ## Dispatch, preemption, and shared work
 //!
 //! [`Engine::solve`] tries the supporting solvers one at a time in
 //! preference order, so the solver that runs has the whole thread pool
 //! (see the `rayon` shim; width from `DSV_NUM_THREADS`) for its own
-//! parallelism — the sharded path solves its shards on it. Only
-//! [`Engine::portfolio`] fans solvers out across threads: its wall time
-//! approaches the slowest single solver instead of the sum. Every call
+//! parallelism — the sharded path solves its shards on it. Every call
 //! derives one [`CancelToken`] from [`SolveOptions::cancel`] and
 //! [`SolveOptions::time_limit`], which long DPs poll mid-run (cooperative
 //! preemption inside running solvers, not just between them). Results are
-//! **deterministic**: portfolio attempts are recorded in registry order
-//! and every combination step is order-stable, so plans are byte-identical
-//! at any pool width.
+//! **deterministic**: every combination step is order-stable, so plans are
+//! byte-identical at any pool width.
+//!
+//! Tree-extraction based solvers (DP-MSR, DP-BMR, the MMR/BSR reductions)
+//! and [`Engine::solve_sweep`] root their tree at version `NodeId(0)`.
 //!
 //! Heuristic results (LMG-All plans, DP-MSR frontier plans) are memoized
 //! in a [`SharedWork`] keyed by graph fingerprint and budget, and the
@@ -78,18 +77,14 @@ use crate::cancel::CancelToken;
 use crate::plan::{PlanCosts, StoragePlan};
 use crate::problem::{Objective, ProblemKind};
 use dsv_vgraph::{Cost, NodeId, VersionGraph};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Options shared by every solver invocation.
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
-    /// Root used by tree-extraction based solvers (DP-MSR, DP-BMR, the
-    /// MMR/BSR reductions).
-    pub root: NodeId,
     /// Wall-clock limit, enforced cooperatively: solvers are not *started*
-    /// past the deadline (recorded as skipped in portfolios), and running
-    /// DPs and searches poll a deadline token mid-run and abort early.
+    /// past the deadline, and running DPs and searches poll a deadline
+    /// token mid-run and abort early.
     pub time_limit: Option<Duration>,
     /// Configuration for the bounded-width DP.
     pub btw: crate::btw::BtwConfig,
@@ -109,7 +104,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            root: NodeId(0),
             time_limit: None,
             btw: crate::btw::BtwConfig::default(),
             cancel: CancelToken::inert(),
@@ -122,8 +116,8 @@ impl Default for SolveOptions {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolveError {
     /// No plan satisfies the constraint (e.g. the storage budget lies below
-    /// the minimum-storage plan, or the graph is not reachable from the
-    /// chosen root).
+    /// the minimum-storage plan, or the graph is not reachable from
+    /// version `NodeId(0)`, the root of every engine tree).
     Infeasible {
         /// The reporting solver.
         solver: &'static str,
@@ -148,7 +142,7 @@ pub enum SolveError {
         achieved: Cost,
     },
     /// The wall-clock limit in [`SolveOptions::time_limit`] expired before
-    /// this solver could start (or finish a portfolio).
+    /// this solver could start.
     Timeout {
         /// The solver that was not run (or `"engine"`).
         solver: &'static str,
@@ -170,7 +164,8 @@ pub enum SolveError {
         detail: String,
     },
     /// The solver returned a structurally invalid plan — always a bug, but
-    /// reported as data so a portfolio can route around it.
+    /// reported as data so [`Engine::solve`] can fall through to the next
+    /// solver.
     InvalidPlan {
         /// The offending solver.
         solver: &'static str,
@@ -366,78 +361,11 @@ pub trait Solver: Send + Sync {
     ) -> Result<Solution, SolveError>;
 }
 
-/// How one solver fared within a [`Portfolio`] run.
-#[derive(Clone, Debug)]
-pub enum AttemptOutcome {
-    /// The solver produced a feasible validated plan with these costs.
-    Solved(PlanCosts),
-    /// The solver ran and failed with this error.
-    Failed(SolveError),
-    /// The solver was never started: the deadline had already expired (or
-    /// the call was cancelled) before its turn.
-    Skipped,
-}
-
-impl AttemptOutcome {
-    /// Whether the attempt produced a feasible plan.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, AttemptOutcome::Solved(_))
-    }
-
-    /// The plan costs on success.
-    pub fn ok(&self) -> Option<&PlanCosts> {
-        match self {
-            AttemptOutcome::Solved(costs) => Some(costs),
-            _ => None,
-        }
-    }
-
-    /// The error of a failed attempt.
-    pub fn err(&self) -> Option<&SolveError> {
-        match self {
-            AttemptOutcome::Failed(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Whether the solver was skipped without being started.
-    pub fn is_skipped(&self) -> bool {
-        matches!(self, AttemptOutcome::Skipped)
-    }
-}
-
-/// One solver's result within a [`Portfolio`] run.
-#[derive(Clone, Debug)]
-pub struct PortfolioAttempt {
-    /// Which solver ran.
-    pub solver: &'static str,
-    /// Its costs on success, why it failed, or that it was skipped.
-    pub outcome: AttemptOutcome,
-    /// Wall-clock time of the attempt ([`Duration::ZERO`] for skipped
-    /// attempts, which never ran).
-    pub wall_time: Duration,
-}
-
-/// Result of [`Engine::portfolio`]: the winning solution plus the full
-/// per-solver scoreboard.
-#[derive(Clone, Debug)]
-pub struct Portfolio {
-    /// The best feasible solution across all attempted solvers.
-    pub best: Solution,
-    /// Every attempt, in registry order.
-    pub attempts: Vec<PortfolioAttempt>,
-}
-
-/// One solver's outcome (`None`: skipped because the call token had
-/// fired) and wall time.
-type Attempt = (Option<Result<Solution, SolveError>>, Duration);
-
 /// Registry dispatching problems to solvers.
 ///
 /// [`Engine::solve`] tries supporting solvers in registration order and
 /// returns the first success — registration order is therefore the
-/// preference order. [`Engine::portfolio`] runs *all* supporting solvers
-/// and keeps the best feasible plan.
+/// preference order. [`Engine::solve_with`] runs one solver by name.
 pub struct Engine {
     solvers: Vec<Box<dyn Solver>>,
 }
@@ -528,58 +456,6 @@ impl Engine {
         eff
     }
 
-    /// Run one solver unless the call token has already fired (`None`:
-    /// skipped), timing the attempt.
-    fn attempt(
-        solver: &dyn Solver,
-        g: &VersionGraph,
-        problem: ProblemKind,
-        eff: &SolveOptions,
-    ) -> Attempt {
-        if eff.cancel.is_cancelled() {
-            return (None, Duration::ZERO);
-        }
-        let t0 = Instant::now();
-        let result = solver.solve(g, problem, eff);
-        (Some(result), t0.elapsed())
-    }
-
-    /// Run every one of `solvers` against `problem` for a portfolio,
-    /// sequentially or fanned out on the thread pool, returning per-solver
-    /// results **in input order**.
-    fn run_attempts(
-        &self,
-        g: &VersionGraph,
-        problem: ProblemKind,
-        solvers: &[&dyn Solver],
-        eff: &SolveOptions,
-    ) -> Vec<Attempt> {
-        if solvers.len() <= 1 || rayon::current_num_threads() <= 1 {
-            return solvers
-                .iter()
-                .map(|&solver| Self::attempt(solver, g, problem, eff))
-                .collect();
-        }
-        // One task per solver; slots keep registry order.
-        let slots: Vec<Mutex<Option<Attempt>>> = solvers.iter().map(|_| Mutex::new(None)).collect();
-        rayon::scope(|scope| {
-            for (&solver, slot) in solvers.iter().zip(&slots) {
-                scope.spawn(move || {
-                    *slot.lock().expect("attempt slot") =
-                        Some(Self::attempt(solver, g, problem, eff));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("attempt slot")
-                    .expect("every spawned attempt reports")
-            })
-            .collect()
-    }
-
     /// Fold attempt errors into the most informative failure, mirroring
     /// the sequential engine's historical preference: an
     /// [`SolveError::Infeasible`] if any solver reported one, else the
@@ -640,73 +516,17 @@ impl Engine {
         let eff = self.prepare_call(g, opts);
         let mut errors = Vec::with_capacity(solvers.len());
         for solver in solvers {
-            match Self::attempt(solver, g, problem, &eff).0 {
-                Some(Ok(sol)) => return Ok(sol),
-                Some(Err(e)) => errors.push(Some(e)),
-                None => errors.push(None),
+            // `None`: skipped, because the call token has already fired.
+            if eff.cancel.is_cancelled() {
+                errors.push(None);
+                continue;
+            }
+            match solver.solve(g, problem, &eff) {
+                Ok(sol) => return Ok(sol),
+                Err(e) => errors.push(Some(e)),
             }
         }
         Err(Self::aggregate_failure(problem, opts, errors))
-    }
-
-    /// Run every supporting solver — concurrently when the pool allows —
-    /// and return the best feasible solution (minimum objective; ties
-    /// broken by the smaller constrained cost), plus the full scoreboard
-    /// in registry order. Solvers not started before the deadline are
-    /// marked [`AttemptOutcome::Skipped`].
-    pub fn portfolio(
-        &self,
-        g: &VersionGraph,
-        problem: ProblemKind,
-        opts: &SolveOptions,
-    ) -> Result<Portfolio, SolveError> {
-        let solvers = self.solvers_for(problem);
-        if solvers.is_empty() {
-            return Err(SolveError::NoSolver {
-                problem: problem.name(),
-            });
-        }
-        let eff = self.prepare_call(g, opts);
-        let results = self.run_attempts(g, problem, &solvers, &eff);
-
-        let mut attempts = Vec::with_capacity(results.len());
-        let mut best: Option<Solution> = None;
-        let mut errors = Vec::with_capacity(results.len());
-        for (solver, (result, wall_time)) in solvers.iter().zip(results) {
-            let outcome = match result {
-                Some(Ok(sol)) => {
-                    let costs = sol.costs;
-                    let better = match &best {
-                        None => true,
-                        Some(b) => {
-                            let (o, bo) = (sol.objective(problem), b.objective(problem));
-                            o < bo || (o == bo && sol.constrained(problem) < b.constrained(problem))
-                        }
-                    };
-                    if better {
-                        best = Some(sol);
-                    }
-                    AttemptOutcome::Solved(costs)
-                }
-                Some(Err(e)) => {
-                    errors.push(Some(e.clone()));
-                    AttemptOutcome::Failed(e)
-                }
-                None => {
-                    errors.push(None);
-                    AttemptOutcome::Skipped
-                }
-            };
-            attempts.push(PortfolioAttempt {
-                solver: solver.name(),
-                outcome,
-                wall_time,
-            });
-        }
-        match best {
-            Some(best) => Ok(Portfolio { best, attempts }),
-            None => Err(Self::aggregate_failure(problem, opts, errors)),
-        }
     }
 
     /// Answer a whole MSR budget sweep from **one** DP-MSR run: the DP's
@@ -729,9 +549,10 @@ impl Engine {
         const SOLVER: &str = "DP-MSR";
         let started = Instant::now();
         let eff = self.prepare_call(g, opts);
-        let t = crate::tree::extract_tree(g, eff.root).ok_or_else(|| SolveError::Infeasible {
+        let root = NodeId(0);
+        let t = crate::tree::extract_tree(g, root).ok_or_else(|| SolveError::Infeasible {
             solver: SOLVER,
-            detail: format!("graph is not spanning-reachable from root {}", eff.root),
+            detail: format!("graph is not spanning-reachable from root {root}"),
         })?;
         let max_budget = budgets.iter().copied().max().unwrap_or(0);
         let state =
@@ -810,32 +631,6 @@ mod tests {
             );
             assert!(!sol.meta.solver.is_empty());
         }
-    }
-
-    #[test]
-    fn portfolio_returns_the_best_feasible_plan() {
-        let g = graph();
-        let engine = Engine::with_default_solvers();
-        let opts = SolveOptions::default();
-        let smin = min_storage_value(&g);
-        let problem = ProblemKind::Msr {
-            storage_budget: smin * 2,
-        };
-
-        let portfolio = engine.portfolio(&g, problem, &opts).expect("feasible");
-        let successes: Vec<Cost> = portfolio
-            .attempts
-            .iter()
-            .filter_map(|a| a.outcome.ok())
-            .map(|c| c.total_retrieval)
-            .collect();
-        assert!(
-            successes.len() >= 3,
-            "expected ≥ 3 feasible MSR solvers, got {successes:?}"
-        );
-        let best = portfolio.best.objective(problem);
-        assert_eq!(best, successes.iter().copied().min().expect("non-empty"));
-        portfolio.best.plan.validate(&g).expect("valid");
     }
 
     #[test]

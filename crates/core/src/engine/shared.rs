@@ -14,7 +14,7 @@
 //!
 //! Correctness rules:
 //!
-//! * A cell is keyed by budget (and root for DP-MSR), or by
+//! * A cell is keyed by budget, or by
 //!   `max_shard_nodes` for the shard prep; the graph itself is pinned by a
 //!   fingerprint claimed on first use. The engine swaps in a
 //!   fresh memo when a caller reuses one `SolveOptions` across different
@@ -36,7 +36,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum WorkKey {
     LmgAll { budget: Cost },
-    DpMsr { budget: Cost, root: u32 },
+    DpMsr { budget: Cost },
     ShardPrep { max_shard_nodes: usize },
 }
 
@@ -187,23 +187,19 @@ impl SharedWork {
         }
     }
 
-    /// The DP-MSR plan at `(root, budget)`, computed once per memo.
+    /// The DP-MSR plan at `budget`, with the tree rooted at `NodeId(0)`,
+    /// computed once per memo.
     /// Inner `None` = infeasible/unreachable; outer `None` = abandoned
     /// because a cancellation fired (while computing or while waiting).
     #[allow(clippy::type_complexity)]
     pub fn dp_msr(
         &self,
         g: &VersionGraph,
-        root: NodeId,
         budget: Cost,
         cancel: &CancelToken,
     ) -> Option<Option<(StoragePlan, PlanCosts)>> {
-        let key = WorkKey::DpMsr {
-            budget,
-            root: root.0,
-        };
-        let value = self.get_or_compute(key, cancel, || {
-            let result = dp_msr_on_graph(g, root, budget, cancel);
+        let value = self.get_or_compute(WorkKey::DpMsr { budget }, cancel, || {
+            let result = dp_msr_on_graph(g, NodeId(0), budget, cancel);
             // A `None` produced by a fired token is an aborted run, not an
             // infeasibility verdict — do not cache it.
             let complete = result.is_some() || !cancel.is_cancelled();
@@ -278,10 +274,10 @@ mod tests {
         let fired = CancelToken::new();
         fired.cancel();
         // A cancelled DP request yields nothing and leaves the cell empty…
-        assert!(shared.dp_msr(&g, NodeId(0), budget, &fired).is_none());
+        assert!(shared.dp_msr(&g, budget, &fired).is_none());
         // …so a live request afterwards computes the real value.
         let live = shared
-            .dp_msr(&g, NodeId(0), budget, &CancelToken::inert())
+            .dp_msr(&g, budget, &CancelToken::inert())
             .expect("not cancelled");
         assert!(live.is_some(), "feasible budget must produce a plan");
     }

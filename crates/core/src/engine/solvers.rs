@@ -19,7 +19,7 @@ use crate::heuristics::mp::modified_prims;
 use crate::problem::ProblemKind;
 use crate::reductions::{bsr_via_msr, mmr_via_bmr};
 use crate::tree::{dp_bmr, extract_tree, TreeDpConfig};
-use dsv_vgraph::VersionGraph;
+use dsv_vgraph::{NodeId, VersionGraph};
 use std::time::Instant;
 
 /// Local Move Greedy (Algorithm 1) for MSR.
@@ -140,15 +140,15 @@ impl Solver for DpMsrSolver {
         opts: &SolveOptions,
     ) -> Result<Solution, SolveError> {
         let started = Instant::now();
-        if extract_tree(g, opts.root).is_none() {
-            return Err(not_reachable(self.name(), opts));
+        if extract_tree(g, NodeId(0)).is_none() {
+            return Err(not_reachable(self.name()));
         }
         let mut meta = SolverMeta::new(self.name());
         let plan = match problem {
             ProblemKind::Msr { storage_budget } => {
                 let (plan, costs) = opts
                     .shared
-                    .dp_msr(g, opts.root, storage_budget, &opts.cancel)
+                    .dp_msr(g, storage_budget, &opts.cancel)
                     .ok_or_else(|| cancelled(self.name(), opts))?
                     .ok_or_else(|| below_min_storage(self.name()))?;
                 meta.reported_objective = Some(costs.total_retrieval);
@@ -156,7 +156,7 @@ impl Solver for DpMsrSolver {
             }
             ProblemKind::Bsr { retrieval_budget } => {
                 let cfg = TreeDpConfig::heuristic(g, None);
-                let found = bsr_via_msr(g, opts.root, retrieval_budget, cfg, &opts.cancel);
+                let found = bsr_via_msr(g, NodeId(0), retrieval_budget, cfg, &opts.cancel);
                 let (plan, storage) = found.ok_or_else(|| {
                     cancelled_or(self.name(), opts, || SolveError::Infeasible {
                         solver: self.name(),
@@ -196,8 +196,8 @@ impl Solver for DpBmrSolver {
         let mut meta = SolverMeta::new(self.name());
         // One extraction serves both classification (unreachable is an
         // error distinct from cancellation) and the DP itself.
-        let Some(t) = extract_tree(g, opts.root) else {
-            return Err(not_reachable(self.name(), opts));
+        let Some(t) = extract_tree(g, NodeId(0)) else {
+            return Err(not_reachable(self.name()));
         };
         let plan = match problem {
             ProblemKind::Bmr { retrieval_budget } => {
@@ -357,9 +357,9 @@ fn below_min_storage(solver: &'static str) -> SolveError {
     }
 }
 
-fn not_reachable(solver: &'static str, opts: &SolveOptions) -> SolveError {
+fn not_reachable(solver: &'static str) -> SolveError {
     SolveError::Infeasible {
         solver,
-        detail: format!("graph is not spanning-reachable from root {}", opts.root),
+        detail: format!("graph is not spanning-reachable from root {}", NodeId(0)),
     }
 }

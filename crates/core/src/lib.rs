@@ -24,10 +24,10 @@
 //! | [`exact`] | brute-force enumeration (test ground truth) | — |
 //!
 //! All of the above are unified behind the [`engine`]: a [`engine::Solver`]
-//! trait, an [`engine::Engine`] registry dispatching [`problem::ProblemKind`]
-//! to solvers, and a portfolio mode returning the best feasible plan. New
-//! code should go through the engine; the free functions remain as the
-//! algorithm layer underneath it.
+//! trait and an [`engine::Engine`] registry dispatching
+//! [`problem::ProblemKind`] to solvers in preference order (or to one named
+//! solver). New code should go through the engine; the free functions
+//! remain as the algorithm layer underneath it.
 //!
 //! Planning is no longer the end of the pipeline: the [`executor`] takes
 //! any engine [`engine::Solution`] and materializes it against a
@@ -64,7 +64,7 @@ pub use checkout::{
     CacheStats, Checkout, CheckoutCache, CheckoutStats, RepairStats, RepairTicket, ServeOutcome,
 };
 pub use engine::{
-    sharded_msr, Engine, Portfolio, ShardConfig, ShardStats, ShardedSolver, Solution, SolveError,
+    sharded_msr, Engine, ShardConfig, ShardStats, ShardedSolver, Solution, SolveError,
     SolveOptions, Solver, SolverMeta, SHARD_REGRET_BOUND,
 };
 pub use executor::{ExecError, ExecutionReport, MigrationStats, PlanExecutor, StoredPlan};

@@ -22,8 +22,9 @@
 //!   result: even a reply computed successfully is converted to
 //!   `Cancelled` if its deadline passed while computing.
 //! * **Graceful degradation** — a `Solve` under deadline pressure walks
-//!   a ladder instead of failing: with comfortable time left it runs the
-//!   full portfolio ([`ServeTier::Full`]); with little time it answers
+//!   a ladder instead of failing: with comfortable time left it runs
+//!   [`Engine::solve`] over the whole registry ([`ServeTier::Full`]);
+//!   with little time it answers
 //!   from the LMG-All heuristic alone ([`ServeTier::Heuristic`]); with
 //!   almost none it answers from the [`SharedWork`] memo of a
 //!   previously-seen graph fingerprint without computing anything
@@ -43,7 +44,7 @@
 //! runtime): workers are plain OS threads sized to the pool width, and
 //! clients rendezvous with their reply through a [`Ticket`] (a
 //! one-shot slot + condvar). Everything composes from pieces that
-//! already exist — the engine's portfolio, `SharedWork`, the batched
+//! already exist — [`Engine::solve`], `SharedWork`, the batched
 //! checkout, the fault-injecting store decorator — which keeps the
 //! layer small and the failure semantics inherited rather than invented.
 
@@ -153,7 +154,8 @@ pub enum Request {
 /// Which rung of the degradation ladder produced a `Solve` reply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ServeTier {
-    /// Full portfolio solve within the deadline.
+    /// [`Engine::solve`] (preference-order dispatch over the whole
+    /// registry) within the deadline.
     Full,
     /// Heuristic-only (LMG-All) under deadline pressure.
     Heuristic,
@@ -300,8 +302,9 @@ pub struct ServiceConfig {
     pub default_deadline: Duration,
 }
 
-/// Minimum time remaining at dispatch for the full-portfolio tier; below
-/// it a `Solve` degrades to the heuristic tier.
+/// Minimum time remaining at dispatch for the full tier
+/// ([`ServeTier::Full`]); below it a `Solve` degrades to the heuristic
+/// tier.
 pub const FULL_TIER_MIN: Duration = Duration::from_millis(250);
 
 /// Minimum time remaining for the heuristic tier; below it a `Solve` is
@@ -555,8 +558,8 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
         Self::with_engine(store, cfg, Engine::default())
     }
 
-    /// A service with an explicit solver registry (e.g. a trimmed
-    /// portfolio).
+    /// A service with an explicit solver registry (e.g. one that registers
+    /// only a subset of the solvers, or a custom preference order).
     pub fn with_engine(store: S, cfg: ServiceConfig, engine: Engine) -> Self {
         let workers = if cfg.workers == 0 {
             rayon::current_num_threads().max(1)
@@ -869,7 +872,7 @@ fn handle_solve<S: Store + Send + Sync + 'static>(
         _ => None,
     };
     // Degradation ladder. Only MSR has heuristic/cached rungs (LMG-All
-    // is an MSR algorithm); other problems always run the portfolio,
+    // is an MSR algorithm); other problems always run `Engine::solve`,
     // bounded by the deadline token.
     if remaining >= FULL_TIER_MIN || msr_budget.is_none() {
         let opts = SolveOptions {

@@ -483,11 +483,6 @@ impl VersionGraph {
         (0..self.n() as u32).map(NodeId)
     }
 
-    /// Iterator over all edge ids.
-    pub fn edge_ids(&self) -> impl ExactSizeIterator<Item = EdgeId> + Clone {
-        (0..self.m() as u32).map(EdgeId)
-    }
-
     /// Iterator over `(EdgeId, &EdgeData)` pairs.
     pub fn edge_refs(&self) -> impl Iterator<Item = (EdgeId, &EdgeData)> {
         self.edges

@@ -4,8 +4,8 @@
 //! Five dataset versions with annotated `<storage, retrieval>` costs. We
 //! compare the two trivial extremes (store everything / minimum storage)
 //! against the paper's algorithms at an intermediate budget — reproducing
-//! the (i)–(iv) storage options of Figure 1 — then let the engine's
-//! portfolio mode pick the best solver for each of the four problems.
+//! the (i)–(iv) storage options of Figure 1 — then run every solver that
+//! supports each of the four problems and report the cheapest plan.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -81,10 +81,10 @@ fn main() {
         }
     }
 
-    // The portfolio mode runs every applicable solver — including the
-    // exact DP-BTW and brute force on this tiny graph — and returns the
-    // best feasible plan for each of the paper's four problems.
-    println!("\nengine portfolio across all four problems:");
+    // Every solver that supports a problem — including the exact DP-BTW
+    // and brute force on this tiny graph — run by name, and the cheapest
+    // feasible plan for each of the paper's four problems.
+    println!("\nevery solver across all four problems:");
     let rmax = g.max_edge_retrieval();
     for problem in [
         msr,
@@ -98,24 +98,48 @@ fn main() {
             retrieval_budget: rmax,
         },
     ] {
-        match engine.portfolio(&g, problem, &opts) {
-            Ok(p) => {
-                let feasible = p.attempts.iter().filter(|a| a.outcome.is_ok()).count();
-                println!(
-                    "  {:<3} budget {:>6} -> {:>8} wins with objective {:>6} ({feasible}/{} solvers feasible{})",
+        let solvers = engine.solvers_for(problem);
+        let mut feasible = Vec::new();
+        for solver in &solvers {
+            match engine.solve_with(solver.name(), &g, problem, &opts) {
+                Ok(sol) => {
+                    println!(
+                        "  {:<3} budget {:>6}: {:>10} objective {:>6}",
+                        problem.name(),
+                        problem.budget(),
+                        solver.name(),
+                        sol.objective(problem)
+                    );
+                    feasible.push(sol);
+                }
+                Err(e) => println!(
+                    "  {:<3} budget {:>6}: {e}",
                     problem.name(),
-                    problem.budget(),
-                    p.best.meta.solver,
-                    p.best.objective(problem),
-                    p.attempts.len(),
-                    if p.best.meta.proven_optimal {
-                        ", proven optimal"
-                    } else {
-                        ""
-                    },
-                );
+                    problem.budget()
+                ),
             }
-            Err(e) => println!("  {:<3} -> {e}", problem.name()),
+        }
+        // Cheapest objective; ties go to the smaller constrained cost, then
+        // to the more preferred solver.
+        match feasible
+            .iter()
+            .min_by_key(|s| (s.objective(problem), s.constrained(problem)))
+        {
+            Some(best) => println!(
+                "  {:<3} budget {:>6} -> {:>8} is cheapest with objective {:>6} ({}/{} solvers feasible{})",
+                problem.name(),
+                problem.budget(),
+                best.meta.solver,
+                best.objective(problem),
+                feasible.len(),
+                solvers.len(),
+                if best.meta.proven_optimal {
+                    ", proven optimal"
+                } else {
+                    ""
+                },
+            ),
+            None => println!("  {:<3} -> no solver found a feasible plan", problem.name()),
         }
     }
 }

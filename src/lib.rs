@@ -16,12 +16,14 @@
 //! [`core::engine::Engine`]. It dispatches a
 //! [`ProblemKind`](core::problem::ProblemKind) to registered solvers (LMG,
 //! LMG-All, Modified Prim's, DP-MSR, DP-BMR, DP-BTW, brute force),
-//! validates and budget-checks every plan before returning it, and offers a
-//! portfolio mode that runs every applicable solver and keeps the best
-//! feasible answer. Portfolio dispatch fans out across a work-stealing
-//! thread pool (cooperatively preemptible via
+//! validates and budget-checks every plan before returning it, and tries
+//! the solvers one at a time in preference order
+//! ([`solve`](core::engine::Engine::solve)) or runs one by name
+//! ([`solve_with`](core::engine::Engine::solve_with)). The running solver
+//! has the whole work-stealing thread pool for its own parallelism
+//! (cooperatively preemptible via
 //! [`CancelToken`](core::cancel::CancelToken), deterministic: byte-identical
-//! results to sequential execution), and the batched
+//! results at any pool width), and the batched
 //! [`solve_sweep`](core::engine::Engine::solve_sweep) answers a whole MSR
 //! budget sweep from a single DP run. Proven MSR optima come from DP-BTW,
 //! the paper's Section 5.3 dynamic program, on low-width graphs (brute
@@ -71,7 +73,7 @@
 //! becomes a chained [`CancelToken`](core::cancel::CancelToken) polled
 //! inside the DPs, so expired work is preempted and surfaces as
 //! `Cancelled` — never as a late result. Under deadline pressure a
-//! `Solve` walks a degradation ladder (full portfolio → LMG-All
+//! `Solve` walks a degradation ladder (full `Engine::solve` → LMG-All
 //! heuristic → cached plan from a previously-seen graph fingerprint),
 //! each reply labeled with the tier that produced it; `Checkout`s go
 //! through the self-healing batched reader, so injected store faults
@@ -138,11 +140,11 @@
 //! assert!(solution.costs.storage <= smin * 12 / 10);
 //! println!("solved by {}", solution.meta.solver);
 //!
-//! // Portfolio mode: run all applicable solvers, keep the best plan.
-//! let best = engine
-//!     .portfolio(&g, problem, &SolveOptions::default())
+//! // Or ask one solver by name: DP-BTW proves its MSR plan optimal.
+//! let exact = engine
+//!     .solve_with("DP-BTW", &g, problem, &SolveOptions::default())
 //!     .expect("feasible");
-//! assert!(best.best.costs.total_retrieval <= solution.costs.total_retrieval);
+//! assert!(exact.costs.total_retrieval <= solution.costs.total_retrieval);
 //! ```
 //!
 //! ## Crate map
@@ -178,9 +180,8 @@ pub mod prelude {
         CacheStats, Checkout, CheckoutCache, CheckoutStats, RepairStats, RepairTicket, ServeOutcome,
     };
     pub use dsv_core::engine::{
-        sharded_msr, AttemptOutcome, Engine, Portfolio, PortfolioAttempt, ShardConfig, ShardStats,
-        ShardedSolver, SharedWork, Solution, SolveError, SolveOptions, Solver, SolverMeta,
-        SHARD_REGRET_BOUND,
+        sharded_msr, Engine, ShardConfig, ShardStats, ShardedSolver, SharedWork, Solution,
+        SolveError, SolveOptions, Solver, SolverMeta, SHARD_REGRET_BOUND,
     };
     pub use dsv_core::exact::brute_force;
     pub use dsv_core::executor::{

@@ -1,9 +1,10 @@
 //! Engine integration tests: the parity suite (engine-dispatched solvers
 //! must return byte-identical plans and costs to their direct
 //! free-function calls) and a seeded property loop (every `Solution` the
-//! engine hands out validates and respects its `ProblemKind` budget),
-//! plus the dispatch contract of `Engine::solve`: solvers run one at a
-//! time in preference order, and none runs after the first success.
+//! engine hands out validates and respects its `ProblemKind` budget, and
+//! no solver beats the exact ones), plus the dispatch contract of
+//! `Engine::solve`: solvers run one at a time in preference order, none
+//! runs after the first success, and none starts past the deadline.
 
 use dataset_versioning::prelude::*;
 use dataset_versioning::vgraph::generators::{
@@ -217,9 +218,11 @@ fn parity_exact_solvers() {
 }
 
 /// Seeded property loop: every solution the engine returns — via plain
-/// dispatch and via portfolio — validates structurally and respects its
-/// problem's budget, across random trees and Erdős–Rényi graphs, all four
-/// problem kinds, and a spread of budgets.
+/// dispatch and, on the small instances, from every supporting solver by
+/// name — validates structurally and respects its problem's budget, across
+/// random trees and Erdős–Rényi graphs, all four problem kinds, and a
+/// spread of budgets. On those small instances no solver's objective beats
+/// an exact solver's (DP-BTW, brute force).
 #[test]
 fn property_every_solution_validates_and_respects_its_budget() {
     let engine = Engine::with_default_solvers();
@@ -268,20 +271,36 @@ fn property_every_solution_validates_and_respects_its_budget() {
                 Err(SolveError::Infeasible { .. }) => {}
                 Err(other) => panic!("seed {seed} {}: unexpected {other}", problem.name()),
             }
-            // Portfolio on the small instances (it also runs the exact
-            // solvers): the winner must beat-or-match plain dispatch.
+            // Every supporting solver on the small instances (this also
+            // runs the exact solvers): each plan validates and fits its
+            // budget, and the exact objectives are the smallest.
             if g.n() <= 8 {
-                if let Ok(p) = engine.portfolio(&g, problem, &opts) {
-                    p.best.plan.validate(&g).expect("portfolio plan valid");
-                    assert!(p.best.constrained(problem) <= problem.budget());
-                    if let Ok(dispatched) = engine.solve(&g, problem, &opts) {
-                        assert!(
-                            p.best.objective(problem) <= dispatched.objective(problem),
-                            "seed {seed} {}: portfolio worse than dispatch",
+                let mut objectives = Vec::new();
+                for solver in engine.solvers_for(problem) {
+                    let Ok(sol) = engine.solve_with(solver.name(), &g, problem, &opts) else {
+                        continue;
+                    };
+                    let label = format!("seed {seed} {} {}", problem.name(), solver.name());
+                    sol.plan
+                        .validate(&g)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert!(
+                        sol.constrained(problem) <= problem.budget(),
+                        "{label}: budget violated"
+                    );
+                    objectives.push((solver.name(), sol.objective(problem)));
+                    solutions += 1;
+                }
+                let best = objectives.iter().map(|&(_, o)| o).min();
+                for &(solver, objective) in &objectives {
+                    if matches!(solver, "DP-BTW" | "BruteForce") {
+                        assert_eq!(
+                            Some(objective),
+                            best,
+                            "seed {seed} {}: a solver beat exact {solver}",
                             problem.name()
                         );
                     }
-                    solutions += 1;
                 }
             }
         }
@@ -347,22 +366,27 @@ fn objective_and_constraint_sides_are_consistent() {
     );
 }
 
-/// A scripted MSR solver that counts its calls and takes 50 ms (long
-/// enough for a dispatcher that ran solvers concurrently to start the next
-/// one), then either reports the instance infeasible or answers with the
-/// materialize-all plan under its own name.
+/// A scripted MSR solver that counts its calls and sleeps for `sleep`
+/// (long enough for a dispatcher that ran solvers concurrently to start
+/// the next one), then either reports the instance infeasible or answers
+/// with the materialize-all plan under its own name.
 struct Scripted {
     name: &'static str,
     succeeds: bool,
+    sleep: Duration,
     calls: Arc<AtomicUsize>,
 }
 
+/// The sleep of the dispatch-order tests' scripted solvers.
+const SCRIPTED_SLEEP: Duration = Duration::from_millis(50);
+
 impl Scripted {
-    fn new(name: &'static str, succeeds: bool) -> (Self, Arc<AtomicUsize>) {
+    fn new(name: &'static str, succeeds: bool, sleep: Duration) -> (Self, Arc<AtomicUsize>) {
         let calls = Arc::new(AtomicUsize::new(0));
         let solver = Scripted {
             name,
             succeeds,
+            sleep,
             calls: Arc::clone(&calls),
         };
         (solver, calls)
@@ -383,7 +407,7 @@ impl Solver for Scripted {
         _opts: &SolveOptions,
     ) -> Result<Solution, SolveError> {
         self.calls.fetch_add(1, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(self.sleep);
         if !self.succeeds {
             return Err(SolveError::Infeasible {
                 solver: self.name,
@@ -432,8 +456,8 @@ fn dispatch_instance() -> (VersionGraph, ProblemKind) {
 fn solve_never_runs_a_solver_after_the_first_success() {
     let (g, problem) = dispatch_instance();
     for threads in [1, 4] {
-        let (first, first_calls) = Scripted::new("first", true);
-        let (second, second_calls) = Scripted::new("second", true);
+        let (first, first_calls) = Scripted::new("first", true, SCRIPTED_SLEEP);
+        let (second, second_calls) = Scripted::new("second", true, SCRIPTED_SLEEP);
         let mut engine = Engine::new();
         engine.register(Box::new(first)).register(Box::new(second));
         let sol = on_pool(threads, || {
@@ -456,8 +480,8 @@ fn solve_never_runs_a_solver_after_the_first_success() {
 fn solve_falls_through_a_failure_to_the_next_solver() {
     let (g, problem) = dispatch_instance();
     for threads in [1, 4] {
-        let (failing, failing_calls) = Scripted::new("failing", false);
-        let (second, second_calls) = Scripted::new("second", true);
+        let (failing, failing_calls) = Scripted::new("failing", false, SCRIPTED_SLEEP);
+        let (second, second_calls) = Scripted::new("second", true, SCRIPTED_SLEEP);
         let mut engine = Engine::new();
         engine
             .register(Box::new(failing))
@@ -471,4 +495,34 @@ fn solve_falls_through_a_failure_to_the_next_solver() {
         assert_eq!(failing_calls.load(Ordering::SeqCst), 1, "{threads} threads");
         assert_eq!(second_calls.load(Ordering::SeqCst), 1, "{threads} threads");
     }
+}
+
+/// A solver is never started once the call's deadline has passed: the
+/// first solver sleeps past a 30 ms limit and then fails, and the solver
+/// registered after it is skipped — zero calls — so its failure is the
+/// call's answer.
+#[test]
+fn solve_starts_no_solver_past_the_deadline() {
+    let (g, problem) = dispatch_instance();
+    let (slow, slow_calls) = Scripted::new("slow", false, Duration::from_millis(80));
+    let (next, next_calls) = Scripted::new("next", true, Duration::ZERO);
+    let mut engine = Engine::new();
+    engine.register(Box::new(slow)).register(Box::new(next));
+    let opts = SolveOptions {
+        time_limit: Some(Duration::from_millis(30)),
+        ..Default::default()
+    };
+    let err = engine
+        .solve(&g, problem, &opts)
+        .expect_err("the only solver that ran failed");
+    assert!(
+        matches!(err, SolveError::Infeasible { solver: "slow", .. }),
+        "expected the slow solver's failure, got {err}"
+    );
+    assert_eq!(slow_calls.load(Ordering::SeqCst), 1);
+    assert_eq!(
+        next_calls.load(Ordering::SeqCst),
+        0,
+        "a solver started past the deadline"
+    );
 }

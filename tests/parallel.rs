@@ -1,13 +1,12 @@
-//! Determinism and semantics of the parallel engine paths.
+//! Determinism and semantics of the engine under a parallel pool.
 //!
 //! The engine's contract is that the pool width is an *implementation*
-//! detail: `solve` and portfolio runs must return byte-identical plans and
-//! equivalent scoreboards to a one-thread pool, whatever the width (a
-//! portfolio fans its solvers out; `solve` runs one solver at a time and
-//! lends it the pool). These tests pin that contract
+//! detail: `solve` runs one solver at a time and lends it the pool, and
+//! every registered solver must return byte-identical plans to a
+//! one-thread pool, whatever the width. These tests pin that contract
 //! across seeded random graphs, plus the amortization guarantee of
-//! `Engine::solve_sweep` (one DP run per sweep) and the skipped-attempt
-//! marking for deadline-starved portfolios.
+//! `Engine::solve_sweep` (one DP run per sweep), shared-work isolation
+//! across graphs and cooperative preemption.
 
 use dataset_versioning::prelude::*;
 use dataset_versioning::vgraph::generators::{
@@ -30,8 +29,8 @@ fn graphs() -> Vec<(String, VersionGraph)> {
     out
 }
 
-/// Run `f` on a one-thread pool, where the engine dispatches one solver at
-/// a time.
+/// Run `f` on a one-thread pool, where every parallel step inside a solver
+/// runs sequentially.
 fn sequential<R: Send>(f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
@@ -59,55 +58,36 @@ fn problems(g: &VersionGraph) -> Vec<ProblemKind> {
     ]
 }
 
-/// Portfolio: the parallel path must return a byte-identical best plan and
-/// the same per-solver outcomes as the sequential path.
+/// Every registered solver, run by name through `solve_with`, must return
+/// the same plan and costs (or the same error kind) at the ambient pool
+/// width as on a one-thread pool — not only the one `solve` dispatches to.
 #[test]
-fn parallel_portfolio_is_byte_identical_to_sequential() {
+fn every_solver_is_byte_identical_to_sequential() {
     let engine = Engine::with_default_solvers();
     for (name, g) in graphs() {
         for problem in problems(&g) {
-            let par = engine.portfolio(&g, problem, &SolveOptions::default());
-            let seq = sequential(|| engine.portfolio(&g, problem, &SolveOptions::default()));
-            match (par, seq) {
-                (Ok(par), Ok(seq)) => {
-                    assert_eq!(
-                        par.best.plan,
-                        seq.best.plan,
-                        "{name}/{}: best plan differs",
-                        problem.name()
-                    );
-                    assert_eq!(par.best.costs, seq.best.costs);
-                    assert_eq!(par.best.meta.solver, seq.best.meta.solver);
-                    assert_eq!(par.attempts.len(), seq.attempts.len());
-                    for (a, b) in par.attempts.iter().zip(&seq.attempts) {
-                        assert_eq!(a.solver, b.solver, "{name}: registry order differs");
-                        match (&a.outcome, &b.outcome) {
-                            (AttemptOutcome::Solved(ca), AttemptOutcome::Solved(cb)) => {
-                                assert_eq!(ca, cb, "{name}/{}: {}", problem.name(), a.solver)
-                            }
-                            (AttemptOutcome::Failed(_), AttemptOutcome::Failed(_)) => {}
-                            (pa, pb) => panic!(
-                                "{name}/{}: {} outcome kind differs: {pa:?} vs {pb:?}",
-                                problem.name(),
-                                a.solver
-                            ),
-                        }
+            for solver in engine.solvers_for(problem) {
+                let solver = solver.name();
+                let run = || engine.solve_with(solver, &g, problem, &SolveOptions::default());
+                let (par, seq) = (run(), sequential(run));
+                match (par, seq) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.plan, b.plan, "{name}/{}/{solver}: plan", problem.name());
+                        assert_eq!(a.costs, b.costs, "{name}/{}/{solver}", problem.name());
                     }
-                }
-                (Err(ea), Err(eb)) => {
-                    assert_eq!(
+                    (Err(ea), Err(eb)) => assert_eq!(
                         std::mem::discriminant(&ea),
                         std::mem::discriminant(&eb),
-                        "{name}/{}: error kind differs",
+                        "{name}/{}/{solver}: error kind differs: {ea} vs {eb}",
                         problem.name()
-                    );
+                    ),
+                    (a, b) => panic!(
+                        "{name}/{}/{solver}: feasibility differs: {a:?} vs {b:?}",
+                        problem.name(),
+                        a = a.map(|s| s.costs),
+                        b = b.map(|s| s.costs),
+                    ),
                 }
-                (par, seq) => panic!(
-                    "{name}/{}: feasibility differs: parallel {:?} vs sequential {:?}",
-                    problem.name(),
-                    par.map(|p| p.best.costs),
-                    seq.map(|p| p.best.costs),
-                ),
             }
         }
     }
@@ -190,64 +170,6 @@ fn solve_sweep_performs_exactly_one_dp_run() {
         .map(|s| s.costs.total_retrieval)
         .collect();
     assert!(retrievals.windows(2).all(|w| w[1] <= w[0]));
-}
-
-/// A solver that sleeps, then delegates to LMG — used to burn through the
-/// deadline deterministically.
-struct SleepyLmg(Duration);
-
-impl Solver for SleepyLmg {
-    fn name(&self) -> &'static str {
-        "sleepy"
-    }
-    fn supports(&self, problem: ProblemKind) -> bool {
-        matches!(problem, ProblemKind::Msr { .. })
-    }
-    fn solve(
-        &self,
-        g: &VersionGraph,
-        problem: ProblemKind,
-        opts: &SolveOptions,
-    ) -> Result<Solution, SolveError> {
-        std::thread::sleep(self.0);
-        let engine = Engine::with_default_solvers();
-        engine.solve_with("LMG", g, problem, opts)
-    }
-}
-
-/// Deadline-starved portfolio attempts are marked `Skipped` (never a
-/// zero-duration timeout): the first solver finishes in time, the second
-/// burns past the deadline, the third is skipped without starting.
-#[test]
-fn deadline_starved_attempts_are_skipped_not_zero_duration_timeouts() {
-    let g = random_tree(8, &CostModel::default(), 3);
-    let smin = min_storage_value(&g);
-    let problem = ProblemKind::Msr {
-        storage_budget: smin * 2,
-    };
-    let mut engine = Engine::new();
-    engine
-        .register(Box::new(SleepyLmg(Duration::ZERO)))
-        .register(Box::new(SleepyLmg(Duration::from_millis(80))))
-        .register(Box::new(SleepyLmg(Duration::ZERO)));
-    let solve_opts = SolveOptions {
-        time_limit: Some(Duration::from_millis(30)),
-        ..Default::default()
-    };
-    // Sequential dispatch: a deterministic ordering for the deadline walk.
-    let portfolio = sequential(|| engine.portfolio(&g, problem, &solve_opts))
-        .expect("first solver finishes before the deadline");
-    assert_eq!(portfolio.attempts.len(), 3);
-    assert!(portfolio.attempts[0].outcome.is_ok());
-    // The second ran (started before the deadline), whatever its outcome.
-    assert!(!portfolio.attempts[1].outcome.is_skipped());
-    // The third was never started: explicitly skipped, not a fake timeout.
-    assert!(
-        portfolio.attempts[2].outcome.is_skipped(),
-        "expected Skipped, got {:?}",
-        portfolio.attempts[2].outcome
-    );
-    assert_eq!(portfolio.attempts[2].wall_time, Duration::ZERO);
 }
 
 /// Reusing one `SolveOptions` (and thus one `SharedWork` memo) across
