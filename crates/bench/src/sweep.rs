@@ -170,6 +170,7 @@ pub fn opt_sweep(g: &VersionGraph, budgets: &[Cost]) -> Vec<SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsv_core::exact::brute::brute_force;
     use dsv_vgraph::generators::{bidirectional_path, CostModel};
 
     #[test]
@@ -214,7 +215,9 @@ mod tests {
         assert_eq!(points.len(), budgets.len());
         for (p, &b) in points.iter().zip(&budgets) {
             assert_eq!((p.algorithm, p.budget), ("OPT", b));
-            assert_eq!(p.objective, dsv_core::exact::brute::msr_optimum(&g, b));
+            let problem = ProblemKind::Msr { storage_budget: b };
+            let opt = brute_force(&g, problem, &CancelToken::inert());
+            assert_eq!(p.objective, opt.map(|r| r.costs.total_retrieval));
         }
     }
 

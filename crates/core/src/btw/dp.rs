@@ -583,43 +583,28 @@ pub fn btw_msr(g: &VersionGraph, cfg: &BtwConfig, cancel: &CancelToken) -> Optio
     })
 }
 
-/// Convenience wrapper mirroring the other solvers: best retrieval under a
-/// budget, or `None` if infeasible / state-budget exceeded.
-pub fn btw_msr_value(g: &VersionGraph, storage_budget: Cost) -> Option<Cost> {
-    let cfg = BtwConfig {
-        storage_prune: Some(storage_budget),
-        ..Default::default()
-    };
-    btw_msr(g, &cfg, &CancelToken::inert())?.best_under(storage_budget)
-}
-
-/// Constructive convenience wrapper: the optimal plan under a budget, or
-/// `None` if infeasible / state-budget exceeded.
-pub fn btw_msr_plan(g: &VersionGraph, storage_budget: Cost) -> Option<(StoragePlan, Pair)> {
-    let cfg = BtwConfig {
-        storage_prune: Some(storage_budget),
-        ..Default::default()
-    };
-    btw_msr(g, &cfg, &CancelToken::inert())?.plan_under(g, storage_budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::brute::msr_optimum;
+    use crate::exact::brute::brute_force;
+    use crate::problem::ProblemKind;
     use dsv_vgraph::generators::{
         bidirectional_path, erdos_renyi_bidirectional, random_tree, series_parallel, CostModel,
     };
     use dsv_vgraph::NodeId;
 
     fn check_against_brute(g: &VersionGraph, budgets: &[Cost]) {
+        let dp = btw_msr(g, &BtwConfig::default(), &CancelToken::inert()).expect("small width");
         for &budget in budgets {
-            let want = msr_optimum(g, budget);
-            let got = btw_msr_value(g, budget);
-            assert_eq!(got, want, "budget {budget}");
+            let problem = ProblemKind::Msr {
+                storage_budget: budget,
+            };
+            let want =
+                brute_force(g, problem, &CancelToken::inert()).map(|r| r.costs.total_retrieval);
+            assert_eq!(dp.best_under(budget), want, "budget {budget}");
             // The constructive path agrees with the value path: the
             // reconstructed plan validates and realizes the certificate.
-            match btw_msr_plan(g, budget) {
+            match dp.plan_under(g, budget) {
                 None => assert_eq!(want, None),
                 Some((plan, (s, r))) => {
                     plan.validate(g).expect("reconstructed plan validates");
@@ -700,7 +685,9 @@ mod tests {
             let g = erdos_renyi_bidirectional(7, 0.5, &CostModel::default(), seed + 20);
             let smin = crate::baselines::min_storage_value(&g);
             let budget = smin * 2;
-            let btw = btw_msr_value(&g, budget).expect("feasible");
+            let btw = btw_msr(&g, &BtwConfig::default(), &CancelToken::inert())
+                .and_then(|r| r.best_under(budget))
+                .expect("feasible");
             if let Some(t) = crate::tree::extract_tree(&g, NodeId(0)) {
                 let dp = crate::tree::msr_tree_exact(&g, &t);
                 if let Some((_, tree_val)) = dp.best_under(budget) {
@@ -746,8 +733,14 @@ mod tests {
             let g = erdos_renyi_bidirectional(8, 0.5, &CostModel::default(), seed + 40);
             let smin = crate::baselines::min_storage_value(&g);
             let budget = smin * 2;
-            let a = btw_msr_plan(&g, budget);
-            let b = btw_msr_plan(&g, budget);
+            let run = || {
+                let cfg = BtwConfig {
+                    storage_prune: Some(budget),
+                    ..Default::default()
+                };
+                btw_msr(&g, &cfg, &CancelToken::inert())?.plan_under(&g, budget)
+            };
+            let (a, b) = (run(), run());
             assert_eq!(
                 a.map(|(p, c)| (p.parent, c)),
                 b.map(|(p, c)| (p.parent, c)),

@@ -6,5 +6,5 @@
 pub mod dp;
 pub mod order;
 
-pub use dp::{btw_msr, btw_msr_plan, btw_msr_value, BtwConfig, BtwResult};
+pub use dp::{btw_msr, BtwConfig, BtwResult};
 pub use order::{separation_order, SeparationOrder};

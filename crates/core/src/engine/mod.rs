@@ -44,10 +44,12 @@
 //! shard size, so callers that reuse one [`SolveOptions`] on the same
 //! graph compute each once.
 //!
-//! The legacy free functions ([`fn@crate::heuristics::lmg`],
-//! [`crate::tree::dp_msr_on_graph`], …) remain available and are what the
-//! built-in solvers call; the engine adds dispatch, validation, and
-//! metadata, not new algorithms.
+//! The algorithms themselves are free functions
+//! ([`fn@crate::heuristics::lmg`], [`crate::tree::dp_msr_on_graph`],
+//! [`fn@crate::tree::dp_bmr`], [`crate::btw::btw_msr`], …), one entry point
+//! each, and are what the built-in solvers call. Only the solvers turn
+//! their plans into a [`Solution`]: the engine adds dispatch, validation,
+//! and metadata, not new algorithms.
 //!
 //! ```
 //! use dsv_core::engine::{Engine, SolveOptions};
@@ -846,7 +848,13 @@ mod tests {
         assert_eq!(bound, sol.costs.total_retrieval);
         assert_eq!(sol.meta.reported_objective, Some(bound));
         // And it matches the direct constructive entry point.
-        let (plan, (_, r)) = crate::btw::btw_msr_plan(&g, problem.budget()).expect("feasible");
+        let cfg = crate::btw::BtwConfig {
+            storage_prune: Some(problem.budget()),
+            ..Default::default()
+        };
+        let (plan, (_, r)) = crate::btw::btw_msr(&g, &cfg, &CancelToken::inert())
+            .and_then(|dp| dp.plan_under(&g, problem.budget()))
+            .expect("feasible");
         assert_eq!(plan, sol.plan);
         assert_eq!(r, sol.costs.total_retrieval);
     }

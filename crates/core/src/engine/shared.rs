@@ -6,11 +6,16 @@
 //! edge maps and per-shard minimum-storage arborescences, see
 //! [`sharded`](super::sharded)), so a budget sweep on one graph builds it
 //! once. Its reason to exist is reuse *across* calls: the versioning
-//! service keeps one memo per graph fingerprint in an LRU, so a repeated `Solve` on a known graph, the service's
-//! LMG-All heuristic tier and its cached tier all answer from plans that
-//! were already computed. Concurrent requests on different threads may
-//! ask for the same cell: the first requester computes, the others block
-//! on the cell until the value is ready.
+//! service keeps one memo per graph fingerprint in an LRU, so a repeated
+//! `Solve` on a known graph, the service's LMG-All heuristic tier and its
+//! cached tier all answer from plans that were already computed. Outside
+//! the crate it is an opaque handle: only the engine's solvers read and
+//! fill it. Concurrent requests on different threads may ask for the same
+//! cell: the first requester computes, the others block on the cell until
+//! the value is ready.
+//!
+//! A call under an already-fired token reads a finished cell and never
+//! computes; the service's cached tier is exactly that call.
 //!
 //! Correctness rules:
 //!
@@ -94,7 +99,9 @@ impl SharedWork {
 
     /// Get-or-compute with single-flight semantics. Returns `None` only
     /// when the computation was abandoned because `cancel` fired (either
-    /// ours while waiting, or the computing thread's mid-run).
+    /// ours while waiting, or the computing thread's mid-run). A finished
+    /// cell is returned before the token is checked, so a call under an
+    /// already-fired token is a pure lookup: it never computes.
     fn get_or_compute(
         &self,
         key: WorkKey,
@@ -144,24 +151,6 @@ impl SharedWork {
         }
     }
 
-    /// Non-computing lookup: the memoized LMG-All result at `budget` if a
-    /// previous call already completed it, without triggering (or waiting
-    /// on) any computation. This is the service's **cached degradation
-    /// tier**: with no time left to solve, a previously-seen
-    /// `(graph, budget)` can still be answered from the memo instantly.
-    #[allow(clippy::type_complexity)]
-    pub fn peek_lmg_all(&self, budget: Cost) -> Option<Option<(StoragePlan, LmgAllStats)>> {
-        let cell = {
-            let cells = self.inner.cells.lock().expect("shared-work cells");
-            cells.get(&WorkKey::LmgAll { budget })?.clone()
-        };
-        let state = cell.state.lock().expect("shared-work cell");
-        match &*state {
-            CellState::Done(WorkValue::LmgAll(v)) => Some(v.clone()),
-            _ => None,
-        }
-    }
-
     /// The graph fingerprint this memo is claimed by (`None` = unclaimed).
     pub(crate) fn claimed_fingerprint(&self) -> Option<u64> {
         self.inner.fingerprint.get().copied()
@@ -170,7 +159,7 @@ impl SharedWork {
     /// LMG-All at `budget`, computed once per memo. Inner `None` =
     /// infeasible; outer `None` = abandoned because `cancel` fired.
     #[allow(clippy::type_complexity)]
-    pub fn lmg_all(
+    pub(crate) fn lmg_all(
         &self,
         g: &VersionGraph,
         budget: Cost,
@@ -192,7 +181,7 @@ impl SharedWork {
     /// Inner `None` = infeasible/unreachable; outer `None` = abandoned
     /// because a cancellation fired (while computing or while waiting).
     #[allow(clippy::type_complexity)]
-    pub fn dp_msr(
+    pub(crate) fn dp_msr(
         &self,
         g: &VersionGraph,
         budget: Cost,
@@ -251,6 +240,39 @@ mod tests {
         assert_eq!(pa, pb);
         // Exactly one cell per (kind, budget).
         assert_eq!(shared.inner.cells.lock().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_fired_token_reads_finished_cells_and_never_computes() {
+        let g = random_tree(10, &CostModel::default(), 3);
+        let budget = crate::baselines::min_storage_value(&g) * 2;
+        let shared = SharedWork::default().for_graph(&g);
+        let (inert, fired) = (CancelToken::inert(), CancelToken::new());
+        fired.cancel();
+        let computed = shared.lmg_all(&g, budget, &inert).expect("not cancelled");
+        let (plan, _) = computed.expect("feasible");
+        let (cached, _) = shared
+            .lmg_all(&g, budget, &fired)
+            .expect("a finished cell is read under a fired token")
+            .expect("feasible");
+        assert_eq!(cached, plan);
+
+        // An unseen budget is a miss that leaves its cell uncomputed…
+        let unseen = budget + 1;
+        assert!(shared.lmg_all(&g, unseen, &fired).is_none());
+        let key = WorkKey::LmgAll { budget: unseen };
+        let cell = shared.inner.cells.lock().unwrap()[&key].clone();
+        assert!(matches!(*cell.state.lock().unwrap(), CellState::Empty));
+        // …so later live calls compute it exactly once.
+        let runs = std::sync::atomic::AtomicUsize::new(0);
+        for _ in 0..2 {
+            shared.get_or_compute(key, &inert, || {
+                runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                (WorkValue::LmgAll(lmg_all_with_stats(&g, unseen)), true)
+            });
+        }
+        assert_eq!(runs.into_inner(), 1);
+        assert!(shared.lmg_all(&g, unseen, &fired).is_some());
     }
 
     #[test]

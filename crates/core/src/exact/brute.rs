@@ -9,7 +9,7 @@
 use crate::cancel::CancelToken;
 use crate::plan::{Parent, PlanCosts, StoragePlan};
 use crate::problem::ProblemKind;
-use dsv_vgraph::{Cost, NodeId, VersionGraph};
+use dsv_vgraph::{NodeId, VersionGraph};
 
 /// Exact optima of all four problems under the given budgets.
 #[derive(Clone, Debug)]
@@ -143,16 +143,6 @@ pub fn brute_force(
     } else {
         None
     }
-}
-
-/// Exact MSR objective (convenience for tests).
-pub fn msr_optimum(g: &VersionGraph, storage_budget: Cost) -> Option<Cost> {
-    brute_force(
-        g,
-        ProblemKind::Msr { storage_budget },
-        &CancelToken::inert(),
-    )
-    .map(|r| r.costs.total_retrieval)
 }
 
 #[cfg(test)]

@@ -49,17 +49,6 @@ pub fn mmr_via_bmr(
     Some((result.plan, lo))
 }
 
-/// [`mmr_via_bmr`] including the tree extraction.
-pub fn mmr_on_graph(
-    g: &VersionGraph,
-    root: NodeId,
-    storage_budget: Cost,
-    cancel: &CancelToken,
-) -> Option<(StoragePlan, Cost)> {
-    let t = extract_tree(g, root)?;
-    mmr_via_bmr(g, &t, storage_budget, cancel)
-}
-
 /// BoundedSum Retrieval through the frontier of one tree-MSR run under
 /// `cfg` (the engine runs DP-MSR, `TreeDpConfig::heuristic(g, None)`):
 /// minimum storage whose total retrieval estimate fits `retrieval_budget`.
@@ -93,6 +82,12 @@ mod tests {
     use crate::problem::ProblemKind;
     use dsv_vgraph::generators::{bidirectional_path, random_tree, CostModel};
 
+    /// MMR on the tree rooted at `NodeId(0)`, as the engine runs it.
+    fn mmr(g: &VersionGraph, storage_budget: Cost) -> Option<(StoragePlan, Cost)> {
+        let t = extract_tree(g, NodeId(0)).expect("connected");
+        mmr_via_bmr(g, &t, storage_budget, &CancelToken::inert())
+    }
+
     #[test]
     fn mmr_matches_brute_force_on_small_trees() {
         for seed in 0..6 {
@@ -109,8 +104,7 @@ mod tests {
                 .expect("feasible")
                 .costs
                 .max_retrieval;
-                let (plan, got) =
-                    mmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("feasible");
+                let (plan, got) = mmr(&g, budget).expect("feasible");
                 plan.validate(&g).expect("valid");
                 let c = plan.costs(&g);
                 assert!(c.storage <= budget);
@@ -123,7 +117,7 @@ mod tests {
     #[test]
     fn mmr_infeasible_when_budget_below_min_storage() {
         let g = bidirectional_path(5, &CostModel::default(), 1);
-        assert!(mmr_on_graph(&g, NodeId(0), 1, &CancelToken::inert()).is_none());
+        assert!(mmr(&g, 1).is_none());
     }
 
     #[test]
@@ -132,8 +126,7 @@ mod tests {
         let smin = crate::baselines::min_storage_value(&g);
         let mut last = u64::MAX;
         for mult in [1u64, 2, 3, 6, 12] {
-            let (_, r) =
-                mmr_on_graph(&g, NodeId(0), smin * mult, &CancelToken::inert()).expect("feasible");
+            let (_, r) = mmr(&g, smin * mult).expect("feasible");
             assert!(r <= last);
             last = r;
         }

@@ -22,16 +22,17 @@
 //!   result: even a reply computed successfully is converted to
 //!   `Cancelled` if its deadline passed while computing.
 //! * **Graceful degradation** — a `Solve` under deadline pressure walks
-//!   a ladder instead of failing: with comfortable time left it runs
-//!   [`Engine::solve`] over the whole registry ([`ServeTier::Full`]);
-//!   with little time it answers
-//!   from the LMG-All heuristic alone ([`ServeTier::Heuristic`]); with
-//!   almost none it answers from the [`SharedWork`] memo of a
+//!   a ladder of engine calls instead of failing: with comfortable time
+//!   left it runs [`Engine::solve`] over the whole registry
+//!   ([`ServeTier::Full`]); with little time it runs
+//!   [`Engine::solve_with`] on LMG-All alone ([`ServeTier::Heuristic`]);
+//!   with almost none it makes the same call under an already-fired
+//!   token, which answers from the [`SharedWork`] memo of a
 //!   previously-seen graph fingerprint without computing anything
 //!   ([`ServeTier::Cached`]). Every degraded reply is labeled with the
-//!   tier that produced it, and every tier's plan passes the same
-//!   [`Solution::checked`] validation — degradation trades optimality,
-//!   never correctness.
+//!   tier that produced it, and every tier's plan is an engine
+//!   [`Solution`], validated and budget-checked like any other —
+//!   degradation trades optimality, never correctness.
 //! * **Fault-tolerant reads** — `Checkout` requests go through the
 //!   batched self-healing reader ([`Checkout::serve`] with a
 //!   [`VersionSource`]): transient store faults are retried
@@ -44,14 +45,14 @@
 //! runtime): workers are plain OS threads sized to the pool width, and
 //! clients rendezvous with their reply through a [`Ticket`] (a
 //! one-shot slot + condvar). Everything composes from pieces that
-//! already exist — [`Engine::solve`], `SharedWork`, the batched
+//! already exist — the [`Engine`], `SharedWork`, the batched
 //! checkout, the fault-injecting store decorator — which keeps the
 //! layer small and the failure semantics inherited rather than invented.
 
 use crate::cancel::CancelToken;
 use crate::checkout::Checkout;
 use crate::engine::shared::SharedWork;
-use crate::engine::{Engine, Solution, SolveError, SolveOptions, SolverMeta};
+use crate::engine::{Engine, Solution, SolveError, SolveOptions};
 use crate::executor::{ExecError, MigrationStats, PlanExecutor, StoredPlan};
 use crate::online::OnlinePlanner;
 use crate::plan::StoragePlan;
@@ -555,12 +556,6 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
 
     /// A service over `store` with explicit configuration.
     pub fn with_config(store: S, cfg: ServiceConfig) -> Self {
-        Self::with_engine(store, cfg, Engine::default())
-    }
-
-    /// A service with an explicit solver registry (e.g. one that registers
-    /// only a subset of the solvers, or a custom preference order).
-    pub fn with_engine(store: S, cfg: ServiceConfig, engine: Engine) -> Self {
         let workers = if cfg.workers == 0 {
             rayon::current_num_threads().max(1)
         } else {
@@ -569,7 +564,7 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
         let shared = Arc::new(Shared {
             cfg,
             workers,
-            engine,
+            engine: Engine::default(),
             store: RwLock::new(store),
             plans: RwLock::new(HashMap::new()),
             next_plan: AtomicU64::new(0),
@@ -842,23 +837,6 @@ fn process<S: Store + Send + Sync + 'static>(shared: &Shared<S>, job: Job) {
     job.ticket.fulfill(result);
 }
 
-/// Build an MSR [`Solution`] from an LMG-All result (memoized or fresh),
-/// running the same validation every engine solver goes through.
-fn lmg_all_solution(
-    g: &VersionGraph,
-    problem: ProblemKind,
-    plan: StoragePlan,
-    stats: crate::heuristics::lmg_all::LmgAllStats,
-    started: Instant,
-) -> Result<Box<Solution>, ServiceError> {
-    let mut meta = SolverMeta::new("LMG-All");
-    meta.iterations = stats.moves;
-    meta.reported_objective = Some(stats.total_retrieval);
-    Solution::checked(g, problem, plan, meta, started)
-        .map(Box::new)
-        .map_err(ServiceError::Solve)
-}
-
 fn handle_solve<S: Store + Send + Sync + 'static>(
     shared: &Shared<S>,
     g: &Arc<VersionGraph>,
@@ -867,14 +845,10 @@ fn handle_solve<S: Store + Send + Sync + 'static>(
     remaining: Duration,
 ) -> Result<Reply, ServiceError> {
     let memo = shared.memos.lock().expect("service memos").get_or_insert(g);
-    let msr_budget = match problem {
-        ProblemKind::Msr { storage_budget } => Some(storage_budget),
-        _ => None,
-    };
     // Degradation ladder. Only MSR has heuristic/cached rungs (LMG-All
     // is an MSR algorithm); other problems always run `Engine::solve`,
     // bounded by the deadline token.
-    if remaining >= FULL_TIER_MIN || msr_budget.is_none() {
+    if remaining >= FULL_TIER_MIN || !matches!(problem, ProblemKind::Msr { .. }) {
         let opts = SolveOptions {
             time_limit: Some(remaining),
             cancel: token.clone(),
@@ -892,36 +866,40 @@ fn handle_solve<S: Store + Send + Sync + 'static>(
             Err(e) => Err(ServiceError::Solve(e)),
         };
     }
-    let budget = msr_budget.expect("non-MSR handled above");
-    let started = Instant::now();
+    let lmg_all = |cancel: CancelToken| {
+        let opts = SolveOptions {
+            cancel,
+            shared: memo.clone(),
+            ..SolveOptions::default()
+        };
+        shared.engine.solve_with("LMG-All", g, problem, &opts)
+    };
     if remaining < HEURISTIC_TIER_MIN {
-        // Cached rung: answer from the memo without computing. A miss
+        // Cached rung: LMG-All under an already-fired token, which reads a
+        // finished memo cell and never computes. A miss (`Cancelled`)
         // falls through to the heuristic rung as a best effort — the
         // final deadline check converts any late success to Cancelled.
-        if let Some(cached) = memo.peek_lmg_all(budget) {
-            let (plan, stats) = cached.ok_or_else(|| {
-                ServiceError::Solve(SolveError::Infeasible {
-                    solver: "LMG-All",
-                    detail: "budget below minimum storage".into(),
+        let fired = CancelToken::new();
+        fired.cancel();
+        match lmg_all(fired) {
+            Ok(solution) => {
+                return Ok(Reply::Solved {
+                    solution: Box::new(solution),
+                    tier: ServeTier::Cached,
                 })
-            })?;
-            return Ok(Reply::Solved {
-                solution: lmg_all_solution(g, problem, plan, stats, started)?,
-                tier: ServeTier::Cached,
-            });
+            }
+            Err(SolveError::Cancelled { .. }) => {}
+            Err(e) => return Err(ServiceError::Solve(e)),
         }
     }
     // Heuristic rung: LMG-All only, memoized for future cached replies.
-    match memo.lmg_all(g, budget, token) {
-        None => Err(ServiceError::Cancelled { stage: "heuristic" }),
-        Some(None) => Err(ServiceError::Solve(SolveError::Infeasible {
-            solver: "LMG-All",
-            detail: "budget below minimum storage".into(),
-        })),
-        Some(Some((plan, stats))) => Ok(Reply::Solved {
-            solution: lmg_all_solution(g, problem, plan, stats, started)?,
+    match lmg_all(token.clone()) {
+        Ok(solution) => Ok(Reply::Solved {
+            solution: Box::new(solution),
             tier: ServeTier::Heuristic,
         }),
+        Err(SolveError::Cancelled { .. }) => Err(ServiceError::Cancelled { stage: "heuristic" }),
+        Err(e) => Err(ServiceError::Solve(e)),
     }
 }
 
@@ -1333,6 +1311,32 @@ mod tests {
         assert_eq!(solution.plan, heuristic_plan, "memo returns the same plan");
         let stats = svc.stats();
         assert_eq!((stats.tier_heuristic, stats.tier_cached), (1, 1));
+    }
+
+    #[test]
+    fn a_cached_rung_miss_is_answered_by_the_heuristic_rung() {
+        let g = Arc::new(random_tree(40, &CostModel::default(), 4));
+        let svc: VersioningService<MemStore> = VersioningService::new(MemStore::new());
+        let Reply::Solved { solution, tier } = svc
+            .submit_with_deadline(
+                Request::Solve {
+                    graph: g.clone(),
+                    problem: ProblemKind::Msr {
+                        storage_budget: msr_budget(&g),
+                    },
+                },
+                HEURISTIC_TIER_MIN - Duration::from_millis(1),
+            )
+            .expect("admitted")
+            .wait()
+            .expect("the heuristic rung answers a cold memo")
+        else {
+            panic!("expected Solved");
+        };
+        assert_eq!(tier, ServeTier::Heuristic);
+        assert_eq!(solution.meta.solver, "LMG-All");
+        let stats = svc.stats();
+        assert_eq!((stats.tier_heuristic, stats.tier_cached), (1, 0));
     }
 
     /// A generic sketch source over explicit per-version manifests —

@@ -12,7 +12,7 @@
 //! cost far less than `n²`. Ball construction is embarrassingly parallel
 //! and runs on rayon.
 
-use super::extract::{extract_tree, BidirTree};
+use super::extract::BidirTree;
 use crate::cancel::CancelToken;
 use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::{cost_add, Cost, NodeId, VersionGraph, INF};
@@ -184,25 +184,19 @@ pub fn dp_bmr(
     })
 }
 
-/// Extract the tree rooted at `root` and run DP-BMR (the full Section-6.2
-/// pipeline). `None` when the graph is not spanning-reachable from `root`
-/// or `cancel` fired mid-run.
-pub fn dp_bmr_on_graph(
-    g: &VersionGraph,
-    root: NodeId,
-    retrieval_budget: Cost,
-    cancel: &CancelToken,
-) -> Option<DpBmrResult> {
-    let t = extract_tree(g, root)?;
-    dp_bmr(g, &t, retrieval_budget, cancel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::brute::brute_force;
     use crate::problem::ProblemKind;
+    use crate::tree::extract::extract_tree;
     use dsv_vgraph::generators::{bidirectional_path, random_tree, star, CostModel};
+
+    /// DP-BMR on the tree rooted at `NodeId(0)`, as the engine runs it.
+    fn bmr(g: &VersionGraph, budget: Cost) -> DpBmrResult {
+        let t = extract_tree(g, NodeId(0)).expect("connected");
+        dp_bmr(g, &t, budget, &CancelToken::inert()).expect("inert token")
+    }
 
     fn exact_tree_bmr(g: &VersionGraph, budget: Cost) -> Cost {
         brute_force(
@@ -220,7 +214,7 @@ mod tests {
     #[test]
     fn zero_budget_materializes_all() {
         let g = bidirectional_path(6, &CostModel::default(), 1);
-        let r = dp_bmr_on_graph(&g, NodeId(0), 0, &CancelToken::inert()).expect("connected");
+        let r = bmr(&g, 0);
         r.plan.validate(&g).expect("valid");
         assert_eq!(r.storage, g.total_node_storage());
         assert_eq!(r.plan.costs(&g).max_retrieval, 0);
@@ -232,8 +226,7 @@ mod tests {
             let g = random_tree(7, &CostModel::default(), seed);
             let rmax = g.max_edge_retrieval();
             for budget in [0, rmax / 2, rmax, rmax * 2, rmax * 10] {
-                let r = dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert())
-                    .expect("connected");
+                let r = bmr(&g, budget);
                 r.plan.validate(&g).expect("valid");
                 let c = r.plan.costs(&g);
                 assert!(c.max_retrieval <= budget);
@@ -255,8 +248,7 @@ mod tests {
         {
             let rmax = g.max_edge_retrieval();
             for budget in [rmax / 2, rmax * 3] {
-                let r = dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert())
-                    .expect("connected");
+                let r = bmr(&g, budget);
                 assert_eq!(
                     r.storage,
                     exact_tree_bmr(&g, budget),
@@ -271,8 +263,7 @@ mod tests {
         let g = random_tree(40, &CostModel::default(), 9);
         let mut last = u64::MAX;
         for budget in [0u64, 100, 300, 1_000, 3_000, 30_000] {
-            let r =
-                dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("connected");
+            let r = bmr(&g, budget);
             assert!(r.storage <= last, "DP-BMR objective must be monotone");
             last = r.storage;
         }
@@ -284,8 +275,7 @@ mod tests {
         // graphs DP must never lose.
         let g = random_tree(30, &CostModel::default(), 11);
         for budget in [200u64, 1_000, 5_000] {
-            let dp =
-                dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("connected");
+            let dp = bmr(&g, budget);
             let mp = crate::heuristics::mp::modified_prims(&g, budget);
             assert!(dp.storage <= mp.storage_cost(&g), "budget {budget}");
         }

@@ -74,33 +74,14 @@ pub fn dp_msr_on_graph(
     state.plan_under(g, budget)
 }
 
-/// Sweep many budgets with a single DP run pruned at the largest budget
-/// (how the figures are produced). Returns, per budget, the exact costs of
-/// the reconstructed plan; `None` when the graph is not spanning-reachable
-/// from `root` or `cancel` fired mid-run.
-pub fn dp_msr_sweep(
-    g: &VersionGraph,
-    root: NodeId,
-    budgets: &[Cost],
-    cancel: &CancelToken,
-) -> Option<Vec<Option<PlanCosts>>> {
-    let t = extract_tree(g, root)?;
-    let max_budget = budgets.iter().copied().max().unwrap_or(0);
-    let state = dp_msr(g, &t, max_budget, cancel)?;
-    Some(
-        budgets
-            .iter()
-            .map(|&b| state.plan_under(g, b).map(|(_, c)| c))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::min_storage_value;
-    use crate::exact::brute::msr_optimum;
+    use crate::engine::{Engine, SolveOptions};
+    use crate::exact::brute::brute_force;
     use crate::heuristics::{lmg, lmg_all};
+    use crate::problem::ProblemKind;
     use dsv_vgraph::generators::{bidirectional_path, caterpillar, random_tree, CostModel};
 
     #[test]
@@ -109,7 +90,13 @@ mod tests {
             let g = random_tree(7, &CostModel::default(), seed);
             let smin = min_storage_value(&g);
             for budget in [smin, smin * 2, smin * 4] {
-                let opt = msr_optimum(&g, budget).expect("feasible");
+                let problem = ProblemKind::Msr {
+                    storage_budget: budget,
+                };
+                let opt = brute_force(&g, problem, &CancelToken::inert())
+                    .expect("feasible")
+                    .costs
+                    .total_retrieval;
                 let (plan, costs) = dp_msr_on_graph(&g, NodeId(0), budget, &CancelToken::inert())
                     .expect("feasible");
                 plan.validate(&g).expect("valid");
@@ -165,20 +152,21 @@ mod tests {
         let g = bidirectional_path(20, &CostModel::default(), 3);
         let smin = min_storage_value(&g);
         let budgets = vec![smin, smin * 3 / 2, smin * 2, smin * 3];
-        let sweep =
-            dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("connected");
+        let sweep = Engine::default()
+            .solve_sweep(&g, &budgets, &SolveOptions::default())
+            .expect("connected");
         assert_eq!(sweep.len(), budgets.len());
-        // Retrieval decreases along increasing budgets.
-        let vals: Vec<u64> = sweep
+        let costs: Vec<PlanCosts> = sweep
             .iter()
-            .map(|c| c.expect("feasible").total_retrieval)
+            .map(|s| s.as_ref().expect("feasible").costs)
             .collect();
-        for w in vals.windows(2) {
-            assert!(w[1] <= w[0]);
+        // Retrieval decreases along increasing budgets.
+        for w in costs.windows(2) {
+            assert!(w[1].total_retrieval <= w[0].total_retrieval);
         }
         // Each sweep point stays within budget.
-        for (c, &b) in sweep.iter().zip(&budgets) {
-            assert!(c.expect("feasible").storage <= b);
+        for (c, &b) in costs.iter().zip(&budgets) {
+            assert!(c.storage <= b);
         }
     }
 
@@ -197,8 +185,9 @@ mod tests {
         let g = random_tree(250, &CostModel::default(), 5);
         let smin = min_storage_value(&g);
         let budgets: Vec<u64> = (0..6).map(|i| smin + smin * i / 4).collect();
-        let sweep =
-            dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("connected");
+        let sweep = Engine::default()
+            .solve_sweep(&g, &budgets, &SolveOptions::default())
+            .expect("connected");
         assert!(sweep.iter().all(|c| c.is_some()));
     }
 }

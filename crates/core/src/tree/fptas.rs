@@ -28,7 +28,8 @@ pub fn msr_tree_fptas<'a>(g: &'a VersionGraph, t: &'a BidirTree, epsilon: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::brute::msr_optimum;
+    use crate::exact::brute::brute_force;
+    use crate::problem::ProblemKind;
     use crate::tree::extract::extract_tree;
     use dsv_vgraph::generators::{bidirectional_path, caterpillar, random_tree, star, CostModel};
     use dsv_vgraph::NodeId;
@@ -37,7 +38,11 @@ mod tests {
         let t = extract_tree(g, NodeId(0)).expect("connected");
         let dp = msr_tree_exact(g, &t);
         for &budget in budgets {
-            let want = msr_optimum(g, budget);
+            let problem = ProblemKind::Msr {
+                storage_budget: budget,
+            };
+            let want =
+                brute_force(g, problem, &CancelToken::inert()).map(|r| r.costs.total_retrieval);
             let got = dp.best_under(budget).map(|(_, r)| r);
             assert_eq!(got, want, "budget {budget}");
             if let Some((plan, pair)) = dp.plan_under(budget) {

@@ -6,8 +6,9 @@
 //!   `ε → 0` limit of the paper's FPTAS, used as ground truth in tests);
 //! * **FPTAS** — the Section-5.1 scheme: root-retrieval values `γ` rounded
 //!   to ticks of size `l = ε·r_max/n²`;
-//! * **heuristic (DP-MSR)** — the Section-6.2 practical variant: geometric
-//!   discretization, storage-indexed Pareto frontiers, and pruning.
+//! * **heuristic (DP-MSR)** — the Section-6.2 practical variant: `γ`
+//!   rounded to linear ticks, geometric bucketing of dependency counts
+//!   `k`, storage-indexed Pareto frontiers, and pruning.
 //!
 //! ## State design
 //!
@@ -79,29 +80,13 @@ pub struct TreeDpConfig {
 pub enum GammaGrid {
     /// No rounding.
     Exact,
-    /// Round up to multiples of the tick (the paper's FPTAS grid).
+    /// Round up to multiples of the tick (the paper's FPTAS grid, and
+    /// DP-MSR's).
     Linear(Cost),
-    /// Round up to precomputed boundaries (geometric grids: log-many keys
-    /// over the whole chain-depth range, the Section-6.2 discretization).
-    Table(std::sync::Arc<Vec<Cost>>),
 }
 
 impl GammaGrid {
-    /// Build a geometric grid `0, base, base·q, …` up to `top` (boundaries
-    /// are strictly increasing integers; `top` itself is included).
-    pub fn geometric(base: Cost, ratio: f64, top: Cost) -> Self {
-        let mut v: Vec<Cost> = vec![0];
-        let mut b = base.max(1);
-        let q = ratio.max(1.0 + 1e-9);
-        while b < top {
-            v.push(b);
-            b = (b + 1).max((b as f64 * q).ceil() as Cost);
-        }
-        v.push(top);
-        GammaGrid::Table(std::sync::Arc::new(v))
-    }
-
-    /// Round `g` up onto the grid ([`INF`] when above the last boundary).
+    /// Round `g` up onto the grid ([`INF`] stays [`INF`]).
     #[inline]
     pub fn round(&self, g: Cost) -> Cost {
         if g >= INF {
@@ -111,14 +96,6 @@ impl GammaGrid {
             GammaGrid::Exact => g,
             GammaGrid::Linear(l) if *l <= 1 => g,
             GammaGrid::Linear(l) => g.div_ceil(*l) * *l,
-            GammaGrid::Table(t) => {
-                let i = t.partition_point(|&b| b < g);
-                if i < t.len() {
-                    t[i]
-                } else {
-                    INF
-                }
-            }
         }
     }
 }
@@ -150,7 +127,7 @@ impl TreeDpConfig {
         }
     }
 
-    /// The Section-6.2 practical configuration: geometric everything plus
+    /// The Section-6.2 practical configuration: coarse discretization plus
     /// pruning. `storage_prune` should usually be the top of the sweep
     /// range (the paper prunes at 2–10× the minimum storage).
     ///
@@ -842,21 +819,6 @@ mod tests {
         for x in [0u64, 1, 17, 12345] {
             assert_eq!(g.round(x), x);
         }
-    }
-
-    #[test]
-    fn gamma_grid_geometric_is_monotone_and_idempotent() {
-        let g = GammaGrid::geometric(4, 1.5, 1_000);
-        let mut last = 0;
-        for x in 0..1_000u64 {
-            let r = g.round(x);
-            assert!(r >= x, "rounding must go up");
-            assert!(r >= last, "rounding must be monotone");
-            assert_eq!(g.round(r), r, "boundaries are fixed points");
-            last = r;
-        }
-        // Above the top boundary: pruned to INF.
-        assert_eq!(g.round(1_001), INF);
     }
 
     #[test]

@@ -24,15 +24,11 @@
 //! seed-determined subset, independent of read order — so the injected
 //! fault set is reproducible even under the parallel checkout walker.
 //!
-//! On top of the probabilities sit two op-trace triggers, precise to the
+//! On top of the probabilities sits one op-trace trigger, precise to the
 //! operation count: [`FaultPlan::fail_nth`] fails exactly the Nth
-//! operation of a kind ("fail exactly the 2nd gc"), and
-//! [`FaultPlan::crash_after`] poisons the decorator at the Nth operation —
-//! every subsequent call fails, modeling a process that must restart.
-//! (For true power-loss simulation inside `PackStore`'s write sites — torn
-//! appends, unrenamed tmp files — use
-//! [`PackStore::arm_crash`](super::PackStore::arm_crash), which tears real
-//! bytes; `crash_after` models the process dying, not the disk.)
+//! operation of a kind ("fail exactly the 2nd gc"). Crashes are not the
+//! decorator's job: [`PackStore::arm_crash`](super::PackStore::arm_crash)
+//! tears real bytes at `PackStore`'s write sites.
 
 use super::{splitmix64, GcStats, ObjectId, ObjectKind, ObjectMeta, Store, StoreError};
 use std::borrow::Cow;
@@ -59,9 +55,8 @@ pub enum FaultOp {
 /// A seeded, declarative description of which faults to inject.
 ///
 /// The default plan injects nothing; build one with [`FaultPlan::seeded`]
-/// and the `with_*` / [`fail_nth`](Self::fail_nth) /
-/// [`crash_after`](Self::crash_after) builders. All probabilities are in
-/// `[0, 1]`.
+/// and the `with_*` / [`fail_nth`](Self::fail_nth) builders. All
+/// probabilities are in `[0, 1]`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -70,7 +65,6 @@ pub struct FaultPlan {
     bit_flip: f64,
     put_fail: f64,
     fail_nth: Vec<(FaultOp, u64)>,
-    crash_after: Option<(FaultOp, u64)>,
 }
 
 // Per-family salts keep the three per-object decisions independent.
@@ -143,21 +137,8 @@ impl FaultPlan {
         self
     }
 
-    /// Poison the decorator at the `nth` (1-based) operation of kind `op`:
-    /// that call and every call after it fail with [`StoreError::Io`],
-    /// modeling a process crash. The inner store is left exactly as it was
-    /// — recover it with [`FaultStore::into_inner`].
-    pub fn crash_after(mut self, op: FaultOp, nth: u64) -> Self {
-        self.crash_after = Some((op, nth));
-        self
-    }
-
     fn nth_matches(&self, op: FaultOp, n: u64) -> bool {
         self.fail_nth.iter().any(|&(o, nth)| o == op && nth == n)
-    }
-
-    fn crash_matches(&self, op: FaultOp, n: u64) -> bool {
-        self.crash_after == Some((op, n))
     }
 }
 
@@ -186,8 +167,6 @@ pub struct FaultStats {
     pub injected_put_failures: u64,
     /// [`FaultPlan::fail_nth`] triggers fired.
     pub injected_targeted: u64,
-    /// Whether [`FaultPlan::crash_after`] fired (0 or 1).
-    pub crashes: u64,
     /// [`Store::repair`] calls forwarded.
     pub repairs: u64,
 }
@@ -208,7 +187,6 @@ struct FaultState {
     healed: BTreeSet<ObjectId>,
     /// Objects corrupted explicitly via [`FaultStore::corrupt_object`].
     forced_corrupt: BTreeSet<ObjectId>,
-    poisoned: bool,
     stats: FaultStats,
 }
 
@@ -299,9 +277,6 @@ impl<S: Store> FaultStore<S> {
     /// Shared entry bookkeeping for every operation: count it, then fire
     /// the op-trace triggers. Returns the 1-based count of this op.
     fn op_gate(&self, op: FaultOp, st: &mut FaultState) -> Result<u64, StoreError> {
-        if st.poisoned {
-            return Err(injected_io("store poisoned by injected crash"));
-        }
         let count = match op {
             FaultOp::Put => {
                 st.stats.puts += 1;
@@ -328,11 +303,6 @@ impl<S: Store> FaultStore<S> {
                 st.stats.flushes
             }
         };
-        if self.plan.crash_matches(op, count) {
-            st.poisoned = true;
-            st.stats.crashes += 1;
-            return Err(injected_io("injected crash"));
-        }
         if self.plan.nth_matches(op, count) {
             st.stats.injected_targeted += 1;
             return Err(injected_io("injected targeted failure"));
@@ -448,9 +418,6 @@ impl<S: Store> Store for FaultStore<S> {
         // object reads cleanly from then on.
         {
             let mut st = self.state.lock().expect("fault state lock");
-            if st.poisoned {
-                return Err(injected_io("store poisoned by injected crash"));
-            }
             st.tripped.remove(&id);
             st.forced_corrupt.remove(&id);
             st.healed.insert(id);
@@ -520,25 +487,6 @@ mod tests {
         assert!(matches!(s.gc(), Err(StoreError::Io { .. })), "gc 2 fails");
         s.gc().expect("gc 3");
         assert_eq!(s.stats().injected_targeted, 1);
-    }
-
-    #[test]
-    fn crash_after_poisons_every_later_op() {
-        let mut s = FaultStore::new(
-            MemStore::new(),
-            FaultPlan::seeded(0).crash_after(FaultOp::Get, 2),
-        );
-        let id = s.put(ObjectKind::Chunk, b"bytes").expect("put");
-        assert!(s.get(id).is_ok());
-        assert!(matches!(s.get(id), Err(StoreError::Io { .. })));
-        assert!(matches!(s.get(id), Err(StoreError::Io { .. })));
-        assert!(matches!(
-            s.put(ObjectKind::Chunk, b"more"),
-            Err(StoreError::Io { .. })
-        ));
-        assert_eq!(s.stats().crashes, 1);
-        // The inner store is intact.
-        assert_eq!(s.into_inner().get(id).expect("inner"), b"bytes");
     }
 
     #[test]

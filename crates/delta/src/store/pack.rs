@@ -458,21 +458,6 @@ impl PackStore {
         Self::open_with(dir, PackOptions::default())
     }
 
-    /// Open (or create) a store under `dir`, storing objects of at least
-    /// `loose_threshold` bytes as loose files.
-    pub fn open_with_threshold(
-        dir: impl Into<PathBuf>,
-        loose_threshold: u64,
-    ) -> Result<Self, StoreError> {
-        Self::open_with(
-            dir,
-            PackOptions {
-                loose_threshold,
-                ..PackOptions::default()
-            },
-        )
-    }
-
     /// Open (or create) a store under `dir` with explicit [`PackOptions`].
     pub fn open_with(dir: impl Into<PathBuf>, options: PackOptions) -> Result<Self, StoreError> {
         let dir = dir.into();
@@ -575,11 +560,6 @@ impl PackStore {
     /// Whether an armed crash point has fired.
     pub fn crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// The store's durability mode.
-    pub fn durability(&self) -> Durability {
-        self.durability
     }
 
     fn durable(&self) -> bool {
@@ -1386,6 +1366,15 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// Default options with objects of at least `loose_threshold` bytes
+    /// stored as loose files.
+    fn loose_at(loose_threshold: u64) -> PackOptions {
+        PackOptions {
+            loose_threshold,
+            ..PackOptions::default()
+        }
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
         let d = std::env::temp_dir().join(format!(
@@ -1400,7 +1389,7 @@ mod tests {
     #[test]
     fn pack_roundtrip_dedup_and_loose_split() {
         let dir = temp_dir("roundtrip");
-        let mut s = PackStore::open_with_threshold(&dir, 16).expect("open");
+        let mut s = PackStore::open_with(&dir, loose_at(16)).expect("open");
         let small = s.put(ObjectKind::Delta, b"small").expect("put");
         let big_bytes = vec![7u8; 64];
         let big = s.put(ObjectKind::Chunk, &big_bytes).expect("put");
@@ -1420,7 +1409,7 @@ mod tests {
     fn get_ref_serves_resident_slices_and_survives_append_and_gc() {
         use std::borrow::Cow;
         let dir = temp_dir("resident");
-        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+        let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
         let a = s.put(ObjectKind::Chunk, b"first object").expect("put");
         assert!(!s.resident_loaded(), "map loads lazily, not on open/put");
         let bytes = s.get_ref(a).expect("get_ref");
@@ -1464,7 +1453,7 @@ mod tests {
     #[test]
     fn get_ref_detects_on_disk_corruption() {
         let dir = temp_dir("refcorrupt");
-        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+        let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
         let id = s.put(ObjectKind::Chunk, b"fragile resident").expect("put");
         let Some(ObjectLocation::Packed { payload_offset, .. }) = s.locate(id) else {
             panic!("expected a packed object");
@@ -1489,13 +1478,13 @@ mod tests {
         let dir = temp_dir("reopen");
         let (a, b);
         {
-            let mut s = PackStore::open_with_threshold(&dir, 16).expect("open");
+            let mut s = PackStore::open_with(&dir, loose_at(16)).expect("open");
             a = s.put(ObjectKind::Chunk, b"persistent").expect("put");
             b = s.put(ObjectKind::Chunk, &[3u8; 100]).expect("put");
             s.release(b).expect("release");
             s.flush().expect("flush");
         }
-        let s = PackStore::open_with_threshold(&dir, 16).expect("reopen");
+        let s = PackStore::open_with(&dir, loose_at(16)).expect("reopen");
         assert_eq!(s.get(a).expect("get"), b"persistent");
         assert_eq!(s.meta(a).expect("meta").refcount, 1);
         // The released reference count survived the restart too.
@@ -1508,13 +1497,13 @@ mod tests {
         let dir = temp_dir("recover");
         let (small, big);
         {
-            let mut s = PackStore::open_with_threshold(&dir, 16).expect("open");
+            let mut s = PackStore::open_with(&dir, loose_at(16)).expect("open");
             small = s.put(ObjectKind::Delta, b"packed one").expect("put");
             big = s.put(ObjectKind::Chunk, &[9u8; 40]).expect("put");
             s.flush().expect("flush");
         }
         std::fs::remove_file(dir.join("pack.idx")).expect("drop index");
-        let s = PackStore::open_with_threshold(&dir, 16).expect("recover");
+        let s = PackStore::open_with(&dir, loose_at(16)).expect("recover");
         assert_eq!(s.get(small).expect("get"), b"packed one");
         assert_eq!(s.get(big).expect("get"), vec![9u8; 40]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1523,7 +1512,7 @@ mod tests {
     #[test]
     fn gc_compacts_pack_and_unlinks_loose() {
         let dir = temp_dir("gc");
-        let mut s = PackStore::open_with_threshold(&dir, 16).expect("open");
+        let mut s = PackStore::open_with(&dir, loose_at(16)).expect("open");
         let keep = s.put(ObjectKind::Chunk, b"keep me").expect("put");
         let drop_small = s.put(ObjectKind::Delta, b"drop me").expect("put");
         let drop_big = s.put(ObjectKind::Chunk, &[1u8; 50]).expect("put");
@@ -1545,7 +1534,7 @@ mod tests {
         let dir = temp_dir("tail");
         let (indexed, unindexed);
         {
-            let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+            let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
             indexed = s.put(ObjectKind::Chunk, b"indexed object").expect("put");
             s.flush().expect("flush");
             // Appended after the last index write (simulates a crash
@@ -1564,7 +1553,7 @@ mod tests {
                 .expect("open pack");
             f.write_all(b"torn").expect("append garbage");
         }
-        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        let s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("reopen");
         assert_eq!(s.get(indexed).expect("indexed"), b"indexed object");
         assert_eq!(s.get(unindexed).expect("recovered"), b"appended later");
         assert_eq!(s.meta(unindexed).expect("meta").refcount, 1);
@@ -1580,7 +1569,7 @@ mod tests {
         let dir = temp_dir("badidx");
         let (victim, other);
         {
-            let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+            let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
             victim = s.put(ObjectKind::Chunk, b"victim").expect("put");
             other = s.put(ObjectKind::Delta, b"bystander").expect("put");
             s.retain(other).expect("retain");
@@ -1592,7 +1581,7 @@ mod tests {
         let mut idx = std::fs::read(dir.join("pack.idx")).expect("read idx");
         idx[IDX_HEADER + 24..IDX_HEADER + 32].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(dir.join("pack.idx"), idx).expect("write idx");
-        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("rebuild");
+        let s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("rebuild");
         assert_eq!(s.get(victim).expect("get"), b"victim");
         assert_eq!(s.get(other).expect("get"), b"bystander");
         // Refcounts carried over from the (parseable) stale entries.
@@ -1604,7 +1593,7 @@ mod tests {
     fn malformed_index_header_is_still_invalid_format() {
         let dir = temp_dir("badhdr");
         {
-            let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+            let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
             s.put(ObjectKind::Chunk, b"victim").expect("put");
             s.flush().expect("flush");
         }
@@ -1612,7 +1601,7 @@ mod tests {
         idx[..8].copy_from_slice(b"NOTANIDX");
         std::fs::write(dir.join("pack.idx"), idx).expect("write idx");
         assert!(matches!(
-            PackStore::open_with_threshold(&dir, 1 << 20),
+            PackStore::open_with(&dir, loose_at(1 << 20)),
             Err(StoreError::InvalidFormat { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1622,7 +1611,7 @@ mod tests {
     fn inflated_index_count_is_invalid_format_not_a_panic() {
         let dir = temp_dir("bigcount");
         {
-            let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+            let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
             s.put(ObjectKind::Chunk, b"victim").expect("put");
             s.flush().expect("flush");
         }
@@ -1633,7 +1622,7 @@ mod tests {
         idx[8..16].copy_from_slice(&((1u64 << 61) + 1).to_le_bytes());
         std::fs::write(dir.join("pack.idx"), idx).expect("write idx");
         assert!(matches!(
-            PackStore::open_with_threshold(&dir, 1 << 20),
+            PackStore::open_with(&dir, loose_at(1 << 20)),
             Err(StoreError::InvalidFormat { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1649,7 +1638,7 @@ mod tests {
         ] {
             let dir = temp_dir("vold");
             {
-                let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+                let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
                 s.put(ObjectKind::Chunk, b"old format").expect("put");
                 s.flush().expect("flush");
             }
@@ -1658,7 +1647,7 @@ mod tests {
             assert_eq!(&bytes[..8], current);
             bytes[..8].copy_from_slice(old);
             std::fs::write(&path, bytes).expect("write");
-            match PackStore::open_with_threshold(&dir, 1 << 20) {
+            match PackStore::open_with(&dir, loose_at(1 << 20)) {
                 Err(StoreError::InvalidFormat { detail }) => {
                     assert!(detail.contains(&format!("version-{version}")), "{detail}");
                     assert!(
@@ -1677,7 +1666,7 @@ mod tests {
         let dir = temp_dir("wraplen");
         let (kept, covered);
         {
-            let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+            let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
             kept = s.put(ObjectKind::Chunk, b"indexed object").expect("put");
             s.flush().expect("flush");
             covered = s.pack_file_len();
@@ -1696,7 +1685,7 @@ mod tests {
             rec.extend_from_slice(b"torn payload");
             f.write_all(&rec).expect("append torn record");
         }
-        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("reopen");
         assert_eq!(s.pack_file_len(), covered, "torn record truncated away");
         assert_eq!(s.get(kept).expect("indexed"), b"indexed object");
         let fresh = s.put(ObjectKind::Delta, b"post-recovery").expect("put");
@@ -1707,7 +1696,7 @@ mod tests {
     #[test]
     fn repair_restores_packed_and_loose_objects_in_place() {
         let dir = temp_dir("repair");
-        let mut s = PackStore::open_with_threshold(&dir, 16).expect("open");
+        let mut s = PackStore::open_with(&dir, loose_at(16)).expect("open");
         let packed = s.put(ObjectKind::Chunk, b"small").expect("put");
         let loose_bytes = vec![5u8; 64];
         let loose = s.put(ObjectKind::Chunk, &loose_bytes).expect("put");
@@ -1746,7 +1735,7 @@ mod tests {
         // record), and GC drops the orphaned corrupt record.
         s.flush().expect("flush");
         drop(s);
-        let mut s = PackStore::open_with_threshold(&dir, 16).expect("reopen");
+        let mut s = PackStore::open_with(&dir, loose_at(16)).expect("reopen");
         assert_eq!(s.get(packed).expect("still healed"), b"small");
         s.release(packed).expect("release");
         s.release(packed).expect("release");
@@ -1759,7 +1748,7 @@ mod tests {
     #[test]
     fn wrong_repair_bytes_are_rejected_untouched() {
         let dir = temp_dir("badrepair");
-        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+        let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
         let id = s.put(ObjectKind::Chunk, b"original").expect("put");
         assert!(matches!(
             s.repair(id, ObjectKind::Chunk, b"imposter"),
@@ -1779,7 +1768,7 @@ mod tests {
         let dir = temp_dir("crashpoison");
         let idx_before;
         {
-            let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+            let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
             s.put(ObjectKind::Chunk, b"acknowledged").expect("put");
             s.flush().expect("flush");
             idx_before = std::fs::read(dir.join("pack.idx")).expect("read idx");
@@ -1799,7 +1788,7 @@ mod tests {
         assert_eq!(idx_before, idx_after);
         // Reopen recovers: the torn tail is truncated, the acknowledged
         // object survives.
-        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("reopen");
         let id = hash_object(ObjectKind::Chunk, b"acknowledged");
         assert_eq!(s.get(id).expect("survivor"), b"acknowledged");
         let fresh = s.put(ObjectKind::Chunk, b"post-crash").expect("put");
@@ -1810,7 +1799,7 @@ mod tests {
     #[test]
     fn corrupted_pack_bytes_surface_a_typed_error() {
         let dir = temp_dir("corrupt");
-        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("open");
+        let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("open");
         let id = s.put(ObjectKind::Chunk, b"fragile payload").expect("put");
         let Some(ObjectLocation::Packed { payload_offset, .. }) = s.locate(id) else {
             panic!("expected a packed object");
@@ -1833,7 +1822,7 @@ mod tests {
 
     /// A store of `n` small packed objects, flushed and checkpointed.
     fn populated(dir: &Path, n: usize) -> (PackStore, Vec<ObjectId>) {
-        let mut s = PackStore::open_with_threshold(dir, 1 << 20).expect("open");
+        let mut s = PackStore::open_with(dir, loose_at(1 << 20)).expect("open");
         let ids = (0..n)
             .map(|i| {
                 s.put(ObjectKind::Chunk, format!("object {i}").as_bytes())
@@ -1874,7 +1863,7 @@ mod tests {
         // Put back the checkpoint from before the journal, as if the
         // process died before its exit checkpoint: replay restores both.
         std::fs::write(dir.join("pack.idx"), idx_after).expect("restore idx");
-        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        let s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("reopen");
         assert_eq!(s.meta(ids[3]).expect("meta").refcount, 3);
         assert_eq!(s.meta(ids[5]).expect("meta").refcount, 0);
         assert_eq!(s.meta(ids[4]).expect("meta").refcount, 1);
@@ -1913,7 +1902,7 @@ mod tests {
         let unflushed = s.put(ObjectKind::Delta, b"never journaled").expect("put");
         drop(s);
         std::fs::remove_file(dir.join("pack.idx")).expect("drop index");
-        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("rebuild");
+        let s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("rebuild");
         assert_eq!(s.meta(ids[0]).expect("meta").refcount, 3);
         assert_eq!(s.meta(ids[1]).expect("meta").refcount, 0);
         assert_eq!(s.meta(ids[2]).expect("meta").refcount, 1);
@@ -1933,7 +1922,7 @@ mod tests {
         // replaying the older journals alone would roll it back to 1.
         s.retain(b).expect("retain");
         drop(s);
-        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("reopen");
         // Journaled past the checkpoint: newer than the index.
         s.retain(c).expect("retain");
         s.retain(c).expect("retain");
@@ -1949,7 +1938,7 @@ mod tests {
         let mut idx = idx;
         idx[IDX_HEADER + 24..IDX_HEADER + 32].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(dir.join("pack.idx"), idx).expect("write idx");
-        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("rebuild");
+        let s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("rebuild");
         assert_eq!(s.meta(a).expect("meta").refcount, 2);
         assert_eq!(
             s.meta(b).expect("meta").refcount,
@@ -1989,7 +1978,7 @@ mod tests {
         f.seek(SeekFrom::Start(payload_offset)).expect("seek");
         f.write_all(b"R").expect("write");
         drop(f);
-        let mut s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        let mut s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("reopen");
         // x's journal entry survives and reads as corrupt (repairable);
         // everything after it replays.
         assert!(matches!(s.get(x), Err(StoreError::Corrupt { .. })));
@@ -2021,7 +2010,7 @@ mod tests {
         s.gc().expect("gc");
         assert_eq!(s.pack_file_len(), PACK_MAGIC.len() as u64 + live);
         drop(s);
-        let s = PackStore::open_with_threshold(&dir, 1 << 20).expect("reopen");
+        let s = PackStore::open_with(&dir, loose_at(1 << 20)).expect("reopen");
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(s.meta(id).expect("meta").refcount, 1 + u32::from(i < 4));
         }

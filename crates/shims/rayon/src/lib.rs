@@ -1,24 +1,27 @@
 //! API-subset shim for the `rayon` crate (the build environment is offline).
 //!
-//! Unlike the first-generation shim, execution is **genuinely parallel**: a
-//! global thread pool built on `std::thread` services [`join`], [`scope`],
-//! and the chunked parallel iterators behind
-//! [`iter::IntoParallelIterator::into_par_iter`]. Scheduling is
-//! work-stealing at task granularity: every parallel operation splits into
-//! chunk tasks pushed onto a shared injector queue, and idle workers — the
-//! submitting thread included, which drains its own scope's tasks while it
-//! waits — steal the next available task. Combination of per-chunk results
-//! is strictly ordered, so `collect`, `sum`, and `max_by` return exactly
-//! what the sequential pipeline would (ties in `max_by` resolve to the
-//! later element, as with `std::iter::Iterator::max_by`), independent of
-//! thread count or interleaving.
+//! It provides exactly the surface the workspace uses: [`join`], the
+//! chunked parallel iterators behind
+//! [`iter::IntoParallelIterator::into_par_iter`] (`map`, `filter_map`,
+//! `max_by`, `collect`), [`current_num_threads`], and private pools from
+//! [`ThreadPoolBuilder`].
+//!
+//! Execution is **genuinely parallel**: a global thread pool built on
+//! `std::thread` services every operation. Scheduling is work-stealing at
+//! task granularity: every parallel operation splits into chunk tasks
+//! pushed onto a shared injector queue, and idle workers — the submitting
+//! thread included, which drains its own operation's tasks while it waits
+//! — steal the next available task. Combination of per-chunk results is
+//! strictly ordered, so `collect` and `max_by` return exactly what the
+//! sequential pipeline would (ties in `max_by` resolve to the later
+//! element, as with `std::iter::Iterator::max_by`), independent of thread
+//! count or interleaving.
 //!
 //! Pool size is taken from `DSV_NUM_THREADS`, then `RAYON_NUM_THREADS`,
 //! then [`std::thread::available_parallelism`]; `1` disables parallel
 //! execution entirely (pure sequential fallback, no worker threads).
-//! [`ThreadPoolBuilder`] mirrors the real crate: `build_global` pins the
-//! global pool size, `build` + [`ThreadPool::install`] scope a private pool
-//! to a closure (used by the shim's own tests so they do not depend on the
+//! [`ThreadPoolBuilder::build`] + [`ThreadPool::install`] scope a private
+//! pool to a closure (used by tests so they do not depend on the
 //! environment).
 
 #![warn(missing_docs)]
@@ -31,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 // ---------------------------------------------------------------- pool core
 
-/// Completion latch of one [`scope`] invocation: counts outstanding tasks
+/// Completion latch of one [`Scope`]: counts outstanding tasks
 /// and carries the first panic payload for re-throw on the owner thread.
 struct ScopeState {
     pending: Mutex<usize>,
@@ -101,7 +104,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
 ///
 /// `threads` is the parallelism width: the pool spawns `threads - 1` worker
 /// threads and the submitting thread itself acts as the remaining worker
-/// while it waits for a [`scope`] to finish (so a 1-thread pool executes
+/// while it waits for its operation to finish (so a 1-thread pool executes
 /// everything inline with zero spawned threads).
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
@@ -135,7 +138,7 @@ impl ThreadPool {
     }
 
     /// Run `f` with this pool as the calling thread's current pool: every
-    /// [`join`]/[`scope`]/parallel-iterator call inside `f` uses it instead
+    /// [`join`]/parallel-iterator call inside `f` uses it instead
     /// of the global pool.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         struct Restore(Option<Arc<PoolShared>>);
@@ -148,11 +151,6 @@ impl ThreadPool {
         let prev = CURRENT.with(|c| c.borrow_mut().replace(self.shared.clone()));
         let _restore = Restore(prev);
         f()
-    }
-
-    /// [`scope`] on this specific pool.
-    pub fn scope<'scope, R>(&self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
-        scope_on(&self.shared, f)
     }
 }
 
@@ -201,22 +199,21 @@ pub fn current_num_threads() -> usize {
     current_shared().threads
 }
 
-/// Error returned by [`ThreadPoolBuilder::build_global`] when the global
-/// pool already exists.
+/// Error type of [`ThreadPoolBuilder::build`], which never fails: it has
+/// no values and is kept for the real crate's signature.
 #[derive(Debug)]
-pub struct ThreadPoolBuildError(&'static str);
+pub enum ThreadPoolBuildError {}
 
 impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.0)
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
     }
 }
 
 impl std::error::Error for ThreadPoolBuildError {}
 
 /// Builder mirroring `rayon::ThreadPoolBuilder`: pick a thread count, then
-/// [`build`](ThreadPoolBuilder::build) a private pool or
-/// [`build_global`](ThreadPoolBuilder::build_global) the process-wide one.
+/// [`build`](ThreadPoolBuilder::build) a private pool.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -246,31 +243,14 @@ impl ThreadPoolBuilder {
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool::with_threads(self.resolved()))
     }
-
-    /// Build the global pool. Fails if it was already initialized (by an
-    /// earlier call or lazily by the first parallel operation).
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let threads = self.resolved();
-        let mut installed = false;
-        GLOBAL.get_or_init(|| {
-            installed = true;
-            ThreadPool::with_threads(threads)
-        });
-        if installed {
-            Ok(())
-        } else {
-            Err(ThreadPoolBuildError(
-                "global thread pool already initialized",
-            ))
-        }
-    }
 }
 
 // ---------------------------------------------------------------- scope
 
-/// Spawn handle passed to the closure of [`scope`]; tasks spawned through
-/// it may borrow anything that outlives `'scope`.
-pub struct Scope<'scope> {
+/// Spawn handle of one parallel operation ([`join`], the iterators' chunk
+/// fan-out); tasks spawned through it may borrow anything that outlives
+/// `'scope`.
+struct Scope<'scope> {
     shared: Arc<PoolShared>,
     state: Arc<ScopeState>,
     // Invariant over 'scope, as with `std::thread::Scope`.
@@ -279,8 +259,8 @@ pub struct Scope<'scope> {
 
 impl<'scope> Scope<'scope> {
     /// Queue `f` onto the pool. It runs concurrently with the rest of the
-    /// scope body and is guaranteed to finish before [`scope`] returns.
-    pub fn spawn<F>(&self, f: F)
+    /// scope body and is guaranteed to finish before `scope_on` returns.
+    fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'scope,
     {
@@ -332,12 +312,6 @@ fn scope_on<'scope, R>(shared: &Arc<PoolShared>, f: impl FnOnce(&Scope<'scope>) 
         Ok(r) => r,
         Err(payload) => resume_unwind(payload),
     }
-}
-
-/// Create a scope on the current pool: tasks spawned via [`Scope::spawn`]
-/// may borrow locals and all complete before `scope` returns.
-pub fn scope<'scope, R>(f: impl FnOnce(&Scope<'scope>) -> R) -> R {
-    scope_on(&current_shared(), f)
 }
 
 /// Run both closures, potentially in parallel, and return both results.
@@ -414,7 +388,6 @@ where
 pub mod iter {
     use super::par_run;
     use std::cmp::Ordering;
-    use std::iter::Sum;
     use std::sync::Arc;
 
     /// Conversion into a parallel iterator.
@@ -484,16 +457,6 @@ pub mod iter {
             )
         }
 
-        /// Sum the elements (chunk partial sums, then a sum of sums).
-        pub fn sum<S>(self) -> S
-        where
-            S: Send + Sum<B> + Sum<S>,
-        {
-            par_run(self.items, |chunk| chunk.into_iter().sum::<S>())
-                .into_iter()
-                .sum()
-        }
-
         /// Collect into a container, preserving the source order.
         pub fn collect<C: FromIterator<B>>(self) -> C {
             par_run(self.items, |chunk| chunk)
@@ -543,20 +506,6 @@ pub mod iter {
                 }),
                 cmp,
             )
-        }
-
-        /// Sum the produced elements (chunk partial sums, then a sum of
-        /// sums).
-        pub fn sum<S>(self) -> S
-        where
-            S: Send + Sum<T> + Sum<S>,
-        {
-            let f = self.f;
-            par_run(self.base, |chunk| {
-                chunk.into_iter().filter_map(|b| f(b)).sum::<S>()
-            })
-            .into_iter()
-            .sum()
         }
 
         /// Collect into a container, preserving the source order.
@@ -641,12 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_sum() {
-        let s: u64 = vec![1u64, 2, 3].into_par_iter().sum();
-        assert_eq!(s, 6);
-    }
-
-    #[test]
     fn map_then_filter_map_chain() {
         let v: Vec<usize> = (0..10usize)
             .into_par_iter()
@@ -668,14 +611,13 @@ mod tests {
     /// Results must be identical across pool widths (ordered combination).
     #[test]
     fn results_independent_of_thread_count() {
-        let compute = || -> (Vec<usize>, u64, Option<usize>) {
+        let compute = || -> (Vec<usize>, Option<usize>) {
             let c: Vec<usize> = (0..10_000usize).into_par_iter().map(|x| x ^ 0x5a).collect();
-            let s: u64 = (0..10_000usize).into_par_iter().map(|x| x as u64).sum();
             let m = (0..10_000usize)
                 .into_par_iter()
                 .filter_map(|x| if x % 3 == 0 { Some(x / 3) } else { None })
                 .max_by(|a, b| a.cmp(b));
-            (c, s, m)
+            (c, m)
         };
         let one = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let four = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
@@ -738,13 +680,11 @@ mod tests {
 
     #[test]
     fn scope_propagates_panics() {
+        // The spawned side of `join` panics; the payload is re-thrown on
+        // the calling thread once both sides have finished.
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.install(|| {
-                super::scope(|s| {
-                    s.spawn(|| panic!("boom"));
-                });
-            })
+            pool.install(|| join(|| 1, || -> u32 { panic!("boom") }))
         }));
         assert!(result.is_err());
     }
@@ -757,10 +697,11 @@ mod tests {
                 .into_par_iter()
                 .map(|i| {
                     // Inner parallel op from inside a pool task.
-                    (0..100usize)
+                    let inner: Vec<u64> = (0..100usize)
                         .into_par_iter()
                         .map(move |j| (i * 100 + j) as u64)
-                        .sum::<u64>()
+                        .collect();
+                    inner.into_iter().sum::<u64>()
                 })
                 .collect();
             partials.into_iter().sum()

@@ -66,13 +66,16 @@ fn main() {
         mb(smin)
     );
 
-    // 1. The MSR frontier.
+    // 1. The MSR frontier, from one DP-MSR run.
+    let engine = Engine::with_default_solvers();
+    let opts = SolveOptions::default();
     let budgets: Vec<Cost> = (0..6).map(|i| smin + smin * i * 2 / 5).collect();
-    let sweep =
-        dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("chain is connected");
+    let sweep = engine
+        .solve_sweep(&g, &budgets, &opts)
+        .expect("chain is connected");
     println!("DP-MSR frontier:");
-    for (b, c) in budgets.iter().zip(&sweep) {
-        match c {
+    for (b, sol) in budgets.iter().zip(&sweep) {
+        match sol.as_ref().map(|s| s.costs) {
             Some(c) => println!(
                 "  S <= {:>7.1} MB -> storage {:>7.1} MB, mean snapshot rebuild {:>7.2} MB",
                 mb(*b),
@@ -88,8 +91,6 @@ fn main() {
 
     // 2. Bounded rebuild time: BMR through the engine — DP-BMR wins the
     //    dispatch order, MP is requested by name as the baseline.
-    let engine = Engine::with_default_solvers();
-    let opts = SolveOptions::default();
     let bound: Cost = 2_000_000; // <= 2 MB of delta replay per rebuild
     let bmr = ProblemKind::Bmr {
         retrieval_budget: bound,

@@ -102,16 +102,18 @@ fn main() {
     println!("minimum storage: {:.0} MiB\n", mib(smin));
 
     // MSR frontier: how much faster do checkouts get per GB invested?
+    let engine = Engine::with_default_solvers();
     let budgets: Vec<Cost> = (0..6).map(|i| smin + smin * i / 5).collect();
-    let sweep =
-        dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("lineage is connected");
+    let sweep = engine
+        .solve_sweep(&g, &budgets, &SolveOptions::default())
+        .expect("lineage is connected");
     println!("DP-MSR storage/retrieval frontier:");
     println!(
         "  {:>12} {:>14} {:>16}",
         "budget(MiB)", "storage(MiB)", "avg checkout(MiB)"
     );
-    for (b, c) in budgets.iter().zip(&sweep) {
-        match c {
+    for (b, sol) in budgets.iter().zip(&sweep) {
+        match sol.as_ref().map(|s| s.costs) {
             Some(c) => println!(
                 "  {:>12.0} {:>14.0} {:>16.1}",
                 mib(*b),
@@ -125,7 +127,6 @@ fn main() {
     // BMR: bound the worst checkout (e.g. 64 MiB of delta replay). Run
     // every solver that supports BMR (DP-BMR and MP) and keep the cheaper
     // plan.
-    let engine = Engine::with_default_solvers();
     let bound: Cost = 64 << 20;
     let bmr = ProblemKind::Bmr {
         retrieval_budget: bound,

@@ -69,10 +69,12 @@ fn main() {
 
     // DP-MSR gives the whole storage/retrieval frontier in one run.
     let budgets: Vec<Cost> = (0..6).map(|i| smin + i * 5_000).collect();
-    let sweep = dp_msr_sweep(&g, v1, &budgets, &CancelToken::inert()).expect("graph is connected");
+    let sweep = engine
+        .solve_sweep(&g, &budgets, &opts)
+        .expect("graph is connected");
     println!("\nDP-MSR frontier (storage budget -> achieved storage/retrieval):");
-    for (b, costs) in budgets.iter().zip(sweep) {
-        match costs {
+    for (b, sol) in budgets.iter().zip(sweep) {
+        match sol.map(|s| s.costs) {
             Some(c) => println!(
                 "  S <= {b:>6} : storage {:>6}, total retrieval {:>6}",
                 c.storage, c.total_retrieval

@@ -157,10 +157,12 @@
 //! | [`dsv_core`] | the [`Engine`](core::engine::Engine) + the algorithms under it: LMG, LMG-All, MP, DP-BMR, DP-MSR, FPTAS, DP-BTW (the exact MSR solver), reductions, brute force — and the [`executor`](core::executor) that materializes plans against a store |
 //!
 //! The free algorithm functions ([`fn@prelude::lmg_all`],
-//! [`prelude::dp_msr_on_graph`], …) remain exported for direct use and for
-//! benchmarking individual algorithms; the engine is a thin validated
-//! dispatch layer over exactly those functions, as the parity tests in
-//! `tests/engine.rs` verify.
+//! [`prelude::dp_msr_on_graph`], [`fn@prelude::dp_bmr`], [`prelude::btw_msr`],
+//! …), one entry point per algorithm, remain exported for direct use and
+//! for benchmarking individual algorithms; the engine is a thin validated
+//! dispatch layer over exactly those functions, and its solvers are the
+//! only code that turns a plan into a [`Solution`](prelude::Solution), as
+//! the parity tests in `tests/engine.rs` verify.
 
 #![warn(missing_docs)]
 
@@ -174,7 +176,7 @@ pub mod prelude {
     pub use dsv_core::baselines::{
         checkpoint_plan, min_storage_plan, min_storage_value, shortest_path_plan,
     };
-    pub use dsv_core::btw::{btw_msr, btw_msr_plan, btw_msr_value, BtwConfig, BtwResult};
+    pub use dsv_core::btw::{btw_msr, BtwConfig, BtwResult};
     pub use dsv_core::cancel::CancelToken;
     pub use dsv_core::checkout::{
         CacheStats, Checkout, CheckoutCache, CheckoutStats, RepairStats, RepairTicket, ServeOutcome,
@@ -191,15 +193,13 @@ pub mod prelude {
     pub use dsv_core::online::{OnlinePlanner, OnlineStats, ONLINE_REGRET_BOUND};
     pub use dsv_core::plan::{Parent, PlanCosts, StoragePlan};
     pub use dsv_core::problem::{Objective, ProblemKind};
-    pub use dsv_core::reductions::{bsr_via_msr, mmr_on_graph};
+    pub use dsv_core::reductions::{bsr_via_msr, mmr_via_bmr};
     pub use dsv_core::retry::RetryPolicy;
     pub use dsv_core::service::{
         Mutation, PlanId, Reply, Request, ServeTier, ServiceConfig, ServiceError, ServiceStats,
         Ticket, VersioningService,
     };
-    pub use dsv_core::tree::{
-        dp_bmr_on_graph, dp_msr_on_graph, dp_msr_sweep, extract_tree, TreeDpConfig,
-    };
+    pub use dsv_core::tree::{dp_bmr, dp_msr_on_graph, extract_tree, TreeDpConfig};
     pub use dsv_delta::corpus::{corpus, corpus_with_content, CorpusName};
     pub use dsv_delta::store::{
         CorpusContent, CrashPoint, Durability, FaultOp, FaultPlan, FaultStats, FaultStore,

@@ -109,7 +109,8 @@ fn btw_and_tree_dp_agree_on_trees() {
             let tree_val = dsv_core::tree::msr_tree_exact(&g, &t)
                 .best_under(budget)
                 .map(|(_, r)| r);
-            let btw_val = btw_msr_value(&g, budget);
+            let btw_val = btw_msr(&g, &BtwConfig::default(), &CancelToken::inert())
+                .and_then(|r| r.best_under(budget));
             assert_eq!(tree_val, btw_val, "seed {seed} budget {budget}");
         }
     }

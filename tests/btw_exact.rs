@@ -15,7 +15,16 @@ use dataset_versioning::prelude::*;
 use dataset_versioning::vgraph::generators::{
     bidirectional_path, erdos_renyi_bidirectional, random_tree, series_parallel, CostModel,
 };
-use dsv_core::exact::brute::msr_optimum;
+
+/// The exact MSR objective by exhaustive enumeration (the test oracle).
+fn exact_msr(g: &VersionGraph, storage_budget: Cost) -> Option<Cost> {
+    brute_force(
+        g,
+        ProblemKind::Msr { storage_budget },
+        &CancelToken::inert(),
+    )
+    .map(|r| r.costs.total_retrieval)
+}
 
 /// Budget sweep for one graph: just-infeasible, minimum, and a spread of
 /// slacker budgets (the interesting regime where delta choices matter).
@@ -35,7 +44,7 @@ fn budget_sweep(g: &VersionGraph) -> Vec<Cost> {
 /// brute-force optimum, at every budget in the sweep.
 fn assert_constructive_exact(g: &VersionGraph, tag: &str) {
     for budget in budget_sweep(g) {
-        let want = msr_optimum(g, budget);
+        let want = exact_msr(g, budget);
         let cfg = BtwConfig {
             storage_prune: Some(budget),
             ..Default::default()
@@ -138,7 +147,7 @@ fn engine_btw_solutions_are_proven_optimal() {
                 assert_eq!(sol.meta.reported_objective, Some(sol.costs.total_retrieval));
                 assert_eq!(
                     Some(sol.costs.total_retrieval),
-                    msr_optimum(&g, budget),
+                    exact_msr(&g, budget),
                     "seed {seed} budget {budget}: engine plan is not optimal"
                 );
             }

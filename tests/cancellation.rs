@@ -80,25 +80,9 @@ fn rows() -> Vec<Row> {
             "15524 s=15524 r=3541 m=853 [1,M,2,7,13,8,10,M,14,16]",
         ),
         (
-            "dp_bmr_on_graph",
-            |f, c| {
-                let r = dp_bmr_on_graph(&f.g, f.root, f.rmax * 2, c)?;
-                Some(format!("{} {}", r.storage, plan_line(&f.g, &r.plan)))
-            },
-            "15524 s=15524 r=3541 m=853 [1,M,2,7,13,8,10,M,14,16]",
-        ),
-        (
             "mmr_via_bmr",
             |f, c| {
                 let (plan, r) = mmr_via_bmr(&f.g, &f.t, f.smin * 2, c)?;
-                Some(format!("{r} {}", plan_line(&f.g, &plan)))
-            },
-            "949 s=7358 r=5813 m=949 [1,M,2,4,6,8,10,12,14,16]",
-        ),
-        (
-            "mmr_on_graph",
-            |f, c| {
-                let (plan, r) = mmr_on_graph(&f.g, f.root, f.smin * 2, c)?;
                 Some(format!("{r} {}", plan_line(&f.g, &plan)))
             },
             "949 s=7358 r=5813 m=949 [1,M,2,4,6,8,10,12,14,16]",
@@ -133,15 +117,6 @@ fn rows() -> Vec<Row> {
                 Some(plan_line(&f.g, &plan))
             },
             "s=13411 r=5195 m=949 [1,M,2,4,6,8,10,12,M,16]",
-        ),
-        (
-            "dp_msr_sweep",
-            |f, c| {
-                let budgets = [f.smin, f.smin * 3 / 2, f.smin * 2];
-                let sweep = dp_msr_sweep(&f.g, f.root, &budgets, c)?;
-                Some(format!("{sweep:?}"))
-            },
-            "[Some(PlanCosts { storage: 7358, total_retrieval: 5813, max_retrieval: 949 }), Some(PlanCosts { storage: 7358, total_retrieval: 5813, max_retrieval: 949 }), Some(PlanCosts { storage: 13411, total_retrieval: 5195, max_retrieval: 949 })]",
         ),
         (
             "bsr_via_msr",

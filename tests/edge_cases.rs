@@ -12,9 +12,12 @@ fn single_node_graph_works_everywhere() {
     let plan = lmg(&g, 42).expect("materializing the node fits");
     assert_eq!(plan.costs(&g).total_retrieval, 0);
     assert!(lmg(&g, 41).is_none());
-    let dp = dp_bmr_on_graph(&g, v, 0, &CancelToken::inert()).expect("single node is connected");
+    let t = extract_tree(&g, v).expect("single node is connected");
+    let dp = dp_bmr(&g, &t, 0, &CancelToken::inert()).expect("inert token");
     assert_eq!(dp.storage, 42);
-    let bt = btw_msr_value(&g, 42).expect("feasible");
+    let bt = btw_msr(&g, &BtwConfig::default(), &CancelToken::inert())
+        .and_then(|r| r.best_under(42))
+        .expect("feasible");
     assert_eq!(bt, 0);
 }
 
@@ -34,7 +37,8 @@ fn zero_cost_edges_do_not_break_algorithms() {
     assert_eq!(costs.total_retrieval, 0); // all retrievals free
     let dp = dp_msr_on_graph(&g, a, smin, &CancelToken::inert()).expect("feasible");
     assert_eq!(dp.1.total_retrieval, 0);
-    let r = dp_bmr_on_graph(&g, a, 0, &CancelToken::inert()).expect("connected");
+    let t = extract_tree(&g, a).expect("connected");
+    let r = dp_bmr(&g, &t, 0, &CancelToken::inert()).expect("inert token");
     assert_eq!(r.storage, 100); // zero-retrieval deltas satisfy R = 0
 }
 
@@ -89,7 +93,8 @@ fn disconnected_graphs_fail_gracefully() {
     plan.validate(&g).expect("valid");
     assert_eq!(plan.parent[2], Parent::Materialized);
     // And the bounded-width DP handles components natively.
-    assert!(btw_msr_value(&g, 30).is_some());
+    let btw = btw_msr(&g, &BtwConfig::default(), &CancelToken::inert());
+    assert!(btw.and_then(|r| r.best_under(30)).is_some());
 }
 
 #[test]
@@ -121,7 +126,9 @@ fn directed_only_chains_have_no_upward_deltas() {
         .expect("feasible")
         .1;
     assert_eq!(got, want);
-    let btw = btw_msr_value(&g, budget).expect("feasible");
+    let btw = btw_msr(&g, &BtwConfig::default(), &CancelToken::inert())
+        .and_then(|r| r.best_under(budget))
+        .expect("feasible");
     assert_eq!(btw, want);
 }
 

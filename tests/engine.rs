@@ -138,8 +138,8 @@ fn parity_dp_bmr_and_mmr_reduction() {
     let opts = SolveOptions::default();
     for (name, g) in test_graphs() {
         let r_budget = g.max_edge_retrieval();
-        let direct =
-            dp_bmr_on_graph(&g, NodeId(0), r_budget, &CancelToken::inert()).expect("connected");
+        let t = extract_tree(&g, NodeId(0)).expect("connected");
+        let direct = dp_bmr(&g, &t, r_budget, &CancelToken::inert()).expect("inert token");
         let sol = engine
             .solve_with(
                 "DP-BMR",
@@ -159,7 +159,7 @@ fn parity_dp_bmr_and_mmr_reduction() {
         // MMR through the same solver (Lemma-7 binary search).
         let smin = min_storage_value(&g);
         let (mmr_plan, mmr_value) =
-            mmr_on_graph(&g, NodeId(0), smin * 2, &CancelToken::inert()).expect("feasible");
+            mmr_via_bmr(&g, &t, smin * 2, &CancelToken::inert()).expect("feasible");
         let sol = engine
             .solve_with(
                 "DP-BMR",
@@ -198,8 +198,13 @@ fn parity_exact_solvers() {
 
     // DP-BTW: constructive exact — the reconstructed plan realizes the
     // direct frontier value, byte-identically to the free function.
-    let direct_value = btw_msr_value(&g, budget).expect("feasible");
-    let (direct_plan, _) = btw_msr_plan(&g, budget).expect("feasible");
+    let cfg = BtwConfig {
+        storage_prune: Some(budget),
+        ..Default::default()
+    };
+    let (direct_plan, (_, direct_value)) = btw_msr(&g, &cfg, &CancelToken::inert())
+        .and_then(|r| r.plan_under(&g, budget))
+        .expect("feasible");
     let sol = engine
         .solve_with("DP-BTW", &g, problem, &opts)
         .expect("feasible");

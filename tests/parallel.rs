@@ -12,6 +12,7 @@ use dataset_versioning::prelude::*;
 use dataset_versioning::vgraph::generators::{
     bidirectional_path, erdos_renyi_bidirectional, random_tree, CostModel,
 };
+use dsv_core::tree::dp_msr::dp_msr;
 use std::time::{Duration, Instant};
 
 fn graphs() -> Vec<(String, VersionGraph)> {
@@ -145,12 +146,14 @@ fn solve_sweep_performs_exactly_one_dp_run() {
         "all sweep solutions must report the single shared DP's state count"
     );
 
-    // Parity with the algorithm-layer sweep (identical costs per budget).
-    let direct =
-        dp_msr_sweep(&g, NodeId(0), &budgets, &CancelToken::inert()).expect("connected graph");
-    for ((b, sol), direct) in budgets.iter().zip(&sweep).zip(direct) {
-        match (sol, direct) {
-            (Some(sol), Some(costs)) => {
+    // Parity with the algorithm layer: one DP pruned at the largest
+    // budget, read at every budget (identical costs per budget).
+    let t = extract_tree(&g, NodeId(0)).expect("connected graph");
+    let max_budget = *budgets.iter().max().expect("non-empty");
+    let dp = dp_msr(&g, &t, max_budget, &CancelToken::inert()).expect("inert token");
+    for (b, sol) in budgets.iter().zip(&sweep) {
+        match (sol, dp.plan_under(&g, *b)) {
+            (Some(sol), Some((_, costs))) => {
                 sol.plan.validate(&g).expect("sweep plan valid");
                 assert!(sol.costs.storage <= *b, "budget {b} violated");
                 assert_eq!(sol.costs, costs, "budget {b}: engine vs direct sweep");

@@ -80,7 +80,8 @@ fn compressed_corpus_pipeline() {
     let mp = modified_prims(&g, r_budget);
     mp.validate(&g).expect("valid");
     assert!(mp.costs(&g).max_retrieval <= r_budget);
-    let dp = dp_bmr_on_graph(&g, NodeId(0), r_budget, &CancelToken::inert()).expect("connected");
+    let t = extract_tree(&g, NodeId(0)).expect("connected");
+    let dp = dp_bmr(&g, &t, r_budget, &CancelToken::inert()).expect("inert token");
     dp.plan.validate(&g).expect("valid");
     assert!(dp.plan.costs(&g).max_retrieval <= r_budget);
 }

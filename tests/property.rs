@@ -95,7 +95,8 @@ proptest! {
     #[test]
     fn dp_bmr_matches_brute_force_on_trees(g in small_graph(), budget in 0u64..3_000) {
         prop_assume!(is_simple_bidir_tree(&g));
-        let r = dp_bmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("connected");
+        let t = extract_tree(&g, NodeId(0)).expect("connected");
+        let r = dp_bmr(&g, &t, budget, &CancelToken::inert()).expect("inert token");
         r.plan.validate(&g).expect("valid");
         let c = r.plan.costs(&g);
         prop_assert!(c.max_retrieval <= budget);
@@ -124,7 +125,10 @@ proptest! {
             .expect("feasible")
             .costs
             .total_retrieval;
-        let (plan, (storage, retrieval)) = btw_msr_plan(&g, budget).expect("feasible");
+        let cfg = BtwConfig { storage_prune: Some(budget), ..Default::default() };
+        let (plan, (storage, retrieval)) = btw_msr(&g, &cfg, &CancelToken::inert())
+            .and_then(|r| r.plan_under(&g, budget))
+            .expect("feasible");
         plan.validate(&g).expect("valid");
         let c = plan.costs(&g);
         prop_assert!(storage <= budget);
@@ -182,7 +186,8 @@ proptest! {
             .expect("feasible")
             .costs
             .max_retrieval;
-        let (_, got) = mmr_on_graph(&g, NodeId(0), budget, &CancelToken::inert()).expect("feasible");
+        let t = extract_tree(&g, NodeId(0)).expect("connected");
+        let (_, got) = mmr_via_bmr(&g, &t, budget, &CancelToken::inert()).expect("feasible");
         prop_assert_eq!(got, want);
     }
 

@@ -319,7 +319,11 @@ fn failed_writes_roll_back_every_reference() {
 fn store_property_roundtrip_loop() {
     let dir = temp_dir("property");
     // A small loose threshold exercises both the pack and the loose path.
-    let mut pack = PackStore::open_with_threshold(&dir, 48).expect("open pack");
+    let options = PackOptions {
+        loose_threshold: 48,
+        ..PackOptions::default()
+    };
+    let mut pack = PackStore::open_with(&dir, options).expect("open pack");
     let mut mem = MemStore::new();
     let mut rng = SmallRng::seed_from_u64(0x5709E);
     // Model: id -> (bytes, live refcount).
@@ -366,7 +370,7 @@ fn store_property_roundtrip_loop() {
         if round % 13 == 5 {
             pack.flush().expect("flush");
             drop(pack);
-            pack = PackStore::open_with_threshold(&dir, 48).expect("reopen pack");
+            pack = PackStore::open_with(&dir, options).expect("reopen pack");
         }
         // Every retained object reads back byte-identical from both
         // backends (GC'd-but-unreferenced entries may still linger; only
