@@ -1159,6 +1159,8 @@ struct WorkloadOut {
     batched_p50_ms: f64,
     batched_p99_ms: f64,
     cache: dsv_core::CacheStats,
+    /// Decoded root bytes resident in the cache after the batched pass.
+    cache_bytes: u64,
     hydrated_batched: usize,
     /// Content hashes per request of the one-at-a-time pass, which
     /// starts from an empty verification memo.
@@ -1171,8 +1173,9 @@ struct WorkloadOut {
 /// Serve one request stream three times — one version at a time with no
 /// cache, from a stored plan whose verification memo starts empty; the
 /// same again, now with every chain verified; then in batches through a
-/// shared [`CheckoutCache`](dsv_core::CheckoutCache) — asserting every
-/// payload byte-identical to the source content each time.
+/// shared root cache ([`CheckoutCache`](dsv_core::CheckoutCache)) —
+/// asserting every payload byte-identical to the source content each
+/// time.
 fn run_checkout_workload<S: dsv_delta::Store + Sync>(
     g: &VersionGraph,
     stored: &dsv_core::StoredPlan,
@@ -1212,9 +1215,9 @@ fn run_checkout_workload<S: dsv_delta::Store + Sync>(
     let (oneshot_wall, cold_hashed_per_version) = one_at_a_time(&mut lat_one);
     let (_, warm_hashed_per_version) = one_at_a_time(&mut Vec::new());
 
-    // Batched through a cache sized to a quarter of the corpus content:
-    // shared chain prefixes hydrate once per batch, hot versions are
-    // served from the cache across batches.
+    // Batched through a root cache sized to a quarter of the corpus
+    // content: shared chain prefixes hydrate once per batch, and roots
+    // are read once and served from the cache across batches.
     let capacity = expected
         .iter()
         .map(|p| p.content_size())
@@ -1246,6 +1249,7 @@ fn run_checkout_workload<S: dsv_delta::Store + Sync>(
         batched_p50_ms: percentile(&mut lat_batched, 0.50),
         batched_p99_ms: percentile(&mut lat_batched, 0.99),
         cache: cache.stats(),
+        cache_bytes: cache.used_bytes(),
         hydrated_batched,
         cold_hashed_per_version,
         warm_hashed_per_version,
@@ -1300,6 +1304,7 @@ pub fn checkout_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
             "cache_hits",
             "cache_misses",
             "cache_evictions",
+            "cache_bytes",
             "hydrated_batched",
             "cold_hashed_per_version",
             "warm_hashed_per_version",
@@ -1379,6 +1384,7 @@ pub fn checkout_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
                         out.cache.hits,
                         out.cache.misses,
                         out.cache.evictions,
+                        out.cache_bytes,
                         out.hydrated_batched,
                         out.cold_hashed_per_version,
                         out.warm_hashed_per_version,
@@ -1397,7 +1403,7 @@ pub fn checkout_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
     }
 
     r.note(format!(
-        "batched ({CHECKOUT_BATCH} per batch) + cached checkout vs one-at-a-time cold \
+        "batched ({CHECKOUT_BATCH} per batch) + root-cached checkout vs one-at-a-time cold \
          reconstruction; the one-at-a-time pass runs twice, from an empty verification memo \
          (cold) and then with every chain verified (warm); every served payload compared \
          byte-for-byte against the source in-run"
@@ -2184,6 +2190,9 @@ pub fn service_bench(opts: &ExperimentOptions, work_dir: &Path) -> Bench {
         ("wrong_bytes", wrong_bytes.to_value()),
         ("faults_detected", stats.faults_detected.to_value()),
         ("repairs_applied", stats.repairs_applied.to_value()),
+        ("root_cache_hits", stats.root_cache_hits.to_value()),
+        ("root_cache_misses", stats.root_cache_misses.to_value()),
+        ("root_cache_bytes", stats.root_cache_bytes.to_value()),
         ("verified_clean", verified_clean.to_value()),
     ];
     for (metric, value) in metrics {

@@ -27,9 +27,9 @@
 //!   verifies each one against the plan's recorded `source_hashes`, and
 //!   publishes it. Independent subtrees run in parallel; one chain's
 //!   verifications do not, so a checkout's latency does not hinge on a
-//!   second CPU being free. Nothing is served, counted, measured or
-//!   cached before it and every ancestor have verified; below a failed
-//!   node nothing is reported.
+//!   second CPU being free. Nothing is served, counted or measured
+//!   before it and every ancestor have verified; below a failed node
+//!   nothing is reported.
 //! * A reconstruction is hashed ([`codec::hash_payload`], over the
 //!   *decoded* content, no `encode_payload` round-trip) until it has
 //!   verified once against an unchanged chain. The [`StoredPlan`] keeps a
@@ -42,13 +42,17 @@
 //!   node hashed in a walk makes its children hash too, so an edit to a
 //!   plan's objects, hashes or parents re-arms the check from the edited
 //!   node down. [`CheckoutStats::hashed`] counts the hashes of a call.
-//! * A [`CheckoutCache`] holds hot reconstructed payloads keyed by their
-//!   content hash. Admission is informed by the plan: a payload's
-//!   retrieval depth (deltas between it and its materialized root) is its
-//!   reconstruction price, and only payloads at depth ≥
-//!   [`admit_min_depth`](CheckoutCache::admit_min_depth) are worth a slot.
-//!   Because keys are content hashes, a hit can never serve wrong bytes —
-//!   the cache needs no invalidation when plans change.
+//! * A [`CheckoutCache`] holds decoded materialized roots keyed by their
+//!   object id, which for a root is its recorded content hash. The paper
+//!   prices a root's retrieval at zero and charges only the deltas below
+//!   it; reading, hashing and decoding a megabyte root per request costs
+//!   the opposite, so a walk that reaches a materialized root looks it up
+//!   first. Only a root whose read verified (by the store, or by the
+//!   repair path's hash check) and whose decode succeeded is admitted, so
+//!   a hit is trusted on the same grounds as a fresh read and the nodes
+//!   below it keep their memo. Keys are content addresses, so a hit can
+//!   never serve wrong bytes and the cache needs no invalidation when
+//!   plans change.
 //!
 //! `PlanExecutor::execute` is a thin client of the same walker (in
 //! measure mode: cache off, every version requested), so the verification
@@ -75,8 +79,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Payloads accepted into the cache.
     pub admitted: u64,
-    /// Payloads refused by the admission gate (too shallow, or larger
-    /// than the whole cache).
+    /// Payloads refused because they are larger than the whole cache.
     pub rejected: u64,
     /// Payloads evicted to make room.
     pub evictions: u64,
@@ -100,7 +103,6 @@ const NIL: usize = usize::MAX;
 struct Slot {
     key: ObjectId,
     payload: Arc<Payload>,
-    depth: u32,
     bytes: u64,
     prev: usize,
     next: usize,
@@ -149,29 +151,26 @@ impl CacheInner {
     }
 }
 
-/// A byte-bounded LRU of hot reconstructed payloads, keyed by content
-/// hash, shared across threads (all methods take `&self`).
+/// A byte-bounded LRU of decoded materialized roots, keyed by object id,
+/// shared across threads (all methods take `&self`).
 ///
-/// Admission is *depth-informed*: a payload reconstructed at retrieval
-/// depth `d` cost `d` delta applications, so only payloads with
-/// `d >= admit_min_depth` are admitted (materialized roots at depth 0 are
-/// one `get` away and not worth caching). Keys are content hashes, so a
-/// hit is byte-correct by construction and the cache never needs
-/// invalidating — stale entries merely age out.
+/// [`Checkout::serve`] consults it only where a walk reaches a
+/// materialized root whose object id equals its recorded hash, and
+/// admits a root only after its bytes verified and decoded. A root's
+/// object id is the hash of its content, so a hit is byte-correct by
+/// construction and the cache never needs invalidating — stale entries
+/// merely age out.
 pub struct CheckoutCache {
     capacity_bytes: u64,
-    admit_min_depth: u32,
     inner: Mutex<CacheInner>,
 }
 
 impl CheckoutCache {
-    /// A cache holding at most `capacity_bytes` of payload content
-    /// (priced by [`Payload::content_size`]), admitting payloads at
-    /// retrieval depth ≥ 1.
+    /// A cache holding at most `capacity_bytes` of decoded roots (priced
+    /// by [`Payload::content_size`]).
     pub fn new(capacity_bytes: u64) -> Self {
         CheckoutCache {
             capacity_bytes,
-            admit_min_depth: 1,
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
                 slots: Vec::new(),
@@ -184,21 +183,9 @@ impl CheckoutCache {
         }
     }
 
-    /// Only admit payloads whose retrieval depth is at least `depth`
-    /// (0 admits everything, including materialized roots).
-    pub fn with_admit_min_depth(mut self, depth: u32) -> Self {
-        self.admit_min_depth = depth;
-        self
-    }
-
     /// The byte budget.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
-    }
-
-    /// The admission depth gate.
-    pub fn admit_min_depth(&self) -> u32 {
-        self.admit_min_depth
     }
 
     /// Content bytes currently resident.
@@ -206,7 +193,7 @@ impl CheckoutCache {
         self.inner.lock().expect("cache lock").used_bytes
     }
 
-    /// Number of resident payloads.
+    /// Number of resident roots.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("cache lock").map.len()
     }
@@ -221,7 +208,7 @@ impl CheckoutCache {
         self.inner.lock().expect("cache lock").stats
     }
 
-    /// Drop every resident payload, keeping the counters.
+    /// Drop every resident root, keeping the counters.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.map.clear();
@@ -232,20 +219,17 @@ impl CheckoutCache {
         inner.used_bytes = 0;
     }
 
-    /// Look up a payload by content hash, refreshing its recency.
+    /// Look up a root by object id, refreshing its recency.
     pub fn get(&self, key: ObjectId) -> Option<Arc<Payload>> {
-        self.lookup(key).map(|(payload, _)| payload)
-    }
-
-    fn lookup(&self, key: ObjectId) -> Option<(Arc<Payload>, u32)> {
         let mut inner = self.inner.lock().expect("cache lock");
         match inner.map.get(&key).copied() {
             Some(i) => {
                 inner.detach(i);
                 inner.push_front(i);
                 inner.stats.hits += 1;
-                let s = inner.slots[i].as_ref().expect("live slot");
-                Some((Arc::clone(&s.payload), s.depth))
+                Some(Arc::clone(
+                    &inner.slots[i].as_ref().expect("live slot").payload,
+                ))
             }
             None => {
                 inner.stats.misses += 1;
@@ -254,9 +238,9 @@ impl CheckoutCache {
         }
     }
 
-    fn admit(&self, key: ObjectId, payload: Arc<Payload>, depth: u32) {
+    fn admit(&self, key: ObjectId, payload: Arc<Payload>) {
         let bytes = payload.content_size();
-        if depth < self.admit_min_depth || bytes > self.capacity_bytes {
+        if bytes > self.capacity_bytes {
             self.inner.lock().expect("cache lock").stats.rejected += 1;
             return;
         }
@@ -271,7 +255,6 @@ impl CheckoutCache {
         let slot = Slot {
             key,
             payload,
-            depth,
             bytes,
             prev: NIL,
             next: NIL,
@@ -383,7 +366,7 @@ pub struct CheckoutStats {
     /// Distinct versions requested.
     pub distinct: usize,
     /// Nodes decoded or delta-reconstructed during this call (shared
-    /// ancestors count once; cache hits count zero).
+    /// ancestors count once; a root served from the cache counts zero).
     pub hydrated: usize,
     /// Deltas replayed during this call.
     pub delta_applies: usize,
@@ -391,9 +374,11 @@ pub struct CheckoutStats {
     /// checkout through a chain, and every node at or below an edit to
     /// it. The store's own check of the bytes it returns is not counted.
     pub hashed: usize,
-    /// Retrieval chains cut short by a cache hit.
+    /// Materialized roots served from the cache.
     pub cache_hits: u64,
-    /// Cache lookups that missed (0 when no cache is attached).
+    /// Materialized roots read past the cache: looked up, missed, and
+    /// read from the store or healed from the source (0 when no cache is
+    /// attached).
     pub cache_misses: u64,
     /// Content bytes handed back across all requests (duplicates
     /// counted).
@@ -416,13 +401,6 @@ pub struct Checkout<'a, S: Store + ?Sized> {
     cache: Option<&'a CheckoutCache>,
     source: Option<&'a (dyn VersionSource + Sync)>,
     retry: RetryPolicy,
-}
-
-struct Entry {
-    node: u32,
-    /// Cached payload seeding this subtree, with its true retrieval
-    /// depth; `None` means the node is a materialized root.
-    seed: Option<(Arc<Payload>, u32)>,
 }
 
 /// Everything one walk produced; the serving and verifying callers slice
@@ -467,8 +445,9 @@ impl<'a, S: Store + ?Sized> Checkout<'a, S> {
         }
     }
 
-    /// Attach a materialization cache (shared — many readers may point
-    /// at the same cache).
+    /// Attach a cache of decoded materialized roots (shared — many
+    /// readers may point at the same cache). Roots are served from it
+    /// and admitted to it; the deltas below a root are always replayed.
     pub fn with_cache(mut self, cache: &'a CheckoutCache) -> Self {
         self.cache = Some(cache);
         self
@@ -503,13 +482,14 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
     /// failing the batch.
     ///
     /// The union of the requested versions' retrieval chains is planned
-    /// first: shared ancestor prefixes hydrate exactly once, chains stop
-    /// early at cache hits, and the independent subtrees of the union
-    /// reconstruct in parallel. Every hydrated payload is verified
-    /// against the plan's recorded `source_hashes`: by hashing its
-    /// decoded content, or, for a node whose unchanged chain has already
-    /// verified against this stored plan, by the plan's memo of that hash
-    /// (see [`StoredPlan`]). A mismatch is a typed error, never silent.
+    /// first: shared ancestor prefixes hydrate exactly once, a root in
+    /// the attached cache is not read again, and the independent
+    /// subtrees of the union reconstruct in parallel. Every hydrated
+    /// payload is verified against the plan's recorded `source_hashes`:
+    /// by hashing its decoded content, or, for a node whose unchanged
+    /// chain has already verified against this stored plan, by the
+    /// plan's memo of that hash (see [`StoredPlan`]). A mismatch is a
+    /// typed error, never silent.
     ///
     /// Combine with [`with_source`](Checkout::with_source) for
     /// self-healing: detected faults are re-derived, hash-verified,
@@ -606,37 +586,16 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
 
         // Plan the union of retrieval chains: walk each request upward
         // toward its materialized root, stopping at the first node some
-        // earlier chain already claimed (shared prefixes hydrate once) or
-        // at a cache hit (the chain above the hit is not needed at all).
-        let cache = if verify { None } else { self.cache };
+        // earlier chain already claimed (shared prefixes hydrate once).
         let mut needed = vec![false; n];
-        let mut seeded = vec![false; n];
-        let mut entries: Vec<Entry> = Vec::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
+        let mut roots: Vec<u32> = Vec::new();
         for &v in requests {
             let mut u = v;
             while !needed[u as usize] {
-                if let Some(c) = cache {
-                    if let Some(seed) = c.lookup(stored.source_hashes[u as usize]) {
-                        hits += 1;
-                        needed[u as usize] = true;
-                        seeded[u as usize] = true;
-                        entries.push(Entry {
-                            node: u,
-                            seed: Some(seed),
-                        });
-                        break;
-                    }
-                    misses += 1;
-                }
                 needed[u as usize] = true;
                 match stored.plan.parent[u as usize] {
                     Parent::Materialized => {
-                        entries.push(Entry {
-                            node: u,
-                            seed: None,
-                        });
+                        roots.push(u);
                         break;
                     }
                     Parent::Delta(e) => u = g.edge(e).src.0,
@@ -645,14 +604,10 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         }
 
         // Children lists of the stored-delta forest, restricted to the
-        // needed set. A seeded node's own delta is never replayed — its
-        // payload came from the cache.
+        // needed set.
         let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut slots = Vec::new();
-        for v in 0..n {
-            if !needed[v] || seeded[v] {
-                continue;
-            }
+        for v in (0..n).filter(|&v| needed[v]) {
             if let Parent::Delta(e) = stored.plan.parent[v] {
                 children[g.edge(e).src.index()].push(v as u32);
                 if !verify {
@@ -662,11 +617,11 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
         }
         let memo_holds = stored.memo.holds(n, &slots);
 
-        // Each entry roots an independent subtree of the union; hydrate
+        // Each root heads an independent subtree of the union; hydrate
         // them in parallel.
         let ctx = WalkCtx {
             store: self.store,
-            cache,
+            cache: if verify { None } else { self.cache },
             source: self.source,
             retry: self.retry,
             g,
@@ -676,16 +631,14 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
             memo_holds: &memo_holds,
             verify,
         };
-        let outs: Vec<SubtreeOut> = entries
+        let outs: Vec<SubtreeOut> = roots
             .into_par_iter()
-            .map(|entry| hydrate_subtree(&ctx, entry))
+            .map(|root| hydrate_subtree(&ctx, root))
             .collect();
 
         let mut stats = CheckoutStats {
             requested: requests.len(),
             distinct,
-            cache_hits: hits,
-            cache_misses: misses,
             ..CheckoutStats::default()
         };
         let mut meas = verify.then(|| Measure {
@@ -702,6 +655,8 @@ impl<'a, S: Store + Sync + ?Sized> Checkout<'a, S> {
             stats.hydrated += out.hydrated;
             stats.delta_applies += out.delta_applies;
             stats.hashed += out.hashed;
+            stats.cache_hits += out.cache_hits;
+            stats.cache_misses += out.cache_misses;
             fills.extend(out.fills);
             repair.absorb(&out.repair);
             failed.extend(out.failed);
@@ -735,6 +690,8 @@ struct SubtreeOut {
     hydrated: usize,
     delta_applies: usize,
     hashed: usize,
+    cache_hits: u64,
+    cache_misses: u64,
     /// Memo slots of the nodes hashed and verified in this subtree.
     fills: Vec<(u32, Verified)>,
     storage: Cost,
@@ -807,13 +764,13 @@ fn fetch_object<'x, S: Store + ?Sized>(
     Err(ExecError::Store(last_err))
 }
 
-/// `Recon::parent` of a child of the subtree's entry node.
-const ENTRY: usize = usize::MAX;
+/// `Recon::parent` of a child of the subtree's root.
+const ROOT: usize = usize::MAX;
 
 /// One delta replay of a subtree's reconstruct pass, awaiting its hash.
 struct Recon {
     node: u32,
-    /// Index of the parent's `Recon` in DFS order, or [`ENTRY`].
+    /// Index of the parent's `Recon` in DFS order, or [`ROOT`].
     parent: usize,
     applied: Result<(Arc<Payload>, codec::DeltaCosts), ExecError>,
     /// Fault handling spent fetching this node's delta; reported only if
@@ -822,67 +779,67 @@ struct Recon {
     tickets: Vec<RepairTicket>,
 }
 
-fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> SubtreeOut {
+fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, root: u32) -> SubtreeOut {
     let mut out = SubtreeOut::default();
-    // A materialized root that reaches the replay below is trusted: its
-    // object id is its recorded hash, and the store verified its bytes.
-    // A cache seed is not, so its subtree hashes as if the memo were
-    // empty.
-    let root_trusted = entry.seed.is_none();
-    let (payload, depth) = match entry.seed {
-        // Cache hit: the payload is already byte-verified (keyed by its
-        // content hash). Nothing hydrated, nothing measured.
-        Some(seed) => seed,
-        None => {
-            let node = entry.node as usize;
-            let id = ctx.stored.objects[node];
-            let expected = ctx.stored.source_hashes[node];
-            // A materialized node's stored object *is* its payload chunk,
-            // so the object id must equal the recorded source hash; the
-            // store itself verifies the bytes hash to the id on read.
-            if id != expected {
-                out.failed.push((
-                    entry.node,
-                    ExecError::HashMismatch {
-                        node: entry.node,
-                        expected,
-                        actual: id,
-                    },
-                ));
-                return out;
-            }
-            let decoded = fetch_object(ctx, entry.node, &mut out.repair, &mut out.tickets)
+    let node = root as usize;
+    let id = ctx.stored.objects[node];
+    let expected = ctx.stored.source_hashes[node];
+    // A materialized node's stored object *is* its payload chunk, so the
+    // object id must equal the recorded source hash; the store itself
+    // verifies the bytes hash to the id on read.
+    if id != expected {
+        out.failed.push((
+            root,
+            ExecError::HashMismatch {
+                node: root,
+                expected,
+                actual: id,
+            },
+        ));
+        return out;
+    }
+    // From here the root is trusted: its object id is its recorded hash,
+    // and its bytes verified, either now or before the cache admitted
+    // them. A cached root costs no read, hash or decode.
+    let payload = match ctx.cache.map(|cache| cache.get(id)) {
+        Some(Some(payload)) => {
+            out.cache_hits += 1;
+            payload
+        }
+        lookup => {
+            out.cache_misses += u64::from(lookup.is_some());
+            let decoded = fetch_object(ctx, root, &mut out.repair, &mut out.tickets)
                 .and_then(|bytes| Ok(codec::decode_payload(bytes)?));
             let payload = match decoded {
                 Ok(p) => Arc::new(p),
                 Err(e) => {
-                    out.failed.push((entry.node, e));
+                    out.failed.push((root, e));
                     return out;
                 }
             };
             out.hydrated += 1;
             if ctx.verify {
                 out.storage = cost_add(out.storage, payload.content_size());
-                out.retrievals.push((entry.node, 0));
+                out.retrievals.push((root, 0));
                 out.bytes += payload.content_size();
             }
             if let Some(cache) = ctx.cache {
-                cache.admit(expected, Arc::clone(&payload), 0);
+                cache.admit(id, Arc::clone(&payload));
             }
-            (payload, 0)
+            payload
         }
     };
-    if !ctx.verify && ctx.requested[entry.node as usize] {
-        out.served.push((entry.node, Arc::clone(&payload)));
+    if !ctx.verify && ctx.requested[node] {
+        out.served.push((root, Arc::clone(&payload)));
     }
 
     // Reconstruct: DFS down the needed subtree, carrying each node's
     // payload (shared, not cloned) while its children replay their
-    // deltas. Nothing is hashed, counted, cached or served yet. A failed
+    // deltas. Nothing is hashed, counted or served yet. A failed
     // fetch or apply abandons that branch — its descendants are never
     // reached.
     let mut recons: Vec<Recon> = Vec::new();
-    let mut stack: Vec<(usize, u32, Arc<Payload>)> = vec![(ENTRY, entry.node, payload)];
+    let mut stack: Vec<(usize, u32, Arc<Payload>)> = vec![(ROOT, root, payload)];
     while let Some((at, v, payload)) = stack.pop() {
         for &c in &ctx.children[v as usize] {
             let mut repair = RepairStats::default();
@@ -910,19 +867,19 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
     // still in this core's cache. Handing the hashes of one chain to the
     // pool cost a wakeup and a cache transfer per payload, and made a
     // single checkout's latency depend on whether a second CPU was free;
-    // subtrees still run in parallel. A node counts, is measured, cached
-    // and served only if it and every ancestor verified. The first
+    // subtrees still run in parallel. A node counts, is measured and is
+    // served only if it and every ancestor verified. The first
     // failure on a branch is reported; its descendants are dropped
     // unreported and unhashed, their repairs included, exactly as if
-    // never reached. `verified[i]` is recons[i]'s (depth, retrieval,
-    // trusted) once it passed.
-    let mut verified: Vec<Option<(u32, Cost, bool)>> = Vec::with_capacity(recons.len());
+    // never reached. `verified[i]` is recons[i]'s (retrieval, trusted)
+    // once it passed.
+    let mut verified: Vec<Option<(Cost, bool)>> = Vec::with_capacity(recons.len());
     for r in recons {
         let parent = match r.parent {
-            ENTRY => Some((depth, 0, root_trusted)),
+            ROOT => Some((0, true)),
             i => verified[i],
         };
-        let Some((parent_depth, parent_retr, parent_trusted)) = parent else {
+        let Some((parent_retr, parent_trusted)) = parent else {
             verified.push(None);
             continue;
         };
@@ -960,20 +917,16 @@ fn hydrate_subtree<S: Store + ?Sized>(ctx: &WalkCtx<'_, S>, entry: Entry) -> Sub
         }
         out.hydrated += 1;
         out.delta_applies += 1;
-        let child_depth = parent_depth + 1;
         let child_retr = cost_add(parent_retr, costs.retrieval_cost());
         if ctx.verify {
             out.storage = cost_add(out.storage, costs.storage_cost());
             out.retrievals.push((c, child_retr));
             out.bytes += child.content_size();
         }
-        if let Some(cache) = ctx.cache {
-            cache.admit(expected, Arc::clone(&child), child_depth);
-        }
         if !ctx.verify && ctx.requested[c as usize] {
             out.served.push((c, child));
         }
-        verified.push(Some((child_depth, child_retr, trusted)));
+        verified.push(Some((child_retr, trusted)));
     }
     out
 }
@@ -992,13 +945,13 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent_and_counts() {
-        let cache = CheckoutCache::new(250).with_admit_min_depth(1);
-        cache.admit(key(1), payload(1, 100), 2);
-        cache.admit(key(2), payload(2, 100), 2);
+        let cache = CheckoutCache::new(250);
+        cache.admit(key(1), payload(1, 100));
+        cache.admit(key(2), payload(2, 100));
         assert_eq!(cache.len(), 2);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(cache.get(key(1)).is_some());
-        cache.admit(key(3), payload(3, 100), 2);
+        cache.admit(key(3), payload(3, 100));
         assert!(cache.get(key(1)).is_some());
         assert!(cache.get(key(2)).is_none(), "LRU entry evicted");
         assert!(cache.get(key(3)).is_some());
@@ -1011,20 +964,20 @@ mod tests {
     }
 
     #[test]
-    fn admission_gates_on_depth_and_size() {
-        let cache = CheckoutCache::new(100).with_admit_min_depth(2);
-        cache.admit(key(1), payload(1, 10), 1); // too shallow
-        cache.admit(key(2), payload(2, 500), 5); // larger than the cache
+    fn admission_refuses_a_root_larger_than_the_cache() {
+        let cache = CheckoutCache::new(100);
+        cache.admit(key(1), payload(1, 500));
         assert!(cache.is_empty());
-        assert_eq!(cache.stats().rejected, 2);
-        cache.admit(key(3), payload(3, 10), 2);
+        assert_eq!(cache.stats().rejected, 1);
+        cache.admit(key(2), payload(2, 100));
         assert_eq!(cache.len(), 1);
+        assert_eq!(cache.used_bytes(), 100);
     }
 
     #[test]
     fn clear_keeps_counters() {
         let cache = CheckoutCache::new(100);
-        cache.admit(key(1), payload(1, 10), 1);
+        cache.admit(key(1), payload(1, 10));
         assert!(cache.get(key(1)).is_some());
         cache.clear();
         assert!(cache.is_empty());
@@ -1036,8 +989,8 @@ mod tests {
     #[test]
     fn double_admit_is_a_recency_touch() {
         let cache = CheckoutCache::new(100);
-        cache.admit(key(1), payload(1, 10), 1);
-        cache.admit(key(1), payload(1, 10), 1);
+        cache.admit(key(1), payload(1, 10));
+        cache.admit(key(1), payload(1, 10));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), 10);
         assert_eq!(cache.stats().admitted, 1);

@@ -468,7 +468,7 @@ impl<'s, S: Store + ?Sized> PlanExecutor<'s, S> {
     }
 
     /// A shareable read-only [`Checkout`] over the executor's store, for
-    /// serving version batches (attach a cache with
+    /// serving version batches (attach a root cache with
     /// [`Checkout::with_cache`]).
     pub fn reader(&self) -> Checkout<'_, S> {
         Checkout::new(&*self.store)

@@ -38,8 +38,8 @@
 //! whole solve → store → verify chain. The [`checkout`]
 //! module is the *serving* side of the same machinery: a shareable
 //! (`&self`) batched reader that hydrates shared retrieval-chain prefixes
-//! once, reconstructs independent subtrees in parallel, and keeps hot
-//! payloads in a depth-aware LRU cache.
+//! once, reconstructs independent subtrees in parallel, and keeps
+//! decoded materialized roots in an LRU cache.
 
 #![warn(missing_docs)]
 

@@ -39,7 +39,11 @@
 //!   immediately, corrupt objects are re-derived from the source,
 //!   hash-verified, served, and written back via
 //!   [`PlanExecutor::apply_repairs`] — a fault under concurrent traffic
-//!   heals instead of failing the request.
+//!   heals instead of failing the request. Verified, decoded
+//!   materialized roots stay in one byte-budgeted [`CheckoutCache`]
+//!   shared by every plan, so a read replays its deltas without reading
+//!   its root again; a root's stored bytes are checked again on its next
+//!   miss.
 //!
 //! The service is deliberately synchronous-over-threads (no async
 //! runtime): workers are plain OS threads sized to the pool width, and
@@ -50,7 +54,7 @@
 //! layer small and the failure semantics inherited rather than invented.
 
 use crate::cancel::CancelToken;
-use crate::checkout::Checkout;
+use crate::checkout::{Checkout, CheckoutCache};
 use crate::engine::shared::SharedWork;
 use crate::engine::{Engine, Solution, SolveError, SolveOptions};
 use crate::executor::{ExecError, MigrationStats, PlanExecutor, StoredPlan};
@@ -317,6 +321,12 @@ pub const HEURISTIC_TIER_MIN: Duration = Duration::from_millis(20);
 /// cross-request reuse and the cached tier.
 const GRAPH_MEMOS: usize = 32;
 
+/// Byte budget of the service's one cache of decoded materialized roots,
+/// shared by every checkout of every committed plan. A root's retrieval
+/// is free in the paper's cost model; with its decoded payload resident,
+/// a checkout reads and replays only the deltas on its chain.
+const ROOT_CACHE_BYTES: u64 = 64 << 20;
+
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
@@ -361,6 +371,13 @@ pub struct ServiceStats {
     pub queue_depth: usize,
     /// Maximum queue depth ever observed (bounded by capacity).
     pub queue_high_water: u64,
+    /// Checkouts' materialized roots served from the root cache.
+    pub root_cache_hits: u64,
+    /// Checkouts' materialized roots read past the root cache (from the
+    /// store, or healed from the plan's source).
+    pub root_cache_misses: u64,
+    /// Decoded bytes resident in the root cache now.
+    pub root_cache_bytes: u64,
     /// Worker thread count.
     pub workers: usize,
 }
@@ -538,6 +555,8 @@ struct Shared<S> {
     /// Fired at shutdown; every per-request token is its child.
     root: CancelToken,
     memos: Mutex<MemoLru>,
+    /// Decoded materialized roots, shared by every checkout.
+    roots: CheckoutCache,
     counters: Counters,
 }
 
@@ -577,6 +596,7 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
             memos: Mutex::new(MemoLru {
                 entries: Vec::new(),
             }),
+            roots: CheckoutCache::new(ROOT_CACHE_BYTES),
             counters: Counters::new(),
         });
         let handles = (0..workers)
@@ -660,6 +680,7 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
     pub fn stats(&self) -> ServiceStats {
         let c = &self.shared.counters;
         let depth = self.shared.queue.lock().expect("service queue").jobs.len();
+        let roots = self.shared.roots.stats();
         ServiceStats {
             submitted: c.submitted.load(Ordering::Relaxed),
             admitted: c.admitted.load(Ordering::Relaxed),
@@ -676,6 +697,9 @@ impl<S: Store + Send + Sync + 'static> VersioningService<S> {
             absorb_resolves: c.absorb_resolves.load(Ordering::Relaxed),
             queue_depth: depth,
             queue_high_water: c.queue_high_water.load(Ordering::Relaxed),
+            root_cache_hits: roots.hits,
+            root_cache_misses: roots.misses,
+            root_cache_bytes: self.shared.roots.used_bytes(),
             workers: self.shared.workers,
         }
     }
@@ -924,6 +948,7 @@ fn handle_checkout<S: Store + Send + Sync + 'static>(
     let outcome = {
         let store = shared.store.read().expect("service store");
         Checkout::new(&*store)
+            .with_cache(&shared.roots)
             .with_source(&*committed.source)
             .serve(&committed.graph, &committed.stored, versions)
             .map_err(ServiceError::Exec)?

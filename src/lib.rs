@@ -58,8 +58,9 @@
 //! `&self`-shareable batched reader that plans the union of a
 //! request batch's retrieval chains, hydrates shared prefixes once,
 //! reconstructs independent subtrees in parallel over borrowed
-//! (`Store::get_ref`) bytes, and keeps hot payloads in a depth-aware
-//! LRU [`CheckoutCache`](core::checkout::CheckoutCache) — gated by
+//! (`Store::get_ref`) bytes, and keeps decoded materialized roots in an
+//! LRU [`CheckoutCache`](core::checkout::CheckoutCache), so a read
+//! replays only the deltas on its chain — gated by
 //! `repro --experiment checkout`.
 //!
 //! ## Serving a shared engine

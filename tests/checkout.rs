@@ -5,8 +5,13 @@
 //! * a batched checkout returns payloads **byte-identical** to
 //!   one-at-a-time checkouts and to the source content, across natural
 //!   (path/tree-like) and Erdős–Rényi fixtures on both backends;
-//! * cache hits return bytes identical to cold reconstructions
-//!   (property loop over seeded request streams);
+//! * checkouts through the root cache return bytes identical to cold
+//!   reconstructions (property loop over seeded request streams), and
+//!   the cache holds materialized roots only;
+//! * a root served from the cache is trusted like a fresh read: a warm
+//!   read hashes nothing and hydrates only its deltas, a root whose
+//!   object id differs from its recorded hash still fails while that id
+//!   is resident, and a root is admitted only once its read verified;
 //! * the content-level hash used for verification equals the
 //!   `source_hashes` recorded at ingest (no `encode_payload` round-trip);
 //! * `PackStore`'s resident pack map is invalidated by append and GC —
@@ -14,8 +19,8 @@
 //! * the read path is `&self`-shareable: concurrent checkouts against
 //!   one reader and one cache agree with the source;
 //! * a hash mismatch in the middle of a chain fails that node and every
-//!   descendant, while its ancestors are still served, counted and
-//!   cached;
+//!   descendant, while its ancestors are still served and counted, and
+//!   its root cached;
 //! * a warm checkout hashes nothing, yet tampering with a stored plan's
 //!   objects, hashes or parents after it re-arms the check at the edited
 //!   node; after a migration only changed nodes and the subtrees below
@@ -160,9 +165,17 @@ fn hash_payload_pins_to_ingested_source_hashes() {
     }
 }
 
-/// Property loop: random batch streams served through a cache return
-/// bytes identical to cold reconstructions, duplicates included, and the
-/// cache actually hits.
+/// The ids of a stored plan's materialized roots.
+fn root_ids(stored: &StoredPlan) -> Vec<ObjectId> {
+    (0..stored.objects.len())
+        .filter(|&v| matches!(stored.plan.parent[v], Parent::Materialized))
+        .map(|v| stored.objects[v])
+        .collect()
+}
+
+/// Property loop: random batch streams served through a root cache
+/// return bytes identical to cold reconstructions, duplicates included,
+/// the cache actually hits, and it holds materialized roots only.
 #[test]
 fn cached_checkouts_identical_to_cold_property_loop() {
     let (_, g, content) = fixtures().swap_remove(0);
@@ -173,16 +186,19 @@ fn cached_checkouts_identical_to_cold_property_loop() {
     let stored = PlanExecutor::new(&mut mem)
         .ingest(&g, &plan, &content)
         .expect("ingest");
+    let roots = root_ids(&stored);
 
     let mut rng = SmallRng::seed_from_u64(99);
     let cache = CheckoutCache::new(expected.iter().map(|p| p.content_size()).sum::<u64>() / 3 + 1);
     let cold = Checkout::new(&mem);
     let cached = Checkout::new(&mem).with_cache(&cache);
+    let mut root_hits = 0;
     for round in 0..40 {
         let len = rng.gen_range(1..=24usize);
         let batch: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-        let (warm, _) = serve_ok(&cached, &g, &stored, &batch);
+        let (warm, stats) = serve_ok(&cached, &g, &stored, &batch);
         let (chill, _) = serve_ok(&cold, &g, &stored, &batch);
+        root_hits += stats.cache_hits;
         assert_eq!(warm.len(), batch.len());
         for (i, &v) in batch.iter().enumerate() {
             assert_eq!(*warm[i], expected[v as usize], "round {round}: cached v{v}");
@@ -190,12 +206,22 @@ fn cached_checkouts_identical_to_cold_property_loop() {
         }
     }
     let stats = cache.stats();
-    assert!(stats.hits > 0, "hot versions must hit the cache: {stats:?}");
+    assert!(stats.hits > 0, "hot roots must hit the cache: {stats:?}");
+    assert_eq!(stats.hits, root_hits, "every hit is counted by a checkout");
     assert!(stats.admitted > 0);
     assert!(
         cache.used_bytes() <= cache.capacity_bytes(),
         "cache must respect its byte budget"
     );
+    assert!(cache.len() <= roots.len());
+    for v in 0..n {
+        if !roots.contains(&stored.source_hashes[v]) {
+            assert!(
+                cache.get(stored.source_hashes[v]).is_none(),
+                "delta-stored v{v} must not be cached"
+            );
+        }
+    }
 }
 
 /// Pack-map upkeep: reads through the resident pack map stay
@@ -257,8 +283,9 @@ fn pack_resident_map_never_serves_stale_slices() {
 }
 
 /// The read path is `&self`-shareable: concurrent threads serving
-/// overlapping batches through one reader and one shared cache all see
-/// source-identical bytes.
+/// overlapping batches through one reader and one shared root cache all
+/// see source-identical bytes, and the cache ends up holding each root
+/// once.
 #[test]
 fn concurrent_checkouts_share_one_reader_and_cache() {
     let (_, g, content) = fixtures().swap_remove(0);
@@ -290,6 +317,10 @@ fn concurrent_checkouts_share_one_reader_and_cache() {
             });
         }
     });
+    let roots = root_ids(&stored);
+    assert!(cache.stats().hits > 0, "{:?}", cache.stats());
+    assert!(!cache.is_empty() && cache.len() <= roots.len());
+    assert!(cache.used_bytes() <= cache.capacity_bytes());
 }
 
 /// Sketch content on a hand-built forest: version `v`'s manifest is
@@ -403,8 +434,9 @@ fn mid_chain_hash_mismatch_fails_only_the_subtree_below_it() {
     let (_, clean) = serve_ok(&reader, &g, &stored, &above_mid);
     assert_eq!(clean.hydrated, 3);
 
-    // With a cache that would admit anything verified.
-    let cache = CheckoutCache::new(1 << 20).with_admit_min_depth(0);
+    // Through a root cache: the root verifies and is admitted; nothing
+    // else is ever cached, failed or not.
+    let cache = CheckoutCache::new(1 << 20);
     let all: Vec<u32> = (0..BranchySource::N).collect();
     let out = Checkout::new(&mem)
         .with_cache(&cache)
@@ -426,15 +458,20 @@ fn mid_chain_hash_mismatch_fails_only_the_subtree_below_it() {
         "only verified nodes count"
     );
     assert_eq!(out.stats.delta_applies, above_mid.len() - 1);
-    assert_eq!(cache.len(), above_mid.len());
+    assert_eq!((out.stats.cache_hits, out.stats.cache_misses), (0, 1));
+    assert_eq!(cache.len(), 1, "one root: v0");
     for v in below_mid {
         assert!(
             cache.get(genuine[v as usize]).is_none() && cache.get(bogus).is_none(),
             "v{v} must not be cached"
         );
     }
-    for v in above_mid {
-        assert!(cache.get(genuine[v as usize]).is_some(), "v{v} cached");
+    assert!(cache.get(genuine[0]).is_some(), "the root v0 is cached");
+    for v in [1u32, 6] {
+        assert!(
+            cache.get(genuine[v as usize]).is_none(),
+            "delta-stored v{v} is not cached"
+        );
     }
 }
 
@@ -657,4 +694,170 @@ fn migrate_rehashes_only_changed_nodes_and_their_subtrees() {
     assert_eq!(changed.hashed, 4, "v2 and v3, v4, v5 below it");
     let (_, warm) = serve_ok(&reader, &g, &migrated, &all);
     assert_eq!(warm.hashed, 0);
+}
+
+/// Ingest the `BranchySource` plan into `store`; its only root is v0.
+fn ingest_branchy<S: Store>(store: &mut S) -> (VersionGraph, StoredPlan) {
+    let (g, plan) = BranchySource::graph_and_plan();
+    let stored = PlanExecutor::new(store)
+        .ingest(&g, &plan, &BranchySource)
+        .expect("ingest");
+    (g, stored)
+}
+
+/// A root served from the cache is trusted on the same grounds as a
+/// fresh read (its object id is its recorded hash, and its bytes
+/// verified on admission), so the verification memo still covers the
+/// deltas below it: a warm read hashes nothing, hydrates only its
+/// deltas and counts one hit, through any reader sharing the cache.
+#[test]
+fn warm_read_of_a_cached_root_hashes_nothing_and_hydrates_only_deltas() {
+    let mut mem = MemStore::new();
+    let (g, stored) = ingest_branchy(&mut mem);
+    let n = BranchySource::N as usize;
+    let all: Vec<u32> = (0..BranchySource::N).collect();
+    let cache = CheckoutCache::new(1 << 20);
+
+    let reader = Checkout::new(&mem).with_cache(&cache);
+    let (_, cold) = serve_ok(&reader, &g, &stored, &all);
+    assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1));
+    assert_eq!((cold.hydrated, cold.hashed), (n, n - 1));
+
+    for reader in [reader, Checkout::new(&mem).with_cache(&cache)] {
+        let (served, warm) = serve_ok(&reader, &g, &stored, &all);
+        for (v, payload) in served.iter().enumerate() {
+            assert_eq!(**payload, BranchySource.payload(v as u32), "v{v}");
+        }
+        assert_eq!(warm.hashed, 0, "a cached root keeps its chains trusted");
+        assert_eq!((warm.hydrated, warm.delta_applies), (n - 1, n - 1));
+        assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0));
+    }
+
+    // v4 sits four deltas below the root: only those four hydrate.
+    let reader = Checkout::new(&mem).with_cache(&cache);
+    let (served, deep) = serve_ok(&reader, &g, &stored, &[4]);
+    assert_eq!(*served[0], BranchySource.payload(4));
+    assert_eq!((deep.hydrated, deep.hashed, deep.cache_hits), (4, 0, 1));
+    assert_eq!(cache.stats().admitted, 1, "the root was admitted once");
+}
+
+/// The cache is looked up only after a root's object id matched its
+/// recorded hash: a root whose id and hash disagree fails with
+/// `HashMismatch`, exactly as without a cache, while the id it names
+/// (or the hash it records) is resident.
+#[test]
+fn root_whose_id_differs_from_its_hash_fails_while_resident() {
+    let mut mem = MemStore::new();
+    let (g, stored) = ingest_branchy(&mut mem);
+    let all: Vec<u32> = (0..BranchySource::N).collect();
+    let cache = CheckoutCache::new(1 << 20);
+    let reader = Checkout::new(&mem).with_cache(&cache);
+    serve_ok(&reader, &g, &stored, &all);
+    let genuine = stored.objects[0];
+    assert!(cache.get(genuine).is_some(), "the root is resident");
+    let bogus = ObjectId(genuine.0 ^ 1, genuine.1);
+
+    // Recorded hash tampered: the object id is the resident root.
+    let mut hash_edit = stored.clone();
+    hash_edit.source_hashes[0] = bogus;
+    // Object id tampered: the recorded hash names the resident root.
+    let mut object_edit = stored.clone();
+    object_edit.objects[0] = bogus;
+    for (tampered, expected, actual) in [(hash_edit, bogus, genuine), (object_edit, genuine, bogus)]
+    {
+        let before = cache.stats();
+        let out = reader.serve(&g, &tampered, &all).expect("serve");
+        for (v, served) in out.results.iter().enumerate() {
+            assert_eq!(
+                served.as_ref().expect_err("every chain crosses the root"),
+                &ExecError::HashMismatch {
+                    node: 0,
+                    expected,
+                    actual,
+                },
+                "v{v}"
+            );
+        }
+        assert_eq!((out.stats.cache_hits, out.stats.cache_misses), (0, 0));
+        assert_eq!(cache.stats(), before, "the cache was not consulted");
+    }
+}
+
+/// `BranchySource` with the root's content swapped: a source that no
+/// longer matches the ingested hash.
+struct WrongRootSource;
+
+impl VersionSource for WrongRootSource {
+    fn version_count(&self) -> usize {
+        BranchySource.version_count()
+    }
+
+    fn payload(&self, v: u32) -> Payload {
+        match v {
+            0 => Payload::Sketch(vec![(0, 99)]),
+            _ => BranchySource.payload(v),
+        }
+    }
+
+    fn delta(&self, src: u32, dst: u32) -> Vec<u8> {
+        BranchySource.delta(src, dst)
+    }
+}
+
+/// A root is admitted only once its bytes verified. A corrupt root with
+/// no source to heal from is not admitted, nor is one whose source
+/// disagrees with the ingested hash; a root healed from the true source
+/// passes the repair path's hash check, is admitted, and then serves
+/// later reads from the cache while the store still holds the bad copy.
+#[test]
+fn only_a_verified_root_read_is_admitted() {
+    let mut store = FaultStore::transparent(MemStore::new());
+    let (g, stored) = ingest_branchy(&mut store);
+    let root = stored.objects[0];
+    assert!(store.corrupt_object(root));
+    let all: Vec<u32> = (0..BranchySource::N).collect();
+    let cache = CheckoutCache::new(1 << 20);
+
+    let no_source = Checkout::new(&store).with_cache(&cache);
+    let wrong_source = Checkout::new(&store)
+        .with_cache(&cache)
+        .with_source(&WrongRootSource);
+    for (label, reader) in [
+        ("no source", no_source),
+        ("disagreeing source", wrong_source),
+    ] {
+        let out = reader.serve(&g, &stored, &all).expect("serve");
+        for (v, served) in out.results.iter().enumerate() {
+            assert!(
+                matches!(served, Err(ExecError::Store(StoreError::Corrupt { id, .. })) if *id == root),
+                "{label}: v{v}: {served:?}"
+            );
+        }
+        assert_eq!(out.stats.cache_misses, 1, "{label}");
+        assert_eq!(out.repair.unrepairable, 1, "{label}");
+        assert!(
+            cache.is_empty(),
+            "{label}: a failed root read is not admitted"
+        );
+        assert_eq!(cache.stats().admitted, 0, "{label}");
+    }
+
+    let healing = Checkout::new(&store)
+        .with_cache(&cache)
+        .with_source(&BranchySource);
+    let (served, healed) = serve_ok(&healing, &g, &stored, &all);
+    for (v, payload) in served.iter().enumerate() {
+        assert_eq!(**payload, BranchySource.payload(v as u32), "v{v}");
+    }
+    assert_eq!(healed.cache_misses, 1);
+    assert_eq!(cache.len(), 1, "the healed root is admitted");
+    assert_eq!(
+        *cache.get(root).expect("resident"),
+        BranchySource.payload(0)
+    );
+
+    let out = healing.serve(&g, &stored, &all).expect("serve");
+    assert!(out.all_ok());
+    assert_eq!(out.stats.cache_hits, 1);
+    assert_eq!(out.repair.detected, 0, "the bad copy is not read again");
 }

@@ -15,7 +15,10 @@
 //!   every served payload must be byte-identical to the source, repairs
 //!   are counted, and a clean pass afterwards serves with zero faults;
 //! * **full-tier determinism** — a service `Solve` with a comfortable
-//!   deadline returns exactly the plan a direct `Engine::solve` does.
+//!   deadline returns exactly the plan a direct `Engine::solve` does;
+//! * **one root read per root** — repeated checkouts of a committed plan
+//!   read each materialized root from the store once and serve the rest
+//!   of its reads from the service's root cache, byte-identically.
 
 use dataset_versioning::prelude::*;
 use dsv_delta::evolve::{evolve, ContentMode, EvolveParams, SketchParams};
@@ -278,6 +281,93 @@ fn full_tier_matches_direct_engine_solve() {
         solution.plan, direct.plan,
         "service full tier is byte-identical to a direct engine solve"
     );
+}
+
+#[test]
+fn repeated_checkouts_read_each_root_from_the_store_once() {
+    let (g, content) = fixture(48, 9);
+    let dir = temp_dir("roots");
+    let svc = VersioningService::new(PackStore::open(&dir).expect("open pack store"));
+    let Reply::Solved { solution, .. } = svc
+        .submit_with_deadline(
+            Request::Solve {
+                graph: g.clone(),
+                problem: msr(&g),
+            },
+            Duration::from_secs(120),
+        )
+        .expect("admitted")
+        .wait()
+        .expect("solves")
+    else {
+        panic!("expected Solved");
+    };
+    let roots: Vec<u32> = (0..g.n() as u32)
+        .filter(|&v| solution.plan.parent[v as usize] == Parent::Materialized)
+        .collect();
+    assert!(roots.len() > 1 && roots.len() < g.n(), "{roots:?}");
+    let Reply::Committed { plan, .. } = svc
+        .submit_with_deadline(
+            Request::Commit {
+                graph: g.clone(),
+                plan: solution.plan.clone(),
+                source: content.clone() as Arc<dyn VersionSource + Send + Sync>,
+            },
+            Duration::from_secs(120),
+        )
+        .expect("admitted")
+        .wait()
+        .expect("commits")
+    else {
+        panic!("expected Committed");
+    };
+
+    // Three passes of one-version checkouts, then one of every version
+    // at once, each waited for before the next is sent.
+    let n = g.n() as u32;
+    let singles = (0..3).flat_map(|_| (0..n).map(|v| vec![v]));
+    let batches: Vec<Vec<u32>> = singles.chain([(0..n).collect()]).collect();
+    for versions in &batches {
+        let Reply::CheckedOut { payloads, .. } = svc
+            .submit_with_deadline(
+                Request::Checkout {
+                    plan,
+                    versions: versions.clone(),
+                },
+                Duration::from_secs(120),
+            )
+            .expect("admitted")
+            .wait()
+            .expect("serves")
+        else {
+            panic!("expected CheckedOut");
+        };
+        for (v, served) in versions.iter().zip(&payloads) {
+            assert_eq!(
+                **served.as_ref().expect("served"),
+                content.payload(*v),
+                "v{v}"
+            );
+        }
+    }
+    let stats = svc.stats();
+    assert_eq!(
+        stats.root_cache_misses,
+        roots.len() as u64,
+        "each distinct root is read from the store once"
+    );
+    // A batch reaches each root on its chains once.
+    assert_eq!(
+        stats.root_cache_hits + stats.root_cache_misses,
+        3 * u64::from(n) + roots.len() as u64
+    );
+    let root_bytes: u64 = roots
+        .iter()
+        .map(|&v| content.payload(v).content_size())
+        .sum();
+    assert_eq!(stats.root_cache_bytes, root_bytes);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
