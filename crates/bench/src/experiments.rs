@@ -637,21 +637,26 @@ pub const SHARD_BENCH_ITERS: usize = 2;
 /// Floor of the sharded-vs-whole-graph speedup on the n = 64k forest.
 pub const SHARD_SPEEDUP_FLOOR: f64 = 2.0;
 
-/// Floor of `sharded_ms / engine_ms` on the n = 64k forest: dispatching
-/// through [`Engine::solve`](dsv_core::engine::Engine::solve) may cost at
-/// most a quarter more than calling the sharded pipeline directly.
+/// Floor of the median per-pair `sharded_ms / engine_ms` on the n = 64k
+/// forest: dispatching through
+/// [`Engine::solve`](dsv_core::engine::Engine::solve) may cost at most a
+/// quarter more than calling the sharded pipeline directly.
 pub const SHARD_ENGINE_EFFICIENCY_FLOOR: f64 = 0.8;
 
-/// Floor of `engine_ms / warm_ms` on the n = 64k forest: a solve on
-/// options that already solved the graph reuses the budget-independent
-/// prep, so it must beat a cold solve by more than noise.
+/// Floor of the median per-pair `engine_ms / warm_ms` on the n = 64k
+/// forest: a solve on options that already solved the graph reuses the
+/// budget-independent prep and continues the last LMG-All runs, so it
+/// must beat a cold solve by more than noise.
 pub const SHARD_WARM_SPEEDUP_FLOOR: f64 = 1.15;
 
-/// Budgets of the warm solves in [`shard_bench`], after one solve at the
-/// cold budget: that budget plus these multiples of 1/64 of it. All lie
-/// above the cold budget, where LMG-All has at least as much room to
-/// move, so the warm timing is not flattered by easier instances.
-const SHARD_WARM_STEPS: [u64; 4] = [1, 2, 3, 4];
+/// Alternating pairs behind each ratio gate of [`shard_bench`]; a gate
+/// reads the median per-pair ratio, so one pair slowed by a busy machine
+/// cannot fail it and one lucky pair cannot pass it. Pair `i`'s warm solve
+/// is at the cold budget plus `(i + 1)/64` of it, after one warm-up solve
+/// at the cold budget: every warm budget lies above the last, where
+/// LMG-All has at least as much room to move, so the warm timing is not
+/// flattered by easier instances.
+const SHARD_GATE_PAIRS: usize = 5;
 
 /// Time whole-graph LMG-All vs the sharded hierarchical pipeline on large
 /// multi-cluster forests (`shard_forest`: clusters merged into one
@@ -669,10 +674,12 @@ const SHARD_WARM_STEPS: [u64; 4] = [1, 2, 3, 4];
 /// per-stage timings
 /// ([`ShardStats`](dsv_core::engine::ShardStats)) name the stage that
 /// moved. `engine_ms` is cold (fresh [`SolveOptions`] per call);
-/// `warm_ms` reuses one [`SolveOptions`] across budgets the way the
+/// `warm_ms` reuses one [`SolveOptions`] across rising budgets the way the
 /// service reuses its per-graph memo, so the partition, sub-graphs and
-/// per-shard arborescences are built once; each warm plan is asserted
-/// equal to a cold [`sharded_msr`] at its budget.
+/// per-shard arborescences are built once and each shard continues its
+/// last LMG-All run; each warm plan is asserted equal to a cold
+/// [`sharded_msr`] at its budget. The two ratio gates read the median of
+/// [`SHARD_GATE_PAIRS`] alternating pairs (table `shard-gate-pairs`).
 ///
 /// [`SolveOptions`]: dsv_core::engine::SolveOptions
 /// [`sharded_msr`]: dsv_core::engine::sharded_msr
@@ -715,6 +722,25 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
             "stitch_ms",
         ],
     );
+    let mut pair_table = Report::new(
+        "shard-gate-pairs",
+        &[
+            "pair",
+            "first",
+            "direct_ms",
+            "engine_ms",
+            "warm_budget",
+            "warm_ms",
+            "efficiency",
+            "warm_speedup",
+            "warm_partition_ms",
+            "warm_shards_ms",
+            "warm_stitch_ms",
+            "moves",
+            "resumed_moves",
+            "run_bytes",
+        ],
+    );
     let engine = Engine::with_default_solvers();
     let mut speedup_64k = 0.0f64;
     let mut efficiency_64k = 0.0f64;
@@ -733,47 +759,81 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
         // The default engine shards only graphs at or above its threshold;
         // below it, dispatch goes to the whole-graph solvers (DP-MSR runs
         // about a minute on the 16k forest), which this bench does not time.
-        // Cold solves take fresh options; warm ones reuse options that
-        // already solved the graph at `budget`, as the service reuses its
-        // per-graph memo. The two alternate so a change in machine speed
-        // during the run reaches both alike.
+        // Each pair times a direct cold `sharded_msr`, a cold engine solve
+        // (fresh options) and a warm one (options that already solved the
+        // graph, as the service reuses its per-graph memo), in an order
+        // that flips from pair to pair, so a change in machine speed
+        // during the run reaches both sides of each ratio alike.
         let timed = (n >= ShardConfig::default().min_graph_nodes).then(|| {
             let msr = |storage_budget| ProblemKind::Msr { storage_budget };
             let warm_opts = SolveOptions::default();
             engine
                 .solve(&g, msr(budget), &warm_opts)
                 .expect("half materialize-all is feasible");
-            let (mut cold_ms, mut warm_ms, mut warm_partition_ms) =
-                (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for (i, step) in SHARD_WARM_STEPS.into_iter().enumerate() {
-                if i < SHARD_BENCH_ITERS {
+            let mut pairs = Vec::with_capacity(SHARD_GATE_PAIRS);
+            for i in 0..SHARD_GATE_PAIRS {
+                let b = budget + (i as u64 + 1) * (budget / 64);
+                let direct =
+                    || best_of(1, || sharded_msr(&g, budget, &cfg, &CancelToken::inert())).0;
+                let cold = || {
                     let (ms, solution) = best_of(1, || {
                         engine.solve(&g, msr(budget), &SolveOptions::default())
                     });
-                    cold_ms = cold_ms.min(ms);
                     assert_eq!(
                         solution.expect("half materialize-all is feasible").plan,
                         sharded_plan,
                         "Engine::solve must return the sharded plan (n = {n})"
                     );
-                }
-                let b = budget + step * (budget / 64);
-                let (ms, warm) = best_of(1, || engine.solve(&g, msr(b), &warm_opts));
+                    ms
+                };
+                let warm = || best_of(1, || engine.solve(&g, msr(b), &warm_opts));
+                let (direct_ms, cold_ms, (warm_ms, warm)) = if i % 2 == 0 {
+                    let (d, c) = (direct(), cold());
+                    (d, c, warm())
+                } else {
+                    let (w, c) = (warm(), cold());
+                    (direct(), c, w)
+                };
                 let warm = warm.expect("feasible");
-                warm_ms = warm_ms.min(ms);
-                let stages = warm.meta.shard.expect("a sharded solve reports its stages");
-                warm_partition_ms = warm_partition_ms.min(stages.partition.as_secs_f64() * 1e3);
                 let (cold, _) = sharded_msr(&g, b, &cfg, &CancelToken::inert()).expect("feasible");
                 assert_eq!(
                     warm.plan, cold,
                     "a warm Engine::solve must return the cold sharded plan (n = {n}, budget {b})"
                 );
+                let stages = warm.meta.shard.expect("a sharded solve reports its stages");
+                pair_table.push_row(row![
+                    i,
+                    if i % 2 == 0 { "direct" } else { "warm" },
+                    direct_ms,
+                    cold_ms,
+                    b,
+                    warm_ms,
+                    direct_ms / cold_ms.max(1e-9),
+                    cold_ms / warm_ms.max(1e-9),
+                    stages.partition.as_secs_f64() * 1e3,
+                    stages.shard_solves.as_secs_f64() * 1e3,
+                    stages.stitch.as_secs_f64() * 1e3,
+                    stages.moves,
+                    stages.resumed_moves,
+                    stages.run_bytes,
+                ]);
+                pairs.push((direct_ms, cold_ms, warm_ms, stages.partition));
             }
-            (cold_ms, warm_ms, warm_partition_ms)
+            pairs
         });
-        let engine_ms = timed.map(|t| t.0);
-        let warm_ms = timed.map(|t| t.1);
-        let warm_partition_ms = timed.map(|t| t.2);
+        // Medians over the pairs: of each side, and of each per-pair ratio.
+        let median = |mut xs: Vec<f64>| percentile(&mut xs, 0.5);
+        let engine_ms = timed
+            .as_ref()
+            .map(|p| median(p.iter().map(|t| t.1).collect()));
+        let warm_ms = timed
+            .as_ref()
+            .map(|p| median(p.iter().map(|t| t.2).collect()));
+        let warm_partition_ms = timed.as_ref().map(|p| {
+            p.iter()
+                .map(|t| t.3.as_secs_f64() * 1e3)
+                .fold(f64::INFINITY, f64::min)
+        });
 
         // Determinism across pool widths: a one-thread pool must
         // reproduce the plan byte for byte (timed runs use the ambient
@@ -798,9 +858,9 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
         );
         if n >= 64_000 {
             speedup_64k = speedup;
-            let engine_ms = engine_ms.expect("64k is sharded");
-            efficiency_64k = sharded_ms / engine_ms.max(1e-9);
-            warm_speedup_64k = engine_ms / warm_ms.expect("64k is sharded").max(1e-9);
+            let pairs = timed.as_ref().expect("64k is sharded");
+            efficiency_64k = median(pairs.iter().map(|t| t.0 / t.1.max(1e-9)).collect());
+            warm_speedup_64k = median(pairs.iter().map(|t| t.1 / t.2.max(1e-9)).collect());
         }
         r.push_row(row![
             n,
@@ -824,15 +884,24 @@ pub fn shard_bench(opts: &ExperimentOptions) -> Bench {
         "whole-graph LMG-All vs sharded pipeline on shard_forest graphs \
          (budget = materialize-all / 2), best of {SHARD_BENCH_ITERS}; plans \
          thread-count independent (asserted), regret bound {SHARD_REGRET_BOUND}x (asserted); \
-         engine_ms = Engine::solve with the default solvers on forests it shards, \
-         plan equal to the sharded one (asserted); warm_ms = best Engine::solve at budget \
-         x (1 + {SHARD_WARM_STEPS:?}/64) on options that already solved the graph at the \
-         budget, alternating with the cold engine_ms solves, plans equal to cold sharded_msr \
-         (asserted); warm_partition_ms = least partition stage of those warm solves, \
-         from their SolverMeta; other stage columns from the last sharded run"
+         engine_ms = median cold Engine::solve with the default solvers on forests it \
+         shards, plan equal to the sharded one (asserted); warm_ms = median Engine::solve \
+         on options that already solved the graph, at rising budgets, plans equal to cold \
+         sharded_msr (asserted); both over the {SHARD_GATE_PAIRS} pairs of shard-gate-pairs; \
+         warm_partition_ms = least partition stage of those warm solves, from their \
+         SolverMeta; other stage columns from the last sharded run"
     ));
+    pair_table.note(
+        "n = 64k forest; per pair, in the order `first` names (direct = sharded_msr, \
+         cold engine, warm engine; warm = the reverse): direct_ms = cold sharded_msr, \
+         engine_ms = cold Engine::solve, warm_ms = Engine::solve at warm_budget on the \
+         options of the previous pair; gates shard.engine_dispatch_efficiency and \
+         shard.warm_speedup_n64k read the medians of efficiency and warm_speedup; \
+         warm_*_ms = the warm solve's stages; resumed_moves = the warm solve's moves taken from the previous solve's LMG-All \
+         runs, run_bytes = bytes of the runs it kept for the next",
+    );
 
-    let mut bench = Bench::tables(vec![r]);
+    let mut bench = Bench::tables(vec![r, pair_table]);
     bench.floor("shard.speedup_n64k", speedup_64k, SHARD_SPEEDUP_FLOOR);
     bench.floor(
         "shard.engine_dispatch_efficiency",

@@ -19,8 +19,8 @@
 //!    shard becomes its own [`VersionGraph`] together with its
 //!    minimum-storage arborescence, in one parallel pass over the shards.
 //! 2. **Parallel shard solves** — each shard gets an independent LMG-All
-//!    run, started from its arborescence, under a deterministic slice of
-//!    the storage budget. Shards solve on the thread pool with an
+//!    run, started from its arborescence or continuing its last run, under
+//!    a deterministic slice of the storage budget. Shards solve on the thread pool with an
 //!    order-stable collect, so the result is byte-identical at any
 //!    `DSV_NUM_THREADS`. The [`CancelToken`] is polled per shard, making
 //!    the whole pipeline preemptible.
@@ -53,10 +53,31 @@
 //! cold. [`ShardStats::partition`] is the time the call actually spent:
 //! a build when cold, a lookup when warm.
 //!
-//! Memory: a prep is about one more copy of the graph (sub-graphs with
-//! their adjacency, edge maps, start plans and the partition's three `u32`
-//! arrays), held as long as its memo lives. The service's memo LRU keeps
-//! up to 32 graphs (`service::GRAPH_MEMOS`), so up to 32 preps.
+//! ## A budget sweep continues the last LMG-All runs
+//!
+//! The prep also keeps, per shard (or for the whole graph when there is
+//! one shard), the last LMG-All run made on it. A solve takes that run out
+//! of its slot, continues it at the new budget and puts its own run back
+//! (see `heuristics::lmg_all` for why a run at a larger budget can start
+//! from a smaller one's moves). A larger budget keeps or replays the moves
+//! the two runs share and selects only the rest; a smaller one runs cold.
+//! A solve that finds a slot empty, because a concurrent solve holds its
+//! run, runs that shard cold. Every path returns the cold run's plan and
+//! stats, so plans do not depend on the order of solves or on
+//! `DSV_NUM_THREADS`. [`ShardStats::resumed_moves`] counts the moves taken
+//! from the kept runs; in `repro shard`'s warm solves on the 65,536-node
+//! forest, each 1/64 of the budget above the last, that is over 99% of the
+//! shards' moves.
+//!
+//! ## Memory
+//!
+//! A prep is about one more copy of the graph (sub-graphs with their
+//! adjacency, edge maps, start plans and the partition's three `u32`
+//! arrays), plus the kept runs: per shard, its move log and slack log
+//! (8 bytes per move each) and its final plan (8 bytes per node),
+//! reported as [`ShardStats::run_bytes`] (2.4 MB on that forest). It is held as long as its memo lives. The
+//! service's memo LRU keeps up to 32 graphs (`service::GRAPH_MEMOS`), so
+//! up to 32 preps.
 //!
 //! Setting [`ShardConfig::min_graph_nodes`] to `usize::MAX` disables the
 //! path entirely (the solver reports a deterministic
@@ -67,12 +88,13 @@
 use super::{SharedWork, Solution, SolveError, SolveOptions, Solver, SolverMeta};
 use crate::baselines::min_storage_plan;
 use crate::cancel::CancelToken;
-use crate::heuristics::lmg_all::{lmg_all_from, lmg_all_with_stats, LmgAllStats};
+use crate::heuristics::lmg_all::{lmg_all_resume, lmg_all_with_stats, LmgAllRun};
 use crate::plan::{Parent, StoragePlan};
 use crate::problem::ProblemKind;
 use dsv_vgraph::{cost_add, partition_graph, Cost, EdgeId, NodeId, Partition, VersionGraph};
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Solver/registry name of the sharded path.
@@ -122,6 +144,13 @@ pub struct ShardStats {
     pub coarse_deltas: usize,
     /// Greedy moves across all local solves plus the coarse solve.
     pub moves: usize,
+    /// Of the local solves' moves, those taken from the previous solve's
+    /// runs (kept or replayed) instead of being selected again: 0 when
+    /// cold. Depends on which earlier solves ran on the memo.
+    pub resumed_moves: usize,
+    /// Bytes of the LMG-All runs (move and slack logs, final plans) this
+    /// solve left in the memo for the next budget, by length.
+    pub run_bytes: usize,
     /// Materialization moves across all solves.
     pub materializations: usize,
     /// Exact storage cost of the stitched plan.
@@ -141,13 +170,14 @@ pub struct ShardStats {
     pub stitch: Duration,
 }
 
-/// The budget-independent part of a sharded solve of one graph, built by
-/// [`ShardPrep::build`] and kept in the [`SharedWork`] memo.
+/// What a sharded solve of one graph keeps across budgets, built by
+/// [`ShardPrep::build`] and kept in the [`SharedWork`] memo: the
+/// budget-independent partition, sub-graphs and arborescences, and each
+/// LMG-All run's last result for the next budget to continue.
 #[derive(Debug)]
 pub(crate) enum ShardPrep {
-    /// The partition is a single shard: the solve is whole-graph LMG-All,
-    /// started from the graph's minimum-storage arborescence.
-    Whole(StoragePlan),
+    /// The partition is a single shard: the solve is whole-graph LMG-All.
+    Whole(Greedy),
     /// Two or more shards, in shard order.
     Split {
         /// The node → shard assignment.
@@ -166,10 +196,42 @@ pub(crate) struct Shard {
     sub: VersionGraph,
     /// Local edge id → global edge id, for the stitch.
     edge_map: Vec<EdgeId>,
-    /// [`min_storage_plan`] of `sub`: LMG-All's starting plan.
-    start: StoragePlan,
-    /// Storage of `start`: the least storage the shard can be given.
+    /// LMG-All on `sub`.
+    greedy: Greedy,
+    /// Storage of the arborescence: the least storage the shard can be
+    /// given.
     smin: Cost,
+}
+
+/// LMG-All on one (sub-)graph across budgets: the minimum-storage
+/// arborescence every run starts from, and the last run, which the next
+/// solve continues.
+#[derive(Debug)]
+pub(crate) struct Greedy {
+    start: StoragePlan,
+    last: Mutex<Option<LmgAllRun>>,
+}
+
+impl Greedy {
+    fn new(start: StoragePlan) -> Self {
+        Greedy {
+            start,
+            last: Mutex::new(None),
+        }
+    }
+
+    /// LMG-All on `g` at `budget`, continuing the kept run. A concurrent
+    /// solve may have taken it; this one then runs cold. Every path gives
+    /// the cold run's plan and stats.
+    fn run(&self, g: &VersionGraph, budget: Cost) -> Option<LmgAllRun> {
+        let prev = self.last.lock().expect("kept run").take();
+        lmg_all_resume(g, &self.start, budget, prev)
+    }
+
+    /// Keep `run` for the next solve to continue.
+    fn keep(&self, run: LmgAllRun) {
+        *self.last.lock().expect("kept run") = Some(run);
+    }
 }
 
 impl ShardPrep {
@@ -179,7 +241,7 @@ impl ShardPrep {
     pub(crate) fn build(g: &VersionGraph, max_shard_nodes: usize) -> ShardPrep {
         let partition = partition_graph(g, max_shard_nodes, &dsv_treewidth::split_component);
         if partition.len() <= 1 {
-            return ShardPrep::Whole(min_storage_plan(g));
+            return ShardPrep::Whole(Greedy::new(min_storage_plan(g)));
         }
         let mut local_of = vec![0u32; g.n()];
         for members in partition.iter() {
@@ -222,7 +284,7 @@ impl Shard {
         Shard {
             sub,
             edge_map,
-            start,
+            greedy: Greedy::new(start),
             smin,
         }
     }
@@ -239,7 +301,7 @@ fn infeasible(detail: String) -> SolveError {
 /// whole-graph numbers under the sharded bookkeeping.
 fn whole_graph_stats(
     g: &VersionGraph,
-    stats: &LmgAllStats,
+    run: &LmgAllRun,
     partition: Duration,
     shard_solves: Duration,
 ) -> ShardStats {
@@ -248,10 +310,12 @@ fn whole_graph_stats(
         largest_shard: g.n(),
         cut_edges: 0,
         coarse_deltas: 0,
-        moves: stats.moves,
-        materializations: stats.materializations,
-        storage: stats.storage,
-        total_retrieval: stats.total_retrieval,
+        moves: run.stats.moves,
+        resumed_moves: run.resumed,
+        run_bytes: run.bytes(),
+        materializations: run.stats.materializations,
+        storage: run.stats.storage,
+        total_retrieval: run.stats.total_retrieval,
         partition,
         shard_solves,
         stitch: Duration::ZERO,
@@ -269,8 +333,9 @@ fn whole_graph_stats(
 /// whole-graph solvers. Also returns [`SolveError::Cancelled`] when
 /// `cancel` has fired before the partition or between shard solves.
 ///
-/// Every call builds the budget-independent prep afresh; [`ShardedSolver`]
-/// keeps it in [`SolveOptions::shared`] across calls instead.
+/// Every call builds the budget-independent prep afresh and runs every
+/// shard cold; [`ShardedSolver`] keeps the prep and the shards' last runs
+/// in [`SolveOptions::shared`] across calls instead.
 ///
 /// A graph that yields a single shard reduces *exactly* to the whole-graph
 /// LMG-All solve.
@@ -301,12 +366,15 @@ fn solve_sharded(
         .shard_prep(g, cfg.max_shard_nodes, cancel)
         .ok_or_else(cancelled)?;
     let (partition, shards) = match &*prep {
-        ShardPrep::Whole(start) => {
+        ShardPrep::Whole(greedy) => {
             let partition_time = t_partition.elapsed();
             let t_solve = Instant::now();
-            let (plan, stats) = lmg_all_from(g, start.clone(), storage_budget)
+            let run = greedy
+                .run(g, storage_budget)
                 .ok_or_else(|| infeasible("storage budget below minimum storage".into()))?;
-            let stats = whole_graph_stats(g, &stats, partition_time, t_solve.elapsed());
+            let stats = whole_graph_stats(g, &run, partition_time, t_solve.elapsed());
+            let plan = run.plan.clone();
+            greedy.keep(run);
             return Ok((plan, stats));
         }
         ShardPrep::Split { partition, shards } => (partition, shards),
@@ -337,43 +405,74 @@ fn solve_sharded(
     let partition_time = t_partition.elapsed();
 
     // Parallel, order-stable shard solves; the token is polled before each
-    // shard so a long pipeline can be preempted between sub-solves.
+    // shard so a long pipeline can be preempted between sub-solves. Each
+    // shard continues its kept run.
     let t_solves = Instant::now();
-    let locals: Vec<Option<(StoragePlan, LmgAllStats)>> = (0..k)
+    let solved: Vec<Option<LmgAllRun>> = (0..k)
         .into_par_iter()
         .map(|s| {
             if cancel.is_cancelled() {
                 return None;
             }
-            lmg_all_from(&shards[s].sub, shards[s].start.clone(), budgets[s])
+            shards[s].greedy.run(&shards[s].sub, budgets[s])
         })
         .collect();
-    if cancel.is_cancelled() {
-        return Err(cancelled());
-    }
     let shard_solves = t_solves.elapsed();
     let t_stitch = Instant::now();
-    let mut local_plans = Vec::with_capacity(k);
-    let mut local_stats = Vec::with_capacity(k);
-    for (s, solved) in locals.into_iter().enumerate() {
-        // Unreachable in practice: each shard budget covers its minimum
-        // storage by construction.
-        let (plan, stats) =
-            solved.ok_or_else(|| infeasible(format!("shard {s} budget below minimum storage")))?;
-        local_plans.push(plan);
-        local_stats.push(stats);
+    if cancel.is_cancelled() || solved.iter().any(Option::is_none) {
+        let missing = solved.iter().position(Option::is_none);
+        // Keep what did run for the next solve.
+        for (sh, run) in shards.iter().zip(solved) {
+            if let Some(run) = run {
+                sh.greedy.keep(run);
+            }
+        }
+        return Err(match missing {
+            // Unreachable in practice: each shard budget covers its
+            // minimum storage by construction.
+            Some(s) if !cancel.is_cancelled() => {
+                infeasible(format!("shard {s} budget below minimum storage"))
+            }
+            _ => cancelled(),
+        });
     }
+    let runs: Vec<LmgAllRun> = solved.into_iter().flatten().collect();
+    let stitched = stitch(g, storage_budget, partition, shards, &runs);
+    let resumed_moves = runs.iter().map(|run| run.resumed).sum();
+    let run_bytes = runs.iter().map(LmgAllRun::bytes).sum();
+    for (sh, run) in shards.iter().zip(runs) {
+        sh.greedy.keep(run);
+    }
+    let (plan, mut stats) = stitched?;
+    stats.resumed_moves = resumed_moves;
+    stats.run_bytes = run_bytes;
+    stats.partition = partition_time;
+    stats.shard_solves = shard_solves;
+    stats.stitch = t_stitch.elapsed();
+    Ok((plan, stats))
+}
 
+/// Stage 3: stitch the shards' runs into one plan through a coarse
+/// cross-shard LMG-All solve. The returned stats carry the counters; the
+/// caller fills in the stage timings and the runs' bookkeeping.
+fn stitch(
+    g: &VersionGraph,
+    storage_budget: Cost,
+    partition: &Partition,
+    shards: &[Shard],
+    runs: &[LmgAllRun],
+) -> Result<(StoragePlan, ShardStats), SolveError> {
+    let k = shards.len();
     // Primary root per shard: the most expensive locally-materialized
     // version (ties: smallest global id) — the node with the most storage
     // to reclaim if the coarse solve deltas the shard off a neighbour.
     let primary_root: Vec<u32> = partition
         .iter()
-        .zip(&local_plans)
-        .map(|(members, plan)| {
+        .zip(runs)
+        .map(|(members, run)| {
             let mut best: Option<(Cost, u32)> = None;
             for (i, &v) in members.iter().enumerate() {
-                if matches!(plan.parent[i], Parent::Materialized) {
+                if matches!(run.plan.parent[i], Parent::Materialized) {
                     let s = g.node_storage(NodeId(v));
                     if best.is_none_or(|(bs, _)| s > bs) {
                         best = Some((s, v));
@@ -386,8 +485,8 @@ fn solve_sharded(
         .collect();
     let local_retrievals: Vec<Vec<Cost>> = shards
         .iter()
-        .zip(&local_plans)
-        .map(|(sh, plan)| plan.retrievals(&sh.sub))
+        .zip(runs)
+        .map(|(sh, run)| run.plan.retrievals(&sh.sub))
         .collect();
 
     // Cheapest crossing edge per ordered shard pair, among edges entering
@@ -438,10 +537,10 @@ fn solve_sharded(
         coarse.add_edge(NodeId(sa), NodeId(sb), storage, retrieval);
         coarse_edge_global.push(e);
     }
-    let kept: Cost = local_stats
+    let kept: Cost = runs
         .iter()
         .zip(&primary_root)
-        .map(|(st, &pr)| st.storage - g.node_storage(NodeId(pr)))
+        .map(|(run, &pr)| run.stats.storage - g.node_storage(NodeId(pr)))
         .fold(0, cost_add);
     let coarse_budget = storage_budget - kept.min(storage_budget);
     let (coarse_plan, coarse_stats) = lmg_all_with_stats(&coarse, coarse_budget)
@@ -454,7 +553,7 @@ fn solve_sharded(
     let mut parent = vec![Parent::Materialized; g.n()];
     for (s, members) in partition.iter().enumerate() {
         for (i, &v) in members.iter().enumerate() {
-            if let Parent::Delta(le) = local_plans[s].parent[i] {
+            if let Parent::Delta(le) = runs[s].plan.parent[i] {
                 parent[v as usize] = Parent::Delta(shards[s].edge_map[le.index()]);
             }
         }
@@ -474,17 +573,15 @@ fn solve_sharded(
         largest_shard: partition.max_shard_len(),
         cut_edges,
         coarse_deltas,
-        moves: local_stats.iter().map(|s| s.moves).sum::<usize>() + coarse_stats.moves,
-        materializations: local_stats
+        moves: runs.iter().map(|run| run.stats.moves).sum::<usize>() + coarse_stats.moves,
+        materializations: runs
             .iter()
-            .map(|s| s.materializations)
+            .map(|run| run.stats.materializations)
             .sum::<usize>()
             + coarse_stats.materializations,
         storage: costs.storage,
         total_retrieval: costs.total_retrieval,
-        partition: partition_time,
-        shard_solves,
-        stitch: t_stitch.elapsed(),
+        ..ShardStats::default()
     };
     Ok((plan, stats))
 }
@@ -641,14 +738,30 @@ mod tests {
         assert_eq!(stats.shards, 0);
     }
 
-    /// The stats with the stage timings zeroed: what must not vary.
+    /// The stats without the stage timings and the resumed moves: what
+    /// must not vary between a warm and a cold solve.
     fn counters(stats: ShardStats) -> ShardStats {
         ShardStats {
             partition: Duration::ZERO,
             shard_solves: Duration::ZERO,
             stitch: Duration::ZERO,
+            resumed_moves: 0,
             ..stats
         }
+    }
+
+    /// Budgets from `base` up by 1000 plus a seeded jitter below 1000 per
+    /// step, the way `solve-large` requests rise.
+    fn rising(base: Cost, steps: u64, seed: u64) -> Vec<Cost> {
+        let mut state = seed | 1;
+        (1..=steps)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                base + i * 1_000 + state % 1_000
+            })
+            .collect()
     }
 
     #[test]
@@ -673,26 +786,83 @@ mod tests {
                 .shard_prep(&g, cfg.max_shard_nodes, &inert)
                 .expect("not cancelled");
             let floor = match &*prep {
-                ShardPrep::Whole(start) => start.storage_cost(&g),
+                ShardPrep::Whole(greedy) => greedy.start.storage_cost(&g),
                 ShardPrep::Split { shards, .. } => shards.iter().map(|sh| sh.smin).sum(),
             };
             let top = StoragePlan::materialize_all(&g).storage_cost(&g);
-            for i in 0..=8 {
-                // From just below the shards' minimum storage to
-                // materialize-all.
-                let budget = floor - 1 + (top - floor + 1) * i / 8;
+            // From just below the shards' minimum storage to
+            // materialize-all, then `solve-large`-style rising steps, then
+            // the same steps descending.
+            let mut budgets: Vec<Cost> = (0..=8)
+                .map(|i| floor - 1 + (top - floor + 1) * i / 8)
+                .collect();
+            let steps = rising(top / 2, 12, g.fingerprint());
+            budgets.extend(&steps);
+            budgets.extend(steps.iter().rev());
+            let mut resumed = 0;
+            for budget in budgets {
                 let cold = sharded_msr(&g, budget, &cfg, &inert);
                 let warm = solve_sharded(&g, budget, &cfg, &inert, &memo);
                 match (cold, warm) {
                     (Ok((cp, cs)), Ok((wp, ws))) => {
                         assert_eq!(cp, wp, "budget {budget}");
                         assert_eq!(counters(cs), counters(ws), "budget {budget}");
+                        assert!(ws.resumed_moves <= ws.moves);
+                        resumed += ws.resumed_moves;
                     }
                     (Err(ce), Err(we)) => assert_eq!(ce, we, "budget {budget}"),
                     (c, w) => panic!("budget {budget}: cold {c:?} vs warm {w:?}"),
                 }
             }
+            assert!(resumed > 0, "rising budgets resume the kept runs");
         }
+    }
+
+    #[test]
+    fn concurrent_solves_on_one_memo_return_the_cold_plans() {
+        let g = shard_forest(6, 50, 10, &CostModel::default(), 7);
+        let cfg = small_cfg();
+        let inert = CancelToken::inert();
+        let memo = SharedWork::default();
+        let top = StoragePlan::materialize_all(&g).storage_cost(&g);
+        let cold = |budget| sharded_msr(&g, budget, &cfg, &inert).expect("feasible");
+
+        // A solve that finds the slots empty, as while a concurrent solve
+        // holds the runs, runs cold.
+        solve_sharded(&g, top / 2, &cfg, &inert, &memo).expect("feasible");
+        let prep = memo
+            .for_graph(&g)
+            .shard_prep(&g, cfg.max_shard_nodes, &inert)
+            .expect("not cancelled");
+        let ShardPrep::Split { shards, .. } = &*prep else {
+            panic!("the fixture shards");
+        };
+        let held: Vec<_> = shards
+            .iter()
+            .map(|sh| sh.greedy.last.lock().unwrap().take())
+            .collect();
+        assert!(held.iter().all(Option::is_some));
+        let (plan, stats) =
+            solve_sharded(&g, top / 2 + 500, &cfg, &inert, &memo).expect("feasible");
+        assert_eq!(stats.resumed_moves, 0);
+        assert_eq!(plan, cold(top / 2 + 500).0);
+
+        // Two threads released together, each sweeping its own budgets.
+        let sweeps = [rising(top / 2, 8, 1), rising(top / 3, 8, 2)];
+        let start = std::sync::Barrier::new(sweeps.len());
+        std::thread::scope(|scope| {
+            for sweep in &sweeps {
+                let (g, cfg, inert, memo, start, cold) = (&g, &cfg, &inert, &memo, &start, &cold);
+                scope.spawn(move || {
+                    start.wait();
+                    for &budget in sweep {
+                        let (warm, _) =
+                            solve_sharded(g, budget, cfg, inert, memo).expect("feasible");
+                        assert_eq!(warm, cold(budget).0, "budget {budget}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -705,7 +875,8 @@ mod tests {
             for mult in [1, 2, 3, 5, 8] {
                 let budget = sh.smin * mult / 2;
                 assert_eq!(
-                    lmg_all_from(&sh.sub, sh.start.clone(), budget),
+                    lmg_all_resume(&sh.sub, &sh.greedy.start, budget, None)
+                        .map(|run| (run.plan, run.stats)),
                     lmg_all_with_stats(&sh.sub, budget),
                     "budget {budget}"
                 );

@@ -1,11 +1,15 @@
 //! Shared-work memo of heuristic results.
 //!
 //! [`SharedWork`] memoizes LMG-All and DP-MSR results per
-//! `(graph fingerprint, budget)`, and one budget-independent cell per
-//! shard size: the sharded solver's prep (partition, shard sub-graphs,
-//! edge maps and per-shard minimum-storage arborescences, see
+//! `(graph fingerprint, budget)`, and one cell per shard size: the
+//! sharded solver's prep (partition, shard sub-graphs, edge maps and
+//! per-shard minimum-storage arborescences, see
 //! [`sharded`](super::sharded)), so a budget sweep on one graph builds it
-//! once. Its reason to exist is reuse *across* calls: the versioning
+//! once. The prep also holds each shard's last LMG-All run, which the next
+//! solve on the graph takes, continues at its own budget and puts back; a
+//! run is the one piece of the memo that changes after it is built, and
+//! every solve returns the same plan whichever run it finds. Its reason to
+//! exist is reuse *across* calls: the versioning
 //! service keeps one memo per graph fingerprint in an LRU, so a repeated
 //! `Solve` on a known graph, the service's LMG-All heuristic tier and its
 //! cached tier all answer from plans that were already computed. Outside
@@ -20,7 +24,8 @@
 //! Correctness rules:
 //!
 //! * A cell is keyed by budget, or by
-//!   `max_shard_nodes` for the shard prep; the graph itself is pinned by a
+//!   `max_shard_nodes` for the shard prep (whose kept runs are exact at
+//!   any budget); the graph itself is pinned by a
 //!   fingerprint claimed on first use. The engine swaps in a
 //!   fresh memo when a caller reuses one `SolveOptions` across different
 //!   graphs, so stale plans can never cross graphs.

@@ -60,9 +60,9 @@ impl Candidate for Reverse<u32> {
 }
 
 /// Score materializing `v` against current state, mirroring the oracle's
-/// scan body with the budget test split out for parking. The park
-/// threshold is exact because `paid[v]` cannot change while `v` is
-/// eligible (only `v`'s own materialization would change it).
+/// scan body with the budget test split out for parking. The need is
+/// exact because `paid[v]` cannot change while `v` is eligible (only
+/// `v`'s own materialization would change it).
 fn score(
     g: &VersionGraph,
     view: &mut IncrementalPlanView,
@@ -73,32 +73,24 @@ fn score(
     if !eligible[v] {
         return Scored::Skip;
     }
-    let sv = g.node_storage(NodeId::new(v));
-    let paid = view.paid[v];
-    // Feasible iff storage - paid + sv <= budget, i.e. storage <= max.
-    let max_storage = storage_budget as u128 + paid as u128;
-    let Some(max_storage) = max_storage.checked_sub(sv as u128) else {
-        return Scored::Skip; // sv alone exceeds budget + paid: never fits
-    };
-    let over_budget = view.storage() as u128 > max_storage;
     let dr = view.r[v] as u128 * view.size[v] as u128;
     if dr == 0 {
         return Scored::Skip;
     }
-    if over_budget {
-        return Scored::Park { max_storage };
-    }
-    Scored::Push(if sv <= paid {
-        Ratio::Infinite {
+    let sv = g.node_storage(NodeId::new(v));
+    let paid = view.paid[v];
+    if sv <= paid {
+        return Scored::Push(Ratio::Infinite {
             dr,
             ds: (paid - sv) as u128,
-        }
-    } else {
-        Ratio::Finite {
-            dr,
-            ds: (sv - paid) as u128,
-        }
-    })
+        });
+    }
+    let need = (sv - paid) as u128;
+    // Feasible iff storage - paid + sv <= budget.
+    if view.storage() as u128 + need > storage_budget as u128 {
+        return Scored::Park { need };
+    }
+    Scored::Push(Ratio::Finite { dr, ds: need })
 }
 
 /// The incremental greedy loop behind [`lmg_with_stats`], invoking
@@ -134,7 +126,7 @@ pub(super) fn run_incremental(
             let mut rescore = |Reverse(v): Reverse<u32>| {
                 score(g, &mut view, &eligible, storage_budget, v as usize)
             };
-            cands.revive(storage_now, &mut rescore);
+            cands.revive(storage_now, storage_budget, &mut rescore);
             cands.select(&mut rescore)
         };
         let Some(Reverse(v)) = chosen else {

@@ -13,9 +13,32 @@
 //! per-iteration rescan. After a move only the candidates touched by its
 //! dirty region are re-scored, each updating its own entry in place;
 //! selection re-scores the top entry and takes it if the score still
-//! matches. Budget-blocked candidates are *parked* keyed by the largest
-//! total storage at which they fit and revived when storage drops.
+//! matches. Budget-blocked candidates are *parked* keyed by their need,
+//! the storage the move adds, and revived once it fits the budget.
 //! Amortized cost per move is `O(Δ·deg·log m)` instead of `O(n + m)`.
+//!
+//! # Resuming a run at a larger budget
+//!
+//! A run's choices depend on the budget only through parking, so runs at
+//! budgets `B` and `B' = B + Δ` pick the same moves until `B` leaves a
+//! candidate parked whose need fits under `B'`. Each run therefore logs,
+//! per selection, its *slack*: `storage + least parked need − B` right
+//! after the selection (`Cost::MAX` when nothing is parked). At the first
+//! selection `t*` whose slack is at most `Δ`, the two runs may part; before
+//! it every candidate that outranks the chosen one is parked under both
+//! budgets. An [`LmgAllRun`] at `B` thus answers `B'`:
+//!
+//! * with no `t*`, its plan is the answer;
+//! * with `t*` at the last selection, `B'` continues from its final plan;
+//! * otherwise `B'` replays the first `t*` moves (view updates only, no
+//!   scoring) and continues from there.
+//!
+//! A continuation seeds a fresh heap at the state it reached. That picks
+//! what the cold run picks: both select the best candidate feasible at the
+//! current state, since every heap entry holds its candidate's current
+//! score except for feasibility, which selection re-checks. A budget
+//! below the run's runs cold. A cold run is the same loop with no
+//! previous run, so every path returns the cold run's plan and stats.
 //!
 //! The from-scratch loop (rebuild the view, rescan all candidates each
 //! iteration) is the differential oracle
@@ -104,18 +127,52 @@ pub fn lmg_all_with_stats(
     g: &VersionGraph,
     storage_budget: Cost,
 ) -> Option<(StoragePlan, LmgAllStats)> {
-    run_incremental(g, min_storage_plan(g), storage_budget, |_, _| {})
+    run_incremental(g, &min_storage_plan(g), storage_budget, None, |_, _| {})
+        .map(|run| (run.plan, run.stats))
 }
 
-/// [`lmg_all_with_stats`] from `start`, which must be
-/// [`min_storage_plan`]`(g)` computed earlier: the sharded solver keeps
-/// each shard's arborescence across budgets and hands it in here.
-pub(crate) fn lmg_all_from(
+/// One finished LMG-All run, with what a later run at a larger budget
+/// needs to continue it (see the module docs).
+#[derive(Debug)]
+pub(crate) struct LmgAllRun {
+    /// The budget the run was made at.
+    budget: Cost,
+    /// The applied moves, in order.
+    moves: Vec<Move>,
+    /// One slack per selection, the terminating one included:
+    /// `moves.len() + 1` entries.
+    slack: Vec<Cost>,
+    /// The final plan.
+    pub(crate) plan: StoragePlan,
+    /// The run's diagnostics, equal to a cold run's.
+    pub(crate) stats: LmgAllStats,
+    /// How many of `moves` were taken from the previous run, kept or
+    /// replayed, instead of being selected again.
+    pub(crate) resumed: usize,
+}
+
+impl LmgAllRun {
+    /// Bytes of the move and slack logs and the final plan, by length.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.moves.len() * size_of::<Move>()
+            + self.slack.len() * size_of::<Cost>()
+            + self.plan.parent.len() * size_of::<Parent>()
+    }
+}
+
+/// LMG-All on `g` at `storage_budget`, continuing `prev` where it applies:
+/// `start` must be [`min_storage_plan`]`(g)` computed earlier, and `prev`
+/// a run on the same `g` and `start`. The sharded solver keeps each
+/// shard's arborescence and last run across budgets and hands them in
+/// here. The result equals a cold run's in plan and stats.
+pub(crate) fn lmg_all_resume(
     g: &VersionGraph,
-    start: StoragePlan,
+    start: &StoragePlan,
     storage_budget: Cost,
-) -> Option<(StoragePlan, LmgAllStats)> {
-    run_incremental(g, start, storage_budget, |_, _| {})
+    prev: Option<LmgAllRun>,
+) -> Option<LmgAllRun> {
+    run_incremental(g, start, storage_budget, prev, |_, _| {})
 }
 
 /// Score one candidate move against the current incremental state.
@@ -166,38 +223,77 @@ pub(crate) fn score(
         }
         Scored::Push(Ratio::Infinite { dr, ds })
     } else {
-        let ds = new_cost - paid;
+        let ds = (new_cost - paid) as u128;
         if dr == 0 {
             return Scored::Skip;
         }
-        match storage_budget.checked_sub(ds) {
-            // ds alone exceeds the budget: infeasible at any storage.
-            None => Scored::Skip,
-            Some(max_storage) if view.storage() > max_storage => Scored::Park {
-                max_storage: max_storage as u128,
-            },
-            Some(_) => Scored::Push(Ratio::Finite { dr, ds: ds as u128 }),
+        // Parked even when `ds` alone exceeds the budget: a larger budget
+        // continuing this run may take it.
+        if view.storage() as u128 + ds > storage_budget as u128 {
+            return Scored::Park { need: ds };
         }
+        Scored::Push(Ratio::Finite { dr, ds })
     }
 }
 
-/// Incremental greedy behind [`lmg_all_with_stats`]: starting from
-/// `plan` (the minimum-storage arborescence of `g`), score all candidates
-/// once, then per move re-score only the dirty region and let the
-/// candidate heap pick the maximum. `observe` sees every applied move and
-/// the plan right after it (exposed to tests as
-/// [`super::oracle::lmg_all_traced`]).
+/// Incremental greedy behind [`lmg_all_with_stats`] and
+/// [`lmg_all_resume`]: take what applies of `prev` (see the module docs),
+/// score all candidates once at the state that leaves, then per move
+/// re-score only the dirty region and let the candidate heap pick the
+/// maximum. `start` is the minimum-storage arborescence of `g`; `observe`
+/// sees every move the loop selects and the plan right after it (exposed
+/// to tests as [`super::oracle::lmg_all_traced`]).
 pub(super) fn run_incremental(
     g: &VersionGraph,
-    mut plan: StoragePlan,
+    start: &StoragePlan,
     storage_budget: Cost,
+    prev: Option<LmgAllRun>,
     mut observe: impl FnMut(Move, &StoragePlan),
-) -> Option<(StoragePlan, LmgAllStats)> {
+) -> Option<LmgAllRun> {
+    // The plan to continue from, the moves the run keeps, and how many of
+    // those, from the front, still have to be applied to the plan.
+    let (mut plan, mut moves, mut slack, replay) = match prev {
+        Some(mut run) if storage_budget >= run.budget => {
+            let raise = storage_budget - run.budget;
+            let parted = run.slack.iter().position(|&s| s <= raise);
+            let kept = parted.unwrap_or(run.slack.len());
+            // Up to `parted` both budgets park the same entries.
+            for s in &mut run.slack[..kept] {
+                *s -= raise;
+            }
+            run.slack.truncate(kept);
+            match parted {
+                None => {
+                    run.budget = storage_budget;
+                    run.resumed = run.moves.len();
+                    return Some(run);
+                }
+                Some(t) if t == run.moves.len() => (run.plan, run.moves, run.slack, 0),
+                Some(t) => {
+                    run.moves.truncate(t);
+                    (start.clone(), run.moves, run.slack, t)
+                }
+            }
+        }
+        _ => (start.clone(), Vec::new(), Vec::new(), 0),
+    };
     if plan.storage_cost(g) > storage_budget {
         return None;
     }
-    let mut stats = LmgAllStats::default();
     let mut view = IncrementalPlanView::new(g, &plan);
+    for &mv in &moves[..replay] {
+        let (v, new_parent) = mv.entry(g);
+        view.apply(g, &mut plan, v, new_parent);
+    }
+    let resumed = moves.len();
+    let mut stats = LmgAllStats {
+        moves: resumed,
+        materializations: moves
+            .iter()
+            .filter(|mv| matches!(mv, Move::Materialize { .. }))
+            .count(),
+        ..LmgAllStats::default()
+    };
     let mut cands = CandidateHeap::with_capacity(2 * g.m().max(g.n()));
 
     for mv in all_moves(g) {
@@ -209,19 +305,33 @@ pub(super) fn run_incremental(
         let chosen = {
             let storage_now = view.storage();
             let mut rescore = |mv: Move| score(g, &plan, &mut view, storage_budget, mv);
-            cands.revive(storage_now, &mut rescore);
-            cands.select(&mut rescore)
+            cands.revive(storage_now, storage_budget, &mut rescore);
+            let chosen = cands.select(&mut rescore);
+            let slack_now = cands.least_need().map_or(Cost::MAX, |need| {
+                let over = (storage_now as u128 + need).saturating_sub(storage_budget as u128);
+                over.min(Cost::MAX as u128) as Cost
+            });
+            slack.push(slack_now);
+            chosen
         };
         let Some(mv) = chosen else {
             stats.total_retrieval = view.total_retrieval();
             stats.storage = view.storage();
-            return Some((plan, stats));
+            return Some(LmgAllRun {
+                budget: storage_budget,
+                moves,
+                slack,
+                plan,
+                stats,
+                resumed,
+            });
         };
 
         if matches!(mv, Move::Materialize { .. }) {
             stats.materializations += 1;
         }
         stats.moves += 1;
+        moves.push(mv);
         let (v, new_parent) = mv.entry(g);
         let effect = view.apply(g, &mut plan, v, new_parent);
         observe(mv, &plan);
@@ -268,6 +378,7 @@ mod tests {
     use crate::baselines::min_storage_value;
     use crate::heuristics::lmg::lmg;
     use crate::heuristics::oracle::{lmg_all_scratch, lmg_all_traced};
+    use crate::heuristics::IncrementalPlanView;
     use dsv_vgraph::generators::{
         bidirectional_path, erdos_renyi_bidirectional, random_tree, CostModel,
     };
@@ -383,6 +494,159 @@ mod tests {
         // Greedy means no dominance guarantee, but LMG should essentially
         // never beat LMG-All (paper: "LMG-All consistently outperforms").
         assert!(lmg_wins <= 2, "LMG won {lmg_wins}/12 times");
+    }
+
+    /// A cold run with its log.
+    fn cold(g: &VersionGraph, budget: Cost) -> Option<LmgAllRun> {
+        run_incremental(g, &min_storage_plan(g), budget, None, |_, _| {})
+    }
+
+    /// Which way a run at `from` answers `to`: 0 = cold, 1 = kept,
+    /// 2 = continued from its final plan, 3 = replayed a prefix.
+    fn path(prev: &LmgAllRun, to: Cost) -> usize {
+        if to < prev.budget {
+            return 0;
+        }
+        match prev.slack.iter().position(|&s| s <= to - prev.budget) {
+            None => 1,
+            Some(t) if t == prev.moves.len() => 2,
+            Some(_) => 3,
+        }
+    }
+
+    fn fixtures() -> Vec<VersionGraph> {
+        let m = CostModel::default();
+        let mut gs: Vec<VersionGraph> = (0..3)
+            .map(|seed| erdos_renyi_bidirectional(30, 0.2, &m, seed))
+            .collect();
+        gs.extend((0..2).map(|seed| random_tree(40, &m, seed)));
+        gs.push(dsv_vgraph::generators::shard_forest(3, 25, 4, &m, 5));
+        gs
+    }
+
+    #[test]
+    fn resumed_runs_equal_cold_runs_over_budget_sweeps() {
+        let mut paths = [0usize; 4];
+        for g in fixtures() {
+            let start = min_storage_plan(&g);
+            let smin = min_storage_value(&g);
+            let top = StoragePlan::materialize_all(&g).storage_cost(&g);
+            let mut state = g.fingerprint() | 1;
+            let mut jitter = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % 1_000
+            };
+            // Rising in small and large steps, repeated, falling,
+            // infeasible, rising again, past materialize-all.
+            let mut budgets: Vec<Cost> = (0..12).map(|i| smin + i * 1_000 + jitter()).collect();
+            budgets.extend([smin + 11_500, smin + 11_500, smin + 3_000, smin - 1]);
+            budgets.extend((1..=4).map(|i| smin + (top - smin) * i / 4));
+            budgets.extend([top * 2, smin + 2_000]);
+            let mut prev: Option<LmgAllRun> = None;
+            for &b in &budgets {
+                if let Some(p) = &prev {
+                    paths[path(p, b)] += 1;
+                }
+                let want = cold(&g, b);
+                let got = lmg_all_resume(&g, &start, b, prev.take());
+                match (&want, &got) {
+                    (Some(w), Some(r)) => {
+                        assert_eq!(w.moves, r.moves, "budget {b}");
+                        assert_eq!(w.plan, r.plan, "budget {b}");
+                        assert_eq!(w.stats, r.stats, "budget {b}");
+                        assert_eq!(r.slack.len(), r.moves.len() + 1);
+                        assert!(r.slack.iter().all(|&s| s > 0), "budget {b}");
+                    }
+                    (None, None) => {}
+                    _ => panic!("budget {b}: cold {want:?} vs resumed {got:?}"),
+                }
+                prev = got;
+            }
+        }
+        assert!(paths.iter().all(|&n| n > 0), "every path taken: {paths:?}");
+    }
+
+    #[test]
+    fn a_raise_of_exactly_the_slack_parts_at_that_selection() {
+        let mut replayed = 0;
+        for g in fixtures() {
+            let start = min_storage_plan(&g);
+            let budget = min_storage_value(&g) + 5_000;
+            let base = cold(&g, budget).expect("feasible");
+            for t in 0..base.slack.len() {
+                let s = base.slack[t];
+                if s == Cost::MAX || base.slack[..t].iter().any(|&e| e <= s) {
+                    continue; // only a prefix minimum parts exactly at `t`
+                }
+                for raise in [s - 1, s] {
+                    let prev = cold(&g, budget).expect("feasible");
+                    let b = budget + raise;
+                    let parted = prev.slack.iter().position(|&e| e <= raise);
+                    assert_eq!(parted == Some(t), raise == s, "t {t} raise {raise}");
+                    replayed += usize::from(parted.is_some_and(|p| p < prev.moves.len()));
+                    let got = lmg_all_resume(&g, &start, b, Some(prev)).expect("feasible");
+                    let want = cold(&g, b).expect("feasible");
+                    assert_eq!(want.moves, got.moves, "budget {b}");
+                    assert_eq!(want.plan, got.plan, "budget {b}");
+                    assert_eq!(want.stats, got.stats, "budget {b}");
+                }
+            }
+        }
+        assert!(replayed > 0, "some raise replays a prefix");
+    }
+
+    #[test]
+    fn a_fresh_heap_at_any_reached_state_continues_like_the_cold_run() {
+        for g in fixtures() {
+            let start = min_storage_plan(&g);
+            let budget = min_storage_value(&g) * 3 / 2;
+            let base = cold(&g, budget).expect("feasible");
+            for t in 0..=base.moves.len() {
+                // A log that parts at `t` under a raise of 0: replay the
+                // first `t` moves, seed a fresh heap there, continue.
+                let mut slack = vec![Cost::MAX; base.slack.len()];
+                slack[t] = 0;
+                let prev = LmgAllRun {
+                    budget,
+                    moves: base.moves.clone(),
+                    slack,
+                    plan: base.plan.clone(),
+                    stats: base.stats.clone(),
+                    resumed: 0,
+                };
+                let got = lmg_all_resume(&g, &start, budget, Some(prev)).expect("feasible");
+                assert_eq!(got.resumed, t);
+                assert_eq!(got.moves, base.moves, "continued from move {t}");
+                assert_eq!(got.plan, base.plan);
+                assert_eq!(got.stats, base.stats);
+            }
+        }
+    }
+
+    #[test]
+    fn a_move_larger_than_the_budget_is_parked_and_taken_on_resume() {
+        // `b` is stored as a delta of `a`; materializing it adds 999,
+        // more than the whole budget of 500.
+        let mut g = VersionGraph::new();
+        let a = g.add_node(10);
+        let b = g.add_node(1_000);
+        g.add_edge(a, b, 1, 5);
+        let start = min_storage_plan(&g);
+        let mut view = IncrementalPlanView::new(&g, &start);
+        let mat_b = Move::Materialize { node: b.0 };
+        assert!(matches!(
+            score(&g, &start, &mut view, 500, mat_b),
+            Scored::Park { need: 999 }
+        ));
+        let run = cold(&g, 500).expect("feasible");
+        assert!(run.moves.is_empty());
+        assert_eq!(run.slack, [11 + 999 - 500]);
+        let resumed = lmg_all_resume(&g, &start, 11 + 999, Some(run)).expect("feasible");
+        assert_eq!(resumed.moves, [mat_b]);
+        assert_eq!(resumed.resumed, 0);
+        assert_eq!(Some(resumed.plan), lmg_all(&g, 11 + 999));
     }
 
     #[test]

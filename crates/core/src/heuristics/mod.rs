@@ -33,8 +33,8 @@
 //! the ancestor paths, and the materialization moves of both node sets.
 //! The only *global* evaluation input is the current total `storage`
 //! (budget feasibility); candidate caches handle it by parking
-//! over-budget candidates keyed by the largest storage at which they fit
-//! (see `CandidateHeap`).
+//! over-budget candidates keyed by their *need*, the storage increase of
+//! the move (see `CandidateHeap`).
 //!
 //! ## One entry per candidate
 //!
@@ -50,7 +50,13 @@
 //! The one input outside any dirty region is total storage, which only
 //! decides feasible versus parked: a top entry that went over budget is
 //! parked when selection re-scores it, and a parked candidate is revived
-//! once storage falls to its threshold.
+//! once `storage + need` fits the budget again.
+//!
+//! A parked entry holds no budget: the same candidate is parked at every
+//! budget below `storage + need` and feasible at every budget from there
+//! on. That is what lets LMG-All continue a run made at a smaller budget
+//! (see `lmg_all::LmgAllRun`): its choices depend on the budget only
+//! through which parked needs fit.
 //!
 //! The heap thus holds at most `n + m` entries, and selection almost
 //! always takes the first entry it looks at: no outdated copies are left
@@ -92,6 +98,8 @@ pub use mp::modified_prims;
 use crate::plan::{Parent, StoragePlan};
 use dsv_vgraph::indexed_heap::IndexedHeap;
 use dsv_vgraph::{cost_add, Cost, NodeId, VersionGraph, INF};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Per-iteration view of a plan: retrieval costs, dependency-subtree sizes,
 /// Euler timestamps (for ancestor tests), and currently-paid storage. The
@@ -503,11 +511,11 @@ pub(crate) enum Scored {
     Skip,
     /// Valid and feasible at this ratio.
     Push(Ratio),
-    /// Valid but over budget: feasible again once total storage is at
-    /// most `max_storage`.
+    /// Valid but over budget: feasible again once
+    /// `storage + need <= budget`.
     Park {
-        /// Largest total storage at which the move fits the budget.
-        max_storage: u128,
+        /// The storage increase of the move.
+        need: u128,
     },
 }
 
@@ -528,7 +536,8 @@ pub(crate) trait Candidate: Copy + Ord {
 /// index; LMG: `Reverse(node)` for lowest id).
 pub(crate) struct CandidateHeap<P: Candidate> {
     heap: IndexedHeap<(Ratio, P)>,
-    parked: std::collections::BinaryHeap<(u128, P)>,
+    /// Parked candidates, least need first.
+    parked: BinaryHeap<(Reverse<u128>, P)>,
 }
 
 impl<P: Candidate> Default for CandidateHeap<P> {
@@ -543,7 +552,7 @@ impl<P: Candidate> CandidateHeap<P> {
     pub(crate) fn with_capacity(slots: usize) -> Self {
         CandidateHeap {
             heap: IndexedHeap::with_capacity(slots),
-            parked: std::collections::BinaryHeap::new(),
+            parked: BinaryHeap::new(),
         }
     }
 
@@ -553,9 +562,9 @@ impl<P: Candidate> CandidateHeap<P> {
     pub(crate) fn update(&mut self, sc: Scored, payload: P) {
         match sc {
             Scored::Push(ratio) => self.heap.set(payload.slot(), (ratio, payload)),
-            Scored::Park { max_storage } => {
+            Scored::Park { need } => {
                 self.heap.remove(payload.slot());
-                self.parked.push((max_storage, payload));
+                self.parked.push((Reverse(need), payload));
             }
             Scored::Skip => {
                 self.heap.remove(payload.slot());
@@ -563,20 +572,30 @@ impl<P: Candidate> CandidateHeap<P> {
         }
     }
 
-    /// Revive parked candidates that fit under the current total storage,
-    /// re-scoring each. A parked copy may be stale (the candidate was
-    /// re-scored since it was parked); re-scoring it only records the
-    /// candidate's current score again. A re-parked candidate always gets
-    /// a threshold below `storage`, so this terminates.
-    pub(crate) fn revive(&mut self, storage: Cost, rescore: &mut impl FnMut(P) -> Scored) {
+    /// Revive the parked candidates whose need fits: `storage + need <=
+    /// budget`, re-scoring each. A parked copy may be stale (the candidate
+    /// was re-scored since it was parked); re-scoring it only records the
+    /// candidate's current score again. A re-parked candidate always has
+    /// a need that does not fit, so this terminates.
+    pub(crate) fn revive(
+        &mut self,
+        storage: Cost,
+        budget: Cost,
+        rescore: &mut impl FnMut(P) -> Scored,
+    ) {
         while self
             .parked
             .peek()
-            .is_some_and(|&(max_storage, _)| max_storage >= storage as u128)
+            .is_some_and(|&(Reverse(need), _)| storage as u128 + need <= budget as u128)
         {
             let (_, payload) = self.parked.pop().expect("peeked entry");
             self.update(rescore(payload), payload);
         }
+    }
+
+    /// The least need among the parked entries, stale copies included.
+    pub(crate) fn least_need(&self) -> Option<u128> {
+        self.parked.peek().map(|&(Reverse(need), _)| need)
     }
 
     /// Verified selection: re-score the top entry and take it only if its

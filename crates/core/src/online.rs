@@ -338,7 +338,7 @@ impl OnlinePlanner {
                     *rescored += 1;
                     score(g, plan, view, budget, mv)
                 };
-                self.cands.greedy.revive(storage_now, &mut rescore);
+                self.cands.greedy.revive(storage_now, budget, &mut rescore);
                 self.cands.greedy.select(&mut rescore)
             };
             let Some(mv) = chosen else { return };

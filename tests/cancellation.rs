@@ -195,7 +195,7 @@ fn rows() -> Vec<Row> {
                     }
                 }
             },
-            "ShardStats { shards: 3, largest_shard: 4, cut_edges: 8, coarse_deltas: 0, moves: 1, materializations: 1, storage: 37631, total_retrieval: 2404, partition: 0ns, shard_solves: 0ns, stitch: 0ns } s=37631 r=2404 m=776 [1,M,15,4,6,M,17,M,M,M]",
+            "ShardStats { shards: 3, largest_shard: 4, cut_edges: 8, coarse_deltas: 0, moves: 1, resumed_moves: 0, run_bytes: 104, materializations: 1, storage: 37631, total_retrieval: 2404, partition: 0ns, shard_solves: 0ns, stitch: 0ns } s=37631 r=2404 m=776 [1,M,15,4,6,M,17,M,M,M]",
         ),
         (
             // The prep cell is shared with a solve on another thread, so
